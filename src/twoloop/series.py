@@ -23,9 +23,11 @@ order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import gt
 
 from .errors import (
     AsymmetryError,
@@ -511,6 +513,11 @@ def _den_lcm(terms: dict) -> int:
     return out
 
 
+def _scaled(c: GaussRat, l: int) -> tuple[int, int]:
+    """``l*c`` as a Gaussian integer, for ``l`` a multiple of both denominators."""
+    return c.re.numerator * (l // c.re.denominator), c.im.numerator * (l // c.im.denominator)
+
+
 def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     """Truncated Cauchy product with validity propagation.
 
@@ -518,6 +525,10 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     loop works on Gaussian integers with exponent tuples packed into single
     ints (one radix field per variable, sized so that every achievable sum
     stays in its field); the exact rescaling happens once per result term.
+    Pairs are pruned against the result's validity box before any product
+    is formed: the right operand is grouped by its exponents in all but the
+    last variable and sorted by the last one, so each left term skips the
+    groups that overflow its room and stops each group at a bisection.
     """
     merged = _merge_vars_mul(a, b)
     out = MultiSeries.zero(merged)
@@ -546,31 +557,44 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     def pack(k, base):
         return sum((ki - bi) * s for ki, bi, s in zip(k, base, strides))
 
-    items_a = [(pack(k, min_a), (c.re * la).numerator, (c.im * la).numerator)
-               for k, c in ta.items()]
-    items_b = [(pack(k, min_b), (c.re * lb).numerator, (c.im * lb).numerator)
-               for k, c in tb.items()]
+    # groups in lexicographic order of prefix, so those whose first exponent
+    # fits the room are the ones before a bisection over ``firsts``
+    groups: dict[tuple[int, ...], list] = {}
+    for k, c in tb.items():
+        groups.setdefault(k[:-1], []).append((k[-1], pack(k, min_b), *_scaled(c, lb)))
+    table = []
+    for prefix in sorted(groups):
+        group = sorted(groups[prefix])
+        table.append((prefix, [g[0] for g in group], [g[1:] for g in group]))
+    firsts = [prefix[:1] for prefix, _, _ in table]
     acc: dict[int, list] = {}
     get = acc.get
-    for p1, a1, b1 in items_a:
-        if b1:
-            for p2, a2, b2 in items_b:
-                p = p1 + p2
-                cur = get(p)
-                if cur is None:
-                    acc[p] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    cur[0] += a1 * a2 - b1 * b2
-                    cur[1] += a1 * b2 + b1 * a2
-        else:
-            for p2, a2, b2 in items_b:
-                p = p1 + p2
-                cur = get(p)
-                if cur is None:
-                    acc[p] = [a1 * a2, a1 * b2]
-                else:
-                    cur[0] += a1 * a2
-                    cur[1] += a1 * b2
+    for k, c in ta.items():
+        p1, (a1, b1) = pack(k, min_a), _scaled(c, la)
+        room = [m - ki for m, ki in zip(kmaxes, k)]
+        room_last = room.pop()
+        for prefix, lasts, items in table[:bisect_right(firsts, tuple(room[:1]))]:
+            if any(map(gt, prefix, room)):
+                continue
+            n = bisect_right(lasts, room_last)
+            if b1:
+                for p2, a2, b2 in items[:n]:
+                    p = p1 + p2
+                    cur = get(p)
+                    if cur is None:
+                        acc[p] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                    else:
+                        cur[0] += a1 * a2 - b1 * b2
+                        cur[1] += a1 * b2 + b1 * a2
+            else:
+                for p2, a2, b2 in items[:n]:
+                    p = p1 + p2
+                    cur = get(p)
+                    if cur is None:
+                        acc[p] = [a1 * a2, a1 * b2]
+                    else:
+                        cur[0] += a1 * a2
+                        cur[1] += a1 * b2
     scale = la * lb
     lo = [qa + qb for qa, qb in zip(min_a, min_b)]
     res = {}
@@ -579,19 +603,13 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             continue
         key = []
         rem = p
-        ok = True
         for i in range(nvars):
             if strides[i] != 1:
                 ki, rem = divmod(rem, strides[i])
             else:
                 ki, rem = rem, 0
-            ki += lo[i]
-            if ki > kmaxes[i]:
-                ok = False
-                break
-            key.append(ki)
-        if ok:
-            res[tuple(key)] = GaussRat(Fraction(re, scale), Fraction(im, scale))
+            key.append(ki + lo[i])
+        res[tuple(key)] = GaussRat(Fraction(re, scale), Fraction(im, scale))
     out.terms = res
     return out
 
@@ -754,7 +772,7 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
             if b < 0:
                 continue
             poly = polys[b]
-            scale = c if b else scalar_mul_coeff(c, Fraction(1, 2))
+            scale = c if b else c * Fraction(1, 2)
             for j, pc in enumerate(poly):
                 if pc:
                     cur = ucoeffs.get(j, GR_ZERO) + scale * pc
@@ -764,10 +782,6 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
                 res[rest + (j,)] = c
     out.terms = res
     return out
-
-
-def scalar_mul_coeff(c: GaussRat, x) -> GaussRat:
-    return c * GaussRat.coerce(x)
 
 
 def u_to_r(a: MultiSeries, uname: str = "u", rname: str = "r") -> MultiSeries:
@@ -961,9 +975,6 @@ class PrefSeries:
 
     def __pow__(self, n: int):
         return self.pow_int(n)
-
-    def mul_series(self, other: MultiSeries) -> "PrefSeries":
-        return self.mul(PrefSeries(other))
 
     def truediv(self, other) -> "PrefSeries":
         return self.mul(PrefSeries.coerce(other).invert())

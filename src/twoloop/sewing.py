@@ -40,7 +40,7 @@ from .series import (
     negate,
     scalar_mul,
     shift_var,
-    substitute,
+    substitute_pref,
 )
 
 F = Fraction
@@ -209,18 +209,12 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams | SewingExpansion,
         params = fourier_params(params)
     out = PrefSeries(f)
     if f.has_var(qvar):
-        out = _subst_pref(out, qvar, params.qhat)
+        out = substitute_pref(out, qvar, params.qhat)
     if out.body.has_var(svar):
-        out = _subst_pref(out, svar, params.shat)
+        out = substitute_pref(out, svar, params.shat)
     if out.body.has_var(uvar):
-        out = _subst_pref(out, uvar, params.uhat)
+        out = substitute_pref(out, uvar, params.uhat)
     if out.body.has_var(rvar):
-        out = _subst_pref(out, rvar, params.rhat)
+        out = substitute_pref(out, rvar, params.rhat)
     return out
 
-
-def _subst_pref(p: PrefSeries, var: str, g: PrefSeries) -> PrefSeries:
-    out = substitute(p.body, var, g)
-    for n, e in p.prefactor.items():
-        out = out.shift(n, e)
-    return out

@@ -93,26 +93,53 @@ def test_mul_bilinear_expansion():
 
 
 def _naive_product(a, b, vars):
+    # the operands may hold different variable sets: align exponents by name
     terms = {}
     for k1, c1 in a.iter_terms():
+        e1 = dict(zip((v.name for v in a.vars), k1))
         for k2, c2 in b.iter_terms():
-            key = tuple(x + y for x, y in zip(k1, k2))
+            e2 = dict(zip((v.name for v in b.vars), k2))
+            key = tuple(e1.get(v.name, 0) + e2.get(v.name, 0) for v in vars)
             terms[key] = terms.get(key, GaussRat(0)) + c1 * c2
     return MultiSeries(vars, terms)
 
 
-def test_mul_packed_kernel_matches_naive(rng):
-    # every product goes through denominator scaling + packed integer keys;
-    # it must agree with the naive convolution for rational and Gaussian
-    # coefficients alike
-    q, r = V("q", den=2, order=4), V("r", den=1, min_exp=-2, order=4)
+@pytest.mark.parametrize("vars_a, vars_b, floor", [
+    pytest.param([V("q", den=2, order=4), V("r", min_exp=-2, order=4)], None, {},
+                 id="two-vars"),
+    pytest.param([V("q", den=3, order=4)], None, {}, id="one-var"),
+    pytest.param([V("q1", order=4), V("eps", order=5)],
+                 [V("q2", order=4), V("eps", order=5)], {}, id="different-var-sets"),
+    pytest.param([V("q", order=5, valid=3), V("s", den=2, order=4)], None, {},
+                 id="valid-below-order"),
+    pytest.param([V("q", order=4), V("r", min_exp=-2)], None, {}, id="unbounded"),
+    # every stored q-exponent is 2, every product lands at q^4 > kmax = 2
+    pytest.param([V("q", order=3), V("s", den=2, order=3)], None, {"q": 2},
+                 id="no-pair-in-box"),
+])
+def test_mul_packed_kernel_matches_naive(rng, vars_a, vars_b, floor):
+    # every product goes through denominator scaling, packed integer keys and
+    # pruning against the result's validity box; it must agree with the
+    # naive convolution for rational and Gaussian coefficients alike
+    vars_b = vars_b or vars_a
+    names = [v.name for v in vars_a]
+    names += [v.name for v in vars_b if v.name not in names]
+
+    def operand(vars):
+        s = random_series(rng, vars)
+        return MultiSeries(s.vars, {
+            k: c for k, c in s.iter_terms()
+            if all(e >= floor.get(v.name, 0) for e, v in zip(k, s.vars))})
+
+    nonempty = 0
     for _ in range(40):
-        a = random_series(rng, [q, r])
-        b = random_series(rng, [q, r])
+        a, b = operand(vars_a), operand(vars_b)
+        nonempty += not (a.is_zero() or b.is_zero())
         fast = mul(a, b)
-        slow = _naive_product(a, b, fast.vars)
-        ok, why = equal_on_joint_validity(fast, slow)
-        assert ok, why
+        assert [v.name for v in fast.vars] == names
+        assert fast.terms == _naive_product(a, b, fast.vars).terms
+        assert not (floor and fast.terms)
+    assert nonempty  # the kernel ran, not only the zero-operand shortcut
 
 
 def test_mul_packed_kernel_matches_naive_int(rng):
