@@ -6,9 +6,7 @@ checks), lattice-info, and verify-all (the full acceptance suite).
 
 All exact numbers are printed as rational strings; floats appear only in
 check residuals.  Output is byte-stable across runs: terms are serialized
-in canonical exponent order.  The environment variable TWO_LOOP_THREADS
-caps internal parallelism (lattice pair histograms); the default is fully
-serial.
+in canonical exponent order.
 """
 
 from __future__ import annotations
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twoloop",
         description="Exact genus-two modular form expansions, torus sewing, "
                     "and two-loop partition functions.",
-        epilog="TWO_LOOP_THREADS caps internal parallelism (default 1).",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

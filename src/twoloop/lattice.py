@@ -1,21 +1,23 @@
 """Integral lattices: ingestion, exact vector enumeration, theta series.
 
-Enumeration uses an exact rational LDL^T decomposition of the Gram matrix,
-so no boundary vector is ever missed to floating-point error.  Genus-two
-theta series are assembled from inner-product histograms of shell pairs
-rather than raw vector pairs, which keeps memory flat; the histogram matrix
-products run on numpy int64 arrays (exact for these sizes).
+Enumeration bounds each coordinate with the exact LDL^T decomposition of
+the Gram matrix, scaled once to integers over common denominators, so the
+search runs in integer arithmetic and no boundary vector is ever missed.
+Genus-two theta series are assembled from inner-product histograms of shell
+pairs rather than raw vector pairs: the products are taken in blocks of rows
+(exact float64 BLAS products of integer matrices) and counted with an offset
+``np.bincount``, which keeps memory flat.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,15 +31,6 @@ from .series import (
 )
 
 F = Fraction
-
-
-def thread_cap() -> int:
-    """Worker cap from TWO_LOOP_THREADS (defaults to 1: fully serial)."""
-    try:
-        n = int(os.environ.get("TWO_LOOP_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -126,11 +119,14 @@ def _int_det(rows) -> int:
 
 @dataclass(frozen=True)
 class ShellTable:
-    """Vectors of a lattice grouped by norm, up to ``max_norm`` inclusive."""
+    """Vectors of a lattice grouped by norm, up to ``max_norm`` inclusive.
+
+    ``shells`` is read-only: tables are cached and shared between callers.
+    """
 
     lattice: Lattice
     max_norm: int
-    shells: dict[int, tuple[tuple[int, ...], ...]]
+    shells: Mapping[int, tuple[tuple[int, ...], ...]]
 
     def count(self, norm: int) -> int:
         if norm > self.max_norm:
@@ -156,39 +152,44 @@ def _ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
 @lru_cache(maxsize=None)
 def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
     """All vectors with <x,x> <= max_norm, by depth-first search with exact
-    rational bounds from the LDL^T decomposition."""
+    integer bounds from the LDL^T decomposition.
+
+    With ``m`` and ``t`` the common denominators of L and D, the form is
+    ``<x,x> = sum_i e_i (m x_i + c_i)^2 / (t m^2)`` for integers
+    ``e_i = t D_i`` and ``c_i = sum_{j>i} m L_ji x_j``, so every bound and
+    every remaining budget in the search is an integer.
+    """
     if not lattice.is_positive_definite():
         raise NotPositiveDefinite(f"{lattice.name} is not positive definite")
     n = lattice.rank
     L, D = _ldl(lattice.gram)
+    m = math.lcm(*(L[j][i].denominator for j in range(n) for i in range(j)))
+    t = math.lcm(*(d.denominator for d in D))
+    e = [int(d * t) for d in D]
+    # cols[i]: (j, m L_ji) for the nonzero entries below the diagonal
+    cols = [[(j, int(L[j][i] * m)) for j in range(i + 1, n) if L[j][i]] for i in range(n)]
+    scale = t * m * m
+    top = scale * max_norm
     shells: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
 
-    def descend(i: int, budget: Fraction):
-        # quadratic form restricted to coordinates 0..i given x[i+1..]
+    def descend(i: int, budget: int):
         if i < 0:
-            vec = tuple(x)
-            norm = int(budget_root - budget)
-            shells.setdefault(norm, []).append(vec)
+            shells.setdefault((top - budget) // scale, []).append(tuple(x))
             return
-        c = sum(L[j][i] * x[j] for j in range(i + 1, n))
-        # d_i (x_i + c)^2 <= budget
-        limit = budget / D[i]
-        s = math.isqrt(int(limit)) + 2
-        lo = math.ceil(-c - s)
-        hi = math.floor(-c + s)
-        for xi in range(lo, hi + 1):
-            y = xi + c
-            used = D[i] * y * y
-            if used <= budget:
-                x[i] = xi
-                descend(i - 1, budget - used)
+        c = sum(lij * x[j] for j, lij in cols[i])
+        # e_i (m x_i + c)^2 <= budget  <=>  |m x_i + c| <= isqrt(budget // e_i)
+        s = math.isqrt(budget // e[i])
+        for xi in range(-((s + c) // m), (s - c) // m + 1):
+            y = m * xi + c
+            x[i] = xi
+            descend(i - 1, budget - e[i] * y * y)
         x[i] = 0
 
-    budget_root = F(max_norm)
-    descend(n - 1, budget_root)
-    return ShellTable(lattice, max_norm,
-                      {k: tuple(sorted(v)) for k, v in sorted(shells.items())})
+    if max_norm >= 0:
+        descend(n - 1, top)
+    return ShellTable(lattice, max_norm, MappingProxyType(
+        {k: tuple(sorted(v)) for k, v in sorted(shells.items())}))
 
 
 def theta_g1(lattice: Lattice, q_order: int, var: str = "q") -> MultiSeries:
@@ -204,10 +205,30 @@ def theta_g1(lattice: Lattice, q_order: int, var: str = "q") -> MultiSeries:
     return MultiSeries((spec,), terms)
 
 
-def _pair_histogram(gram_np, va, vb):
-    m = va @ gram_np @ vb.T
-    vals, counts = np.unique(m, return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, counts)}
+#: Rows of ``va`` per block of inner products in ``_pair_histogram``.
+_BLOCK_ROWS = 128
+
+
+def _pair_histogram(gram_np, va, vb) -> dict[int, int]:
+    """Counts of the inner products <a, b> over rows a of ``va``, b of ``vb``.
+
+    Float64 (BLAS) products of blocks of rows are exact: every partial sum is
+    an integer of size at most ``bound`` = max_a |aG|_1 * max|vb| < 2**53.  By
+    Cauchy-Schwarz, |<a, b>| <= ``reach``, the offset of the ``np.bincount``.
+    """
+    ag = va @ gram_np
+    bound = int(np.abs(ag).sum(axis=1).max(initial=0)) * int(np.abs(vb).max(initial=0))
+    if bound >= 2**53:
+        raise DomainError("lattice inner products too large for exact float64 products")
+    reach = math.isqrt(int((ag * va).sum(axis=1).max(initial=0))
+                       * int(((vb @ gram_np) * vb).sum(axis=1).max(initial=0)))
+    width = 2 * reach + 1
+    counts = np.zeros(width, dtype=np.int64)
+    agf, bt = ag.astype(np.float64), vb.T.astype(np.float64)
+    for i in range(0, len(agf), _BLOCK_ROWS):
+        block = (agf[i:i + _BLOCK_ROWS] @ bt + reach).astype(np.intp)
+        counts += np.bincount(block.ravel(), minlength=width)
+    return {int(v) - reach: int(counts[v]) for v in np.flatnonzero(counts)}
 
 
 def theta_g2(lattice: Lattice, q_order: int, s_order: int,
@@ -226,21 +247,19 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int,
            for norm, vecs in table.shells.items()}
     norms_q = [nm for nm in arr if nm % 2 == 0 and nm // 2 < q_order]
     norms_s = [nm for nm in arr if nm % 2 == 0 and nm // 2 < s_order]
-    pairs = [(na, nc) for na in norms_q for nc in norms_s]
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = list(pool.map(
-                lambda p: _pair_histogram(gram_np, arr[p[0]], arr[p[1]]), pairs))
-    else:
-        hists = [_pair_histogram(gram_np, arr[na], arr[nc]) for na, nc in pairs]
+    # <a,c> = <c,a>: the histogram of (na, nc) is that of (nc, na)
+    hists: dict[tuple[int, int], dict[int, int]] = {}
     terms = {}
     bmin = F(0)
-    for (na, nc), hist in zip(pairs, hists):
-        a, c = F(na, 2), F(nc, 2)
-        for b, count in sorted(hist.items()):
-            terms[(a, F(b), c)] = GaussRat(count)
-            bmin = min(bmin, F(b))
+    for na in norms_q:
+        for nc in norms_s:
+            key = (min(na, nc), max(na, nc))
+            if key not in hists:
+                hists[key] = _pair_histogram(gram_np, arr[key[0]], arr[key[1]])
+            a, c = F(na, 2), F(nc, 2)
+            for b, count in hists[key].items():
+                terms[(a, F(b), c)] = GaussRat(count)
+                bmin = min(bmin, F(b))
     qs = VarSpec(qvar, 1, F(0), F(q_order), F(q_order))
     rs = VarSpec(rvar, 1, bmin, UNBOUNDED, UNBOUNDED)
     ss = VarSpec(svar, 1, F(0), F(s_order), F(s_order))

@@ -387,7 +387,13 @@ class MultiSeries:
     # -- alignment -------------------------------------------------------
 
     def _aligned_to(self, merged: tuple[VarSpec, ...]) -> dict[tuple[int, ...], GaussRat]:
-        """Re-key terms onto a merged variable list (missing vars -> 0)."""
+        """Re-key terms onto a merged variable list (missing vars -> 0).
+
+        When the keys already fit ``merged``, returns ``self.terms`` itself:
+        callers only read the result.
+        """
+        if [(v.name, v.den) for v in self.vars] == [(v.name, v.den) for v in merged]:
+            return self.terms
         pos = {v.name: i for i, v in enumerate(merged)}
         scale = {}
         for v in self.vars:

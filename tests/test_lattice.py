@@ -1,11 +1,16 @@
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twoloop.elliptic import eisenstein
 from twoloop.errors import DomainError, NotPositiveDefinite, OddLattice
 from twoloop.lattice import (
+    _BLOCK_ROWS,
     Lattice,
+    _pair_histogram,
     builtin_lattice,
     enumerate_shells,
     leech_theta,
@@ -102,15 +107,99 @@ def test_theta_g2_degenerations():
     assert ok, why
 
 
-def test_theta_g2_thread_count_invariance(monkeypatch):
-    import twoloop.lattice as lat
+def _unique_histogram(gram, va, vb):
+    vals, counts = np.unique(va @ gram @ vb.T, return_counts=True)
+    return {int(v): int(c) for v, c in zip(vals, counts)}
 
-    lat.enumerate_shells.cache_clear()
-    monkeypatch.setenv("TWO_LOOP_THREADS", "4")
-    threaded = theta_g2(builtin_lattice("E8"), 3, 3)
-    monkeypatch.setenv("TWO_LOOP_THREADS", "1")
-    serial = theta_g2(builtin_lattice("E8"), 3, 3)
-    assert threaded.terms == serial.terms
+
+def test_pair_histogram_matches_unique():
+    e8 = builtin_lattice("E8")
+    table = enumerate_shells(e8, 4)
+    gram = np.array(e8.gram, dtype=np.int64)
+    rows = {n: np.array(v, dtype=np.int64) for n, v in table.shells.items()}
+    # 240 and 2160 rows: more than one block, and not a whole number of blocks
+    assert len(rows[2]) > _BLOCK_ROWS and len(rows[4]) > _BLOCK_ROWS
+    assert len(rows[2]) % _BLOCK_ROWS and len(rows[4]) % _BLOCK_ROWS
+    for na, nc in [(0, 4), (2, 2), (2, 4), (4, 2), (4, 4)]:
+        va, vb = rows[na], rows[nc]
+        assert _pair_histogram(gram, va, vb) == _unique_histogram(gram, va, vb), (na, nc)
+
+
+def test_pair_histogram_refuses_inexact_products():
+    # bound = 2**31 * 2**30: float64 could round the products
+    gram = np.array([[2]], dtype=np.int64)
+    big = np.array([[2**30]], dtype=np.int64)
+    with pytest.raises(DomainError):
+        _pair_histogram(gram, big, big)
+
+
+@pytest.mark.parametrize("q_order,s_order", [(3, 2), (2, 3)])
+def test_theta_g2_unequal_orders(q_order, s_order):
+    e8 = builtin_lattice("E8")
+    gram = np.array(e8.gram, dtype=np.int64)
+    rows = {n: np.array(v, dtype=np.int64)
+            for n, v in enumerate_shells(e8, 4).shells.items()}
+    expected = {}
+    for na in range(0, 2 * q_order, 2):
+        for nc in range(0, 2 * s_order, 2):
+            for b, count in _unique_histogram(gram, rows[na], rows[nc]).items():
+                expected[(F(na, 2), F(b), F(nc, 2))] = GaussRat(count)
+    th = theta_g2(e8, q_order, s_order)
+    assert dict(th.iter_terms()) == expected
+
+
+def _box_shells(gram, max_norm):
+    """Brute-force shells: every x in the box |x_i| <= sqrt(N (G^-1)_ii) + 1."""
+    g = np.array(gram, dtype=np.int64)
+    inv = np.linalg.inv(g.astype(float))
+    radii = [math.isqrt(int(max_norm * inv[i][i])) + 1 for i in range(len(gram))]
+    shells = {}
+    for x in itertools.product(*(range(-r, r + 1) for r in radii)):
+        norm = int(np.array(x) @ g @ np.array(x))
+        if norm <= max_norm:
+            shells.setdefault(norm, []).append(x)
+    return {k: tuple(sorted(v)) for k, v in sorted(shells.items())}
+
+
+_ORACLE_GRAMS = {
+    "A2": ((2, -1), (-1, 2)),
+    "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    # L has denominators 3 and 4, D has 1, 3 and 2
+    "odd3": ((3, 1, 1), (1, 3, 1), (1, 1, 5)),
+    # Z^2 in the basis (-24, -5), (5, 1): two shears by +-5
+    "sheared": ((601, -125), (-125, 26)),
+}
+# (max_norm on a shell, max_norm strictly between shells)
+_ORACLE_NORMS = {"A2": (6, 4), "D4": (4, 5), "odd3": (9, 7), "sheared": (5, 3)}
+
+
+@pytest.mark.parametrize("where", ["zero", "on-shell", "between-shells"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_GRAMS))
+def test_enumerate_shells_matches_box_search(name, where):
+    gram = _ORACLE_GRAMS[name]
+    on, between = _ORACLE_NORMS[name]
+    max_norm = {"zero": 0, "on-shell": on, "between-shells": between}[where]
+    expected = _box_shells(gram, max_norm)
+    if where == "on-shell":
+        assert max_norm in expected  # vectors on the boundary of the ellipsoid
+    if where == "between-shells":
+        assert max_norm not in expected and max(expected) < max_norm
+    table = enumerate_shells(Lattice(name, len(gram), gram), max_norm)
+    assert dict(table.shells) == expected
+
+
+def test_negative_max_norm_has_no_vectors():
+    for gram in _ORACLE_GRAMS.values():
+        assert dict(enumerate_shells(Lattice("x", len(gram), gram), -1).shells) == {}
+
+
+def test_cached_shells_are_read_only():
+    table = enumerate_shells(builtin_lattice("E8"), 2)
+    with pytest.raises(TypeError):
+        table.shells[2] = ()
+    with pytest.raises(TypeError):
+        del table.shells[0]
+    assert enumerate_shells(builtin_lattice("E8"), 2).count(2) == 240
 
 
 def test_leech_theta_values():
