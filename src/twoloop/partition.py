@@ -230,9 +230,9 @@ def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) 
         raise Unsupported("use z2_ghost for the (conjectural) ghost system")
     c = theory.central_charge
     za = z1(theory, q_order, "q1")
-    zb = z1(theory, q_order, "q2")
     wa = z1_omega(theory, q_order, "q1")
-    wb = z1_omega(theory, q_order, "q2")
+    zb = za.rename_vars({"q1": "q2"})
+    wb = wa.rename_vars({"q1": "q2"})
     body = za.mul(zb).add(
         wa.mul(wb).scalar(F(2, c)).mul(PrefSeries(_eps_squared()))
     )
@@ -282,7 +282,7 @@ def g2_correction(q_order: int) -> MultiSeries:
     """
     prod = z2_ghost(q_order).pref.mul(z2(CBoson(2), q_order).pref)
     if prod.prefactor:
-        raise InternalError(f"vacuum exponents did not cancel: {prod.prefactor}")
+        raise InternalError(f"vacuum exponents did not cancel: {dict(prod.prefactor)}")
     e1 = eisenstein_hat(2, q_order, "q1").series
     e2 = eisenstein_hat(2, q_order, "q2").series
     expected = PrefSeries.coerce(1).add(
@@ -321,7 +321,7 @@ def verify_f2(q_order: int = 4, eps_order: int = 4) -> F2Report:
     product = d10_sew.mul(PrefSeries(g2)).mul(z24.pref)
     if product.prefactor:
         return F2Report(False, True, F(0), F(0),
-                        f"vacuum exponents did not cancel: {product.prefactor}")
+                        f"vacuum exponents did not cancel: {dict(product.prefactor)}")
     ok, why = equal_on_joint_validity(product, PrefSeries.coerce(1))
     q_valid = min(v.valid for v in product.body.vars if v.name in ("q1", "q2"))
     eps_valid = min((v.valid for v in product.body.vars if v.name == "eps"),

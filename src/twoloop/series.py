@@ -19,6 +19,12 @@ no operation fabricates a coefficient its operands cannot justify.
 ``order`` and ``valid`` of exact constructions are set to the sentinel
 :data:`UNBOUNDED`, which behaves like infinity at every realistic working
 order.
+
+Series are immutable: ``MultiSeries.terms`` and ``PrefSeries.prefactor`` are
+read-only mappings, so a series served from a cache cannot be corrupted by a
+caller.  ``MultiSeries(vars, terms)`` validates unscaled exponent keys; the
+operations here build their results through the internal constructor
+``MultiSeries._of``, which freezes a dict of already scaled terms.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import gt
+from types import MappingProxyType
 
 from .errors import (
     AsymmetryError,
@@ -137,9 +144,6 @@ class GaussRat:
     def __rtruediv__(self, other):
         return GaussRat.coerce(other) * self.inverse()
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def __repr__(self):
         if not self.im:
             return fmt_rat(self.re)
@@ -150,7 +154,6 @@ class GaussRat:
 
 
 GR_ZERO = GaussRat(0)
-GR_ONE = GaussRat(1)
 
 
 @dataclass(frozen=True)
@@ -206,47 +209,59 @@ def _scale_exp(e, den: int) -> int:
 class MultiSeries:
     """Sparse truncated multivariate Laurent series.
 
-    ``terms`` maps tuples of scaled integer exponents (one per variable, in
-    ``vars`` order, scaled by each variable's ``den``) to nonzero
-    :class:`GaussRat` coefficients.
+    ``terms`` is a read-only mapping from tuples of scaled integer exponents
+    (one per variable, in ``vars`` order, scaled by each variable's ``den``)
+    to nonzero :class:`GaussRat` coefficients.  ``MultiSeries(vars, terms)``
+    takes unscaled exponents and validates them; :meth:`_of` is the internal
+    constructor for terms that are already scaled.
     """
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[VarSpec, ...], terms: dict | None = None, *, scaled=False):
-        self.vars = tuple(vars)
-        names = [v.name for v in self.vars]
-        if len(set(names)) != len(names):
-            raise DomainError(f"duplicate variable names: {names}")
+    def __init__(self, vars: tuple[VarSpec, ...], terms: dict | None = None):
+        vars = tuple(vars)
         store: dict[tuple[int, ...], GaussRat] = {}
         if terms:
             for exps, c in terms.items():
                 c = GaussRat.coerce(c)
                 if c.is_zero():
                     continue
-                if scaled:
-                    key = tuple(exps)
-                else:
-                    key = tuple(_scale_exp(e, v.den) for e, v in zip(exps, self.vars))
-                for k, v in zip(key, self.vars):
+                key = tuple(_scale_exp(e, v.den) for e, v in zip(exps, vars))
+                for k, v in zip(key, vars):
                     if k < v.kmin():
                         raise DomainError(
                             f"exponent below Laurent floor of {v.name}: {Fraction(k, v.den)} < {v.min_exp}"
                         )
-                if all(k <= v.kmax() for k, v in zip(key, self.vars)):
+                if all(k <= v.kmax() for k, v in zip(key, vars)):
                     if key in store:
                         c = store[key] + c
                         if c.is_zero():
                             del store[key]
                             continue
                     store[key] = c
-        self.terms = store
+        self._freeze(vars, store)
 
     # -- construction helpers -------------------------------------------
 
+    @classmethod
+    def _of(cls, vars: tuple[VarSpec, ...], terms) -> "MultiSeries":
+        """Build-and-freeze: ``terms`` must hold scaled, nonzero keys inside
+        the validity box.  A dict is wrapped without a copy, so the caller
+        must not keep writing to it; a frozen mapping is shared."""
+        out = cls.__new__(cls)
+        out._freeze(tuple(vars), terms)
+        return out
+
+    def _freeze(self, vars: tuple[VarSpec, ...], terms) -> None:
+        names = [v.name for v in vars]
+        if len(set(names)) != len(names):
+            raise DomainError(f"duplicate variable names: {names}")
+        self.vars = vars
+        self.terms = terms if type(terms) is MappingProxyType else MappingProxyType(terms)
+
     @staticmethod
     def zero(vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
-        return MultiSeries(vars, {})
+        return MultiSeries._of(vars, {})
 
     @staticmethod
     def constant(c, vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
@@ -292,13 +307,11 @@ class MultiSeries:
 
     def _with_vars(self, new_vars: tuple[VarSpec, ...]) -> "MultiSeries":
         """Replace the var list (same order/dens), re-pruning terms."""
-        out = MultiSeries.zero(new_vars)
         kmaxes = [v.kmax() for v in new_vars]
-        out.terms = {
+        return MultiSeries._of(new_vars, {
             k: c for k, c in self.terms.items()
             if all(ki <= m for ki, m in zip(k, kmaxes))
-        }
-        return out
+        })
 
     def with_min_floor(self, name: str, floor) -> "MultiSeries":
         """Raise the declared Laurent floor of one variable.
@@ -319,9 +332,7 @@ class MultiSeries:
                 )
         new_vars = list(self.vars)
         new_vars[i] = replace(v, min_exp=floor)
-        out = MultiSeries.zero(tuple(new_vars))
-        out.terms = dict(self.terms)
-        return out
+        return MultiSeries._of(tuple(new_vars), self.terms)
 
     def with_validity(self, **bounds) -> "MultiSeries":
         """Lower validity bounds; prunes now-unknown terms."""
@@ -338,9 +349,7 @@ class MultiSeries:
 
     def rename_vars(self, mapping: dict[str, str]) -> "MultiSeries":
         new_vars = tuple(replace(v, name=mapping.get(v.name, v.name)) for v in self.vars)
-        out = MultiSeries.zero(new_vars)
-        out.terms = dict(self.terms)
-        return out
+        return MultiSeries._of(new_vars, self.terms)
 
     def with_den(self, name: str, den: int) -> "MultiSeries":
         """Re-grid one variable to a denominator divisible by all current
@@ -354,11 +363,9 @@ class MultiSeries:
         factor = Fraction(den, old.den)
         new_vars = list(self.vars)
         new_vars[i] = replace(old, den=den)
-        out = MultiSeries.zero(tuple(new_vars))
-        out.terms = {
+        return MultiSeries._of(tuple(new_vars), {
             k[:i] + (int(k[i] * factor),) + k[i + 1:]: c for k, c in self.terms.items()
-        }
-        return out
+        })
 
     def simplify_dens(self) -> "MultiSeries":
         """Shrink each variable's den to the smallest grid supporting the
@@ -377,11 +384,9 @@ class MultiSeries:
                 idx = out.var_index(v.name)
                 new_vars = list(out.vars)
                 new_vars[idx] = replace(v, den=new)
-                tmp = MultiSeries.zero(tuple(new_vars))
-                tmp.terms = {
+                out = MultiSeries._of(tuple(new_vars), {
                     k[:idx] + (k[idx] // g,) + k[idx + 1:]: c for k, c in out.terms.items()
-                }
-                out = tmp
+                })
         return out
 
     # -- alignment -------------------------------------------------------
@@ -479,8 +484,7 @@ def add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     ta = a._aligned_to(merged)
     tb = b._aligned_to(merged)
     kmaxes = [v.kmax() for v in merged]
-    out = MultiSeries.zero(merged)
-    res = dict(ta)
+    res = ta.copy()
     for k, c in tb.items():
         cur = res.get(k)
         s = c if cur is None else cur + c
@@ -488,16 +492,13 @@ def add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             res.pop(k, None)
         else:
             res[k] = s
-    out.terms = {
+    return MultiSeries._of(merged, {
         k: c for k, c in res.items() if all(ki <= m for ki, m in zip(k, kmaxes))
-    }
-    return out
+    })
 
 
 def negate(a: MultiSeries) -> MultiSeries:
-    out = MultiSeries.zero(a.vars)
-    out.terms = {k: -c for k, c in a.terms.items()}
-    return out
+    return MultiSeries._of(a.vars, {k: -c for k, c in a.terms.items()})
 
 
 def sub(a: MultiSeries, b: MultiSeries) -> MultiSeries:
@@ -506,10 +507,7 @@ def sub(a: MultiSeries, b: MultiSeries) -> MultiSeries:
 
 def scalar_mul(c, a: MultiSeries) -> MultiSeries:
     c = GaussRat.coerce(c)
-    out = MultiSeries.zero(a.vars)
-    if not c.is_zero():
-        out.terms = {k: c * v for k, v in a.terms.items()}
-    return out
+    return MultiSeries._of(a.vars, {k: c * v for k, v in a.terms.items()} if c else {})
 
 
 def _den_lcm(terms: dict) -> int:
@@ -537,9 +535,8 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     groups that overflow its room and stops each group at a bisection.
     """
     merged = _merge_vars_mul(a, b)
-    out = MultiSeries.zero(merged)
     if a.is_zero() or b.is_zero():
-        return out
+        return MultiSeries._of(merged, {})
     ta = a._aligned_to(merged)
     tb = b._aligned_to(merged)
     kmaxes = [v.kmax() for v in merged]
@@ -548,9 +545,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     if nvars == 0:
         (ca,), (cb,) = ta.values(), tb.values()
         c = ca * cb
-        if not c.is_zero():
-            out.terms = {(): c}
-        return out
+        return MultiSeries._of(merged, {(): c} if c else {})
     min_a = [min(k[i] for k in ta) for i in range(nvars)]
     min_b = [min(k[i] for k in tb) for i in range(nvars)]
     max_a = [max(k[i] for k in ta) for i in range(nvars)]
@@ -616,8 +611,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
                 ki, rem = rem, 0
             key.append(ki + lo[i])
         res[tuple(key)] = GaussRat(Fraction(re, scale), Fraction(im, scale))
-    out.terms = res
-    return out
+    return MultiSeries._of(merged, res)
 
 
 def pow_int(a: MultiSeries, n: int) -> MultiSeries:
@@ -696,10 +690,10 @@ def limit_var_zero(a: MultiSeries, name: str) -> MultiSeries:
         raise UnknownCoefficient(f"{name}^0 is outside the validity region")
     if any(k[i] < 0 for k in a.terms):
         raise DomainError(f"limit {name}->0 across a pole")
-    new_vars = a.vars[:i] + a.vars[i + 1:]
-    out = MultiSeries.zero(new_vars)
-    out.terms = {k[:i] + k[i + 1:]: c for k, c in a.terms.items() if k[i] == 0}
-    return out
+    return MultiSeries._of(
+        a.vars[:i] + a.vars[i + 1:],
+        {k[:i] + k[i + 1:]: c for k, c in a.terms.items() if k[i] == 0},
+    )
 
 
 def set_var_one(a: MultiSeries, name: str) -> MultiSeries:
@@ -711,8 +705,6 @@ def set_var_one(a: MultiSeries, name: str) -> MultiSeries:
             f"setting {name}=1 needs every {name}-coefficient; validity is "
             f"only {fmt_rat(v.valid)}"
         )
-    new_vars = a.vars[:i] + a.vars[i + 1:]
-    out = MultiSeries.zero(new_vars)
     res: dict[tuple[int, ...], GaussRat] = {}
     for k, c in a.terms.items():
         key = k[:i] + k[i + 1:]
@@ -722,8 +714,7 @@ def set_var_one(a: MultiSeries, name: str) -> MultiSeries:
             res.pop(key, None)
         else:
             res[key] = s
-    out.terms = res
-    return out
+    return MultiSeries._of(a.vars[:i] + a.vars[i + 1:], res)
 
 
 def _symmetric_power_polys(bmax: int) -> list[list[int]]:
@@ -769,8 +760,6 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
             bmax = max(bmax, abs(b))
     polys = _symmetric_power_polys(bmax)
     uvar = VarSpec(uname, 1, Fraction(0), UNBOUNDED, UNBOUNDED)
-    new_vars = a.vars[:i] + a.vars[i + 1:] + (uvar,)
-    out = MultiSeries.zero(new_vars)
     res: dict[tuple[int, ...], GaussRat] = {}
     for rest, slots in groups.items():
         ucoeffs: dict[int, GaussRat] = {}
@@ -786,8 +775,7 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
         for j, c in ucoeffs.items():
             if not c.is_zero():
                 res[rest + (j,)] = c
-    out.terms = res
-    return out
+    return MultiSeries._of(a.vars[:i] + a.vars[i + 1:] + (uvar,), res)
 
 
 def u_to_r(a: MultiSeries, uname: str = "u", rname: str = "r") -> MultiSeries:
@@ -807,10 +795,7 @@ def u_to_r(a: MultiSeries, uname: str = "u", rname: str = "r") -> MultiSeries:
     for j in range(1, jmax + 1):
         powers[j] = mul(powers[j - 1], base)
     for k, c in a.terms.items():
-        rest = k[:i] + k[i + 1:]
-        piece = MultiSeries.zero(new_vars)
-        piece.terms = {rest: c}
-        piece = mul(piece, powers[k[i]])
+        piece = mul(MultiSeries._of(new_vars, {k[:i] + k[i + 1:]: c}), powers[k[i]])
         out = piece if out is None else add(out, piece)
     if out is None:
         out = MultiSeries.zero(new_vars + (rvar,))
@@ -837,20 +822,18 @@ def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:
         v.name, v.den, v.min_exp + amount,
         _cap(v.order + amount), _cap(v.valid + amount),
     )
-    out = MultiSeries.zero(tuple(new_vars))
-    out.terms = {k[:i] + (k[i] + dk,) + k[i + 1:]: c for k, c in a.terms.items()}
-    return out
+    return MultiSeries._of(
+        tuple(new_vars), {k[:i] + (k[i] + dk,) + k[i + 1:]: c for k, c in a.terms.items()}
+    )
 
 
 def q_log_deriv(a: MultiSeries, name: str) -> MultiSeries:
     """``x d/dx`` applied to the series (exponents are unchanged)."""
     i = a.var_index(name)
     den = a.vars[i].den
-    out = MultiSeries.zero(a.vars)
-    out.terms = {
+    return MultiSeries._of(a.vars, {
         k: c * Fraction(k[i], den) for k, c in a.terms.items() if k[i]
-    }
-    return out
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +857,7 @@ class PrefSeries:
             e = Fraction(e)
             if e:
                 pref[name] = e
-        self.prefactor = pref
+        self.prefactor = MappingProxyType(pref)
 
     @staticmethod
     def coerce(x) -> "PrefSeries":
@@ -886,11 +869,6 @@ class PrefSeries:
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
-
-    def is_unit(self) -> bool:
-        if any(k < 0 for key in self.body.terms for k in key):
-            return False
-        return not self.body.constant_term().is_zero()
 
     def __repr__(self):
         pref = "*".join(f"{n}^{fmt_rat(e)}" for n, e in sorted(self.prefactor.items()))
@@ -1073,16 +1051,14 @@ def substitute(f: MultiSeries, var: str, g: PrefSeries) -> PrefSeries:
                 f"substitution for {var} cannot be ordered away: leading "
                 f"exponents {lead} against validity {fmt_rat(v.valid)}"
             )
-    groups: dict[int, MultiSeries] = {}
+    groups: dict[int, dict] = {}
     rest_vars = f.vars[:i] + f.vars[i + 1:]
     for k, c in f.terms.items():
         if k[i] % v.den:
             raise FractionalExponentUnsupported(
                 f"{var}-exponent {Fraction(k[i], v.den)} is not an integer"
             )
-        e = k[i] // v.den
-        grp = groups.setdefault(e, MultiSeries.zero(rest_vars))
-        grp.terms[k[:i] + k[i + 1:]] = c
+        groups.setdefault(k[i] // v.den, {})[k[:i] + k[i + 1:]] = c
     result = PrefSeries(MultiSeries.zero(rest_vars))
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
 
@@ -1097,7 +1073,7 @@ def substitute(f: MultiSeries, var: str, g: PrefSeries) -> PrefSeries:
         return p
 
     for e in sorted(groups):
-        result = result.add(g_power(e).mul(PrefSeries(groups[e])))
+        result = result.add(g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e]))))
     if finite_tail:
         for name, le in lead.items():
             if le > 0:

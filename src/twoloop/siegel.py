@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .elliptic import (
     EllipticForm,
+    _phase,
     covariant_derivative,
     eisenstein,
     eisenstein_hat,
@@ -113,19 +114,6 @@ class SiegelForm:
         return coeff(self.fourier_u, {QVAR: a, SVAR: c, UVAR: j})
 
 
-def _phase_quarter(x: Fraction) -> GaussRat:
-    r = x % 1
-    if r == 0:
-        return GaussRat(1)
-    if r == F(1, 4):
-        return GaussRat(0, 1)
-    if r == HALF:
-        return GaussRat(-1)
-    if r == F(3, 4):
-        return GaussRat(0, -1)
-    raise InternalError(f"theta phase exponent {x} off the quarter grid")
-
-
 @lru_cache(maxsize=None)
 def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
     """Theta series with characteristic: the lattice sum over n in Z^2 of
@@ -157,7 +145,7 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
                         continue
                     hit2 = True
                     key = (eq, x * y, es)
-                    c = _phase_quarter(x * b1 + y * b2)
+                    c = _phase(x * b1 + y * b2)
                     prev = terms.get(key)
                     s = c if prev is None else prev + c
                     if s.is_zero():

@@ -34,6 +34,9 @@ from twoloop.series import (
     u_to_r,
 )
 
+from twoloop.elliptic import delta_cusp
+from twoloop.siegel import delta10
+
 from conftest import V, random_series, random_unit
 
 
@@ -435,3 +438,20 @@ def test_simplify_dens():
     g = f.simplify_dens()
     assert g.spec("q").den == 2
     assert coeff(g, {"q": F(1, 2)}) == GaussRat(1)
+
+
+def test_cached_series_are_read_only():
+    d = delta10(3, 3)
+    key = tuple({"q": 1, "s": 1, "u": 1}[v.name] * v.den for v in d.fourier_u.vars)
+    with pytest.raises(TypeError):
+        d.fourier_u.terms[key] = GaussRat(999)
+    with pytest.raises(TypeError):
+        delta_cusp(4).prefactor["q"] = F(2)
+    assert delta10(3, 3).coeff_u(1, 1, 1) == GaussRat(1)
+    assert delta_cusp(4).prefactor["q"] == 1
+
+
+def test_rename_onto_existing_variable_is_refused():
+    f = S([V("q1", order=3), V("q2", order=3)], {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(DomainError, match="duplicate"):
+        f.rename_vars({"q1": "q2"})
