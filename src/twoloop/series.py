@@ -1,7 +1,8 @@
 """Exact sparse arithmetic for truncated multivariate Laurent series.
 
-Coefficients are Gaussian rationals (exact complex rationals).  A series
-carries an ordered list of variables and, per variable:
+Coefficients are Gaussian rationals ``(x + y*i)/d``, each stored as one
+reduced integer triple (:class:`GaussRat`).  A series carries an ordered
+list of variables and, per variable:
 
 * ``den``     -- exponents are integer multiples of ``1/den``,
 * ``min_exp`` -- a guaranteed Laurent floor,
@@ -20,9 +21,9 @@ no operation fabricates a coefficient its operands cannot justify.
 :data:`UNBOUNDED`, which behaves like infinity at every realistic working
 order.
 
-Series are immutable: ``MultiSeries.terms`` and ``PrefSeries.prefactor`` are
-read-only mappings, so a series served from a cache cannot be corrupted by a
-caller.  ``MultiSeries(vars, terms)`` validates unscaled exponent keys; the
+Series and coefficients are immutable (read-only mappings, attributes that
+refuse assignment), so a result served from a cache cannot be corrupted by
+a caller.  ``MultiSeries(vars, terms)`` validates unscaled exponent keys; the
 operations here build their results through the internal constructor
 ``MultiSeries._of``, which freezes a dict of already scaled terms.
 """
@@ -33,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from operator import gt
+from operator import gt, mul as times
 from types import MappingProxyType
 
 from .errors import (
@@ -76,14 +77,32 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
-class GaussRat:
-    """A Gaussian rational ``re + im*i`` with exact rational parts."""
+_new_tuple = tuple.__new__
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+class GaussRat(tuple):
+    """An immutable Gaussian rational ``(x + y*i)/d``, stored as the canonical
+    integer triple ``(x, y, d)``: ``d > 0`` and ``gcd(x, y, d) == 1``.
+
+    ``GaussRat(re, im)`` takes ints or ``Fraction``s and ``.re``/``.im`` give
+    ``Fraction``s back; arithmetic stays in integers, one gcd per result.
+    Iteration only unpacks the triple (``x, y, d = c``); ordering and
+    ``len()`` raise ``TypeError`` and no plain tuple compares equal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _new_tuple(cls, (re, im, 1))
+        (a, b), (c, e) = Fraction(re).as_integer_ratio(), Fraction(im).as_integer_ratio()
+        return _gauss(a * e, c * b, b * e)
+
+    def __getnewargs__(self):
+        return self.re, self.im
+
+    re = property(lambda self: Fraction(self[0], self[2]))
+    im = property(lambda self: Fraction(self[1], self[2]))
 
     @staticmethod
     def coerce(x) -> "GaussRat":
@@ -94,49 +113,69 @@ class GaussRat:
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        x, y, _ = self
+        return bool(x or y)
+
+    def __complex__(self) -> complex:
+        x, y, d = self
+        return complex(x / d, y / d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
         if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            if not isinstance(other, (int, Fraction)):
+                return False if isinstance(other, tuple) else NotImplemented
+            other = GaussRat(other)
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        x, y, d = self
+        # a real value hashes like the equal int or Fraction
+        return tuple.__hash__(self) if y else hash(Fraction(x, d))
+
+    def _not_a_sequence(self, *_):
+        raise TypeError("a Gaussian rational has no ordering and no length")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __len__ = _not_a_sequence
 
     def __add__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        x, y, d = self
+        u, v, e = other if type(other) is GaussRat else GaussRat.coerce(other)
+        if d == e:
+            return _gauss(x + u, y + v, d)
+        return _gauss(x * e + u * d, y * e + v * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + -GaussRat.coerce(other)
 
     def __rsub__(self, other):
         return GaussRat.coerce(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        x, y, d = self
+        return _new_tuple(GaussRat, (-x, -y, d))
 
     def __mul__(self, other):
-        other = GaussRat.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussRat(a * c - b * d, a * d + b * c)
+        x, y, d = self
+        u, v, e = other if type(other) is GaussRat else GaussRat.coerce(other)
+        return _gauss(x * u - y * v, x * v + y * u, d * e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
+        x, y, d = self
+        n = x * x + y * y
         if not n:
             raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gauss(d * x, -d * y, n)
 
     def __truediv__(self, other):
         return self * GaussRat.coerce(other).inverse()
@@ -153,7 +192,17 @@ class GaussRat:
         return f"({fmt_rat(self.re)}{sign}{fmt_rat(abs(self.im))}*i)"
 
 
+def _gauss(x: int, y: int, d: int) -> GaussRat:
+    """``(x + y*i)/d`` for ``d > 0``, reduced to the canonical triple."""
+    g = gcd(x, y, d)
+    return _new_tuple(GaussRat, (x // g, y // g, d // g))
+
+
 GR_ZERO = GaussRat(0)
+
+
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
 @dataclass(frozen=True)
@@ -256,8 +305,11 @@ class MultiSeries:
         names = [v.name for v in vars]
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate variable names: {names}")
-        self.vars = vars
-        self.terms = terms if type(terms) is MappingProxyType else MappingProxyType(terms)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms if type(terms) is MappingProxyType
+                           else MappingProxyType(terms))
+
+    __setattr__ = __delattr__ = _read_only
 
     @staticmethod
     def zero(vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
@@ -488,13 +540,13 @@ def add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     for k, c in tb.items():
         cur = res.get(k)
         s = c if cur is None else cur + c
-        if s.is_zero():
+        if not s:
             res.pop(k, None)
         else:
             res[k] = s
-    return MultiSeries._of(merged, {
-        k: c for k, c in res.items() if all(ki <= m for ki, m in zip(k, kmaxes))
-    })
+    if any(map(gt, map(max, zip(*res)), kmaxes)):
+        res = {k: c for k, c in res.items() if not any(map(gt, k, kmaxes))}
+    return MultiSeries._of(merged, res)
 
 
 def negate(a: MultiSeries) -> MultiSeries:
@@ -510,25 +562,20 @@ def scalar_mul(c, a: MultiSeries) -> MultiSeries:
     return MultiSeries._of(a.vars, {k: c * v for k, v in a.terms.items()} if c else {})
 
 
-def _den_lcm(terms: dict) -> int:
-    out = 1
-    for c in terms.values():
-        out = lcm(out, c.re.denominator, c.im.denominator)
-    return out
-
-
 def _scaled(c: GaussRat, l: int) -> tuple[int, int]:
-    """``l*c`` as a Gaussian integer, for ``l`` a multiple of both denominators."""
-    return c.re.numerator * (l // c.re.denominator), c.im.numerator * (l // c.im.denominator)
+    """``l*c`` as a Gaussian integer, for ``l`` a multiple of its denominator."""
+    x, y, d = c
+    f = l // d
+    return x * f, y * f
 
 
 def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     """Truncated Cauchy product with validity propagation.
 
-    Coefficients are scaled by their common denominators first, so the inner
+    Each operand is scaled by the lcm of its denominators first, so the inner
     loop works on Gaussian integers with exponent tuples packed into single
     ints (one radix field per variable, sized so that every achievable sum
-    stays in its field); the exact rescaling happens once per result term.
+    stays in its field); each result term is reduced by one gcd.
     Pairs are pruned against the result's validity box before any product
     is formed: the right operand is grouped by its exponents in all but the
     last variable and sorted by the last one, so each left term skips the
@@ -541,28 +588,29 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     tb = b._aligned_to(merged)
     kmaxes = [v.kmax() for v in merged]
     nvars = len(merged)
-    la, lb = _den_lcm(ta), _den_lcm(tb)
+    la, lb = (lcm(*{d for _, _, d in t.values()}) for t in (ta, tb))
     if nvars == 0:
         (ca,), (cb,) = ta.values(), tb.values()
         c = ca * cb
         return MultiSeries._of(merged, {(): c} if c else {})
-    min_a = [min(k[i] for k in ta) for i in range(nvars)]
-    min_b = [min(k[i] for k in tb) for i in range(nvars)]
-    max_a = [max(k[i] for k in ta) for i in range(nvars)]
-    max_b = [max(k[i] for k in tb) for i in range(nvars)]
+    cols_a, cols_b = list(zip(*ta)), list(zip(*tb))
+    min_a, min_b = list(map(min, cols_a)), list(map(min, cols_b))
+    max_a, max_b = list(map(max, cols_a)), list(map(max, cols_b))
     radix = [ma + mb - qa - qb + 1 for ma, mb, qa, qb in zip(max_a, max_b, min_a, min_b)]
     strides = [1] * nvars
     for i in range(nvars - 2, -1, -1):
         strides[i] = strides[i + 1] * radix[i + 1]
 
-    def pack(k, base):
-        return sum((ki - bi) * s for ki, bi, s in zip(k, base, strides))
+    def pack(k):
+        return sum(map(times, k, strides))
+
+    off_a, off_b = pack(min_a), pack(min_b)
 
     # groups in lexicographic order of prefix, so those whose first exponent
     # fits the room are the ones before a bisection over ``firsts``
     groups: dict[tuple[int, ...], list] = {}
     for k, c in tb.items():
-        groups.setdefault(k[:-1], []).append((k[-1], pack(k, min_b), *_scaled(c, lb)))
+        groups.setdefault(k[:-1], []).append((k[-1], pack(k) - off_b, *_scaled(c, lb)))
     table = []
     for prefix in sorted(groups):
         group = sorted(groups[prefix])
@@ -571,7 +619,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     acc: dict[int, list] = {}
     get = acc.get
     for k, c in ta.items():
-        p1, (a1, b1) = pack(k, min_a), _scaled(c, la)
+        p1, (a1, b1) = pack(k) - off_a, _scaled(c, la)
         room = [m - ki for m, ki in zip(kmaxes, k)]
         room_last = room.pop()
         for prefix, lasts, items in table[:bisect_right(firsts, tuple(room[:1]))]:
@@ -610,7 +658,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             else:
                 ki, rem = rem, 0
             key.append(ki + lo[i])
-        res[tuple(key)] = GaussRat(Fraction(re, scale), Fraction(im, scale))
+        res[tuple(key)] = _gauss(re, im, scale)
     return MultiSeries._of(merged, res)
 
 
@@ -851,13 +899,15 @@ class PrefSeries:
     __slots__ = ("prefactor", "body")
 
     def __init__(self, body: MultiSeries, prefactor: dict[str, Fraction] | None = None):
-        self.body = body
         pref = {}
         for name, e in (prefactor or {}).items():
             e = Fraction(e)
             if e:
                 pref[name] = e
-        self.prefactor = MappingProxyType(pref)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "prefactor", MappingProxyType(pref))
+
+    __setattr__ = __delattr__ = _read_only
 
     @staticmethod
     def coerce(x) -> "PrefSeries":

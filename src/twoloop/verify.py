@@ -131,7 +131,7 @@ def eval_series(series, logs: dict[str, complex]) -> complex:
             arg += float(e) * logs[v.name]
         if at_zero:
             continue
-        total += (complex(c.re) + 1j * complex(c.im)) * cmath.exp(arg)
+        total += complex(c) * cmath.exp(arg)
     arg = 0.0 + 0.0j
     for name, e in s.prefactor.items():
         lg = logs.get(name)
@@ -156,7 +156,7 @@ def truncation_bound(series, logs: dict[str, complex]) -> float:
         top = max((k[i] for k in s.body.terms), default=0)
         for k, c in s.body.terms.items():
             if k[i] == top:
-                slice_norm += abs(complex(c.re) + 1j * complex(c.im))
+                slice_norm += abs(complex(c))
         scale = abs(cmath.exp(sum(float(e) * logs[n] for n, e in s.prefactor.items())))
         bound += max(1.0, slice_norm) * x ** float(v.valid) * scale
     return 2.0 * bound

@@ -1,7 +1,11 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twoloop.errors import (
     AsymmetryError,
@@ -56,6 +60,88 @@ def test_gaussrat_field_ops():
     assert GaussRat(0, 1) * GaussRat(0, 1) == GaussRat(-1)
 
 
+# -- GaussRat against plain Fraction pairs -----------------------------------
+
+rationals = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(max_denominator=10**6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+properties = settings(derandomize=True, database=None, max_examples=200)
+
+
+def _canonical_parts(c):
+    """Check the stored triple is canonical; return ``(re, im)`` Fractions."""
+    x, y, d = c
+    assert type(c) is GaussRat
+    assert (type(x), type(y), type(d)) == (int, int, int)
+    assert d > 0 and gcd(x, y, d) == 1
+    assert (c.re, c.im) == (F(x, d), F(y, d))
+    return c.re, c.im
+
+
+@properties
+@given(rationals, rationals, rationals, rationals)
+def test_gaussrat_arithmetic_matches_fraction_pairs(a, b, c, d):
+    p, q = GaussRat(a, b), GaussRat(c, d)
+    a, b, c, d = map(F, (a, b, c, d))
+    assert _canonical_parts(p) == (a, b)
+    assert _canonical_parts(q) == (c, d)
+    assert _canonical_parts(p + q) == (a + c, b + d)
+    assert _canonical_parts(p - q) == (a - c, b - d)
+    assert _canonical_parts(-p) == (-a, -b)
+    assert _canonical_parts(p * q) == (a * c - b * d, a * d + b * c)
+    assert _canonical_parts(p + c) == (a + c, b)
+    assert _canonical_parts(c - p) == (c - a, -b)
+    assert _canonical_parts(c * p) == (a * c, b * c)
+    n = c * c + d * d
+    if n:
+        assert _canonical_parts(q.inverse()) == (c / n, -d / n)
+        assert _canonical_parts(p / q) == ((a * c + b * d) / n, (b * c - a * d) / n)
+        assert _canonical_parts(a / q) == (a * c / n, -a * d / n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            q.inverse()
+    assert complex(p) == complex(float(a), float(b))
+
+
+@properties
+@given(rationals, rationals)
+@example(3, 0)
+@example(F(1, 2), 0)
+def test_gaussrat_eq_and_hash_agree_with_numbers(r, i):
+    z = GaussRat(r)
+    assert z == r and r == z and not z != r
+    assert hash(z) == hash(r) == hash(F(r))
+    assert len({z, r, F(r)}) == 1
+    if F(r).denominator == 1:
+        assert z == int(r) and hash(z) == hash(int(r))
+    w = GaussRat(r, i)
+    assert (w == r) is (not i)
+    assert w == GaussRat(F(r), F(i)) and hash(w) == hash(GaussRat(F(r), F(i)))
+
+
+def test_gaussrat_is_an_immutable_number_not_a_tuple():
+    c = GaussRat(F(1, 2), F(-1, 3))
+    assert tuple(c) == (3, -2, 6)
+    for name in ("re", "im", "x"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, F(1))
+    assert (c.re, c.im) == (F(1, 2), F(-1, 3))
+    with pytest.raises(TypeError):
+        GaussRat(1) < GaussRat(2)
+    with pytest.raises(TypeError):
+        (0, 0, 1) < GaussRat(1)
+    with pytest.raises(TypeError):
+        len(c)
+    with pytest.raises(TypeError):
+        c + (1, 0, 1)
+    assert GaussRat(1) != (1, 0, 1) and (1, 0, 1) != GaussRat(1)
+    assert not GaussRat(0) and GaussRat(0, 1) and GaussRat(0).is_zero()
+    assert copy.deepcopy(c) == c
+    assert pickle.loads(pickle.dumps(c)) == c
+
+
 def test_varspec_invariants():
     with pytest.raises(DomainError):
         VarSpec("q", den=0)
@@ -74,6 +160,15 @@ def test_add_cancellation():
     assert coeff(out, {"q": 1}) == GaussRat(2)
     assert coeff(out, {"q": 0}) == GaussRat(0)
     assert len(out) == 1
+
+
+def test_add_drops_terms_beyond_joint_validity():
+    a = S([V("q", order=4), V("s", order=3)], {(0, 0): 1, (3, 0): 5, (0, 2): 7})
+    b = S([V("q", order=2)], {(1,): 2})
+    out = add(a, b)
+    assert [(v.name, v.valid) for v in out.vars] == [("q", 2), ("s", 3)]
+    assert dict(out.terms) == {(0, 0): GaussRat(1), (1, 0): GaussRat(2), (0, 2): GaussRat(7)}
+    assert dict(add(b, b).terms) == {(1,): GaussRat(4)}
 
 
 def test_add_identity(rng):
@@ -449,6 +544,18 @@ def test_cached_series_are_read_only():
         delta_cusp(4).prefactor["q"] = F(2)
     assert delta10(3, 3).coeff_u(1, 1, 1) == GaussRat(1)
     assert delta_cusp(4).prefactor["q"] == 1
+
+
+def test_cached_series_attributes_cannot_be_reassigned():
+    body = delta_cusp(4).body
+    for obj, name in [(delta_cusp(4), "body"), (delta_cusp(4), "prefactor"),
+                      (body, "vars"), (body, "terms")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert delta_cusp(4).body is body
+    assert delta_cusp(4).body.terms and delta_cusp(4).prefactor["q"] == 1
 
 
 def test_rename_onto_existing_variable_is_refused():
