@@ -23,12 +23,10 @@ from .elliptic import (
 from .errors import TwoLoopError
 from .lattice import builtin_lattice, enumerate_shells, theta_g2
 from .partition import CBoson, t1_selfdual, verify_f2, z2
-from .sewing import fourier_params, fourier_to_sewing, period_matrix
+from .sewing import eps2_bracket, fourier_params, fourier_to_sewing, period_matrix
 from .series import (
     GaussRat,
-    MultiSeries,
     PrefSeries,
-    VarSpec,
     coeff,
     equal_on_joint_validity,
 )
@@ -126,8 +124,7 @@ def c05_sewing_factorization() -> str | None:
     lhs = fourier_to_sewing(d.fourier_u, params)
     e1 = eisenstein_hat(2, 4, "q1").series
     e2 = eisenstein_hat(2, 4, "q2").series
-    eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4), F(4)),), {(F(2),): 1})
-    bracket = PrefSeries.coerce(1).add(e1.mul(e2).scalar(-10).mul(PrefSeries(eps2)))
+    bracket = eps2_bracket(1, e1.mul(e2).scalar(-10))
     rhs = (delta_cusp(4, "q1").mul(delta_cusp(4, "q2")).mul(bracket)
            .shift("eps", 2))
     ok, why = equal_on_joint_validity(lhs, rhs)

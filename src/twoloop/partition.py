@@ -35,11 +35,10 @@ from .lattice import Lattice, theta_g1
 from .series import (
     MultiSeries,
     PrefSeries,
-    VarSpec,
     assert_equal_on_joint_validity,
     equal_on_joint_validity,
 )
-from .sewing import fourier_params, fourier_to_sewing, period_matrix
+from .sewing import eps2_bracket, fourier_params, fourier_to_sewing, period_matrix
 from .siegel import delta10
 
 F = Fraction
@@ -211,11 +210,6 @@ class GenusTwoZ:
         return self.pref.coeff(exps)
 
 
-def _eps_squared() -> MultiSeries:
-    spec = VarSpec("eps", 1, F(0), F(EPS_TRUNCATION + 2), F(EPS_TRUNCATION + 2))
-    return MultiSeries((spec,), {(F(2),): 1})
-
-
 def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) -> GenusTwoZ:
     """Genus-two partition function of the theory, exact through eps^2.
 
@@ -233,9 +227,7 @@ def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) 
     wa = z1_omega(theory, q_order, "q1")
     zb = za.rename_vars({"q1": "q2"})
     wb = wa.rename_vars({"q1": "q2"})
-    body = za.mul(zb).add(
-        wa.mul(wb).scalar(F(2, c)).mul(PrefSeries(_eps_squared()))
-    )
+    body = eps2_bracket(za.mul(zb), wa.mul(wb).scalar(F(2, c)))
     full = body.shift("eps", F(-c, 12))
     out = GenusTwoZ(theory, full, conjectural=False)
     if isinstance(theory, CBoson):
@@ -249,8 +241,7 @@ def _crosscheck_boson_closed_form(zg: GenusTwoZ, q_order: int) -> None:
     c = zg.theory.c
     e1 = eisenstein_hat(2, q_order, "q1").series
     e2 = eisenstein_hat(2, q_order, "q2").series
-    bracket = PrefSeries.coerce(1).add(
-        e1.mul(e2).scalar(F(c, 2)).mul(PrefSeries(_eps_squared())))
+    bracket = eps2_bracket(1, e1.mul(e2).scalar(F(c, 2)))
     closed = (dedekind_eta(q_order, "q1").pow_int(-c)
               .mul(dedekind_eta(q_order, "q2").pow_int(-c))
               .mul(bracket).shift("eps", F(-c, 12)))
@@ -264,8 +255,7 @@ def z2_ghost(q_order: int) -> GenusTwoZ:
     eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2 Ehat2 eps^2 + O(eps^4))."""
     e1 = eisenstein_hat(2, q_order, "q1").series
     e2 = eisenstein_hat(2, q_order, "q2").series
-    bracket = PrefSeries.coerce(1).add(
-        e1.mul(e2).scalar(-3).mul(PrefSeries(_eps_squared())))
+    bracket = eps2_bracket(1, e1.mul(e2).scalar(-3))
     pref = (dedekind_eta(q_order, "q1").pow_int(2)
             .mul(dedekind_eta(q_order, "q2").pow_int(2))
             .mul(bracket).shift("eps", F(1, 6)))
@@ -285,8 +275,7 @@ def g2_correction(q_order: int) -> MultiSeries:
         raise InternalError(f"vacuum exponents did not cancel: {dict(prod.prefactor)}")
     e1 = eisenstein_hat(2, q_order, "q1").series
     e2 = eisenstein_hat(2, q_order, "q2").series
-    expected = PrefSeries.coerce(1).add(
-        e1.mul(e2).scalar(-2).mul(PrefSeries(_eps_squared())))
+    expected = eps2_bracket(1, e1.mul(e2).scalar(-2))
     ok, why = equal_on_joint_validity(prod, expected)
     if not ok:
         raise ValidationFailed(f"ghost-boson product has wrong eps^2 term at {why}")

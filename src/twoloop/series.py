@@ -275,6 +275,10 @@ class MultiSeries:
                 c = GaussRat.coerce(c)
                 if c.is_zero():
                     continue
+                if len(exps) != len(vars):
+                    raise DomainError(
+                        f"exponent key {exps} does not match {len(vars)} variables"
+                    )
                 key = tuple(_scale_exp(e, v.den) for e, v in zip(exps, vars))
                 for k, v in zip(key, vars):
                     if k < v.kmin():
@@ -606,24 +610,27 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
 
     off_a, off_b = pack(min_a), pack(min_b)
 
-    # groups in lexicographic order of prefix, so those whose first exponent
-    # fits the room are the ones before a bisection over ``firsts``
     groups: dict[tuple[int, ...], list] = {}
     for k, c in tb.items():
         groups.setdefault(k[:-1], []).append((k[-1], pack(k) - off_b, *_scaled(c, lb)))
+    # groups in lexicographic order of prefix, so those whose first exponent
+    # fits the room are the ones before a bisection over ``firsts``; only the
+    # middle exponents (none for two variables or fewer) need a test per group
+    prefixes = sorted(groups)
+    firsts = [prefix[:1] for prefix in prefixes]
     table = []
-    for prefix in sorted(groups):
+    for prefix in prefixes:
         group = sorted(groups[prefix])
-        table.append((prefix, [g[0] for g in group], [g[1:] for g in group]))
-    firsts = [prefix[:1] for prefix, _, _ in table]
+        table.append((prefix[1:], [g[0] for g in group], [g[1:] for g in group]))
     acc: dict[int, list] = {}
     get = acc.get
     for k, c in ta.items():
         p1, (a1, b1) = pack(k) - off_a, _scaled(c, la)
         room = [m - ki for m, ki in zip(kmaxes, k)]
         room_last = room.pop()
-        for prefix, lasts, items in table[:bisect_right(firsts, tuple(room[:1]))]:
-            if any(map(gt, prefix, room)):
+        room_mid = room[1:]
+        for mid, lasts, items in table[:bisect_right(firsts, tuple(room[:1]))]:
+            if mid and any(map(gt, mid, room_mid)):
                 continue
             n = bisect_right(lasts, room_last)
             if b1:
@@ -826,30 +833,6 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
     return MultiSeries._of(a.vars[:i] + a.vars[i + 1:] + (uvar,), res)
 
 
-def u_to_r(a: MultiSeries, uname: str = "u", rname: str = "r") -> MultiSeries:
-    """Inverse of :func:`r_to_u`: substitute ``u = r + 1/r - 2``."""
-    i = a.var_index(uname)
-    v = a.vars[i]
-    if not is_unbounded(v.valid):
-        raise UnknownCoefficient("u->r substitution needs full u validity")
-    rvar = VarSpec(rname, 1, -UNBOUNDED, UNBOUNDED, UNBOUNDED)
-    base = MultiSeries(
-        (rvar,), {(Fraction(1),): 1, (Fraction(-1),): 1, (Fraction(0),): -2}
-    )
-    new_vars = a.vars[:i] + a.vars[i + 1:]
-    out = None
-    powers = {0: MultiSeries.constant(1, (rvar,))}
-    jmax = max((k[i] for k in a.terms), default=0)
-    for j in range(1, jmax + 1):
-        powers[j] = mul(powers[j - 1], base)
-    for k, c in a.terms.items():
-        piece = mul(MultiSeries._of(new_vars, {k[:i] + k[i + 1:]: c}), powers[k[i]])
-        out = piece if out is None else add(out, piece)
-    if out is None:
-        out = MultiSeries.zero(new_vars + (rvar,))
-    return out
-
-
 def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:
     """Multiply by the exact monomial ``name**amount`` (bounds shift along)."""
     amount = Fraction(amount)
@@ -1007,15 +990,6 @@ class PrefSeries:
         pref = {k: e * n for k, e in self.prefactor.items()}
         return PrefSeries(pow_int(self.body, n), pref)
 
-    def __pow__(self, n: int):
-        return self.pow_int(n)
-
-    def truediv(self, other) -> "PrefSeries":
-        return self.mul(PrefSeries.coerce(other).invert())
-
-    def __truediv__(self, other):
-        return self.truediv(other)
-
     # -- queries ---------------------------------------------------------
 
     def coeff(self, exps: dict) -> GaussRat:
@@ -1080,35 +1054,52 @@ class PrefSeries:
         return PrefSeries(body.with_validity(**{name: rel}), self.prefactor)
 
 
-def substitute(f: MultiSeries, var: str, g: PrefSeries) -> PrefSeries:
+def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeries:
     """Homomorphic substitution of a series for one variable.
 
-    The remaining variables of ``f`` pass through unchanged.  If ``f`` has
-    finite validity in ``var``, the unknown tail must be ordered away: every
-    leading exponent of ``g`` must be nonnegative with at least one strictly
-    positive, and the result's validity is capped accordingly.
+    ``f`` may carry a prefactor: an integer exponent of ``var`` there is
+    substituted along with the body (a fractional one raises
+    :class:`FractionalExponentUnsupported`), and the prefactor exponents of
+    the other variables pass through, as do the remaining body variables.
+    If ``f`` has finite validity in ``var``, the unknown tail must be ordered
+    away: every leading exponent of ``g`` must be nonnegative with at least
+    one strictly positive, and the result's validity is capped accordingly.
     """
-    if not f.has_var(var):
-        return PrefSeries(f)
-    i = f.var_index(var)
-    v = f.vars[i]
+    f = PrefSeries.coerce(f)
+    body = f.body
+    p = f.prefactor.get(var, _ZERO)
+    if p.denominator != 1:
+        raise FractionalExponentUnsupported(
+            f"prefactor exponent {fmt_rat(p)} of {var} is fractional"
+        )
+    p = p.numerator
+    if not p and not body.has_var(var):
+        return f
     g = PrefSeries.coerce(g)
     lead = g.leading_exponents()
-    finite_tail = not is_unbounded(v.valid)
+    groups: dict[int, dict] = {}
+    if body.has_var(var):
+        i = body.var_index(var)
+        v = body.vars[i]
+        rest_vars = body.vars[:i] + body.vars[i + 1:]
+        for k, c in body.terms.items():
+            if k[i] % v.den:
+                raise FractionalExponentUnsupported(
+                    f"{var}-exponent {Fraction(k[i], v.den)} is not an integer"
+                )
+            groups.setdefault(k[i] // v.den + p, {})[k[:i] + k[i + 1:]] = c
+        valid = v.valid + p
+    else:
+        rest_vars = body.vars
+        groups[p] = body.terms
+        valid = UNBOUNDED
+    finite_tail = not is_unbounded(valid)
     if finite_tail:
         if any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values()):
             raise TruncationUnderflow(
                 f"substitution for {var} cannot be ordered away: leading "
-                f"exponents {lead} against validity {fmt_rat(v.valid)}"
+                f"exponents {lead} against validity {fmt_rat(valid)}"
             )
-    groups: dict[int, dict] = {}
-    rest_vars = f.vars[:i] + f.vars[i + 1:]
-    for k, c in f.terms.items():
-        if k[i] % v.den:
-            raise FractionalExponentUnsupported(
-                f"{var}-exponent {Fraction(k[i], v.den)} is not an integer"
-            )
-        groups.setdefault(k[i] // v.den, {})[k[:i] + k[i + 1:]] = c
     result = PrefSeries(MultiSeries.zero(rest_vars))
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
 
@@ -1116,36 +1107,22 @@ def substitute(f: MultiSeries, var: str, g: PrefSeries) -> PrefSeries:
         if e in power_cache:
             return power_cache[e]
         if e > 0:
-            p = g_power(e - 1).mul(g)
+            power = g_power(e - 1).mul(g)
         else:
-            p = g_power(e + 1).mul(g.invert())
-        power_cache[e] = p
-        return p
+            power = g_power(e + 1).mul(g.invert())
+        power_cache[e] = power
+        return power
 
     for e in sorted(groups):
         result = result.add(g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e]))))
     if finite_tail:
         for name, le in lead.items():
             if le > 0:
-                result = result.cap_absolute_valid(name, v.valid * le)
+                result = result.cap_absolute_valid(name, valid * le)
+    for name, e in f.prefactor.items():
+        if name != var:
+            result = result.shift(name, e)
     return result
-
-
-def substitute_pref(f: PrefSeries, var: str, g: PrefSeries) -> PrefSeries:
-    """Substitution through a prefactor: the prefactor exponent of ``var``
-    must be an integer."""
-    p = f.prefactor.get(var, _ZERO)
-    if p.denominator != 1:
-        raise FractionalExponentUnsupported(
-            f"prefactor exponent {fmt_rat(p)} of {var} is fractional"
-        )
-    out = substitute(f.body, var, g)
-    if p:
-        out = out.mul(PrefSeries.coerce(g).pow_int(p.numerator))
-    for n, e in f.prefactor.items():
-        if n != var:
-            out = out.shift(n, e)
-    return out
 
 
 # ---------------------------------------------------------------------------

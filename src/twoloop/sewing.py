@@ -18,7 +18,11 @@ modular forms are then
     q = q1*exp(w11),  s = q2*exp(w22),  r = exp(w12),  u = r + 1/r - 2,
 
 and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
-(q1, q2, eps) by substitution.
+(q1, q2, eps) by substitution.  Two symmetries of the sewn period matrix
+halve the work of building these parameters: swapping the tori (q1 <-> q2)
+maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
+eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
+its odd eps powers negated.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from .elliptic import eisenstein_hat
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .series import (
     MultiSeries,
     PrefSeries,
@@ -40,7 +44,7 @@ from .series import (
     negate,
     scalar_mul,
     shift_var,
-    substitute_pref,
+    substitute,
 )
 
 F = Fraction
@@ -185,11 +189,23 @@ class FourierParams:
 
 
 def fourier_params(sewing: SewingExpansion) -> FourierParams:
-    """q = q1 exp(w11), s = q2 exp(w22), r = exp(w12), u = r + 1/r - 2."""
+    """q = q1 exp(w11), s = q2 exp(w22), r = exp(w12), u = r + 1/r - 2.
+
+    s is q with the tori swapped (q1 <-> q2), and exp(-w12) is exp(w12)
+    under the reflection eps -> -eps, which negates w12 (checked here:
+    every term of w12 has an odd eps power).  Only w11 and w12 are
+    exponentiated.
+    """
     qhat = PrefSeries(exp_series(sewing.w11), {QVAR1: F(1)})
-    shat = PrefSeries(exp_series(sewing.w22), {QVAR2: F(1)})
+    shat = qhat.rename_vars({QVAR1: QVAR2, QVAR2: QVAR1})
+    i = sewing.w12.var_index(EPSVAR)
+    if not all(k[i] % 2 for k in sewing.w12.terms):
+        raise InternalError("w12 is not odd in eps")
     ehat_plus = exp_series(sewing.w12)
-    ehat_minus = exp_series(negate(sewing.w12))
+    i = ehat_plus.var_index(EPSVAR)
+    ehat_minus = MultiSeries._of(ehat_plus.vars, {
+        k: -c if k[i] % 2 else c for k, c in ehat_plus.terms.items()
+    })
     rhat = PrefSeries(ehat_plus)
     u = add(ehat_plus, ehat_minus)
     u = add(u, MultiSeries.constant(-2, ()))
@@ -200,21 +216,18 @@ def fourier_params(sewing: SewingExpansion) -> FourierParams:
     return FourierParams(qhat, shat, rhat, uhat, sewing)
 
 
-def fourier_to_sewing(f: MultiSeries, params: FourierParams | SewingExpansion,
-                      qvar: str = "q", svar: str = "s", rvar: str = "r",
-                      uvar: str = "u") -> PrefSeries:
+def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     """Rewrite a Fourier expansion in (q, s, r) or (q, s, u) as a series in
     the pinching parameters (q1, q2, eps)."""
-    if isinstance(params, SewingExpansion):
-        params = fourier_params(params)
     out = PrefSeries(f)
-    if f.has_var(qvar):
-        out = substitute_pref(out, qvar, params.qhat)
-    if out.body.has_var(svar):
-        out = substitute_pref(out, svar, params.shat)
-    if out.body.has_var(uvar):
-        out = substitute_pref(out, uvar, params.uhat)
-    if out.body.has_var(rvar):
-        out = substitute_pref(out, rvar, params.rhat)
+    for var, hat in (("q", params.qhat), ("s", params.shat),
+                     ("u", params.uhat), ("r", params.rhat)):
+        out = substitute(out, var, hat)
     return out
 
+
+def eps2_bracket(lead: PrefSeries | int, term: PrefSeries) -> PrefSeries:
+    """``lead + term*eps^2``, exact below eps^4: a pinching expansion that is
+    even in eps (eps -> -eps), to its first two orders."""
+    eps2 = MultiSeries((_eps_spec(3),), {(F(2),): 1})
+    return PrefSeries.coerce(lead).add(term.mul(PrefSeries(eps2)))

@@ -41,6 +41,7 @@ from .series import (
     r_to_u,
     scalar_mul,
 )
+from .sewing import eps2_bracket
 
 F = Fraction
 HALF = F(1, 2)
@@ -342,8 +343,7 @@ def fk_fourier_pattern(a, weight: int) -> SiegelForm:
                       MultiSeries(vars, terms))
 
 
-def fk_eps_expansion(f: EllipticForm, weight: int,
-                     eps_terms_known: int = 2) -> PrefSeries:
+def fk_eps_expansion(f: EllipticForm, weight: int) -> PrefSeries:
     """The pinching-parameter expansion of the weight-k Siegel form that
     degenerates to f_k(q1) f_k(q2):
 
@@ -365,11 +365,7 @@ def fk_eps_expansion(f: EllipticForm, weight: int,
     e1 = eisenstein_hat(2, order, "q1").series
     e2 = eisenstein_hat(2, order, "q2").series
     term = l1.mul(l2).scalar(F(1, weight)) - e1.mul(e2).scalar(weight)
-    eps2 = MultiSeries(
-        (VarSpec("eps", 1, F(0), F(eps_terms_known + 2), F(eps_terms_known + 2)),),
-        {(F(2),): 1},
-    )
-    bracket = PrefSeries.coerce(1).add(term.mul(PrefSeries(eps2)))
+    bracket = eps2_bracket(1, term)
     f1 = f.series.rename_vars({f.qvar(): "q1"})
     f2 = f.series.rename_vars({f.qvar(): "q2"})
     return f1.mul(f2).mul(bracket)

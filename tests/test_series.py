@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from twoloop.errors import (
     AsymmetryError,
     DomainError,
+    FractionalExponentUnsupported,
     NonNilpotentExponent,
     NotAUnit,
     TruncationUnderflow,
@@ -33,9 +34,9 @@ from twoloop.series import (
     q_log_deriv,
     r_to_u,
     set_var_one,
+    shift_var,
     substitute,
     to_json_dict,
-    u_to_r,
 )
 
 from twoloop.elliptic import delta_cusp
@@ -374,18 +375,39 @@ def test_substitute_identity(rng):
     assert ok, why
 
 
-def test_substitute_is_homomorphism(rng):
-    q, s = V("q", order=3), V("s", order=3)
+coeffs = st.builds(
+    GaussRat,
+    st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
+    st.one_of(st.just(0), st.integers(-2, 2)),
+)
+substitute_properties = settings(derandomize=True, database=None, max_examples=20,
+                                 deadline=None)
+
+
+def series_over(vars, max_terms, max_exp):
+    """Series over ``vars`` with up to ``max_terms`` terms whose exponents
+    run from each floor to ``max_exp``."""
+    key = st.tuples(*(
+        st.integers(int(v.min_exp * v.den), max_exp * v.den).map(
+            lambda k, den=v.den: F(k, den))
+        for v in vars))
+    return st.dictionaries(key, coeffs, max_size=max_terms).map(
+        lambda terms: MultiSeries(tuple(vars), terms))
+
+
+Q3, S3 = V("q", order=3), V("s", order=3)
+
+
+@substitute_properties
+@given(series_over([Q3, S3], 3, 2), series_over([Q3, S3], 3, 2))
+def test_substitute_is_homomorphism(f, g):
     t = V("t", min_exp=1, order=4)
-    for _ in range(15):
-        f = random_series(rng, [q, s], max_terms=3, max_exp=2)
-        g = random_series(rng, [q, s], max_terms=3, max_exp=2)
-        h = MultiSeries((t,), {(F(1),): 1, (F(2),): GaussRat(F(1, 2))})
-        hp = PrefSeries(h)
-        lhs = substitute(mul(f, g), "q", hp)
-        rhs = substitute(f, "q", hp).mul(substitute(g, "q", hp))
-        ok, why = equal_on_joint_validity(lhs, rhs)
-        assert ok, why
+    h = MultiSeries((t,), {(F(1),): 1, (F(2),): GaussRat(F(1, 2))})
+    hp = PrefSeries(h)
+    lhs = substitute(mul(f, g), "q", hp)
+    rhs = substitute(f, "q", hp).mul(substitute(g, "q", hp))
+    ok, why = equal_on_joint_validity(lhs, rhs)
+    assert ok, why
 
 
 def test_substitute_validity_cap():
@@ -411,24 +433,51 @@ def test_substitute_squares_leading_exponent():
         out.coeff({"t": 4})
 
 
-def test_substitute_validity_soundness_random(rng):
+T6, W6 = V("t", min_exp=1, order=6), V("w", order=6)
+
+
+@substitute_properties
+@given(series_over([V("q", order=8)], 5, 5), series_over([T6, W6], 3, 2))
+def test_substitute_validity_soundness_random(f, g_ms):
     # truncating f's validity before substitution must never change a
     # coefficient the result still claims to know
-    t = V("t", min_exp=1, order=6)
-    w = V("w", order=6)
-    for _ in range(15):
-        q = V("q", order=8)
-        f = random_series(rng, [q], max_terms=5, max_exp=5)
-        g_ms = random_series(rng, [t, w], max_terms=3, max_exp=2)
-        g_terms = {e: c for e, c in g_ms.iter_terms() if e[0] >= 1}
-        g_terms[(F(1), F(0))] = GaussRat(1)
-        g = PrefSeries(MultiSeries((t, w), g_terms))
-        full = substitute(f, "q", g)
-        cut = substitute(f.with_validity(q=3), "q", g)
-        for exps, c in cut.body.iter_terms():
-            point = {v.name: e + cut.prefactor.get(v.name, F(0))
-                     for v, e in zip(cut.body.vars, exps)}
-            assert full.coeff(point) == c, point
+    g_terms = dict(g_ms.iter_terms())
+    g_terms[(F(1), F(0))] = GaussRat(1)
+    g = PrefSeries(MultiSeries((T6, W6), g_terms))
+    full = substitute(f, "q", g)
+    cut = substitute(f.with_validity(q=3), "q", g)
+    for exps, c in cut.body.iter_terms():
+        point = {v.name: e + cut.prefactor.get(v.name, F(0))
+                 for v, e in zip(cut.body.vars, exps)}
+        assert full.coeff(point) == c, point
+
+
+@pytest.mark.parametrize("p", [2, -2])
+def test_substitute_prefseries_integer_prefactor(p):
+    # q^p carried in the prefactor is substituted along with the body, and
+    # the validity cap counts it: q is known below q^(4 + p), so t is too
+    q, s = V("q", order=4), V("s", order=4)
+    body = S([q, s], {(0, 0): 1, (1, 0): 3, (2, 1): F(1, 2)})
+    f = PrefSeries(body, {"q": p, "s": F(1, 3)})
+    g = PrefSeries(S([V("t", order=6)], {(0,): 1, (1,): F(1, 2)}), {"t": 1})
+    out = substitute(f, "q", g)
+    ref = substitute(shift_var(body, "q", p), "q", g).shift("s", F(1, 3))
+    ok, why = equal_on_joint_validity(out, ref)
+    assert ok, why
+    assert out.coeff({"t": p, "s": F(1, 3)}) == GaussRat(1)
+    with pytest.raises(UnknownCoefficient):
+        out.coeff({"t": 4 + p, "s": F(1, 3)})
+    # a var that sits only in the prefactor is substituted too
+    only = substitute(PrefSeries(S([s], {(1,): 5}), {"q": p}), "q", g)
+    ok, why = equal_on_joint_validity(only, g.pow_int(p).mul(S([s], {(1,): 5})))
+    assert ok, why
+
+
+def test_substitute_prefseries_fractional_prefactor_raises():
+    f = PrefSeries(S([V("q", order=4)], {(1,): 1}), {"q": F(1, 2)})
+    g = PrefSeries(S([V("t", order=6)], {(1,): 1}))
+    with pytest.raises(FractionalExponentUnsupported):
+        substitute(f, "q", g)
 
 
 def test_substitute_rejects_unorderable():
@@ -472,8 +521,11 @@ def test_r_to_u_asymmetry_detected():
 
 
 def test_r_to_u_roundtrip(rng):
+    # substituting u = r + 1/r - 2 back into r_to_u(f) gives f, on the whole
+    # Laurent range of r
     q = V("q", order=3)
     r = V("r", min_exp=-4)
+    u_of_r = PrefSeries(S([V("r", min_exp=-1)], {(1,): 1, (-1,): 1, (0,): -2}))
     for _ in range(20):
         base = random_series(rng, [q, V("r", min_exp=0, order=UNBOUNDED)], max_exp=3)
         sym_terms = {}
@@ -482,9 +534,10 @@ def test_r_to_u_roundtrip(rng):
             sym_terms[(eq, er)] = sym_terms.get((eq, er), GaussRat(0)) + c
             sym_terms[(eq, -er)] = sym_terms.get((eq, -er), GaussRat(0)) + c
         f = MultiSeries((q, r), sym_terms)
-        back = u_to_r(r_to_u(f))
+        back = substitute(r_to_u(f), "u", u_of_r)
         ok, why = equal_on_joint_validity(back, f)
         assert ok, why
+        assert all(v.valid >= 4 for v in back.body.vars if v.name == "r")
 
 
 def test_prefseries_add_aligns_prefactors():
@@ -556,6 +609,19 @@ def test_cached_series_attributes_cannot_be_reassigned():
             delattr(obj, name)
     assert delta_cusp(4).body is body
     assert delta_cusp(4).body.terms and delta_cusp(4).prefactor["q"] == 1
+
+
+@pytest.mark.parametrize("vars, key", [
+    pytest.param([V("q")], (1, 2), id="too-long"),
+    pytest.param([V("q"), V("s")], (1,), id="too-short"),
+])
+def test_exponent_keys_must_match_the_variables(vars, key):
+    with pytest.raises(DomainError, match="does not match"):
+        S(vars, {key: 3})
+    d = to_json_dict(S(vars, {(0,) * len(vars): 1}))
+    d["terms"][0]["exp"] = [str(k) for k in key]
+    with pytest.raises(DomainError, match="does not match"):
+        from_json_dict(d)
 
 
 def test_rename_onto_existing_variable_is_refused():

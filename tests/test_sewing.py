@@ -1,19 +1,27 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from twoloop.elliptic import eisenstein_hat
-from twoloop.errors import DomainError, FractionalExponentUnsupported
+from twoloop.errors import DomainError, FractionalExponentUnsupported, InternalError
 from twoloop.series import (
     GaussRat,
     MultiSeries,
+    PrefSeries,
     VarSpec,
+    add,
     coeff,
     equal_on_joint_validity,
+    exp_series,
     mul,
+    negate,
     scalar_mul,
+    shift_var,
+    to_json_dict,
 )
 from twoloop.sewing import (
+    SewingExpansion,
     a_matrix,
     fourier_params,
     fourier_to_sewing,
@@ -107,6 +115,28 @@ def test_fourier_params_printed_orders():
     assert uhat.coeff({"eps": 4, "q1": 1}) == GaussRat(2 * 2 * F(-1, 12))
     # r at eps = 0 is 1
     assert params.rhat.coeff({}) == GaussRat(1)
+
+
+@pytest.mark.parametrize("q_order, eps_order", [(4, 5), (6, 6)])
+def test_fourier_params_mirror_images_match_direct_construction(q_order, eps_order):
+    # shat and exp(-w12) are built from qhat and exp(w12) by symmetry; they
+    # must equal the series exponentiated directly, down to the JSON bytes
+    sew = period_matrix(q_order, eps_order)
+    params = fourier_params(sew)
+    shat = PrefSeries(exp_series(sew.w22), {"q2": 1})
+    u = add(add(exp_series(sew.w12), exp_series(negate(sew.w12))),
+            MultiSeries.constant(-2, ()))
+    uhat = PrefSeries(shift_var(u.with_min_floor("eps", 2), "eps", -2), {"eps": 2})
+    for got, want in ((params.shat, shat), (params.uhat, uhat)):
+        assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+
+
+def test_fourier_params_refuses_w12_even_in_eps():
+    sew = period_matrix(2, 3)
+    eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4), F(4)),), {(F(2),): 1})
+    bad = SewingExpansion(sew.w11, add(sew.w12, eps2), sew.w22, 2, 3)
+    with pytest.raises(InternalError):
+        fourier_params(bad)
 
 
 def test_substitute_q_squared_example():
