@@ -23,7 +23,13 @@ from .elliptic import (
 from .errors import TwoLoopError
 from .lattice import builtin_lattice, enumerate_shells, theta_g2
 from .partition import CBoson, t1_selfdual, verify_f2, z2
-from .sewing import eps2_bracket, fourier_params, fourier_to_sewing, period_matrix
+from .sewing import (
+    eps2_bracket,
+    fourier_params,
+    fourier_to_sewing,
+    period_matrix,
+    torus_pair,
+)
 from .series import (
     GaussRat,
     PrefSeries,
@@ -122,11 +128,9 @@ def c05_sewing_factorization() -> str | None:
     d = delta10(4, 4)
     params = fourier_params(period_matrix(4, 5))
     lhs = fourier_to_sewing(d.fourier_u, params)
-    e1 = eisenstein_hat(2, 4, "q1").series
-    e2 = eisenstein_hat(2, 4, "q2").series
-    bracket = eps2_bracket(1, e1.mul(e2).scalar(-10))
-    rhs = (delta_cusp(4, "q1").mul(delta_cusp(4, "q2")).mul(bracket)
-           .shift("eps", 2))
+    ee = torus_pair(eisenstein_hat(2, 4).series)
+    bracket = eps2_bracket(1, ee.scalar(-10))
+    rhs = torus_pair(delta_cusp(4)).mul(bracket).shift("eps", 2)
     ok, why = equal_on_joint_validity(lhs, rhs)
     return None if ok else why
 

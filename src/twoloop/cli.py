@@ -149,24 +149,15 @@ def cmd_expand(args) -> int:
 def cmd_sew(args) -> int:
     sew = period_matrix(args.q_order, args.eps_order)
     params = fourier_params(sew)
-    payload = {
-        "q_order": args.q_order,
-        "eps_order": args.eps_order,
-        "w11": to_json_dict(sew.w11),
-        "w12": to_json_dict(sew.w12),
-        "w22": to_json_dict(sew.w22),
-        "qhat": to_json_dict(params.qhat),
-        "shat": to_json_dict(params.shat),
-        "uhat": to_json_dict(params.uhat),
-    }
+    named = {"w11": sew.w11, "w12": sew.w12, "w22": sew.w22,
+             "qhat": params.qhat, "shat": params.shat, "uhat": params.uhat}
     if args.format == "json":
+        payload = {"q_order": args.q_order, "eps_order": args.eps_order}
+        payload.update((name, to_json_dict(s)) for name, s in named.items())
         _emit(payload, "json")
     else:
-        for name in ("w11", "w12", "w22", "qhat", "shat", "uhat"):
+        for name, series in named.items():
             print(f"-- {name}")
-            series = {"w11": sew.w11, "w12": sew.w12, "w22": sew.w22,
-                      "qhat": params.qhat, "shat": params.shat,
-                      "uhat": params.uhat}[name]
             _emit(_series_payload(series, args.format), args.format)
     return 0
 

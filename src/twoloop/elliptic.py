@@ -6,6 +6,10 @@ Delta = eta^24, the weight-raising covariant derivative
 D = q d/dq + k*Ehat_2, the Weierstrass expansion in the elliptic variable,
 the three Jacobi theta series, the weight-12 theta combination f12, and the
 normalized modular invariant J = q^-1 + 0 + 196884 q + ...
+
+Every series here is built once, in the variable ``q``.  Genus-two code
+gets its two torus factors f(q1) f(q2) by renaming, through
+:func:`twoloop.sewing.torus_pair`, rather than by building f twice.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from math import factorial
 
 from .errors import DomainError, MissingWeight, OddCharacteristic, ValidationFailed
 from .series import (
-    UNBOUNDED,
     GaussRat,
     MultiSeries,
     PrefSeries,
     VarSpec,
     add,
+    is_unbounded,
     mul,
     pow_int,
     scalar_mul,
@@ -41,12 +45,7 @@ class EllipticForm:
     series: PrefSeries
 
     def coeff(self, exp) -> GaussRat:
-        return self.series.coeff({self.qvar(): exp})
-
-    def qvar(self) -> str:
-        for v in self.series.body.vars:
-            return v.name
-        return next(iter(self.series.prefactor), "q")
+        return self.series.coeff({"q": exp})
 
 
 @lru_cache(maxsize=None)
@@ -83,12 +82,12 @@ def sigma(power: int, n: int) -> int:
     return total
 
 
-def _qvar(name: str, order: int) -> VarSpec:
-    return VarSpec(name, 1, F(0), F(order), F(order))
+def _qspec(order: int) -> VarSpec:
+    return VarSpec("q", 1, F(0), F(order), F(order))
 
 
 @lru_cache(maxsize=None)
-def eisenstein(k2: int, q_order: int, var: str = "q") -> EllipticForm:
+def eisenstein(k2: int, q_order: int) -> EllipticForm:
     """E_2k = 1 - (4k/B_2k) * sum sigma_{2k-1}(n) q^n, for k2 = 2k >= 2."""
     if k2 < 2 or k2 % 2:
         raise DomainError(f"Eisenstein weight must be even and >= 2, got {k2}")
@@ -96,22 +95,22 @@ def eisenstein(k2: int, q_order: int, var: str = "q") -> EllipticForm:
     terms = {(F(0),): GaussRat(1)}
     for n in range(1, q_order):
         terms[(F(n),)] = GaussRat(-F(2 * k2, 1) / b * sigma(k2 - 1, n))
-    body = MultiSeries((_qvar(var, q_order),), terms)
+    body = MultiSeries((_qspec(q_order),), terms)
     return EllipticForm(f"E{k2}", k2, PrefSeries(body))
 
 
 @lru_cache(maxsize=None)
-def eisenstein_hat(k2: int, q_order: int, var: str = "q") -> EllipticForm:
+def eisenstein_hat(k2: int, q_order: int) -> EllipticForm:
     """Ehat_2k = -(B_2k/(2k)!) E_2k; constant term -B_2k/(2k)!."""
-    e = eisenstein(k2, q_order, var)
+    e = eisenstein(k2, q_order)
     scale = -bernoulli(k2) / factorial(k2)
     return EllipticForm(f"Ehat{k2}", k2, e.series.scalar(scale))
 
 
 @lru_cache(maxsize=None)
-def euler_product(q_order: int, var: str = "q") -> MultiSeries:
+def euler_product(q_order: int) -> MultiSeries:
     """prod_{n>=1} (1 - q^n), truncated."""
-    spec = _qvar(var, q_order)
+    spec = _qspec(q_order)
     out = MultiSeries.constant(1, (spec,))
     for n in range(1, q_order):
         factor = MultiSeries((spec,), {(F(0),): 1, (F(n),): -1})
@@ -120,23 +119,23 @@ def euler_product(q_order: int, var: str = "q") -> MultiSeries:
 
 
 @lru_cache(maxsize=None)
-def dedekind_eta(q_order: int, var: str = "q") -> PrefSeries:
+def dedekind_eta(q_order: int) -> PrefSeries:
     """eta = q^(1/24) * prod (1 - q^n)."""
-    return PrefSeries(euler_product(q_order, var), {var: F(1, 24)})
+    return PrefSeries(euler_product(q_order), {"q": F(1, 24)})
 
 
 @lru_cache(maxsize=None)
-def delta_cusp(q_order: int, var: str = "q") -> PrefSeries:
+def delta_cusp(q_order: int) -> PrefSeries:
     """Delta = eta^24, with prefactor q^1 and unit body."""
-    return dedekind_eta(q_order, var).pow_int(24)
+    return dedekind_eta(q_order).pow_int(24)
 
 
-def delta_form(q_order: int, var: str = "q") -> EllipticForm:
-    return EllipticForm("Delta", 12, delta_cusp(q_order, var))
+def delta_form(q_order: int) -> EllipticForm:
+    return EllipticForm("Delta", 12, delta_cusp(q_order))
 
 
 @lru_cache(maxsize=None)
-def j_function(q_order: int, var: str = "q") -> PrefSeries:
+def j_function(q_order: int) -> PrefSeries:
     """J = E_4^3/Delta - 744 = q^-1 + 0 + 196884 q + ...
 
     Built from the ring generators rather than a table; the construction is
@@ -145,14 +144,14 @@ def j_function(q_order: int, var: str = "q") -> PrefSeries:
     if q_order < 2:
         raise DomainError("J needs q_order >= 2 for its validation")
     inner = q_order + 1
-    e4 = eisenstein(4, inner, var).series
+    e4 = eisenstein(4, inner).series
     num = e4.pow_int(3)
-    j = num.mul(delta_cusp(inner, var).invert())
+    j = num.mul(delta_cusp(inner).invert())
     j = j.add(PrefSeries.coerce(-744))
-    if j.coeff({var: 0}) != GaussRat(0) or j.coeff({var: 1}) != GaussRat(196884):
+    if j.coeff({"q": 0}) != GaussRat(0) or j.coeff({"q": 1}) != GaussRat(196884):
         raise ValidationFailed(
             "J construction failed its expansion check: "
-            f"const={j.coeff({var: 0})!r}, q={j.coeff({var: 1})!r}"
+            f"const={j.coeff({'q': 0})!r}, q={j.coeff({'q': 1})!r}"
         )
     return j
 
@@ -161,30 +160,26 @@ def covariant_derivative(f: EllipticForm) -> EllipticForm:
     """D f = q df/dq + k Ehat_2 f, a form of weight k + 2."""
     if f.weight is None:
         raise MissingWeight(f"{f.label} has no declared weight")
-    var = f.qvar()
-    out = f.series.q_log_deriv(var)
-    if f.weight and not f.series.is_zero():
-        body_order = None
-        for v in f.series.body.vars:
-            if v.name == var:
-                body_order = v.valid
-        if body_order is None or body_order >= UNBOUNDED:
+    out = f.series.q_log_deriv("q")
+    body = f.series.body
+    if f.weight and not body.is_zero():
+        if not body.has_var("q") or is_unbounded(body.spec("q").valid):
             raise DomainError("covariant derivative needs a truncated q-series")
-        e2 = eisenstein_hat(2, int(body_order), var).series
+        e2 = eisenstein_hat(2, int(body.spec("q").valid)).series
         out = out.add(e2.mul(f.series).scalar(f.weight))
     return EllipticForm(f"D({f.label})", f.weight + 2, out)
 
 
-def weierstrass(z_order: int, q_order: int, zvar: str = "z", qvar: str = "q") -> MultiSeries:
+def weierstrass(z_order: int, q_order: int) -> MultiSeries:
     """1/z^2 + sum_{k>=2} Ehat_2k(q) z^(2k-2), truncated in z and q."""
     if z_order < 2:
         raise DomainError("z_order must be at least 2")
-    zspec = VarSpec(zvar, 1, F(-2), F(z_order), F(z_order))
-    qspec = _qvar(qvar, q_order)
+    zspec = VarSpec("z", 1, F(-2), F(z_order), F(z_order))
+    qspec = _qspec(q_order)
     terms = {(F(-2), F(0)): GaussRat(1)}
     k = 2
     while 2 * k - 2 < z_order:
-        ehat = eisenstein_hat(2 * k, q_order, qvar).series.body
+        ehat = eisenstein_hat(2 * k, q_order).series.body
         for (qe,), c in ehat.iter_terms():
             terms[(F(2 * k - 2), qe)] = c
         k += 1
@@ -210,7 +205,7 @@ def _phase(x: Fraction) -> GaussRat:
 
 
 @lru_cache(maxsize=None)
-def theta_jacobi(a, b, q_order: int, var: str = "q", require_nonzero: bool = False) -> PrefSeries:
+def theta_jacobi(a, b, q_order: int, require_nonzero: bool = False) -> PrefSeries:
     """theta[a;b](q) = sum_n q^((n+a)^2/2) exp(2*pi*i*(n+a)*b).
 
     The odd characteristic a = b = 1/2 cancels in pairs and yields the zero
@@ -221,7 +216,7 @@ def theta_jacobi(a, b, q_order: int, var: str = "q", require_nonzero: bool = Fal
         raise DomainError("characteristics must lie in {0, 1/2}")
     if is_odd_characteristic(a, b) and require_nonzero:
         raise OddCharacteristic(f"theta[{a};{b}] vanishes identically")
-    spec = VarSpec(var, 8, F(0), F(q_order), F(q_order))
+    spec = VarSpec("q", 8, F(0), F(q_order), F(q_order))
     acc: dict[tuple[Fraction, ...], GaussRat] = {}
     n = 0
     while True:
@@ -243,12 +238,12 @@ EVEN_JACOBI_CHARS = ((F(0), F(0)), (F(0), HALF), (HALF, F(0)))
 
 
 @lru_cache(maxsize=None)
-def f12_elliptic(q_order: int, var: str = "q") -> MultiSeries:
+def f12_elliptic(q_order: int) -> MultiSeries:
     """f12 = (1/2) * sum of the 24th powers of the three even theta series
     = 1 + 1104 q + ..."""
     total = None
     for a, b in EVEN_JACOBI_CHARS:
-        th = theta_jacobi(a, b, q_order, var, require_nonzero=True)
+        th = theta_jacobi(a, b, q_order, require_nonzero=True)
         p = pow_int(th.body, 24)
         total = p if total is None else add(total, p)
     half = scalar_mul(F(1, 2), total)

@@ -192,12 +192,12 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
         {k: tuple(sorted(v)) for k, v in sorted(shells.items())}))
 
 
-def theta_g1(lattice: Lattice, q_order: int, var: str = "q") -> MultiSeries:
+def theta_g1(lattice: Lattice, q_order: int) -> MultiSeries:
     """Genus-one lattice theta series sum_alpha q^(<a,a>/2)."""
     if not lattice.is_even:
         raise OddLattice(f"{lattice.name} is not even")
     table = enumerate_shells(lattice, 2 * (q_order - 1))
-    spec = VarSpec(var, 1, F(0), F(q_order), F(q_order))
+    spec = VarSpec("q", 1, F(0), F(q_order), F(q_order))
     terms = {}
     for norm, vecs in table.shells.items():
         if norm % 2 == 0 and norm // 2 < q_order:
@@ -231,8 +231,7 @@ def _pair_histogram(gram_np, va, vb) -> dict[int, int]:
     return {int(v) - reach: int(counts[v]) for v in np.flatnonzero(counts)}
 
 
-def theta_g2(lattice: Lattice, q_order: int, s_order: int,
-             qvar: str = "q", rvar: str = "r", svar: str = "s") -> MultiSeries:
+def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     """Genus-two lattice theta series.
 
     Coefficient of q^a s^c r^b counts pairs (alpha, beta) with norms 2a, 2c
@@ -260,19 +259,19 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int,
             for b, count in hists[key].items():
                 terms[(a, F(b), c)] = GaussRat(count)
                 bmin = min(bmin, F(b))
-    qs = VarSpec(qvar, 1, F(0), F(q_order), F(q_order))
-    rs = VarSpec(rvar, 1, bmin, UNBOUNDED, UNBOUNDED)
-    ss = VarSpec(svar, 1, F(0), F(s_order), F(s_order))
+    qs = VarSpec("q", 1, F(0), F(q_order), F(q_order))
+    rs = VarSpec("r", 1, bmin, UNBOUNDED, UNBOUNDED)
+    ss = VarSpec("s", 1, F(0), F(s_order), F(s_order))
     return MultiSeries((qs, rs, ss), terms)
 
 
-def leech_theta(q_order: int, var: str = "q") -> MultiSeries:
+def leech_theta(q_order: int) -> MultiSeries:
     """Theta series of the Leech lattice as Delta * (J + 24).
 
     The 24-dimensional lattice is never enumerated; its theta series is
     pinned down by the weight-12 relation theta/Delta = J + 24.
     """
-    t = delta_cusp(q_order, var).mul(j_function(q_order, var).add(24))
+    t = delta_cusp(q_order).mul(j_function(q_order).add(24))
     assert not t.prefactor, "prefactors must cancel in Delta*(J+24)"
     return t.body
 

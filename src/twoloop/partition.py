@@ -38,7 +38,13 @@ from .series import (
     assert_equal_on_joint_validity,
     equal_on_joint_validity,
 )
-from .sewing import eps2_bracket, fourier_params, fourier_to_sewing, period_matrix
+from .sewing import (
+    eps2_bracket,
+    fourier_params,
+    fourier_to_sewing,
+    period_matrix,
+    torus_pair,
+)
 from .siegel import delta10
 
 F = Fraction
@@ -135,27 +141,27 @@ def parse_theory(text: str) -> TheoryDescriptor:
     raise DomainError(f"unknown theory {text!r}")
 
 
-def t1_selfdual(n1: int, q_order: int, var: str = "q") -> EllipticForm:
+def t1_selfdual(n1: int, q_order: int) -> EllipticForm:
     """The weight-12 numerator Delta * (J + N1) = 1 + (N1 - 24) q + ..."""
-    t = delta_cusp(q_order, var).mul(j_function(q_order, var).add(n1))
+    t = delta_cusp(q_order).mul(j_function(q_order).add(n1))
     return EllipticForm(f"T1(N1={n1})", 12, t)
 
 
-def z1(theory: TheoryDescriptor, q_order: int, var: str = "q") -> PrefSeries:
+def z1(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     """Genus-one partition function of the theory."""
     if isinstance(theory, CBoson):
-        return dedekind_eta(q_order, var).pow_int(-theory.c)
+        return dedekind_eta(q_order).pow_int(-theory.c)
     if isinstance(theory, LatticeTheory):
-        theta = theta_g1(theory.lattice, q_order, var)
-        return PrefSeries(theta).mul(dedekind_eta(q_order, var).pow_int(-theory.central_charge))
+        theta = theta_g1(theory.lattice, q_order)
+        return PrefSeries(theta).mul(dedekind_eta(q_order).pow_int(-theory.central_charge))
     if isinstance(theory, SelfDual):
-        return j_function(q_order, var).add(theory.n1)
+        return j_function(q_order).add(theory.n1)
     if isinstance(theory, Ghost):
-        return dedekind_eta(q_order, var).pow_int(2)
+        return dedekind_eta(q_order).pow_int(2)
     raise DomainError(f"unknown theory {theory!r}")
 
 
-def z1_omega(theory: TheoryDescriptor, q_order: int, var: str = "q") -> PrefSeries:
+def z1_omega(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     """Torus one-point function of the shifted Virasoro state:
     q d/dq of the partition function.
 
@@ -164,21 +170,21 @@ def z1_omega(theory: TheoryDescriptor, q_order: int, var: str = "q") -> PrefSeri
     """
     if isinstance(theory, Ghost):
         raise Unsupported("no one-point data for the ghost system")
-    direct = z1(theory, q_order, var).q_log_deriv(var)
+    direct = z1(theory, q_order).q_log_deriv("q")
     if isinstance(theory, CBoson):
-        e2 = eisenstein_hat(2, q_order, var).series
-        closed = e2.scalar(F(theory.c, 2)).mul(z1(theory, q_order, var))
+        e2 = eisenstein_hat(2, q_order).series
+        closed = e2.scalar(F(theory.c, 2)).mul(z1(theory, q_order))
     elif isinstance(theory, LatticeTheory):
         c = theory.central_charge
         theta = EllipticForm(
             f"theta_{theory.lattice.name}", c // 2,
-            PrefSeries(theta_g1(theory.lattice, q_order, var)),
+            PrefSeries(theta_g1(theory.lattice, q_order)),
         )
         closed = covariant_derivative(theta).series.mul(
-            dedekind_eta(q_order, var).pow_int(-c))
+            dedekind_eta(q_order).pow_int(-c))
     else:
-        t1 = t1_selfdual(theory.n1, q_order, var)
-        closed = covariant_derivative(t1).series.mul(delta_cusp(q_order, var).invert())
+        t1 = t1_selfdual(theory.n1, q_order)
+        closed = covariant_derivative(t1).series.mul(delta_cusp(q_order).invert())
     assert_equal_on_joint_validity(direct, closed,
                                    f"one-point routes for {theory.label()}")
     return closed
@@ -223,11 +229,9 @@ def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) 
     if isinstance(theory, Ghost):
         raise Unsupported("use z2_ghost for the (conjectural) ghost system")
     c = theory.central_charge
-    za = z1(theory, q_order, "q1")
-    wa = z1_omega(theory, q_order, "q1")
-    zb = za.rename_vars({"q1": "q2"})
-    wb = wa.rename_vars({"q1": "q2"})
-    body = eps2_bracket(za.mul(zb), wa.mul(wb).scalar(F(2, c)))
+    zz = torus_pair(z1(theory, q_order))
+    ww = torus_pair(z1_omega(theory, q_order))
+    body = eps2_bracket(zz, ww.scalar(F(2, c)))
     full = body.shift("eps", F(-c, 12))
     out = GenusTwoZ(theory, full, conjectural=False)
     if isinstance(theory, CBoson):
@@ -239,11 +243,9 @@ def _crosscheck_boson_closed_form(zg: GenusTwoZ, q_order: int) -> None:
     """The state sum must reproduce the closed product form
     eps^(-C/12) eta^-C(q1) eta^-C(q2) (1 + (C/2) Ehat2 Ehat2 eps^2)."""
     c = zg.theory.c
-    e1 = eisenstein_hat(2, q_order, "q1").series
-    e2 = eisenstein_hat(2, q_order, "q2").series
-    bracket = eps2_bracket(1, e1.mul(e2).scalar(F(c, 2)))
-    closed = (dedekind_eta(q_order, "q1").pow_int(-c)
-              .mul(dedekind_eta(q_order, "q2").pow_int(-c))
+    ee = torus_pair(eisenstein_hat(2, q_order).series)
+    bracket = eps2_bracket(1, ee.scalar(F(c, 2)))
+    closed = (torus_pair(dedekind_eta(q_order).pow_int(-c))
               .mul(bracket).shift("eps", F(-c, 12)))
     ok, why = equal_on_joint_validity(zg.pref, closed)
     if not ok:
@@ -253,11 +255,9 @@ def _crosscheck_boson_closed_form(zg: GenusTwoZ, q_order: int) -> None:
 def z2_ghost(q_order: int) -> GenusTwoZ:
     """Conjectural genus-two ghost partition function:
     eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2 Ehat2 eps^2 + O(eps^4))."""
-    e1 = eisenstein_hat(2, q_order, "q1").series
-    e2 = eisenstein_hat(2, q_order, "q2").series
-    bracket = eps2_bracket(1, e1.mul(e2).scalar(-3))
-    pref = (dedekind_eta(q_order, "q1").pow_int(2)
-            .mul(dedekind_eta(q_order, "q2").pow_int(2))
+    ee = torus_pair(eisenstein_hat(2, q_order).series)
+    bracket = eps2_bracket(1, ee.scalar(-3))
+    pref = (torus_pair(dedekind_eta(q_order).pow_int(2))
             .mul(bracket).shift("eps", F(1, 6)))
     return GenusTwoZ(Ghost(), pref, conjectural=True)
 
@@ -273,9 +273,8 @@ def g2_correction(q_order: int) -> MultiSeries:
     prod = z2_ghost(q_order).pref.mul(z2(CBoson(2), q_order).pref)
     if prod.prefactor:
         raise InternalError(f"vacuum exponents did not cancel: {dict(prod.prefactor)}")
-    e1 = eisenstein_hat(2, q_order, "q1").series
-    e2 = eisenstein_hat(2, q_order, "q2").series
-    expected = eps2_bracket(1, e1.mul(e2).scalar(-2))
+    ee = torus_pair(eisenstein_hat(2, q_order).series)
+    expected = eps2_bracket(1, ee.scalar(-2))
     ok, why = equal_on_joint_validity(prod, expected)
     if not ok:
         raise ValidationFailed(f"ghost-boson product has wrong eps^2 term at {why}")

@@ -53,6 +53,7 @@ Rat = Fraction
 #: Sentinel bound that behaves like +infinity for order/valid bookkeeping.
 UNBOUNDED = Fraction(10**9)
 _UNBOUNDED_THRESHOLD = Fraction(10**8)
+_LOWEST_FLOOR = -_UNBOUNDED_THRESHOLD
 
 
 def is_unbounded(x: Fraction) -> bool:
@@ -228,7 +229,11 @@ class VarSpec:
                 object.__setattr__(self, field, Fraction(v))
         if self.valid is None:
             object.__setattr__(self, "valid", self.order)
-        if not (self.min_exp <= self.valid <= self.order):
+        if not (_LOWEST_FLOOR < self.min_exp <= self.valid <= self.order):
+            if is_unbounded(-self.min_exp):
+                # a product adds the floor to the other operand's bounds,
+                # which would cancel an unbounded order against it
+                raise DomainError(f"{self.name}: Laurent floor {self.min_exp} is unbounded")
             raise DomainError(
                 f"{self.name}: need min_exp <= valid <= order, got "
                 f"{self.min_exp}, {self.valid}, {self.order}"
@@ -416,11 +421,11 @@ class MultiSeries:
             raise FractionalExponentUnsupported(
                 f"cannot re-grid {name} from den {old.den} to {den}"
             )
-        factor = Fraction(den, old.den)
         new_vars = list(self.vars)
         new_vars[i] = replace(old, den=den)
+        # exact: every k[i] * den is a multiple of old.den (checked above)
         return MultiSeries._of(tuple(new_vars), {
-            k[:i] + (int(k[i] * factor),) + k[i + 1:]: c for k, c in self.terms.items()
+            k[:i] + (k[i] * den // old.den,) + k[i + 1:]: c for k, c in self.terms.items()
         })
 
     def simplify_dens(self) -> "MultiSeries":
@@ -436,13 +441,7 @@ class MultiSeries:
                 if g == 1:
                     break
             if g > 1:
-                new = v.den // g
-                idx = out.var_index(v.name)
-                new_vars = list(out.vars)
-                new_vars[idx] = replace(v, den=new)
-                out = MultiSeries._of(tuple(new_vars), {
-                    k[:idx] + (k[idx] // g,) + k[idx + 1:]: c for k, c in out.terms.items()
-                })
+                out = out.with_den(v.name, v.den // g)
         return out
 
     # -- alignment -------------------------------------------------------
@@ -931,12 +930,20 @@ class PrefSeries:
         pref[name] = pref.get(name, _ZERO) + amount
         return PrefSeries(self.body, pref)
 
-    def _body_shifted(self, shifts: dict[str, Fraction]) -> MultiSeries:
-        """Push monomial exponents from the prefactor into the body."""
-        body = self.body
-        for name, amount in shifts.items():
-            body = shift_var(body, name, amount)
-        return body
+    def _aligned_bodies(self, other: "PrefSeries") -> tuple[dict, MultiSeries, MultiSeries]:
+        """``(common, body_a, body_b)``: the two series over one common
+        prefactor (the per-variable minimum), the excess of each pushed into
+        its body."""
+        names = set(self.prefactor) | set(other.prefactor)
+        common = {n: min(self.prefactor.get(n, _ZERO), other.prefactor.get(n, _ZERO))
+                  for n in names}
+        bodies = []
+        for s in (self, other):
+            body = s.body
+            for n, e in common.items():
+                body = shift_var(body, n, s.prefactor.get(n, _ZERO) - e)
+            bodies.append(body)
+        return common, *bodies
 
     def add(self, other) -> "PrefSeries":
         other = PrefSeries.coerce(other)
@@ -944,11 +951,7 @@ class PrefSeries:
             return other
         if other.is_zero():
             return self
-        names = set(self.prefactor) | set(other.prefactor)
-        common = {n: min(self.prefactor.get(n, _ZERO), other.prefactor.get(n, _ZERO))
-                  for n in names}
-        a = self._body_shifted({n: self.prefactor.get(n, _ZERO) - e for n, e in common.items()})
-        b = other._body_shifted({n: other.prefactor.get(n, _ZERO) - e for n, e in common.items()})
+        common, a, b = self._aligned_bodies(other)
         return PrefSeries(add(a, b), common)
 
     def __add__(self, other):
@@ -969,11 +972,7 @@ class PrefSeries:
             raise NotAUnit("body has no invertible constant term")
         one = MultiSeries.constant(1, self.body.vars)
         x = sub(one, scalar_mul(c0.inverse(), self.body))
-        for i, v in enumerate(x.vars):
-            if any(k[i] for k in x.terms) and is_unbounded(v.order):
-                raise TruncationUnderflow(
-                    f"inversion in {v.name} needs a finite truncation order"
-                )
+        _check_nilpotent(x)
         result = one
         term = one
         while True:
@@ -1134,12 +1133,7 @@ def equal_on_joint_validity(a, b) -> tuple[bool, str | None]:
 
     Returns ``(True, None)`` or ``(False, description_of_first_mismatch)``.
     """
-    a = PrefSeries.coerce(a)
-    b = PrefSeries.coerce(b)
-    names = set(a.prefactor) | set(b.prefactor)
-    common = {n: min(a.prefactor.get(n, _ZERO), b.prefactor.get(n, _ZERO)) for n in names}
-    ba = a._body_shifted({n: a.prefactor.get(n, _ZERO) - e for n, e in common.items()})
-    bb = b._body_shifted({n: b.prefactor.get(n, _ZERO) - e for n, e in common.items()})
+    common, ba, bb = PrefSeries.coerce(a)._aligned_bodies(PrefSeries.coerce(b))
     merged = _merge_vars_add(ba, bb)
     ta = ba._aligned_to(merged)
     tb = bb._aligned_to(merged)

@@ -92,7 +92,8 @@ def a_matrix(q_order: int, eps_order: int, qvar: str = "q",
             if grade > eps_order:
                 row.append(MultiSeries.zero((qs, es)))
                 continue
-            ehat = eisenstein_hat(2 * m + 2 * n - 2, q_order, qvar).series.body
+            ehat = eisenstein_hat(2 * m + 2 * n - 2, q_order).series.body
+            ehat = ehat.rename_vars({"q": qvar})
             entry = scalar_mul(comb(2 * m + 2 * n - 3, 2 * m - 1), ehat)
             entry = mul(entry, MultiSeries((es,), {(F(grade),): 1}))
             row.append(entry)
@@ -224,6 +225,15 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
                      ("u", params.uhat), ("r", params.rhat)):
         out = substitute(out, var, hat)
     return out
+
+
+def torus_pair(f: PrefSeries) -> PrefSeries:
+    """f(q1) f(q2) for a genus-one series f in q alone: the product of the
+    two torus factors, with the second a renamed copy of the first."""
+    names = {v.name for v in f.body.vars} | set(f.prefactor)
+    if names - {"q"}:
+        raise DomainError(f"torus_pair needs a series in q alone, got {sorted(names)}")
+    return f.rename_vars({"q": QVAR1}).mul(f.rename_vars({"q": QVAR2}))
 
 
 def eps2_bracket(lead: PrefSeries | int, term: PrefSeries) -> PrefSeries:

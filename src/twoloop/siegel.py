@@ -41,7 +41,7 @@ from .series import (
     r_to_u,
     scalar_mul,
 )
-from .sewing import eps2_bracket
+from .sewing import eps2_bracket, torus_pair
 
 F = Fraction
 HALF = F(1, 2)
@@ -260,9 +260,8 @@ def psi_reference(k2: int) -> SiegelForm:
         cu, cu2 = 42336, -504
     else:
         raise DomainError("reference data exists for weights 4 and 6 only")
-    eq = eisenstein(k2, 2, QVAR).series.body
-    es = eisenstein(k2, 2, SVAR).series.body
-    base = mul(eq, es)
+    eq = eisenstein(k2, 2).series.body
+    base = mul(eq, eq.rename_vars({QVAR: SVAR}))
     corr = MultiSeries(
         (_box_spec(QVAR, 2), _box_spec(SVAR, 2), _uvar()),
         {(F(1), F(1), F(1)): cu, (F(1), F(1), F(2)): cu2},
@@ -360,12 +359,7 @@ def fk_eps_expansion(f: EllipticForm, weight: int) -> PrefSeries:
     q_valid = min(v.valid for v in f.series.body.vars)
     order = int(q_valid)
     lf = covariant_derivative(f).series.mul(f.series.invert())
-    l1 = lf.rename_vars({f.qvar(): "q1"})
-    l2 = lf.rename_vars({f.qvar(): "q2"})
-    e1 = eisenstein_hat(2, order, "q1").series
-    e2 = eisenstein_hat(2, order, "q2").series
-    term = l1.mul(l2).scalar(F(1, weight)) - e1.mul(e2).scalar(weight)
+    ee = torus_pair(eisenstein_hat(2, order).series)
+    term = torus_pair(lf).scalar(F(1, weight)) - ee.scalar(weight)
     bracket = eps2_bracket(1, term)
-    f1 = f.series.rename_vars({f.qvar(): "q1"})
-    f2 = f.series.rename_vars({f.qvar(): "q2"})
-    return f1.mul(f2).mul(bracket)
+    return torus_pair(f.series).mul(bracket)

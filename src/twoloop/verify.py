@@ -258,6 +258,15 @@ _S1_LAWS = {
 }
 
 
+# generator -> the moved point, for the exact invariances of the
+# pinching-parameter series
+_INVARIANCES = {
+    "T1": lambda c: EvalContext(c.tau1 + 1, c.tau2, c.eps),
+    "T2": lambda c: EvalContext(c.tau1, c.tau2 + 1, c.eps),
+    "V": lambda c: EvalContext(c.tau1, c.tau2, -c.eps),
+}
+
+
 def check_weight(target: str, gamma: str, ctx: EvalContext,
                  q_order: int = 16, eps_order: int = 6) -> CheckResult:
     """Transformation law of a genus-two object under one generator.
@@ -282,18 +291,9 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
         qmag = max(abs(cmath.exp(lg)) for lg in
                    (ctx2.valuation()["q1"], logs["q1"], logs["q2"]))
         bound = 4.0 * epsmax ** ev + 24.0 * qmag ** qv + 1e-12
-    elif gamma in ("T1", "T2"):
-        shift = EvalContext(ctx.tau1 + 1, ctx.tau2, ctx.eps) if gamma == "T1" else \
-            EvalContext(ctx.tau1, ctx.tau2 + 1, ctx.eps)
-        lhs = eval_series(series, shift.valuation())
-        rhs = base
-        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-        bound = 1e-12
-    elif gamma == "V":
-        flip = EvalContext(ctx.tau1, ctx.tau2, -ctx.eps)
-        lhs = eval_series(series, flip.valuation())
-        rhs = base
-        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    elif gamma in _INVARIANCES:
+        lhs = eval_series(series, _INVARIANCES[gamma](ctx).valuation())
+        residual = abs(lhs - base) / max(abs(lhs), abs(base))
         bound = 1e-12
     else:
         raise DomainError(

@@ -22,9 +22,12 @@ from twoloop.elliptic import (
 from twoloop.errors import DomainError, MissingWeight, OddCharacteristic
 from twoloop.series import (
     GaussRat,
+    MultiSeries,
     PrefSeries,
+    VarSpec,
     coeff,
     equal_on_joint_validity,
+    shift_var,
 )
 
 F = Fraction
@@ -154,6 +157,15 @@ def test_covariant_derivative_weight_zero_constant():
 def test_covariant_derivative_needs_weight():
     f = EllipticForm("x", None, delta_cusp(4))
     with pytest.raises(MissingWeight):
+        covariant_derivative(f)
+
+
+def test_covariant_derivative_refuses_shifted_exact_series():
+    # q^2 * q^-1 is exact: its q-validity 10^9 - 1 is unbounded, so D must
+    # refuse it rather than build Ehat_2 out to that order
+    body = shift_var(MultiSeries.monomial(VarSpec("q"), 2), "q", -1)
+    f = EllipticForm("q", 2, PrefSeries(body))
+    with pytest.raises(DomainError, match="truncated"):
         covariant_derivative(f)
 
 

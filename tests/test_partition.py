@@ -125,7 +125,8 @@ def test_z2_eps0_is_z1_product():
     from twoloop.series import limit_var_zero
 
     eps0 = limit_var_zero(zg.body, "eps")
-    prod = z1(SelfDual(0), 3, "q1").mul(z1(SelfDual(0), 3, "q2"))
+    z = z1(SelfDual(0), 3)
+    prod = z.rename_vars({"q": "q1"}).mul(z.rename_vars({"q": "q2"}))
     got = PrefSeries(eps0, {k: v for k, v in zg.pref.prefactor.items() if k != "eps"})
     ok, why = equal_on_joint_validity(got, prod)
     assert ok, why

@@ -70,6 +70,12 @@ rationals = st.one_of(
 )
 properties = settings(derandomize=True, database=None, max_examples=200)
 
+coeffs = st.builds(
+    GaussRat,
+    st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
+    st.one_of(st.just(0), st.integers(-2, 2)),
+)
+
 
 def _canonical_parts(c):
     """Check the stored triple is canonical; return ``(re, im)`` Fractions."""
@@ -203,6 +209,22 @@ def _naive_product(a, b, vars):
     return MultiSeries(vars, terms)
 
 
+kernel_properties = settings(derandomize=True, database=None, max_examples=40,
+                             deadline=None)
+
+
+def box_series(vars, floor, max_terms=5, max_exp=3):
+    """Nonempty series over ``vars`` with nonzero coefficients, each exponent
+    drawn inside the validity box, from ``floor`` (default: the Laurent
+    floor) up to ``max_exp``."""
+    key = st.tuples(*(
+        st.integers(int(F(floor.get(v.name, v.min_exp)) * v.den),
+                    min(max_exp * v.den, v.kmax())).map(lambda k, den=v.den: F(k, den))
+        for v in vars))
+    return st.dictionaries(key, coeffs.filter(bool), min_size=1, max_size=max_terms).map(
+        lambda terms: MultiSeries(tuple(vars), terms))
+
+
 @pytest.mark.parametrize("vars_a, vars_b, floor", [
     pytest.param([V("q", den=2, order=4), V("r", min_exp=-2, order=4)], None, {},
                  id="two-vars"),
@@ -216,29 +238,21 @@ def _naive_product(a, b, vars):
     pytest.param([V("q", order=3), V("s", den=2, order=3)], None, {"q": 2},
                  id="no-pair-in-box"),
 ])
-def test_mul_packed_kernel_matches_naive(rng, vars_a, vars_b, floor):
+@kernel_properties
+@given(data=st.data())
+def test_mul_packed_kernel_matches_naive(vars_a, vars_b, floor, data):
     # every product goes through denominator scaling, packed integer keys and
     # pruning against the result's validity box; it must agree with the
     # naive convolution for rational and Gaussian coefficients alike
     vars_b = vars_b or vars_a
     names = [v.name for v in vars_a]
     names += [v.name for v in vars_b if v.name not in names]
-
-    def operand(vars):
-        s = random_series(rng, vars)
-        return MultiSeries(s.vars, {
-            k: c for k, c in s.iter_terms()
-            if all(e >= floor.get(v.name, 0) for e, v in zip(k, s.vars))})
-
-    nonempty = 0
-    for _ in range(40):
-        a, b = operand(vars_a), operand(vars_b)
-        nonempty += not (a.is_zero() or b.is_zero())
-        fast = mul(a, b)
-        assert [v.name for v in fast.vars] == names
-        assert fast.terms == _naive_product(a, b, fast.vars).terms
-        assert not (floor and fast.terms)
-    assert nonempty  # the kernel ran, not only the zero-operand shortcut
+    a, b = data.draw(box_series(vars_a, floor)), data.draw(box_series(vars_b, floor))
+    assert not (a.is_zero() or b.is_zero())  # the kernel runs, not the shortcut
+    fast = mul(a, b)
+    assert [v.name for v in fast.vars] == names
+    assert fast.terms == _naive_product(a, b, fast.vars).terms
+    assert not (floor and fast.terms)
 
 
 def test_mul_packed_kernel_matches_naive_int(rng):
@@ -375,11 +389,6 @@ def test_substitute_identity(rng):
     assert ok, why
 
 
-coeffs = st.builds(
-    GaussRat,
-    st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
-    st.one_of(st.just(0), st.integers(-2, 2)),
-)
 substitute_properties = settings(derandomize=True, database=None, max_examples=20,
                                  deadline=None)
 
@@ -578,6 +587,18 @@ def test_json_roundtrip_and_canonical_order(rng):
     back = from_json_dict(json.loads(json.dumps(d)))
     ok, why = equal_on_joint_validity(back, p)
     assert ok, why
+
+
+def test_unbounded_laurent_floor_is_refused():
+    # a floor of -10^9 would cancel an unbounded order in a product: times
+    # the exact r, r^-1 + r would come out empty with r valid to 0
+    d = to_json_dict(S([V("r", min_exp=-1)], {(-1,): 1, (1,): 1}))
+    d["vars"][0]["min"] = str(-10**9)
+    with pytest.raises(DomainError, match="unbounded"):
+        from_json_dict(d)
+    d["vars"][0]["min"] = "-1000"
+    f = from_json_dict(d)
+    assert mul(f.body, S([V("r")], {(1,): 1})).terms == {(0,): 1, (2,): 1}
 
 
 def test_simplify_dens():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoloop.elliptic import eisenstein_hat
+from twoloop.elliptic import dedekind_eta, eisenstein, eisenstein_hat, theta_jacobi
 from twoloop.errors import DomainError, FractionalExponentUnsupported, InternalError
 from twoloop.series import (
     GaussRat,
@@ -27,13 +27,10 @@ from twoloop.sewing import (
     fourier_to_sewing,
     period_matrix,
     required_m_max,
+    torus_pair,
 )
 
 F = Fraction
-
-
-def E2(var, order=4):
-    return eisenstein_hat(2, order, var).series.body
 
 
 def test_a_matrix_low_entries():
@@ -44,7 +41,7 @@ def test_a_matrix_low_entries():
     # A_12 = 3 eps^2 Ehat_4, A_21 = eps^2 Ehat_4: A is not symmetric
     a12 = a.entry(1, 2)
     a21 = a.entry(2, 1)
-    e4 = eisenstein_hat(4, 3, "q").series.body
+    e4 = eisenstein_hat(4, 3).series.body
     ok, why = equal_on_joint_validity(a12, mul(scalar_mul(3, e4),
                                                MultiSeries((a12.spec("eps"),), {(F(2),): 1})))
     assert ok, why
@@ -193,11 +190,12 @@ def test_delta10_factorization_beyond_printed_order():
     d = delta10(order, order)
     params = fourier_params(period_matrix(order, 5))
     lhs = fourier_to_sewing(d.fourier_u, params)
-    e1 = eisenstein_hat(2, order, "q1").series
-    e2 = eisenstein_hat(2, order, "q2").series
+    e2 = eisenstein_hat(2, order).series
+    e2_q1, e2_q2 = e2.rename_vars({"q": "q1"}), e2.rename_vars({"q": "q2"})
     eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4), F(4)),), {(F(2),): 1})
-    bracket = PrefSeries.coerce(1).add(e1.mul(e2).scalar(-10).mul(PrefSeries(eps2)))
-    rhs = (delta_cusp(order, "q1").mul(delta_cusp(order, "q2"))
+    bracket = PrefSeries.coerce(1).add(e2_q1.mul(e2_q2).scalar(-10).mul(PrefSeries(eps2)))
+    delta = delta_cusp(order)
+    rhs = (delta.rename_vars({"q": "q1"}).mul(delta.rename_vars({"q": "q2"}))
            .mul(bracket).shift("eps", 2))
     ok, why = equal_on_joint_validity(lhs, rhs)
     assert ok, why
@@ -214,3 +212,24 @@ def test_fourier_to_sewing_validity_caps():
     from twoloop.errors import UnknownCoefficient
     with pytest.raises(UnknownCoefficient):
         out.coeff({"q1": 2})
+
+
+def test_torus_pair_is_the_renamed_product():
+    f = dedekind_eta(4).pow_int(-2)  # a body and a q^(-1/12) prefactor
+    pair = torus_pair(f)
+    ref = f.rename_vars({"q": "q1"}).mul(f.rename_vars({"q": "q2"}))
+    assert to_json_dict(pair) == to_json_dict(ref)
+    assert pair.prefactor == {"q1": F(-1, 12), "q2": F(-1, 12)}
+    assert pair.coeff({"q1": F(-1, 12) + 1, "q2": F(-1, 12) + 1}) == GaussRat(4)
+    swapped = pair.rename_vars({"q1": "q2", "q2": "q1"})
+    assert equal_on_joint_validity(pair, swapped) == (True, None)
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(theta_jacobi(0, 0, 3).rename_vars({"q": "s"}), id="series-in-s"),
+    pytest.param(eisenstein_hat(2, 3).series.rename_vars({"q": "q1"}), id="series-in-q1"),
+    pytest.param(eisenstein(4, 3).series.shift("eps", 1), id="prefactor-in-eps"),
+])
+def test_torus_pair_refuses_other_variables(f):
+    with pytest.raises(DomainError, match="q alone"):
+        torus_pair(f)
