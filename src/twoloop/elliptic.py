@@ -190,18 +190,16 @@ def is_odd_characteristic(a: Fraction, b: Fraction) -> bool:
     return (4 * Fraction(a) * Fraction(b)) % 2 == 1
 
 
+#: exp(2*pi*i*k/4) for k = 0, 1, 2, 3: the only phases theta series carry.
+_QUARTER_PHASES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
+
+
 def _phase(x: Fraction) -> GaussRat:
     """exp(2*pi*i*x) for x a multiple of 1/4."""
-    r = x % 1
-    table = {
-        F(0): GaussRat(1),
-        F(1, 4): GaussRat(0, 1),
-        F(1, 2): GaussRat(-1),
-        F(3, 4): GaussRat(0, -1),
-    }
-    if r not in table:
+    k = 4 * x
+    if k.denominator != 1:
         raise DomainError(f"phase exponent {x} is not a multiple of 1/4")
-    return table[r]
+    return _QUARTER_PHASES[k.numerator % 4]
 
 
 @lru_cache(maxsize=None)

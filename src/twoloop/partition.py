@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .elliptic import (
     EllipticForm,
@@ -147,6 +148,7 @@ def t1_selfdual(n1: int, q_order: int) -> EllipticForm:
     return EllipticForm(f"T1(N1={n1})", 12, t)
 
 
+@lru_cache(maxsize=None)
 def z1(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     """Genus-one partition function of the theory."""
     if isinstance(theory, CBoson):
@@ -161,6 +163,7 @@ def z1(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     raise DomainError(f"unknown theory {theory!r}")
 
 
+@lru_cache(maxsize=None)
 def z1_omega(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     """Torus one-point function of the shifted Virasoro state:
     q d/dq of the partition function.
@@ -170,10 +173,11 @@ def z1_omega(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     """
     if isinstance(theory, Ghost):
         raise Unsupported("no one-point data for the ghost system")
-    direct = z1(theory, q_order).q_log_deriv("q")
+    z = z1(theory, q_order)
+    direct = z.q_log_deriv("q")
     if isinstance(theory, CBoson):
         e2 = eisenstein_hat(2, q_order).series
-        closed = e2.scalar(F(theory.c, 2)).mul(z1(theory, q_order))
+        closed = e2.scalar(F(theory.c, 2)).mul(z)
     elif isinstance(theory, LatticeTheory):
         c = theory.central_charge
         theta = EllipticForm(

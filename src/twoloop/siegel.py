@@ -4,8 +4,13 @@ The ten even half-integral characteristic theta series generate everything
 computed here: the weight-10 cusp form (2^-12 times the product of their
 squares), the weight-12 form (a quarter of the sum of their 24th powers),
 and a validated weight-4 candidate (a quarter of the sum of their 8th
-powers).  The genus-two Eisenstein series of weights 4 and 6 are ingested
-from their reference Fourier data, which is only known on the box of q- and
+powers).  The power sums raise only the four Theta[a; 0] to the n-th power:
+Theta[a; b] is Theta[a; 0] under Omega -> Omega + B (see :func:`_translate`),
+so each of the other six powers is an exact coefficientwise translate,
+checked against the ten theta series themselves.
+
+The genus-two Eisenstein series of weights 4 and 6 are ingested from their
+reference Fourier data, which is only known on the box of q- and
 s-exponents <= 1; the validity machinery of :mod:`twoloop.series` keeps that
 limitation attached to every derived quantity.
 
@@ -18,8 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul as times
 
 from .elliptic import (
+    _QUARTER_PHASES,
     EllipticForm,
     _phase,
     covariant_derivative,
@@ -200,6 +208,60 @@ def assert_support_condition(ms: MultiSeries, uform: bool) -> None:
             raise InternalError(f"support condition violated at {exps}")
 
 
+def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
+    """The series in (q, r, s) under Omega -> Omega + B, for the integer
+    matrix B = [[2 b1, 4 b1 b2], [4 b1 b2, 2 b2]] of a characteristic's b.
+
+    The coefficient of q^eq r^er s^es is multiplied by
+    exp(2*pi*i*(B11 eq + B12 er + B22 es)), which must be a power of i.
+    The map keeps every exponent and is a ring homomorphism, so it takes
+    Theta[a; 0]^n to Theta[a; b]^n for every even characteristic [a; b].
+    On the scaled keys, with L the lcm of the dens, four times the phase
+    exponent is (weights . key) / L for integer weights.
+    """
+    b1, b2 = b
+    shift = {QVAR: 2 * b1, RVAR: 4 * b1 * b2, SVAR: 2 * b2}
+    big = lcm(*(v.den for v in ms.vars))
+    weights = [int(4 * shift[v.name] * (big // v.den)) for v in ms.vars]
+    terms = {}
+    for key, c in ms.terms.items():
+        quarters, rest = divmod(sum(map(times, weights, key)), big)
+        if rest:
+            raise DomainError(f"translate phase at {key} is not a multiple of 1/4")
+        terms[key] = c * _QUARTER_PHASES[quarters % 4]
+    return MultiSeries._of(ms.vars, terms)
+
+
+def _even_theta_power_sum(n: int, q_order: int, s_order: int) -> MultiSeries:
+    """The sum of Theta[a; b]^n over the ten even characteristics.
+
+    Only the four Theta[a; 0] are raised to the n-th power; every other
+    term is the translate of its Theta[a; 0]^n by the b of its
+    characteristic.  That the same translate takes Theta[a; 0] exactly to
+    Theta[a; b] is checked for each of the six b != 0.
+    """
+    evens = even_characteristics()
+    total = None
+    for top in evens:
+        if any(top.b):
+            continue
+        theta = theta_char(top, q_order, s_order).fourier
+        power = pow_int(theta, n)
+        for char in evens:
+            if char.a != top.a:
+                continue
+            p = power
+            if any(char.b):
+                want = theta_char(char, q_order, s_order).fourier
+                got = _translate(theta, char.b)
+                if got.vars != want.vars or got.terms != want.terms:
+                    raise InternalError(
+                        f"Theta{char.label()} is not the translate of Theta{top.label()}")
+                p = _translate(power, char.b)
+            total = p if total is None else add(total, p)
+    return total
+
+
 @lru_cache(maxsize=None)
 def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     """The weight-10 cusp form: 2^-12 times the product of the squares of
@@ -225,11 +287,7 @@ def f12_siegel(q_order: int = 2, s_order: int = 2) -> SiegelForm:
     ten even theta series."""
     if q_order < 2 or s_order < 2:
         raise DomainError("f12 needs orders >= 2")
-    total = None
-    for char in even_characteristics():
-        p = pow_int(theta_char(char, q_order, s_order).fourier, 24)
-        total = p if total is None else add(total, p)
-    total = scalar_mul(F(1, 4), total)
+    total = scalar_mul(F(1, 4), _even_theta_power_sum(24, q_order, s_order))
     rform = _assert_real_integral(total, "F_12")
     assert_support_condition(rform, uform=False)
     uform = r_to_u(rform, RVAR, UVAR)
@@ -278,11 +336,7 @@ def psi4_theta_candidate(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     reference's entire validity region (including the 240*q*s*u^2 term that
     older published tables omitted).
     """
-    total = None
-    for char in even_characteristics():
-        p = pow_int(theta_char(char, q_order, s_order).fourier, 8)
-        total = p if total is None else add(total, p)
-    total = scalar_mul(F(1, 4), total)
+    total = scalar_mul(F(1, 4), _even_theta_power_sum(8, q_order, s_order))
     rform = _assert_real_integral(total, "psi_4 candidate")
     assert_support_condition(rform, uform=False)
     uform = r_to_u(rform, RVAR, UVAR)

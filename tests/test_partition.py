@@ -72,6 +72,19 @@ def test_z1_ghost_is_eta_squared():
     assert z.coeff({"q": F(1, 12)}) == GaussRat(1)
 
 
+def test_z1_is_built_once_per_theory_and_order():
+    # z2 needs z1 and z1_omega, and z1_omega needs z1 for both of its routes;
+    # asking for all three again afterwards builds nothing new
+    theory = CBoson(3)
+    z2(theory, 4)
+    before = z1.cache_info().misses, z1_omega.cache_info().misses
+    z1_omega(theory, 4)
+    z1(theory, 4)
+    z2(theory, 4)
+    assert (z1.cache_info().misses, z1_omega.cache_info().misses) == before
+    assert z1(theory, 4) is z1(theory, 4)
+
+
 def test_t1_selfdual_q_expansion():
     t = t1_selfdual(24, 4)
     assert t.series.coeff({"q": 0}) == GaussRat(1)

@@ -1,20 +1,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoloop.elliptic import eisenstein, f12_elliptic
 from twoloop.errors import DomainError, UnknownCoefficient
 from twoloop.lattice import builtin_lattice, theta_g2
 from twoloop.series import (
+    UNBOUNDED,
     GaussRat,
+    MultiSeries,
+    VarSpec,
+    add,
     equal_on_joint_validity,
+    is_unbounded,
     limit_var_zero,
     mul,
+    pow_int,
     r_to_u,
+    scalar_mul,
     set_var_one,
+    to_json_dict,
 )
 from twoloop.siegel import (
     Characteristic,
+    _translate,
     all_characteristics,
     assert_support_condition,
     delta10,
@@ -250,3 +260,99 @@ def test_support_condition_on_products():
     assert_support_condition(delta10(3, 3).fourier, uform=False)
     assert_support_condition(f12_siegel(2, 2).fourier, uform=False)
     assert_support_condition(psi4_theta_candidate(3, 3).fourier, uform=False)
+
+
+# -- Omega -> Omega + B translates --------------------------------------------
+
+def test_translate_takes_theta_a0_to_every_even_theta_ab():
+    for char in even_characteristics():
+        top = Characteristic(char.a, (F(0), F(0)))
+        got = _translate(theta_char(top, 4, 4).fourier, char.b)
+        want = theta_char(char, 4, 4).fourier
+        assert got.vars == want.vars, char.label()
+        assert got.terms == want.terms, char.label()
+
+
+def test_translate_refuses_a_phase_off_the_quarter_grid():
+    # q^(1/8) picks up exp(2*pi*i/8) under B11 = 1
+    ms = MultiSeries((VarSpec("q", 8), VarSpec("r", 4), VarSpec("s", 8)),
+                     {(F(1, 8), F(0), F(0)): 1})
+    with pytest.raises(DomainError):
+        _translate(ms, (HALF, F(0)))
+
+
+SHIFTS = [(HALF, F(0)), (F(0), HALF), (HALF, HALF)]
+THETA_GRID = (
+    VarSpec("q", 8, F(0), F(2), F(2)),
+    VarSpec("r", 4, F(-2), UNBOUNDED, UNBOUNDED),
+    VarSpec("s", 8, F(0), F(3, 2), F(3, 2)),
+)
+translate_properties = settings(derandomize=True, database=None, max_examples=25,
+                                deadline=None)
+theta_coeffs = st.builds(
+    GaussRat,
+    st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
+    st.integers(-2, 2),
+)
+
+
+def theta_grid_series(b):
+    """Series on the theta grid whose exponents all get a power of i as
+    their phase under the shift by ``b``."""
+    b11, b12, b22 = 2 * b[0], 4 * b[0] * b[1], 2 * b[1]
+    key = st.tuples(*(
+        st.integers(int(v.min_exp * v.den), min(3 * v.den, v.kmax())).map(
+            lambda k, den=v.den: F(k, den))
+        for v in THETA_GRID)).filter(
+        lambda e: (4 * (b11 * e[0] + b12 * e[1] + b22 * e[2])).denominator == 1)
+    return st.dictionaries(key, theta_coeffs, max_size=6).map(
+        lambda terms: MultiSeries(THETA_GRID, terms))
+
+
+@pytest.mark.parametrize("b", SHIFTS, ids=["b1", "b2", "b1b2"])
+@translate_properties
+@given(data=st.data())
+def test_translate_is_a_ring_homomorphism(b, data):
+    f, g = data.draw(theta_grid_series(b)), data.draw(theta_grid_series(b))
+    for lhs, rhs in (
+        (_translate(mul(f, g), b), mul(_translate(f, b), _translate(g, b))),
+        (_translate(add(f, g), b), add(_translate(f, b), _translate(g, b))),
+    ):
+        assert lhs.vars == rhs.vars
+        assert lhs.terms == rhs.terms
+
+
+def _ten_power_reference(n, q_order, s_order):
+    """A quarter of the sum of the n-th powers of all ten even theta
+    series, each power formed by pow_int."""
+    total = None
+    for char in even_characteristics():
+        p = pow_int(theta_char(char, q_order, s_order).fourier, n)
+        total = p if total is None else add(total, p)
+    return scalar_mul(F(1, 4), total).simplify_dens()
+
+
+@pytest.mark.parametrize("form, n, order", [
+    (f12_siegel, 24, 3),
+    (psi4_theta_candidate, 8, 4),
+], ids=["f12", "psi4"])
+def test_power_sum_matches_ten_power_reference(form, n, order):
+    got = form(order, order)
+    ref = _ten_power_reference(n, order, order)
+    assert to_json_dict(got.fourier) == to_json_dict(ref)
+    assert to_json_dict(got.fourier_u) == to_json_dict(r_to_u(ref))
+
+
+@pytest.mark.parametrize("form, low, high", [
+    (f12_siegel, 2, 4),
+    (psi4_theta_candidate, 3, 5),
+], ids=["f12", "psi4"])
+def test_power_sum_refines_with_order(form, low, high):
+    lo, hi = form(low, low), form(high, high)
+    for a, b in ((lo.fourier, hi.fourier), (lo.fourier_u, hi.fourier_u)):
+        ok, why = equal_on_joint_validity(a, b)
+        assert ok, why
+        for v in a.vars:
+            # r stays unbounded at both orders, though its sentinel erodes
+            high_valid = b.spec(v.name).valid
+            assert v.valid <= high_valid or is_unbounded(high_valid), v.name
