@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 from .errors import DomainError, MissingWeight, OddCharacteristic, ValidationFailed
 from .series import (
@@ -82,10 +82,6 @@ def sigma(power: int, n: int) -> int:
     return total
 
 
-def _qspec(order: int) -> VarSpec:
-    return VarSpec("q", 1, F(0), F(order), F(order))
-
-
 @lru_cache(maxsize=None)
 def eisenstein(k2: int, q_order: int) -> EllipticForm:
     """E_2k = 1 - (4k/B_2k) * sum sigma_{2k-1}(n) q^n, for k2 = 2k >= 2."""
@@ -95,7 +91,7 @@ def eisenstein(k2: int, q_order: int) -> EllipticForm:
     terms = {(F(0),): GaussRat(1)}
     for n in range(1, q_order):
         terms[(F(n),)] = GaussRat(-F(2 * k2, 1) / b * sigma(k2 - 1, n))
-    body = MultiSeries((_qspec(q_order),), terms)
+    body = MultiSeries((VarSpec("q", valid=q_order),), terms)
     return EllipticForm(f"E{k2}", k2, PrefSeries(body))
 
 
@@ -110,7 +106,7 @@ def eisenstein_hat(k2: int, q_order: int) -> EllipticForm:
 @lru_cache(maxsize=None)
 def euler_product(q_order: int) -> MultiSeries:
     """prod_{n>=1} (1 - q^n), truncated."""
-    spec = _qspec(q_order)
+    spec = VarSpec("q", valid=q_order)
     out = MultiSeries.constant(1, (spec,))
     for n in range(1, q_order):
         factor = MultiSeries((spec,), {(F(0),): 1, (F(n),): -1})
@@ -174,8 +170,8 @@ def weierstrass(z_order: int, q_order: int) -> MultiSeries:
     """1/z^2 + sum_{k>=2} Ehat_2k(q) z^(2k-2), truncated in z and q."""
     if z_order < 2:
         raise DomainError("z_order must be at least 2")
-    zspec = VarSpec("z", 1, F(-2), F(z_order), F(z_order))
-    qspec = _qspec(q_order)
+    zspec = VarSpec("z", 1, F(-2), F(z_order))
+    qspec = VarSpec("q", valid=q_order)
     terms = {(F(-2), F(0)): GaussRat(1)}
     k = 2
     while 2 * k - 2 < z_order:
@@ -202,6 +198,16 @@ def _phase(x: Fraction) -> GaussRat:
     return _QUARTER_PHASES[k.numerator % 4]
 
 
+def _theta_exponents(a: Fraction, order: int) -> list[Fraction]:
+    """x = n + a over the integers n with x^2/2 < order, in the order
+    n = 0, -1, 1, -2, ...: the exponents of a theta series truncated below
+    q^order.  For a in [0, 1), |x| < sqrt(2*order) keeps n within
+    -isqrt(2*order) - 1 <= n <= isqrt(2*order)."""
+    reach = isqrt(2 * order)
+    xs = (m + a for n in range(reach + 1) for m in (n, -n - 1))
+    return [x for x in xs if x * x < 2 * order]
+
+
 @lru_cache(maxsize=None)
 def theta_jacobi(a, b, q_order: int, require_nonzero: bool = False) -> PrefSeries:
     """theta[a;b](q) = sum_n q^((n+a)^2/2) exp(2*pi*i*(n+a)*b).
@@ -214,22 +220,11 @@ def theta_jacobi(a, b, q_order: int, require_nonzero: bool = False) -> PrefSerie
         raise DomainError("characteristics must lie in {0, 1/2}")
     if is_odd_characteristic(a, b) and require_nonzero:
         raise OddCharacteristic(f"theta[{a};{b}] vanishes identically")
-    spec = VarSpec("q", 8, F(0), F(q_order), F(q_order))
-    acc: dict[tuple[Fraction, ...], GaussRat] = {}
-    n = 0
-    while True:
-        hit = False
-        for m in (n, -n - 1):
-            x = m + a
-            e = x * x / 2
-            if e < q_order:
-                hit = True
-                acc[(e,)] = acc.get((e,), GaussRat(0)) + _phase(x * b)
-        if not hit:
-            break
-        n += 1
-    terms = {k: c for k, c in acc.items() if not c.is_zero()}
-    return PrefSeries(MultiSeries((spec,), terms))
+    terms: dict[tuple[Fraction, ...], GaussRat] = {}
+    for x in _theta_exponents(a, q_order):
+        key = (x * x / 2,)
+        terms[key] = terms.get(key, GaussRat(0)) + _phase(x * b)
+    return PrefSeries(MultiSeries((VarSpec("q", 8, F(0), q_order),), terms))
 
 
 EVEN_JACOBI_CHARS = ((F(0), F(0)), (F(0), HALF), (HALF, F(0)))

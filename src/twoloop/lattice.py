@@ -23,12 +23,7 @@ import numpy as np
 
 from .elliptic import delta_cusp, j_function
 from .errors import DomainError, NotPositiveDefinite, OddLattice
-from .series import (
-    UNBOUNDED,
-    GaussRat,
-    MultiSeries,
-    VarSpec,
-)
+from .series import GaussRat, MultiSeries, VarSpec
 
 F = Fraction
 
@@ -197,7 +192,7 @@ def theta_g1(lattice: Lattice, q_order: int) -> MultiSeries:
     if not lattice.is_even:
         raise OddLattice(f"{lattice.name} is not even")
     table = enumerate_shells(lattice, 2 * (q_order - 1))
-    spec = VarSpec("q", 1, F(0), F(q_order), F(q_order))
+    spec = VarSpec("q", valid=q_order)
     terms = {}
     for norm, vecs in table.shells.items():
         if norm % 2 == 0 and norm // 2 < q_order:
@@ -259,9 +254,9 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
             for b, count in hists[key].items():
                 terms[(a, F(b), c)] = GaussRat(count)
                 bmin = min(bmin, F(b))
-    qs = VarSpec("q", 1, F(0), F(q_order), F(q_order))
-    rs = VarSpec("r", 1, bmin, UNBOUNDED, UNBOUNDED)
-    ss = VarSpec("s", 1, F(0), F(s_order), F(s_order))
+    qs = VarSpec("q", valid=q_order)
+    rs = VarSpec("r", 1, bmin)
+    ss = VarSpec("s", valid=s_order)
     return MultiSeries((qs, rs, ss), terms)
 
 

@@ -6,8 +6,7 @@ list of variables and, per variable:
 
 * ``den``     -- exponents are integer multiples of ``1/den``,
 * ``min_exp`` -- a guaranteed Laurent floor,
-* ``order``   -- the truncation bound (exclusive),
-* ``valid``   -- the validity bound (exclusive, ``<= order``).
+* ``valid``   -- the validity bound (exclusive).
 
 A coefficient is *known* when its exponent lies below ``valid`` in every
 variable simultaneously; it is then either stored or exactly zero.  Anything
@@ -17,9 +16,11 @@ distinction matters for series ingested from reference tables that are only
 printed to a finite order: arithmetic propagates the validity region so that
 no operation fabricates a coefficient its operands cannot justify.
 
-``order`` and ``valid`` of exact constructions are set to the sentinel
-:data:`UNBOUNDED`, which behaves like infinity at every realistic working
-order.
+``valid`` is the one bound: terms at or beyond it are never stored.  An
+exact construction sets it to the sentinel :data:`UNBOUNDED`, which behaves
+like infinity at every realistic working order and stays exact: every bound
+at or past ``10**8`` is stored as ``UNBOUNDED`` itself, so adding a finite
+Laurent floor to it in a product gives ``UNBOUNDED`` back.
 
 Series and coefficients are immutable (read-only mappings, attributes that
 refuse assignment), so a result served from a cache cannot be corrupted by
@@ -50,7 +51,8 @@ from .errors import (
 #: Alias for the coefficient field's real subfield.
 Rat = Fraction
 
-#: Sentinel bound that behaves like +infinity for order/valid bookkeeping.
+#: Sentinel validity bound that behaves like +infinity; any bound at or past
+#: the threshold is stored as exactly this value.
 UNBOUNDED = Fraction(10**9)
 _UNBOUNDED_THRESHOLD = Fraction(10**8)
 _LOWEST_FLOOR = -_UNBOUNDED_THRESHOLD
@@ -58,10 +60,6 @@ _LOWEST_FLOOR = -_UNBOUNDED_THRESHOLD
 
 def is_unbounded(x: Fraction) -> bool:
     return x >= _UNBOUNDED_THRESHOLD
-
-
-def _cap(x: Fraction) -> Fraction:
-    return x if x < UNBOUNDED else UNBOUNDED
 
 
 _ZERO = Fraction(0)
@@ -210,33 +208,37 @@ def _read_only(self, name, *value):
 class VarSpec:
     """Grading data for one series variable.
 
-    Exponents of this variable are integer multiples of ``1/den`` lying in
-    ``[min_exp, order)``; those below ``valid`` are exactly determined.
+    Exponents of this variable are integer multiples of ``1/den`` no lower
+    than ``min_exp``; those below ``valid`` are exactly determined and no
+    others are stored.  A ``valid`` at or past the unbounded threshold is
+    stored as exactly :data:`UNBOUNDED`.
     """
 
     name: str
     den: int = 1
     min_exp: Fraction = _ZERO
-    order: Fraction = UNBOUNDED
-    valid: Fraction = None  # type: ignore[assignment]
+    valid: Fraction = UNBOUNDED
 
     def __post_init__(self):
         if self.den < 1:
             raise DomainError(f"den must be >= 1, got {self.den}")
-        for field in ("min_exp", "order", "valid"):
-            v = getattr(self, field)
-            if v is not None and not isinstance(v, Fraction):
-                object.__setattr__(self, field, Fraction(v))
-        if self.valid is None:
-            object.__setattr__(self, "valid", self.order)
-        if not (_LOWEST_FLOOR < self.min_exp <= self.valid <= self.order):
-            if is_unbounded(-self.min_exp):
-                # a product adds the floor to the other operand's bounds,
-                # which would cancel an unbounded order against it
-                raise DomainError(f"{self.name}: Laurent floor {self.min_exp} is unbounded")
+        min_exp, valid = self.min_exp, self.valid
+        if type(min_exp) is not Fraction:
+            min_exp = Fraction(min_exp)
+            object.__setattr__(self, "min_exp", min_exp)
+        if type(valid) is not Fraction:
+            valid = Fraction(valid)
+        if valid >= _UNBOUNDED_THRESHOLD:
+            valid = UNBOUNDED
+        if valid is not self.valid:
+            object.__setattr__(self, "valid", valid)
+        if not (_LOWEST_FLOOR < min_exp <= valid):
+            if is_unbounded(-min_exp):
+                # a product adds the floor to the other operand's bound,
+                # which would cancel an unbounded bound against it
+                raise DomainError(f"{self.name}: Laurent floor {min_exp} is unbounded")
             raise DomainError(
-                f"{self.name}: need min_exp <= valid <= order, got "
-                f"{self.min_exp}, {self.valid}, {self.order}"
+                f"{self.name}: need min_exp <= valid, got {min_exp}, {valid}"
             )
 
     def kmax(self) -> int:
@@ -292,10 +294,8 @@ class MultiSeries:
                         )
                 if all(k <= v.kmax() for k, v in zip(key, vars)):
                     if key in store:
-                        c = store[key] + c
-                        if c.is_zero():
-                            del store[key]
-                            continue
+                        # distinct keys that parse to one exponent, e.g. "1/2" and 1/2
+                        raise DomainError(f"exponent {exps} is given twice")
                     store[key] = c
         self._freeze(vars, store)
 
@@ -367,7 +367,7 @@ class MultiSeries:
     # -- metadata manipulation ------------------------------------------
 
     def _with_vars(self, new_vars: tuple[VarSpec, ...]) -> "MultiSeries":
-        """Replace the var list (same order/dens), re-pruning terms."""
+        """Replace the var list (same names/dens), re-pruning terms."""
         kmaxes = [v.kmax() for v in new_vars]
         return MultiSeries._of(new_vars, {
             k: c for k, c in self.terms.items()
@@ -498,11 +498,7 @@ def _merge_vars_add(a: MultiSeries, b: MultiSeries) -> tuple[VarSpec, ...]:
             u = by_name[v.name]
             den = lcm(u.den, v.den)
             by_name[v.name] = VarSpec(
-                v.name,
-                den,
-                min(u.min_exp, v.min_exp),
-                _cap(min(u.order, v.order)),
-                _cap(min(u.valid, v.valid)),
+                v.name, den, min(u.min_exp, v.min_exp), min(u.valid, v.valid)
             )
     return tuple(by_name[n] for n in order)
 
@@ -521,15 +517,10 @@ def _merge_vars_mul(a: MultiSeries, b: MultiSeries) -> tuple[VarSpec, ...]:
         if v is None:
             v = VarSpec(n, u.den)
         den = lcm(u.den, v.den)
-        out.append(
-            VarSpec(
-                n,
-                den,
-                u.min_exp + v.min_exp,
-                _cap(min(u.order + v.min_exp, v.order + u.min_exp)),
-                _cap(min(u.valid + v.min_exp, v.valid + u.min_exp)),
-            )
-        )
+        out.append(VarSpec(
+            n, den, u.min_exp + v.min_exp,
+            min(u.valid + v.min_exp, v.valid + u.min_exp),
+        ))
     return tuple(out)
 
 
@@ -693,9 +684,9 @@ def _check_nilpotent(a: MultiSeries) -> None:
         if any(ki < 0 for ki in k):
             raise NonNilpotentExponent("negative exponents are not nilpotent")
     for i, v in enumerate(a.vars):
-        if any(k[i] for k in a.terms) and is_unbounded(v.order):
+        if any(k[i] for k in a.terms) and is_unbounded(v.valid):
             raise TruncationUnderflow(
-                f"exp/inversion in {v.name} needs a finite truncation order"
+                f"exp/inversion in {v.name} needs a finite validity bound"
             )
 
 
@@ -787,20 +778,18 @@ def _symmetric_power_polys(bmax: int) -> list[list[int]]:
     return polys
 
 
-def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
+def r_to_u(a: MultiSeries) -> MultiSeries:
     """Rewrite a series symmetric under ``r <-> 1/r`` as a polynomial in
     ``u = r + 1/r - 2``."""
-    i = a.var_index(rname)
+    i = a.var_index("r")
     v = a.vars[i]
     if not is_unbounded(v.valid):
-        raise UnknownCoefficient(
-            f"r->u rewriting needs every {rname}-coefficient"
-        )
+        raise UnknownCoefficient("r->u rewriting needs every r-coefficient")
     groups: dict[tuple[int, ...], dict[int, GaussRat]] = {}
     for k, c in a.terms.items():
         if k[i] % v.den:
             raise FractionalExponentUnsupported(
-                f"{rname}-exponent {Fraction(k[i], v.den)} is not an integer"
+                f"r-exponent {Fraction(k[i], v.den)} is not an integer"
             )
         rest = k[:i] + k[i + 1:]
         groups.setdefault(rest, {})[k[i] // v.den] = c
@@ -809,11 +798,10 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
         for b, c in slots.items():
             if slots.get(-b, GR_ZERO) != c:
                 raise AsymmetryError(
-                    f"coefficient mismatch between {rname}^{b} and {rname}^{-b}"
+                    f"coefficient mismatch between r^{b} and r^{-b}"
                 )
             bmax = max(bmax, abs(b))
     polys = _symmetric_power_polys(bmax)
-    uvar = VarSpec(uname, 1, Fraction(0), UNBOUNDED, UNBOUNDED)
     res: dict[tuple[int, ...], GaussRat] = {}
     for rest, slots in groups.items():
         ucoeffs: dict[int, GaussRat] = {}
@@ -829,7 +817,7 @@ def r_to_u(a: MultiSeries, rname: str = "r", uname: str = "u") -> MultiSeries:
         for j, c in ucoeffs.items():
             if not c.is_zero():
                 res[rest + (j,)] = c
-    return MultiSeries._of(a.vars[:i] + a.vars[i + 1:] + (uvar,), res)
+    return MultiSeries._of(a.vars[:i] + a.vars[i + 1:] + (VarSpec("u"),), res)
 
 
 def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:
@@ -848,10 +836,7 @@ def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:
         v = a.vars[i]
     dk = int(amount * v.den)
     new_vars = list(a.vars)
-    new_vars[i] = VarSpec(
-        v.name, v.den, v.min_exp + amount,
-        _cap(v.order + amount), _cap(v.valid + amount),
-    )
+    new_vars[i] = VarSpec(v.name, v.den, v.min_exp + amount, v.valid + amount)
     return MultiSeries._of(
         tuple(new_vars), {k[:i] + (k[i] + dk,) + k[i + 1:]: c for k, c in a.terms.items()}
     )
@@ -1101,6 +1086,7 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
             )
     result = PrefSeries(MultiSeries.zero(rest_vars))
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
+    g_inverse = g.invert() if min(groups, default=0) < 0 else None
 
     def g_power(e: int) -> PrefSeries:
         if e in power_cache:
@@ -1108,7 +1094,7 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
         if e > 0:
             power = g_power(e - 1).mul(g)
         else:
-            power = g_power(e + 1).mul(g.invert())
+            power = g_power(e + 1).mul(g_inverse)
         power_cache[e] = power
         return power
 
@@ -1163,20 +1149,21 @@ def assert_equal_on_joint_validity(a, b, context: str = "") -> None:
 
 
 def _var_to_json(v: VarSpec) -> dict:
+    # the format keeps the retired truncation bound "order", equal to "valid"
     return {
         "name": v.name,
         "den": v.den,
-        "order": fmt_rat(v.order),
+        "order": fmt_rat(v.valid),
         "valid": fmt_rat(v.valid),
         "min": fmt_rat(v.min_exp),
     }
 
 
 def _var_from_json(d: dict) -> VarSpec:
-    return VarSpec(
-        d["name"], int(d["den"]), parse_rat(d["min"]),
-        parse_rat(d["order"]), parse_rat(d["valid"]),
-    )
+    valid = parse_rat(d["valid"])
+    if valid > parse_rat(d["order"]):
+        raise DomainError(f"{d['name']}: valid {d['valid']} exceeds order {d['order']}")
+    return VarSpec(d["name"], int(d["den"]), parse_rat(d["min"]), valid)
 
 
 def to_json_dict(s) -> dict:

@@ -53,7 +53,7 @@ QVAR1, QVAR2, EPSVAR = "q1", "q2", "eps"
 
 
 def _eps_spec(eps_order: int) -> VarSpec:
-    return VarSpec(EPSVAR, 1, F(0), F(eps_order + 1), F(eps_order + 1))
+    return VarSpec(EPSVAR, valid=eps_order + 1)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def a_matrix(q_order: int, eps_order: int, qvar: str = "q",
     """The sewing matrix with entries as series in (qvar, eps)."""
     if m_max is None:
         m_max = required_m_max(eps_order)
-    qs = VarSpec(qvar, 1, F(0), F(q_order), F(q_order))
+    qs = VarSpec(qvar, valid=q_order)
     es = _eps_spec(eps_order)
     rows = []
     for m in range(1, m_max + 1):
@@ -141,7 +141,6 @@ def period_matrix(q_order: int, eps_order: int,
         raise DomainError("eps_order must be at least 1")
     a1 = a_matrix(q_order, eps_order, QVAR1, m_max)
     a2 = a_matrix(q_order, eps_order, QVAR2, m_max)
-    m = a1.m_max
     zero = MultiSeries.zero(())
 
     def neumann(first, second):

@@ -30,13 +30,13 @@ from .elliptic import (
     _QUARTER_PHASES,
     EllipticForm,
     _phase,
+    _theta_exponents,
     covariant_derivative,
     eisenstein,
     eisenstein_hat,
 )
 from .errors import DomainError, InternalError, NotAUnit, ValidationFailed
 from .series import (
-    UNBOUNDED,
     GaussRat,
     MultiSeries,
     PrefSeries,
@@ -134,44 +134,17 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
     """
     a1, a2 = char.a
     b1, b2 = char.b
+    ys = _theta_exponents(a2, s_order)
     terms: dict[tuple[Fraction, ...], GaussRat] = {}
-    n1 = 0
-    while True:
-        hit1 = False
-        for m1 in (n1, -n1 - 1):
-            x = m1 + a1
-            eq = x * x / 2
-            if eq >= q_order:
-                continue
-            hit1 = True
-            n2 = 0
-            while True:
-                hit2 = False
-                for m2 in (n2, -n2 - 1):
-                    y = m2 + a2
-                    es = y * y / 2
-                    if es >= s_order:
-                        continue
-                    hit2 = True
-                    key = (eq, x * y, es)
-                    c = _phase(x * b1 + y * b2)
-                    prev = terms.get(key)
-                    s = c if prev is None else prev + c
-                    if s.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
-                if not hit2:
-                    break
-                n2 += 1
-        if not hit1:
-            break
-        n1 += 1
-    rmin = min((k[1] for k in terms), default=F(0))
+    for x in _theta_exponents(a1, q_order):
+        for y in ys:
+            key = (x * x / 2, x * y, y * y / 2)
+            terms[key] = terms.get(key, GaussRat(0)) + _phase(x * b1 + y * b2)
+    rmin = min((k[1] for k, c in terms.items() if c), default=F(0))
     vars = (
-        VarSpec(QVAR, 8, F(0), F(q_order), F(q_order)),
-        VarSpec(RVAR, 4, min(rmin, F(0)), UNBOUNDED, UNBOUNDED),
-        VarSpec(SVAR, 8, F(0), F(s_order), F(s_order)),
+        VarSpec(QVAR, 8, F(0), q_order),
+        VarSpec(RVAR, 4, min(rmin, F(0))),
+        VarSpec(SVAR, 8, F(0), s_order),
     )
     ms = MultiSeries(vars, terms)
     return SiegelForm(
@@ -276,7 +249,7 @@ def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     prod = scalar_mul(F(1, 2**12), prod)
     rform = _assert_real_integral(prod, "Delta_10")
     assert_support_condition(rform, uform=False)
-    uform = r_to_u(rform, RVAR, UVAR)
+    uform = r_to_u(rform)
     assert_support_condition(uform, uform=True)
     return SiegelForm("Delta_10", F(10), rform, uform)
 
@@ -290,16 +263,8 @@ def f12_siegel(q_order: int = 2, s_order: int = 2) -> SiegelForm:
     total = scalar_mul(F(1, 4), _even_theta_power_sum(24, q_order, s_order))
     rform = _assert_real_integral(total, "F_12")
     assert_support_condition(rform, uform=False)
-    uform = r_to_u(rform, RVAR, UVAR)
+    uform = r_to_u(rform)
     return SiegelForm("F_12", F(12), rform, uform)
-
-
-def _uvar() -> VarSpec:
-    return VarSpec(UVAR, 1, F(0), UNBOUNDED, UNBOUNDED)
-
-
-def _box_spec(name: str, order: int) -> VarSpec:
-    return VarSpec(name, 1, F(0), F(order), F(order))
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +286,7 @@ def psi_reference(k2: int) -> SiegelForm:
     eq = eisenstein(k2, 2).series.body
     base = mul(eq, eq.rename_vars({QVAR: SVAR}))
     corr = MultiSeries(
-        (_box_spec(QVAR, 2), _box_spec(SVAR, 2), _uvar()),
+        (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR)),
         {(F(1), F(1), F(1)): cu, (F(1), F(1), F(2)): cu2},
     )
     return SiegelForm(f"psi_{k2}", F(k2), None, add(base, corr))
@@ -339,7 +304,7 @@ def psi4_theta_candidate(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     total = scalar_mul(F(1, 4), _even_theta_power_sum(8, q_order, s_order))
     rform = _assert_real_integral(total, "psi_4 candidate")
     assert_support_condition(rform, uform=False)
-    uform = r_to_u(rform, RVAR, UVAR)
+    uform = r_to_u(rform)
     ok, mismatch = equal_on_joint_validity(uform, psi_reference(4).fourier_u)
     if not ok:
         raise ValidationFailed(f"theta candidate for psi_4 disagrees at {mismatch}")
@@ -383,7 +348,7 @@ def fk_fourier_pattern(a, weight: int) -> SiegelForm:
     if weight not in ALLOWED_PATTERN_WEIGHTS:
         raise DomainError(f"pattern stated for weights {ALLOWED_PATTERN_WEIGHTS}")
     a = F(a)
-    vars = (_box_spec(QVAR, 2), _box_spec(SVAR, 2), _uvar())
+    vars = (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR))
     terms = {
         (F(0), F(0), F(0)): GaussRat(1),
         (F(1), F(0), F(0)): GaussRat(a),

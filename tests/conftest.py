@@ -7,8 +7,8 @@ from twoloop.series import UNBOUNDED, GaussRat, MultiSeries, VarSpec
 
 
 def V(name, den=1, min_exp=0, order=UNBOUNDED, valid=None):
-    return VarSpec(name, den, Fraction(min_exp), Fraction(order),
-                   None if valid is None else Fraction(valid))
+    """A VarSpec whose one bound is ``valid`` if given, else ``order``."""
+    return VarSpec(name, den, Fraction(min_exp), Fraction(order if valid is None else valid))
 
 
 def random_coeff(rng, gaussian=True):

@@ -153,7 +153,7 @@ def test_varspec_invariants():
     with pytest.raises(DomainError):
         VarSpec("q", den=0)
     with pytest.raises(DomainError):
-        VarSpec("q", 1, F(2), F(1))  # min above order
+        VarSpec("q", 1, F(2), F(1))  # min above valid
     v = VarSpec("q", 2, F(0), F(3))
     assert v.valid == F(3)
     assert v.kmax() == 5  # largest k with k/2 < 3
@@ -601,6 +601,27 @@ def test_unbounded_laurent_floor_is_refused():
     assert mul(f.body, S([V("r")], {(1,): 1})).terms == {(0,): 1, (2,): 1}
 
 
+def test_unbounded_bound_is_exact():
+    # every bound at or past 10**8 is stored as UNBOUNDED itself, so adding
+    # a Laurent floor to it in a product or a shift gives UNBOUNDED back
+    assert VarSpec("r", 1, F(-72), UNBOUNDED - 72).valid == UNBOUNDED
+    assert VarSpec("q", valid=10**8).valid == UNBOUNDED
+    assert VarSpec("q", valid=10**8 - 1).valid == 10**8 - 1
+    f = S([V("r", min_exp=-3)], {(-3,): 1, (2,): 1})
+    assert mul(f, f).spec("r").valid == UNBOUNDED
+    assert shift_var(f, "r", -5).spec("r").valid == UNBOUNDED
+
+
+def test_json_valid_above_order_is_refused():
+    d = to_json_dict(S([V("q", order=3)], {(1,): 1}))
+    assert d["vars"][0]["order"] == d["vars"][0]["valid"] == "3"
+    d["vars"][0]["valid"] = "4"
+    with pytest.raises(DomainError, match="exceeds order"):
+        from_json_dict(d)
+    d["vars"][0]["valid"] = "2"
+    assert from_json_dict(d).body.spec("q").valid == 2
+
+
 def test_simplify_dens():
     q = V("q", den=8, order=3)
     f = S([q], {(F(1, 2),): 1, (1,): 2})
@@ -643,6 +664,11 @@ def test_exponent_keys_must_match_the_variables(vars, key):
     d["terms"][0]["exp"] = [str(k) for k in key]
     with pytest.raises(DomainError, match="does not match"):
         from_json_dict(d)
+
+
+def test_exponent_given_twice_is_refused():
+    with pytest.raises(DomainError, match="given twice"):
+        MultiSeries((V("q", den=2, order=3),), {("1/2",): 1, (F(1, 2),): 2})
 
 
 def test_rename_onto_existing_variable_is_refused():

@@ -130,7 +130,7 @@ def test_fourier_params_mirror_images_match_direct_construction(q_order, eps_ord
 
 def test_fourier_params_refuses_w12_even_in_eps():
     sew = period_matrix(2, 3)
-    eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4), F(4)),), {(F(2),): 1})
+    eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4)),), {(F(2),): 1})
     bad = SewingExpansion(sew.w11, add(sew.w12, eps2), sew.w22, 2, 3)
     with pytest.raises(InternalError):
         fourier_params(bad)
@@ -141,7 +141,7 @@ def test_substitute_q_squared_example():
     from twoloop.series import substitute
 
     params = fourier_params(period_matrix(3, 3))
-    f = MultiSeries((VarSpec("q", 1, F(0), F(5), F(5)),), {(F(2),): 1})
+    f = MultiSeries((VarSpec("q", 1, F(0), F(5)),), {(F(2),): 1})
     out = substitute(f, "q", params.qhat)
     assert out.coeff({"q1": 2, "q2": 0, "eps": 0}) == GaussRat(1)
     assert out.coeff({"q1": 2, "q2": 0, "eps": 2}) == GaussRat(2 * F(-1, 12))
@@ -159,7 +159,7 @@ def test_fourier_to_sewing_single_u():
 
 def test_fourier_to_sewing_rejects_fractional():
     params = fourier_params(period_matrix(2, 2))
-    frac = MultiSeries((VarSpec("q", den=2, order=F(3)),), {(F(1, 2),): 1})
+    frac = MultiSeries((VarSpec("q", den=2, valid=F(3)),), {(F(1, 2),): 1})
     with pytest.raises(FractionalExponentUnsupported):
         fourier_to_sewing(frac, params)
 
@@ -178,6 +178,23 @@ def test_r_form_and_u_form_substitution_agree():
     assert ok, why
 
 
+def test_substitution_inverts_rhat_at_most_once(monkeypatch):
+    # the r-form needs r^-1 .. r^-4; all of them come from one inverse
+    from twoloop.siegel import delta10
+
+    d = delta10(4, 4)
+    params = fourier_params(period_matrix(4, 5))
+    calls = []
+    invert = PrefSeries.invert
+    monkeypatch.setattr(PrefSeries, "invert", lambda self: calls.append(1) or invert(self))
+    via_r = fourier_to_sewing(d.fourier, params)
+    assert len(calls) == 1
+    via_u = fourier_to_sewing(d.fourier_u, params)
+    assert len(calls) == 1
+    ok, why = equal_on_joint_validity(via_r, via_u)
+    assert ok, why
+
+
 def test_delta10_factorization_beyond_printed_order():
     # the theta-product data at box 5 (never printed in any table) must
     # still factorize exactly as eps^2 Delta(q1) Delta(q2) (1 - 10
@@ -192,7 +209,7 @@ def test_delta10_factorization_beyond_printed_order():
     lhs = fourier_to_sewing(d.fourier_u, params)
     e2 = eisenstein_hat(2, order).series
     e2_q1, e2_q2 = e2.rename_vars({"q": "q1"}), e2.rename_vars({"q": "q2"})
-    eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4), F(4)),), {(F(2),): 1})
+    eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4)),), {(F(2),): 1})
     bracket = PrefSeries.coerce(1).add(e2_q1.mul(e2_q2).scalar(-10).mul(PrefSeries(eps2)))
     delta = delta_cusp(order)
     rhs = (delta.rename_vars({"q": "q1"}).mul(delta.rename_vars({"q": "q2"}))
@@ -205,7 +222,7 @@ def test_delta10_factorization_beyond_printed_order():
 
 def test_fourier_to_sewing_validity_caps():
     params = fourier_params(period_matrix(4, 4))
-    q = VarSpec("q", 1, F(0), F(10), F(2))  # valid to q^2 exclusive only
+    q = VarSpec("q", 1, F(0), F(2))  # valid to q^2 exclusive only
     f = MultiSeries((q,), {(F(0),): 1, (F(1),): 5})
     out = fourier_to_sewing(f, params)
     assert out.coeff({"q1": 1}) == GaussRat(5)

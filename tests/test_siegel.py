@@ -13,7 +13,6 @@ from twoloop.series import (
     VarSpec,
     add,
     equal_on_joint_validity,
-    is_unbounded,
     limit_var_zero,
     mul,
     pow_int,
@@ -283,9 +282,9 @@ def test_translate_refuses_a_phase_off_the_quarter_grid():
 
 SHIFTS = [(HALF, F(0)), (F(0), HALF), (HALF, HALF)]
 THETA_GRID = (
-    VarSpec("q", 8, F(0), F(2), F(2)),
-    VarSpec("r", 4, F(-2), UNBOUNDED, UNBOUNDED),
-    VarSpec("s", 8, F(0), F(3, 2), F(3, 2)),
+    VarSpec("q", 8, F(0), F(2)),
+    VarSpec("r", 4, F(-2)),
+    VarSpec("s", 8, F(0), F(3, 2)),
 )
 translate_properties = settings(derandomize=True, database=None, max_examples=25,
                                 deadline=None)
@@ -353,6 +352,17 @@ def test_power_sum_refines_with_order(form, low, high):
         ok, why = equal_on_joint_validity(a, b)
         assert ok, why
         for v in a.vars:
-            # r stays unbounded at both orders, though its sentinel erodes
-            high_valid = b.spec(v.name).valid
-            assert v.valid <= high_valid or is_unbounded(high_valid), v.name
+            assert v.valid <= b.spec(v.name).valid, v.name
+
+
+@pytest.mark.parametrize("form, order", [
+    (f12_siegel, 2), (f12_siegel, 4), (delta10, 4),
+], ids=["f12-2", "f12-4", "delta10-4"])
+def test_r_validity_stays_exactly_unbounded(form, order):
+    # each theta product adds r's Laurent floor to its unbounded bound
+    assert form(order, order).fourier.spec("r").valid == UNBOUNDED
+
+
+def test_r_form_json_prints_the_unbounded_sentinel():
+    (r,) = [v for v in to_json_dict(delta10(4, 4).fourier)["vars"] if v["name"] == "r"]
+    assert r["order"] == r["valid"] == "1000000000"
