@@ -91,6 +91,17 @@ def _parse_complex(text: str) -> complex:
     return complex(text.strip().replace("i", "j").replace(" ", ""))
 
 
+def _order(text: str) -> int:
+    """A truncation order flag: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need an integer order of at least 1, got {text!r}")
+    return n
+
+
 def _parse_char(text: str) -> Characteristic:
     parts = [F(p) for p in text.split(",")]
     if len(parts) != 4:
@@ -250,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_series_flags(sp, q_default=3, s_default=3):
-        sp.add_argument("--q-order", type=int, default=q_default)
-        sp.add_argument("--s-order", type=int, default=s_default)
+        sp.add_argument("--q-order", type=_order, default=q_default)
+        sp.add_argument("--s-order", type=_order, default=s_default)
         sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
     sp = sub.add_parser("expand", help="dump a series expansion")
@@ -267,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("sew", help="period matrix and Fourier parameters")
-    sp.add_argument("--q-order", type=int, default=3)
-    sp.add_argument("--eps-order", type=int, default=6)
+    sp.add_argument("--q-order", type=_order, default=3)
+    sp.add_argument("--eps-order", type=_order, default=6)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.set_defaults(fn=cmd_sew)
 
     sp = sub.add_parser("partition", help="genus-one and genus-two partition functions")
     sp.add_argument("--theory", required=True,
                     help="boson:C | lattice:NAME_or_FILE | selfdual:N1 | ghost")
-    sp.add_argument("--q-order", type=int, default=3)
+    sp.add_argument("--q-order", type=_order, default=3)
     sp.add_argument("--with-ratio", action="store_true",
                     help="include the ratio to the boson partition function")
     sp.add_argument("--with-g2", action="store_true",
@@ -285,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="numeric modular checks")
     sp.add_argument("kind", choices=("ehat-anomaly", "period-s1", "weight"))
     sp.add_argument("--point", help="tau1,tau2,eps (or tau for ehat-anomaly)")
-    sp.add_argument("--q-order", type=int)
-    sp.add_argument("--eps-order", type=int)
+    sp.add_argument("--q-order", type=_order)
+    sp.add_argument("--eps-order", type=_order)
     sp.add_argument("--target", default="z24",
                     choices=("z24", "g2", "delta10-sewing"))
     sp.add_argument("--gamma", default="S1", choices=("S1", "T1", "T2", "V"))

@@ -35,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from operator import gt, mul as times
+from operator import getitem, gt, mul as times
 from types import MappingProxyType
 
 from .errors import (
@@ -571,9 +571,13 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     ints (one radix field per variable, sized so that every achievable sum
     stays in its field); each result term is reduced by one gcd.
     Pairs are pruned against the result's validity box before any product
-    is formed: the right operand is grouped by its exponents in all but the
-    last variable and sorted by the last one, so each left term skips the
-    groups that overflow its room and stops each group at a bisection.
+    is formed.  The right operand is indexed as a trie with one sorted level
+    per variable, so a left term's room (``kmax - k``) selects a bisected
+    prefix at every level and its right terms come out in key order.  Rooms
+    are rounded down, per variable, to an exponent the right operand holds
+    (so none exceeds ``max_b``); left terms with equal rounded rooms select
+    the same right terms, so each rounded room's candidates are collected
+    into one flat list once per product.
     """
     merged = _merge_vars_mul(a, b)
     if a.is_zero() or b.is_zero():
@@ -600,47 +604,58 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
 
     off_a, off_b = pack(min_a), pack(min_b)
 
-    groups: dict[tuple[int, ...], list] = {}
-    for k, c in tb.items():
-        groups.setdefault(k[:-1], []).append((k[-1], pack(k) - off_b, *_scaled(c, lb)))
-    # groups in lexicographic order of prefix, so those whose first exponent
-    # fits the room are the ones before a bisection over ``firsts``; only the
-    # middle exponents (none for two variables or fewer) need a test per group
-    prefixes = sorted(groups)
-    firsts = [prefix[:1] for prefix in prefixes]
-    table = []
-    for prefix in prefixes:
-        group = sorted(groups[prefix])
-        table.append((prefix[1:], [g[0] for g in group], [g[1:] for g in group]))
+    # the right operand as a trie: (sorted exponents, children) per level,
+    # the last level's children being its packed Gaussian-integer terms
+    trie = ([], [])
+    for k in sorted(tb):
+        keys, kids = trie
+        for ki in k[:-1]:
+            if not keys or keys[-1] != ki:
+                keys.append(ki)
+                kids.append(([], []))
+            keys, kids = kids[-1]
+        keys.append(k[-1])
+        kids.append((pack(k) - off_b, *_scaled(tb[k], lb)))
+
+    # a left exponent's room in each variable, rounded down to the nearest
+    # exponent the right operand holds there (or to one below them all):
+    # left terms with equal rounded rooms select the same right terms
+    rounded = []
+    for m, col_a, col_b, qb in zip(kmaxes, cols_a, cols_b, min_b):
+        held = [qb - 1, *sorted(set(col_b))]
+        rounded.append({ka: held[max(bisect_right(held, m - ka), 1) - 1] for ka in set(col_a)})
+    rooms: dict[tuple[int, ...], list] = {}
     acc: dict[int, list] = {}
     get = acc.get
     for k, c in ta.items():
+        room = tuple(map(getitem, rounded, k))
+        items = rooms.get(room)
+        if items is None:
+            items = [trie]
+            for r in room:
+                items = [kid for keys, kids in items for kid in kids[:bisect_right(keys, r)]]
+            rooms[room] = items
+        if not items:
+            continue
         p1, (a1, b1) = pack(k) - off_a, _scaled(c, la)
-        room = [m - ki for m, ki in zip(kmaxes, k)]
-        room_last = room.pop()
-        room_mid = room[1:]
-        for mid, lasts, items in table[:bisect_right(firsts, tuple(room[:1]))]:
-            if mid and any(map(gt, mid, room_mid)):
-                continue
-            n = bisect_right(lasts, room_last)
-            if b1:
-                for p2, a2, b2 in items[:n]:
-                    p = p1 + p2
-                    cur = get(p)
-                    if cur is None:
-                        acc[p] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                    else:
-                        cur[0] += a1 * a2 - b1 * b2
-                        cur[1] += a1 * b2 + b1 * a2
-            else:
-                for p2, a2, b2 in items[:n]:
-                    p = p1 + p2
-                    cur = get(p)
-                    if cur is None:
-                        acc[p] = [a1 * a2, a1 * b2]
-                    else:
-                        cur[0] += a1 * a2
-                        cur[1] += a1 * b2
+        if b1:
+            for p2, a2, b2 in items:
+                p = p1 + p2
+                cur = get(p)
+                if cur is None:
+                    acc[p] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    cur[0] += a1 * a2 - b1 * b2
+                    cur[1] += a1 * b2 + b1 * a2
+        else:
+            for p2, a2, b2 in items:
+                p = p1 + p2
+                cur = get(p)
+                if cur is None:
+                    acc[p] = [a1 * a2, a1 * b2]
+                else:
+                    cur[0] += a1 * a2
+                    cur[1] += a1 * b2
     scale = la * lb
     lo = [qa + qb for qa, qb in zip(min_a, min_b)]
     res = {}

@@ -132,32 +132,50 @@ def eval_series(series, logs: dict[str, complex]) -> complex:
         if at_zero:
             continue
         total += complex(c) * cmath.exp(arg)
+    arg = _prefactor_log(s.prefactor, logs)
+    return 0.0 + 0.0j if arg is None else total * cmath.exp(arg)
+
+
+def _prefactor_log(prefactor, logs: dict[str, complex]) -> complex | None:
+    """Log of a prefactor at the point, or ``None`` where it vanishes (a
+    missing variable is 0, as in :func:`eval_series`)."""
     arg = 0.0 + 0.0j
-    for name, e in s.prefactor.items():
+    for name, e in prefactor.items():
         lg = logs.get(name)
         if lg is None:
             if e > 0:
-                return 0.0 + 0.0j
+                return None
             raise DomainError(f"pole: {name}^{e} evaluated at 0")
         arg += float(e) * lg
-    return total * cmath.exp(arg)
+    return arg
 
 
 def truncation_bound(series, logs: dict[str, complex]) -> float:
     """Estimate of the first truncated contribution: for each variable with
-    a finite validity bound v, (L1 norm of the top stored slice) * |x|^v."""
+    a finite validity bound v, (L1 norm of the top stored slice) * |x|^v.
+
+    A variable missing from ``logs`` is 0, as in :func:`eval_series`: its
+    truncated tail vanishes there if v > 0 and is a pole otherwise.
+    """
     s = PrefSeries.coerce(series)
+    arg = _prefactor_log(s.prefactor, logs)
+    if arg is None:
+        return 0.0
+    scale = abs(cmath.exp(arg))
     bound = 0.0
     for i, v in enumerate(s.body.vars):
         if is_unbounded(v.valid):
             continue
+        if v.name not in logs:
+            if v.valid > 0:
+                continue
+            raise DomainError(f"pole: the {v.name}-tail from {v.valid} on evaluated at 0")
         x = abs(cmath.exp(logs[v.name]))
         slice_norm = 0.0
         top = max((k[i] for k in s.body.terms), default=0)
         for k, c in s.body.terms.items():
             if k[i] == top:
                 slice_norm += abs(complex(c))
-        scale = abs(cmath.exp(sum(float(e) * logs[n] for n, e in s.prefactor.items())))
         bound += max(1.0, slice_norm) * x ** float(v.valid) * scale
     return 2.0 * bound
 

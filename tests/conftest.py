@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoloop.series import UNBOUNDED, GaussRat, MultiSeries, VarSpec
+from twoloop.series import UNBOUNDED, GaussRat, MultiSeries, VarSpec, equal_on_joint_validity
 
 
 def V(name, den=1, min_exp=0, order=UNBOUNDED, valid=None):
@@ -38,6 +38,16 @@ def random_unit(rng, vars, max_terms=4, max_exp=2):
     terms = {e: c for e, c in terms.items() if any(x > 0 for x in e) or all(x == 0 for x in e)}
     terms[zero_key] = GaussRat(Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2])))
     return MultiSeries(tuple(vars), terms)
+
+
+def assert_refines(lo, hi):
+    """Refinement oracle: ``lo``, computed at a lower order, agrees with
+    ``hi`` wherever both are valid and claims no validity ``hi`` lacks."""
+    assert lo.terms
+    ok, why = equal_on_joint_validity(lo, hi)
+    assert ok, why
+    for v in lo.vars:
+        assert v.valid <= hi.spec(v.name).valid, v.name
 
 
 @pytest.fixture

@@ -174,6 +174,22 @@ def test_bad_flags_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sew", "--q-order", "-1"],
+    ["sew", "--q-order", "0"],
+    ["sew", "--eps-order", "0"],
+    ["partition", "--theory", "boson:24", "--q-order", "0"],
+    ["expand", "f12", "--s-order", "0"],
+    ["check", "weight", "--q-order", "0"],
+    ["sew", "--q-order", "two"],
+])
+def test_order_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "need an integer order of at least 1" in capsys.readouterr().err
+
+
 def test_verify_all_table(capsys):
     code, out = run(capsys, "verify-all")
     assert code == 0

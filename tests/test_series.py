@@ -39,7 +39,9 @@ from twoloop.series import (
     to_json_dict,
 )
 
+from twoloop import elliptic, series, sewing, siegel
 from twoloop.elliptic import delta_cusp
+from twoloop.sewing import period_matrix
 from twoloop.siegel import delta10
 
 from conftest import V, random_series, random_unit
@@ -209,6 +211,24 @@ def _naive_product(a, b, vars):
     return MultiSeries(vars, terms)
 
 
+def _ordered_product(a, b, vars):
+    # the kernel's term order: left terms as stored, each against the right
+    # terms in sorted key order (up to the first that overflows the first
+    # variable), pairs outside the validity box skipped, each result key at
+    # its first occurrence
+    ta, tb = a._aligned_to(vars), sorted(b._aligned_to(vars).items())
+    kmaxes = [v.kmax() for v in vars]
+    terms = {}
+    for k1, c1 in ta.items():
+        for k2, c2 in tb:
+            key = tuple(map(int.__add__, k1, k2))
+            if key[0] > kmaxes[0]:
+                break
+            if all(map(int.__le__, key, kmaxes)):
+                terms[key] = terms.get(key, GaussRat(0)) + c1 * c2
+    return [(k, c) for k, c in terms.items() if c]
+
+
 kernel_properties = settings(derandomize=True, database=None, max_examples=40,
                              deadline=None)
 
@@ -225,34 +245,70 @@ def box_series(vars, floor, max_terms=5, max_exp=3):
         lambda terms: MultiSeries(tuple(vars), terms))
 
 
-@pytest.mark.parametrize("vars_a, vars_b, floor", [
-    pytest.param([V("q", den=2, order=4), V("r", min_exp=-2, order=4)], None, {},
-                 id="two-vars"),
-    pytest.param([V("q", den=3, order=4)], None, {}, id="one-var"),
-    pytest.param([V("q1", order=4), V("eps", order=5)],
-                 [V("q2", order=4), V("eps", order=5)], {}, id="different-var-sets"),
-    pytest.param([V("q", order=5, valid=3), V("s", den=2, order=4)], None, {},
-                 id="valid-below-order"),
-    pytest.param([V("q", order=4), V("r", min_exp=-2)], None, {}, id="unbounded"),
+def kernel_case(id, vars_a, vars_b=None, floor={}, max_terms=5, square=False):
+    return pytest.param(vars_a, vars_b, floor, max_terms, square, id=id)
+
+
+@pytest.mark.parametrize("vars_a, vars_b, floor, max_terms, square", [
+    kernel_case("two-vars", [V("q", den=2, order=4), V("r", min_exp=-2, order=4)]),
+    kernel_case("one-var", [V("q", den=3, order=4)]),
+    kernel_case("different-var-sets", [V("q1", order=4), V("eps", order=5)],
+                [V("q2", order=4), V("eps", order=5)]),
+    kernel_case("valid-below-order", [V("q", order=5, valid=3), V("s", den=2, order=4)]),
+    kernel_case("unbounded", [V("q", order=4), V("r", min_exp=-2)]),
     # every stored q-exponent is 2, every product lands at q^4 > kmax = 2
-    pytest.param([V("q", order=3), V("s", den=2, order=3)], None, {"q": 2},
-                 id="no-pair-in-box"),
+    kernel_case("no-pair-in-box", [V("q", order=3), V("s", den=2, order=3)], floor={"q": 2}),
+    # up to 12 terms a side, so that many left terms share a rounded room
+    kernel_case("shared-rooms", [V("q1", order=4), V("eps", order=5)],
+                [V("q2", order=4), V("eps", order=5)], max_terms=12),
+    # the theta-product shape: a Laurent, unbounded r between q and s
+    kernel_case("laurent-middle", [V("q", den=2, order=3), V("r", den=2, min_exp=-2),
+                                   V("s", den=2, order=3)], max_terms=12),
+    kernel_case("square", [V("q", order=4), V("r", min_exp=-2), V("s", den=2, order=3)],
+                max_terms=12, square=True),
 ])
 @kernel_properties
 @given(data=st.data())
-def test_mul_packed_kernel_matches_naive(vars_a, vars_b, floor, data):
+def test_mul_packed_kernel_matches_naive(vars_a, vars_b, floor, max_terms, square, data):
     # every product goes through denominator scaling, packed integer keys and
     # pruning against the result's validity box; it must agree with the
-    # naive convolution for rational and Gaussian coefficients alike
+    # naive convolution for rational and Gaussian coefficients alike, and
+    # keep its terms in the order of the ordered reference
     vars_b = vars_b or vars_a
     names = [v.name for v in vars_a]
     names += [v.name for v in vars_b if v.name not in names]
-    a, b = data.draw(box_series(vars_a, floor)), data.draw(box_series(vars_b, floor))
+    a = data.draw(box_series(vars_a, floor, max_terms))
+    b = a if square else data.draw(box_series(vars_b, floor, max_terms))
     assert not (a.is_zero() or b.is_zero())  # the kernel runs, not the shortcut
     fast = mul(a, b)
     assert [v.name for v in fast.vars] == names
     assert fast.terms == _naive_product(a, b, fast.vars).terms
+    assert list(fast.terms.items()) == _ordered_product(a, b, fast.vars)
     assert not (floor and fast.terms)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: period_matrix(8, 6), id="period_matrix-8-6"),
+    pytest.param(lambda: delta10(4, 4), id="delta10-4-4"),
+])
+def test_mul_keeps_term_order_on_library_products(build, monkeypatch):
+    # every product of a cold build, in the ordered reference's term order
+    products = []
+
+    def recording(a, b):
+        out = mul(a, b)
+        products.append((a, b, out))
+        return out
+
+    for module in (series, elliptic, sewing, siegel):
+        monkeypatch.setattr(module, "mul", recording)
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    build()
+    assert len(products) > 10
+    for a, b, out in products:
+        assert list(out.terms.items()) == _ordered_product(a, b, out.vars)
 
 
 def test_mul_packed_kernel_matches_naive_int(rng):

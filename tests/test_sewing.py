@@ -30,6 +30,8 @@ from twoloop.sewing import (
     torus_pair,
 )
 
+from conftest import assert_refines
+
 F = Fraction
 
 
@@ -86,6 +88,12 @@ def test_neumann_truncation_stability():
     for w, wb in ((base.w11, bigger.w11), (base.w12, bigger.w12), (base.w22, bigger.w22)):
         ok, why = equal_on_joint_validity(w, wb)
         assert ok, why
+
+
+def test_period_matrix_refines_with_order():
+    lo, hi = period_matrix(6, 4), period_matrix(8, 6)
+    for name in ("w11", "w12", "w22"):
+        assert_refines(getattr(lo, name), getattr(hi, name))
 
 
 def test_period_matrix_requires_eps_order():

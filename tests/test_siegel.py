@@ -37,6 +37,8 @@ from twoloop.siegel import (
     theta_char,
 )
 
+from conftest import assert_refines
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -345,14 +347,12 @@ def test_power_sum_matches_ten_power_reference(form, n, order):
 @pytest.mark.parametrize("form, low, high", [
     (f12_siegel, 2, 4),
     (psi4_theta_candidate, 3, 5),
-], ids=["f12", "psi4"])
+    (delta10, 4, 6),
+], ids=["f12", "psi4", "delta10"])
 def test_power_sum_refines_with_order(form, low, high):
     lo, hi = form(low, low), form(high, high)
-    for a, b in ((lo.fourier, hi.fourier), (lo.fourier_u, hi.fourier_u)):
-        ok, why = equal_on_joint_validity(a, b)
-        assert ok, why
-        for v in a.vars:
-            assert v.valid <= b.spec(v.name).valid, v.name
+    assert_refines(lo.fourier, hi.fourier)
+    assert_refines(lo.fourier_u, hi.fourier_u)
 
 
 @pytest.mark.parametrize("form, order", [

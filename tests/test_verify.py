@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from twoloop.verify import (
     omega_at,
     residual_scaling,
     tau_valuation,
+    truncation_bound,
 )
 from twoloop.elliptic import delta_cusp, eisenstein_hat
+from twoloop.series import PrefSeries
 from twoloop.sewing import period_matrix
 
 
@@ -105,6 +108,23 @@ def test_eval_ehat2_fixed_point():
     e2 = eisenstein_hat(2, 40).series
     val = eval_series(e2, tau_valuation(1j))
     assert abs(val - (-1 / (4 * np.pi))) < 1e-12
+
+
+def test_truncation_bound_treats_a_missing_variable_as_zero():
+    # at eps = 0 the valuation has no eps, and the eps-tail vanishes there
+    ctx = EvalContext(0.1 + 1j, 0.2 + 1.3j, 0)
+    w11 = period_matrix(4, 2).w11
+    logs = ctx.valuation()
+    assert "eps" not in logs
+    eval_series(w11, logs)
+    bound = truncation_bound(w11, logs)
+    assert 0 < bound < truncation_bound(w11, EvalContext(0.1 + 1j, 0.2 + 1.3j, 0.01).valuation())
+    # a prefactor variable at 0 follows eval_series: a zero, or a pole
+    assert truncation_bound(PrefSeries(w11, {"z": Fraction(1)}), logs) == 0.0
+    assert eval_series(PrefSeries(w11, {"z": Fraction(1)}), logs) == 0
+    for fn in (eval_series, truncation_bound):
+        with pytest.raises(DomainError, match="pole"):
+            fn(PrefSeries(w11, {"z": Fraction(-1)}), logs)
 
 
 def test_ehat_anomaly_points():
