@@ -148,9 +148,9 @@ def cmd_expand(args) -> int:
         a, b = (F(x) for x in (args.char or "0,0").split(",")[:2])
         series = theta_jacobi(a, b, qo)
     elif target.startswith("e") and target[1:].isdigit():
-        series = eisenstein(int(target[1:]), qo).series
+        series = eisenstein(int(target[1:]), qo)
     elif target.startswith("ehat") and target[4:].isdigit():
-        series = eisenstein_hat(int(target[4:]), qo).series
+        series = eisenstein_hat(int(target[4:]), qo)
     else:
         raise TwoLoopError(f"unknown expand target {target!r}")
     _emit(_series_payload(series, args.format), args.format)

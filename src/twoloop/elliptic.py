@@ -3,23 +3,24 @@
 Bernoulli numbers, the Eisenstein series E_2k and their rescalings
 Ehat_2k = -(B_2k/(2k)!) E_2k, the Dedekind eta product and the cusp form
 Delta = eta^24, the weight-raising covariant derivative
-D = q d/dq + k*Ehat_2, the Weierstrass expansion in the elliptic variable,
-the three Jacobi theta series, the weight-12 theta combination f12, and the
-normalized modular invariant J = q^-1 + 0 + 196884 q + ...
+D = q d/dq + k*Ehat_2, the three Jacobi theta series, the weight-12 theta
+combination f12, and the normalized modular invariant
+J = q^-1 + 0 + 196884 q + ...
 
-Every series here is built once, in the variable ``q``.  Genus-two code
-gets its two torus factors f(q1) f(q2) by renaming, through
+Every form here is a plain :class:`~twoloop.series.PrefSeries` built once,
+in the variable ``q``; a modular weight is not stored with it but passed
+where it is used (:func:`covariant_derivative`).  Genus-two code gets its
+two torus factors f(q1) f(q2) by renaming, through
 :func:`twoloop.sewing.torus_pair`, rather than by building f twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .errors import DomainError, MissingWeight, OddCharacteristic, ValidationFailed
+from .errors import DomainError, OddCharacteristic, ValidationFailed
 from .series import (
     GaussRat,
     MultiSeries,
@@ -34,18 +35,6 @@ from .series import (
 
 F = Fraction
 HALF = F(1, 2)
-
-
-@dataclass(frozen=True)
-class EllipticForm:
-    """A q-expansion together with its declared modular weight."""
-
-    label: str
-    weight: int
-    series: PrefSeries
-
-    def coeff(self, exp) -> GaussRat:
-        return self.series.coeff({"q": exp})
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +72,7 @@ def sigma(power: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def eisenstein(k2: int, q_order: int) -> EllipticForm:
+def eisenstein(k2: int, q_order: int) -> PrefSeries:
     """E_2k = 1 - (4k/B_2k) * sum sigma_{2k-1}(n) q^n, for k2 = 2k >= 2."""
     if k2 < 2 or k2 % 2:
         raise DomainError(f"Eisenstein weight must be even and >= 2, got {k2}")
@@ -92,15 +81,13 @@ def eisenstein(k2: int, q_order: int) -> EllipticForm:
     for n in range(1, q_order):
         terms[(F(n),)] = GaussRat(-F(2 * k2, 1) / b * sigma(k2 - 1, n))
     body = MultiSeries((VarSpec("q", valid=q_order),), terms)
-    return EllipticForm(f"E{k2}", k2, PrefSeries(body))
+    return PrefSeries(body)
 
 
 @lru_cache(maxsize=None)
-def eisenstein_hat(k2: int, q_order: int) -> EllipticForm:
+def eisenstein_hat(k2: int, q_order: int) -> PrefSeries:
     """Ehat_2k = -(B_2k/(2k)!) E_2k; constant term -B_2k/(2k)!."""
-    e = eisenstein(k2, q_order)
-    scale = -bernoulli(k2) / factorial(k2)
-    return EllipticForm(f"Ehat{k2}", k2, e.series.scalar(scale))
+    return eisenstein(k2, q_order).scalar(-bernoulli(k2) / factorial(k2))
 
 
 @lru_cache(maxsize=None)
@@ -126,10 +113,6 @@ def delta_cusp(q_order: int) -> PrefSeries:
     return dedekind_eta(q_order).pow_int(24)
 
 
-def delta_form(q_order: int) -> EllipticForm:
-    return EllipticForm("Delta", 12, delta_cusp(q_order))
-
-
 @lru_cache(maxsize=None)
 def j_function(q_order: int) -> PrefSeries:
     """J = E_4^3/Delta - 744 = q^-1 + 0 + 196884 q + ...
@@ -140,8 +123,7 @@ def j_function(q_order: int) -> PrefSeries:
     if q_order < 2:
         raise DomainError("J needs q_order >= 2 for its validation")
     inner = q_order + 1
-    e4 = eisenstein(4, inner).series
-    num = e4.pow_int(3)
+    num = eisenstein(4, inner).pow_int(3)
     j = num.mul(delta_cusp(inner).invert())
     j = j.add(PrefSeries.coerce(-744))
     if j.coeff({"q": 0}) != GaussRat(0) or j.coeff({"q": 1}) != GaussRat(196884):
@@ -152,34 +134,16 @@ def j_function(q_order: int) -> PrefSeries:
     return j
 
 
-def covariant_derivative(f: EllipticForm) -> EllipticForm:
-    """D f = q df/dq + k Ehat_2 f, a form of weight k + 2."""
-    if f.weight is None:
-        raise MissingWeight(f"{f.label} has no declared weight")
-    out = f.series.q_log_deriv("q")
-    body = f.series.body
-    if f.weight and not body.is_zero():
+def covariant_derivative(f: PrefSeries, weight: int) -> PrefSeries:
+    """D f = q df/dq + k Ehat_2 f for f of weight k: a form of weight k + 2."""
+    out = f.q_log_deriv("q")
+    body = f.body
+    if weight and not body.is_zero():
         if not body.has_var("q") or is_unbounded(body.spec("q").valid):
             raise DomainError("covariant derivative needs a truncated q-series")
-        e2 = eisenstein_hat(2, int(body.spec("q").valid)).series
-        out = out.add(e2.mul(f.series).scalar(f.weight))
-    return EllipticForm(f"D({f.label})", f.weight + 2, out)
-
-
-def weierstrass(z_order: int, q_order: int) -> MultiSeries:
-    """1/z^2 + sum_{k>=2} Ehat_2k(q) z^(2k-2), truncated in z and q."""
-    if z_order < 2:
-        raise DomainError("z_order must be at least 2")
-    zspec = VarSpec("z", 1, F(-2), F(z_order))
-    qspec = VarSpec("q", valid=q_order)
-    terms = {(F(-2), F(0)): GaussRat(1)}
-    k = 2
-    while 2 * k - 2 < z_order:
-        ehat = eisenstein_hat(2 * k, q_order).series.body
-        for (qe,), c in ehat.iter_terms():
-            terms[(F(2 * k - 2), qe)] = c
-        k += 1
-    return MultiSeries((zspec, qspec), terms)
+        e2 = eisenstein_hat(2, int(body.spec("q").valid))
+        out = out.add(e2.mul(f).scalar(weight))
+    return out
 
 
 def is_odd_characteristic(a: Fraction, b: Fraction) -> bool:

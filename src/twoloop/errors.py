@@ -39,10 +39,6 @@ class FractionalExponentUnsupported(TwoLoopError):
     """Operation requires integer exponents in some variable."""
 
 
-class MissingWeight(TwoLoopError):
-    """Covariant derivative of a form with no declared modular weight."""
-
-
 class OddCharacteristic(TwoLoopError):
     """A non-zero theta series was required but the characteristic is odd
     (its theta series vanishes identically)."""

@@ -56,14 +56,6 @@ class Lattice:
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1
 
-    def is_positive_definite(self) -> bool:
-        """Positive leading principal minors."""
-        for k in range(1, self.rank + 1):
-            minor = [row[:k] for row in self.gram[:k]]
-            if _int_det(minor) <= 0:
-                return False
-        return True
-
     def direct_sum(self, other: "Lattice", name: str | None = None) -> "Lattice":
         n, m = self.rank, other.rank
         gram = []
@@ -130,7 +122,12 @@ class ShellTable:
 
 
 def _ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """G = L D L^T with unit lower-triangular L, exact rationals."""
+    """G = L D L^T with unit lower-triangular L, exact rationals.
+
+    D_j is the ratio of the j-th to the (j-1)-th leading principal minor,
+    so G is positive definite exactly when every D_j > 0; anything else
+    raises :class:`NotPositiveDefinite`.
+    """
     n = len(gram)
     L = [[F(0)] * n for _ in range(n)]
     D = [F(0)] * n
@@ -154,8 +151,6 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
     ``e_i = t D_i`` and ``c_i = sum_{j>i} m L_ji x_j``, so every bound and
     every remaining budget in the search is an integer.
     """
-    if not lattice.is_positive_definite():
-        raise NotPositiveDefinite(f"{lattice.name} is not positive definite")
     n = lattice.rank
     L, D = _ldl(lattice.gram)
     m = math.lcm(*(L[j][i].denominator for j in range(n) for i in range(j)))

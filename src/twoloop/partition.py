@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elliptic import (
-    EllipticForm,
     covariant_derivative,
     dedekind_eta,
     delta_cusp,
@@ -142,10 +141,9 @@ def parse_theory(text: str) -> TheoryDescriptor:
     raise DomainError(f"unknown theory {text!r}")
 
 
-def t1_selfdual(n1: int, q_order: int) -> EllipticForm:
+def t1_selfdual(n1: int, q_order: int) -> PrefSeries:
     """The weight-12 numerator Delta * (J + N1) = 1 + (N1 - 24) q + ..."""
-    t = delta_cusp(q_order).mul(j_function(q_order).add(n1))
-    return EllipticForm(f"T1(N1={n1})", 12, t)
+    return delta_cusp(q_order).mul(j_function(q_order).add(n1))
 
 
 @lru_cache(maxsize=None)
@@ -176,19 +174,16 @@ def z1_omega(theory: TheoryDescriptor, q_order: int) -> PrefSeries:
     z = z1(theory, q_order)
     direct = z.q_log_deriv("q")
     if isinstance(theory, CBoson):
-        e2 = eisenstein_hat(2, q_order).series
+        e2 = eisenstein_hat(2, q_order)
         closed = e2.scalar(F(theory.c, 2)).mul(z)
     elif isinstance(theory, LatticeTheory):
         c = theory.central_charge
-        theta = EllipticForm(
-            f"theta_{theory.lattice.name}", c // 2,
-            PrefSeries(theta_g1(theory.lattice, q_order)),
-        )
-        closed = covariant_derivative(theta).series.mul(
+        theta = PrefSeries(theta_g1(theory.lattice, q_order))
+        closed = covariant_derivative(theta, c // 2).mul(
             dedekind_eta(q_order).pow_int(-c))
     else:
         t1 = t1_selfdual(theory.n1, q_order)
-        closed = covariant_derivative(t1).series.mul(delta_cusp(q_order).invert())
+        closed = covariant_derivative(t1, 12).mul(delta_cusp(q_order).invert())
     assert_equal_on_joint_validity(direct, closed,
                                    f"one-point routes for {theory.label()}")
     return closed
@@ -247,7 +242,7 @@ def _crosscheck_boson_closed_form(zg: GenusTwoZ, q_order: int) -> None:
     """The state sum must reproduce the closed product form
     eps^(-C/12) eta^-C(q1) eta^-C(q2) (1 + (C/2) Ehat2 Ehat2 eps^2)."""
     c = zg.theory.c
-    ee = torus_pair(eisenstein_hat(2, q_order).series)
+    ee = torus_pair(eisenstein_hat(2, q_order))
     bracket = eps2_bracket(1, ee.scalar(F(c, 2)))
     closed = (torus_pair(dedekind_eta(q_order).pow_int(-c))
               .mul(bracket).shift("eps", F(-c, 12)))
@@ -259,7 +254,7 @@ def _crosscheck_boson_closed_form(zg: GenusTwoZ, q_order: int) -> None:
 def z2_ghost(q_order: int) -> GenusTwoZ:
     """Conjectural genus-two ghost partition function:
     eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2 Ehat2 eps^2 + O(eps^4))."""
-    ee = torus_pair(eisenstein_hat(2, q_order).series)
+    ee = torus_pair(eisenstein_hat(2, q_order))
     bracket = eps2_bracket(1, ee.scalar(-3))
     pref = (torus_pair(dedekind_eta(q_order).pow_int(2))
             .mul(bracket).shift("eps", F(1, 6)))
@@ -277,7 +272,7 @@ def g2_correction(q_order: int) -> MultiSeries:
     prod = z2_ghost(q_order).pref.mul(z2(CBoson(2), q_order).pref)
     if prod.prefactor:
         raise InternalError(f"vacuum exponents did not cancel: {dict(prod.prefactor)}")
-    ee = torus_pair(eisenstein_hat(2, q_order).series)
+    ee = torus_pair(eisenstein_hat(2, q_order))
     expected = eps2_bracket(1, ee.scalar(-2))
     ok, why = equal_on_joint_validity(prod, expected)
     if not ok:

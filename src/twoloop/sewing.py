@@ -92,7 +92,7 @@ def a_matrix(q_order: int, eps_order: int, qvar: str = "q",
             if grade > eps_order:
                 row.append(MultiSeries.zero((qs, es)))
                 continue
-            ehat = eisenstein_hat(2 * m + 2 * n - 2, q_order).series.body
+            ehat = eisenstein_hat(2 * m + 2 * n - 2, q_order).body
             ehat = ehat.rename_vars({"q": qvar})
             entry = scalar_mul(comb(2 * m + 2 * n - 3, 2 * m - 1), ehat)
             entry = mul(entry, MultiSeries((es,), {(F(grade),): 1}))
@@ -185,7 +185,6 @@ class FourierParams:
     shat: PrefSeries
     rhat: PrefSeries
     uhat: PrefSeries
-    sewing: SewingExpansion
 
 
 def fourier_params(sewing: SewingExpansion) -> FourierParams:
@@ -213,7 +212,7 @@ def fourier_params(sewing: SewingExpansion) -> FourierParams:
     # has eps-degree >= 2 throughout (not just in the stored range)
     u = u.with_min_floor(EPSVAR, F(2))
     uhat = PrefSeries(shift_var(u, EPSVAR, -2), {EPSVAR: F(2)})
-    return FourierParams(qhat, shat, rhat, uhat, sewing)
+    return FourierParams(qhat, shat, rhat, uhat)
 
 
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:

@@ -4,10 +4,12 @@ The ten even half-integral characteristic theta series generate everything
 computed here: the weight-10 cusp form (2^-12 times the product of their
 squares), the weight-12 form (a quarter of the sum of their 24th powers),
 and a validated weight-4 candidate (a quarter of the sum of their 8th
-powers).  The power sums raise only the four Theta[a; 0] to the n-th power:
-Theta[a; b] is Theta[a; 0] under Omega -> Omega + B (see :func:`_translate`),
-so each of the other six powers is an exact coefficientwise translate,
-checked against the ten theta series themselves.
+powers).  All three take their theta powers from one generator that raises
+only the four Theta[a; 0] to the n-th power: Theta[a; b] is Theta[a; 0]
+under Omega -> Omega + B (see :func:`_translate`), so each of the other six
+powers is an exact coefficientwise translate, checked against the ten theta
+series themselves.  One finishing step then checks each form's
+coefficients and Fourier support and rewrites it in u.
 
 The genus-two Eisenstein series of weights 4 and 6 are ingested from their
 reference Fourier data, which is only known on the box of q- and
@@ -22,13 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from operator import mul as times
 
 from .elliptic import (
     _QUARTER_PHASES,
-    EllipticForm,
     _phase,
     _theta_exponents,
     covariant_derivative,
@@ -100,16 +101,13 @@ class SiegelForm:
     """A Siegel modular form given by (truncated) Fourier data.
 
     ``fourier`` is the expansion in (q, r, s); ``fourier_u`` the V-symmetric
-    rewriting in (q, s, u) when it exists.  ``group_full`` marks forms for
-    the full symplectic modular group (as opposed to theta series with a
-    multiplier system).
+    rewriting in (q, s, u) when it exists.
     """
 
     label: str
     weight: Fraction
     fourier: MultiSeries | None
     fourier_u: MultiSeries | None = None
-    group_full: bool = True
     odd: bool = False
 
     def coeff_r(self, a, b, c) -> GaussRat:
@@ -151,7 +149,6 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
         label=f"Theta{char.label()}",
         weight=HALF,
         fourier=ms,
-        group_full=False,
         odd=not char.is_even,
     )
 
@@ -205,34 +202,38 @@ def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
     return MultiSeries._of(ms.vars, terms)
 
 
-def _even_theta_power_sum(n: int, q_order: int, s_order: int) -> MultiSeries:
-    """The sum of Theta[a; b]^n over the ten even characteristics.
+def _even_theta_powers(n: int, q_order: int, s_order: int):
+    """Yield Theta[a; b]^n for the ten even characteristics, in
+    :func:`even_characteristics` order.
 
-    Only the four Theta[a; 0] are raised to the n-th power; every other
-    term is the translate of its Theta[a; 0]^n by the b of its
-    characteristic.  That the same translate takes Theta[a; 0] exactly to
-    Theta[a; b] is checked for each of the six b != 0.
+    That order groups the characteristics by a, with b = 0 first, so only
+    the four Theta[a; 0] are raised to the n-th power; every other power is
+    the translate of its Theta[a; 0]^n by the b of its characteristic.
+    That the same translate takes Theta[a; 0] exactly to Theta[a; b] is
+    checked for each of the six b != 0.
     """
-    evens = even_characteristics()
-    total = None
-    for top in evens:
-        if any(top.b):
+    for char in even_characteristics():
+        theta = theta_char(char, q_order, s_order).fourier
+        if not any(char.b):
+            top, base, power = char, theta, pow_int(theta, n)
+            yield power
             continue
-        theta = theta_char(top, q_order, s_order).fourier
-        power = pow_int(theta, n)
-        for char in evens:
-            if char.a != top.a:
-                continue
-            p = power
-            if any(char.b):
-                want = theta_char(char, q_order, s_order).fourier
-                got = _translate(theta, char.b)
-                if got.vars != want.vars or got.terms != want.terms:
-                    raise InternalError(
-                        f"Theta{char.label()} is not the translate of Theta{top.label()}")
-                p = _translate(power, char.b)
-            total = p if total is None else add(total, p)
-    return total
+        got = _translate(base, char.b)
+        if got.vars != theta.vars or got.terms != theta.terms:
+            raise InternalError(
+                f"Theta{char.label()} is not the translate of Theta{top.label()}")
+        yield _translate(power, char.b)
+
+
+def _theta_form(label: str, weight: int, scale: Fraction, series: MultiSeries) -> SiegelForm:
+    """The form ``scale * series``, exposed only once its coefficients are
+    real integers and its r-form and u-form both meet the support
+    condition."""
+    rform = _assert_real_integral(scalar_mul(scale, series), label)
+    assert_support_condition(rform, uform=False)
+    uform = r_to_u(rform)
+    assert_support_condition(uform, uform=True)
+    return SiegelForm(label, F(weight), rform, uform)
 
 
 @lru_cache(maxsize=None)
@@ -241,17 +242,8 @@ def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     the ten even theta series."""
     if q_order < 2 or s_order < 2:
         raise DomainError("delta10 needs orders >= 2")
-    prod = None
-    for char in even_characteristics():
-        sq = theta_char(char, q_order, s_order).fourier
-        sq = mul(sq, sq)
-        prod = sq if prod is None else mul(prod, sq)
-    prod = scalar_mul(F(1, 2**12), prod)
-    rform = _assert_real_integral(prod, "Delta_10")
-    assert_support_condition(rform, uform=False)
-    uform = r_to_u(rform)
-    assert_support_condition(uform, uform=True)
-    return SiegelForm("Delta_10", F(10), rform, uform)
+    return _theta_form("Delta_10", 10, F(1, 2**12),
+                       reduce(mul, _even_theta_powers(2, q_order, s_order)))
 
 
 @lru_cache(maxsize=None)
@@ -260,11 +252,8 @@ def f12_siegel(q_order: int = 2, s_order: int = 2) -> SiegelForm:
     ten even theta series."""
     if q_order < 2 or s_order < 2:
         raise DomainError("f12 needs orders >= 2")
-    total = scalar_mul(F(1, 4), _even_theta_power_sum(24, q_order, s_order))
-    rform = _assert_real_integral(total, "F_12")
-    assert_support_condition(rform, uform=False)
-    uform = r_to_u(rform)
-    return SiegelForm("F_12", F(12), rform, uform)
+    return _theta_form("F_12", 12, F(1, 4),
+                       reduce(add, _even_theta_powers(24, q_order, s_order)))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +272,7 @@ def psi_reference(k2: int) -> SiegelForm:
         cu, cu2 = 42336, -504
     else:
         raise DomainError("reference data exists for weights 4 and 6 only")
-    eq = eisenstein(k2, 2).series.body
+    eq = eisenstein(k2, 2).body
     base = mul(eq, eq.rename_vars({QVAR: SVAR}))
     corr = MultiSeries(
         (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR)),
@@ -301,14 +290,12 @@ def psi4_theta_candidate(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     reference's entire validity region (including the 240*q*s*u^2 term that
     older published tables omitted).
     """
-    total = scalar_mul(F(1, 4), _even_theta_power_sum(8, q_order, s_order))
-    rform = _assert_real_integral(total, "psi_4 candidate")
-    assert_support_condition(rform, uform=False)
-    uform = r_to_u(rform)
-    ok, mismatch = equal_on_joint_validity(uform, psi_reference(4).fourier_u)
+    form = _theta_form("psi_4_theta", 4, F(1, 4),
+                       reduce(add, _even_theta_powers(8, q_order, s_order)))
+    ok, mismatch = equal_on_joint_validity(form.fourier_u, psi_reference(4).fourier_u)
     if not ok:
         raise ValidationFailed(f"theta candidate for psi_4 disagrees at {mismatch}")
-    return SiegelForm("psi_4_theta", F(4), rform, uform)
+    return form
 
 
 def t2_coefficients(k: int) -> tuple[Fraction, Fraction]:
@@ -361,9 +348,9 @@ def fk_fourier_pattern(a, weight: int) -> SiegelForm:
                       MultiSeries(vars, terms))
 
 
-def fk_eps_expansion(f: EllipticForm, weight: int) -> PrefSeries:
+def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:
     """The pinching-parameter expansion of the weight-k Siegel form that
-    degenerates to f_k(q1) f_k(q2):
+    degenerates to f_k(q1) f_k(q2), for f = f_k of weight k:
 
         f(q1) f(q2) (1 + ((1/k)(Df/f)(q1)(Df/f)(q2)
                           - k Ehat_2(q1) Ehat_2(q2)) eps^2 + O(eps^4)),
@@ -373,12 +360,11 @@ def fk_eps_expansion(f: EllipticForm, weight: int) -> PrefSeries:
     eps^3."""
     if weight <= 0:
         raise DomainError("weight must be positive")
-    if f.series.body.constant_term().is_zero() or f.series.prefactor:
-        raise NotAUnit(f"{f.label} must be a unit q-series")
-    q_valid = min(v.valid for v in f.series.body.vars)
-    order = int(q_valid)
-    lf = covariant_derivative(f).series.mul(f.series.invert())
-    ee = torus_pair(eisenstein_hat(2, order).series)
+    if f.body.constant_term().is_zero() or f.prefactor:
+        raise NotAUnit("f_k must be a unit q-series")
+    order = int(min(v.valid for v in f.body.vars))
+    lf = covariant_derivative(f, weight).mul(f.invert())
+    ee = torus_pair(eisenstein_hat(2, order))
     term = torus_pair(lf).scalar(F(1, weight)) - ee.scalar(weight)
     bracket = eps2_bracket(1, term)
-    return torus_pair(f.series).mul(bracket)
+    return torus_pair(f).mul(bracket)

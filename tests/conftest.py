@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from twoloop.series import UNBOUNDED, GaussRat, MultiSeries, VarSpec, equal_on_joint_validity
+from twoloop.series import (
+    UNBOUNDED,
+    GaussRat,
+    MultiSeries,
+    PrefSeries,
+    VarSpec,
+    equal_on_joint_validity,
+)
 
 
 def V(name, den=1, min_exp=0, order=UNBOUNDED, valid=None):
@@ -42,7 +49,12 @@ def random_unit(rng, vars, max_terms=4, max_exp=2):
 
 def assert_refines(lo, hi):
     """Refinement oracle: ``lo``, computed at a lower order, agrees with
-    ``hi`` wherever both are valid and claims no validity ``hi`` lacks."""
+    ``hi`` wherever both are valid and claims no validity ``hi`` lacks.
+    Two ``PrefSeries`` must have equal prefactors; their bodies are then
+    compared."""
+    if isinstance(lo, PrefSeries):
+        assert lo.prefactor == hi.prefactor
+        lo, hi = lo.body, hi.body
     assert lo.terms
     ok, why = equal_on_joint_validity(lo, hi)
     assert ok, why

@@ -4,12 +4,10 @@ from math import factorial
 import pytest
 
 from twoloop.elliptic import (
-    EllipticForm,
     bernoulli,
     covariant_derivative,
     dedekind_eta,
     delta_cusp,
-    delta_form,
     eisenstein,
     eisenstein_hat,
     euler_product,
@@ -17,9 +15,8 @@ from twoloop.elliptic import (
     j_function,
     sigma,
     theta_jacobi,
-    weierstrass,
 )
-from twoloop.errors import DomainError, MissingWeight, OddCharacteristic
+from twoloop.errors import DomainError, OddCharacteristic
 from twoloop.series import (
     GaussRat,
     MultiSeries,
@@ -29,6 +26,8 @@ from twoloop.series import (
     equal_on_joint_validity,
     shift_var,
 )
+
+from conftest import assert_refines
 
 F = Fraction
 HALF = F(1, 2)
@@ -71,24 +70,24 @@ def test_sigma():
 
 def test_eisenstein_low_coefficients():
     e4 = eisenstein(4, 3)
-    assert e4.coeff(0) == GaussRat(1)
-    assert e4.coeff(1) == GaussRat(240)
-    assert e4.coeff(2) == GaussRat(2160)
+    assert e4.coeff({"q": 0}) == GaussRat(1)
+    assert e4.coeff({"q": 1}) == GaussRat(240)
+    assert e4.coeff({"q": 2}) == GaussRat(2160)
     e6 = eisenstein(6, 2)
-    assert e6.coeff(1) == GaussRat(-504)
-    s = e4.series.add(e6.series)
+    assert e6.coeff({"q": 1}) == GaussRat(-504)
+    s = e4.add(e6)
     assert s.coeff({"q": 0}) == GaussRat(2)
     assert s.coeff({"q": 1}) == GaussRat(-264)
 
 
 def test_eisenstein_hat_normalization():
     e2 = eisenstein_hat(2, 3)
-    assert e2.coeff(0) == GaussRat(F(-1, 12))
-    assert e2.coeff(1) == GaussRat(2)
+    assert e2.coeff({"q": 0}) == GaussRat(F(-1, 12))
+    assert e2.coeff({"q": 1}) == GaussRat(2)
     for k2 in range(2, 18, 2):
         eh = eisenstein_hat(k2, 2)
-        assert eh.coeff(0) == GaussRat(-bernoulli(k2) / factorial(k2))
-        assert eh.coeff(1) == GaussRat(F(2 * k2, factorial(k2)))
+        assert eh.coeff({"q": 0}) == GaussRat(-bernoulli(k2) / factorial(k2))
+        assert eh.coeff({"q": 1}) == GaussRat(F(2 * k2, factorial(k2)))
 
 
 def test_eta_matches_pentagonal_oracle():
@@ -128,57 +127,35 @@ def test_eta_log_derivative_identity():
     order = 8
     eta = dedekind_eta(order)
     lhs = eta.q_log_deriv("q")
-    rhs = eisenstein_hat(2, order).series.mul(eta).scalar(F(-1, 2))
+    rhs = eisenstein_hat(2, order).mul(eta).scalar(F(-1, 2))
     ok, why = equal_on_joint_validity(lhs, rhs)
     assert ok, why
 
 
 def test_covariant_derivative_delta_vanishes():
-    d = covariant_derivative(delta_form(8))
-    assert d.series.body.is_zero()
-    assert d.weight == 14
+    d = covariant_derivative(delta_cusp(8), 12)
+    assert d.body.is_zero()
 
 
 def test_covariant_derivative_e4():
     order = 5
-    de4 = covariant_derivative(eisenstein(4, order))
-    target = eisenstein(6, order).series.scalar(F(-1, 3))
-    ok, why = equal_on_joint_validity(de4.series, target)
+    de4 = covariant_derivative(eisenstein(4, order), 4)
+    target = eisenstein(6, order).scalar(F(-1, 3))
+    ok, why = equal_on_joint_validity(de4, target)
     assert ok, why
-    assert de4.weight == 6
 
 
 def test_covariant_derivative_weight_zero_constant():
-    one = EllipticForm("one", 0, PrefSeries.coerce(1))
-    d = covariant_derivative(one)
-    assert d.series.body.is_zero()
-
-
-def test_covariant_derivative_needs_weight():
-    f = EllipticForm("x", None, delta_cusp(4))
-    with pytest.raises(MissingWeight):
-        covariant_derivative(f)
+    d = covariant_derivative(PrefSeries.coerce(1), 0)
+    assert d.body.is_zero()
 
 
 def test_covariant_derivative_refuses_shifted_exact_series():
     # q^2 * q^-1 is exact: its q-validity 10^9 - 1 is unbounded, so D must
     # refuse it rather than build Ehat_2 out to that order
     body = shift_var(MultiSeries.monomial(VarSpec("q"), 2), "q", -1)
-    f = EllipticForm("q", 2, PrefSeries(body))
     with pytest.raises(DomainError, match="truncated"):
-        covariant_derivative(f)
-
-
-def test_weierstrass_structure():
-    w = weierstrass(7, 4)
-    assert coeff(w, {"z": -2, "q": 0}) == GaussRat(1)
-    assert coeff(w, {"z": 0, "q": 0}) == GaussRat(0)
-    assert coeff(w, {"z": 0, "q": 2}) == GaussRat(0)
-    # z^2 coefficient is Ehat_4
-    e4h = eisenstein_hat(4, 4)
-    assert coeff(w, {"z": 2, "q": 0}) == GaussRat(e4h.coeff(0).re)
-    assert coeff(w, {"z": 2, "q": 1}) == GaussRat(F(1, 3))
-    assert coeff(w, {"z": 4, "q": 0}) == GaussRat(-bernoulli(6) / factorial(6))
+        covariant_derivative(PrefSeries(body), 2)
 
 
 def test_theta_jacobi_even_series():
@@ -220,3 +197,7 @@ def test_delta_times_j_plus_n1(n1):
     t = delta_cusp(order).mul(j_function(order).add(PrefSeries.coerce(n1)))
     assert t.coeff({"q": 0}) == GaussRat(1)
     assert t.coeff({"q": 1}) == GaussRat(n1 - 24)
+
+
+def test_j_function_refines_with_order():
+    assert_refines(j_function(4), j_function(6))

@@ -27,6 +27,8 @@ from twoloop.series import (
     set_var_one,
 )
 
+from conftest import assert_refines
+
 F = Fraction
 
 
@@ -35,7 +37,6 @@ def test_e8_gram_is_valid():
     assert e8.is_even
     assert e8.is_unimodular
     assert e8.determinant() == 1
-    assert e8.is_positive_definite()
 
 
 def test_e8_shell_counts():
@@ -51,14 +52,15 @@ def test_e8_shell_counts():
 
 
 def test_enumerate_rejects_indefinite():
-    bad = Lattice("bad", 2, ((2, 3), (3, 2)))
-    with pytest.raises(NotPositiveDefinite):
-        enumerate_shells(bad, 2)
+    # indefinite, and semidefinite with D_2 = 0 in its LDL^T
+    for gram in (((2, 3), (3, 2)), ((2, 2), (2, 2))):
+        with pytest.raises(NotPositiveDefinite):
+            enumerate_shells(Lattice("bad", 2, gram), 2)
 
 
 def test_theta_g1_e8_equals_e4():
     th = theta_g1(builtin_lattice("E8"), 4)
-    e4 = eisenstein(4, 4).series.body
+    e4 = eisenstein(4, 4).body
     ok, why = equal_on_joint_validity(th, e4)
     assert ok, why
 
@@ -245,3 +247,8 @@ def test_builtin_e8x3():
 def test_unknown_builtin():
     with pytest.raises(DomainError):
         builtin_lattice("Leech")
+
+
+def test_theta_g2_refines_with_order():
+    e8 = builtin_lattice("E8")
+    assert_refines(theta_g2(e8, 2, 2), theta_g2(e8, 4, 4))

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from twoloop.elliptic import (
-    EllipticForm,
     dedekind_eta,
     delta_cusp,
     eisenstein,
@@ -35,6 +34,8 @@ from twoloop.series import (
 from twoloop.siegel import fk_eps_expansion, t2_selfdual
 from twoloop.sewing import fourier_params, fourier_to_sewing, period_matrix
 
+from conftest import assert_refines
+
 F = Fraction
 
 
@@ -60,7 +61,7 @@ def test_z1_selfdual_values():
 
 def test_z1_lattice_e8():
     z = z1(LatticeTheory(builtin_lattice("E8")), 4)
-    ref = PrefSeries(eisenstein(4, 4).series.body).mul(
+    ref = eisenstein(4, 4).mul(
         dedekind_eta(4).pow_int(-8))
     ok, why = equal_on_joint_validity(z, ref)
     assert ok, why
@@ -85,16 +86,31 @@ def test_z1_is_built_once_per_theory_and_order():
     assert z1(theory, 4) is z1(theory, 4)
 
 
+REFINING_THEORIES = ("boson:24", "selfdual:0", "lattice:E8")
+
+
+@pytest.mark.parametrize("text", REFINING_THEORIES)
+def test_z1_refines_with_order(text):
+    theory = parse_theory(text)
+    assert_refines(z1(theory, 4), z1(theory, 6))
+
+
+@pytest.mark.parametrize("text", REFINING_THEORIES)
+def test_z2_refines_with_order(text):
+    theory = parse_theory(text)
+    assert_refines(z2(theory, 3).pref, z2(theory, 5).pref)
+
+
 def test_t1_selfdual_q_expansion():
     t = t1_selfdual(24, 4)
-    assert t.series.coeff({"q": 0}) == GaussRat(1)
-    assert t.series.coeff({"q": 1}) == GaussRat(0)
+    assert t.coeff({"q": 0}) == GaussRat(1)
+    assert t.coeff({"q": 1}) == GaussRat(0)
 
 
 def test_z1_omega_agreement_and_value():
     # q d/dq (1/eta^24) = 12 Ehat_2 / eta^24, checked to order 5
     w = z1_omega(CBoson(24), 6)
-    ref = eisenstein_hat(2, 6).series.scalar(12).mul(dedekind_eta(6).pow_int(-24))
+    ref = eisenstein_hat(2, 6).scalar(12).mul(dedekind_eta(6).pow_int(-24))
     ok, why = equal_on_joint_validity(w, ref)
     assert ok, why
 
@@ -211,7 +227,7 @@ def test_t2_ratio_lattice_matches_fk_expansion():
     ratio = t2_ratio(LatticeTheory(e8), order)
     from twoloop.lattice import theta_g1
 
-    theta = EllipticForm("theta_E8", 4, PrefSeries(theta_g1(e8, order)))
+    theta = PrefSeries(theta_g1(e8, order))
     fk = fk_eps_expansion(theta, 4)
     ok, why = equal_on_joint_validity(ratio, fk)
     assert ok, why
@@ -248,17 +264,16 @@ def test_fk_cross_oracle_weight4():
     cand = psi4_theta_candidate(order, order)
     params = fourier_params(period_matrix(order, 2))
     via_fourier = fourier_to_sewing(cand.fourier_u, params)
-    theta = EllipticForm("theta_E8", 4,
-                         PrefSeries(__import__("twoloop.lattice", fromlist=["theta_g1"]).theta_g1(
-                             builtin_lattice("E8"), order)))
+    theta = PrefSeries(__import__("twoloop.lattice", fromlist=["theta_g1"]).theta_g1(
+        builtin_lattice("E8"), order))
     fk = fk_eps_expansion(theta, 4)
     ok, why = equal_on_joint_validity(via_fourier, fk)
     assert ok, why
 
 
 @pytest.mark.parametrize("weight,builder", [
-    (4, lambda: EllipticForm("E4", 4, eisenstein(4, 3).series)),
-    (6, lambda: EllipticForm("E6", 6, eisenstein(6, 3).series)),
+    (4, lambda: eisenstein(4, 3)),
+    (6, lambda: eisenstein(6, 3)),
     (12, lambda: t1_selfdual(24, 3)),
 ])
 def test_fk_eps2_constant_vanishes(weight, builder):

@@ -43,7 +43,7 @@ def test_a_matrix_low_entries():
     # A_12 = 3 eps^2 Ehat_4, A_21 = eps^2 Ehat_4: A is not symmetric
     a12 = a.entry(1, 2)
     a21 = a.entry(2, 1)
-    e4 = eisenstein_hat(4, 3).series.body
+    e4 = eisenstein_hat(4, 3).body
     ok, why = equal_on_joint_validity(a12, mul(scalar_mul(3, e4),
                                                MultiSeries((a12.spec("eps"),), {(F(2),): 1})))
     assert ok, why
@@ -94,6 +94,16 @@ def test_period_matrix_refines_with_order():
     lo, hi = period_matrix(6, 4), period_matrix(8, 6)
     for name in ("w11", "w12", "w22"):
         assert_refines(getattr(lo, name), getattr(hi, name))
+
+
+def test_fourier_to_sewing_refines_with_order():
+    from twoloop.siegel import delta10
+
+    def sewn(n):
+        return fourier_to_sewing(delta10(n, n).fourier_u,
+                                 fourier_params(period_matrix(n, n - 1)))
+
+    assert_refines(sewn(4), sewn(6))
 
 
 def test_period_matrix_requires_eps_order():
@@ -215,7 +225,7 @@ def test_delta10_factorization_beyond_printed_order():
     d = delta10(order, order)
     params = fourier_params(period_matrix(order, 5))
     lhs = fourier_to_sewing(d.fourier_u, params)
-    e2 = eisenstein_hat(2, order).series
+    e2 = eisenstein_hat(2, order)
     e2_q1, e2_q2 = e2.rename_vars({"q": "q1"}), e2.rename_vars({"q": "q2"})
     eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4)),), {(F(2),): 1})
     bracket = PrefSeries.coerce(1).add(e2_q1.mul(e2_q2).scalar(-10).mul(PrefSeries(eps2)))
@@ -252,8 +262,8 @@ def test_torus_pair_is_the_renamed_product():
 
 @pytest.mark.parametrize("f", [
     pytest.param(theta_jacobi(0, 0, 3).rename_vars({"q": "s"}), id="series-in-s"),
-    pytest.param(eisenstein_hat(2, 3).series.rename_vars({"q": "q1"}), id="series-in-q1"),
-    pytest.param(eisenstein(4, 3).series.shift("eps", 1), id="prefactor-in-eps"),
+    pytest.param(eisenstein_hat(2, 3).rename_vars({"q": "q1"}), id="series-in-q1"),
+    pytest.param(eisenstein(4, 3).shift("eps", 1), id="prefactor-in-eps"),
 ])
 def test_torus_pair_refuses_other_variables(f):
     with pytest.raises(DomainError, match="q alone"):

@@ -173,7 +173,7 @@ def test_psi4_candidate_equals_lattice_theta():
 
 def test_psi4_candidate_eps0_degeneration():
     cand = psi4_theta_candidate(3, 3)
-    e4q = eisenstein(4, 3).series.body
+    e4q = eisenstein(4, 3).body
     e4s = e4q.rename_vars({"q": "s"})
     lim = limit_var_zero(cand.fourier_u, "u")
     ok, why = equal_on_joint_validity(lim, mul(e4q, e4s))
