@@ -1053,6 +1053,18 @@ class PrefSeries:
         return PrefSeries(body.with_validity(**{name: rel}), self.prefactor)
 
 
+def substituted_validity(valid: Fraction, lead: Fraction, floor: Fraction) -> Fraction:
+    """Absolute validity in a variable y left by substituting g for x in f
+    when f is known only below x^valid.
+
+    The unknown tail x^k (k >= valid) becomes g^k, whose y-exponents are at
+    least ``valid*lead`` (``lead``, g's leading y-exponent, is positive),
+    times a coefficient of f whose y-exponents are at least ``floor``, the
+    Laurent floor of y in f's remaining body (0 where y is absent).
+    """
+    return valid * lead + min(_ZERO, floor)
+
+
 def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeries:
     """Homomorphic substitution of a series for one variable.
 
@@ -1062,7 +1074,8 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
     the other variables pass through, as do the remaining body variables.
     If ``f`` has finite validity in ``var``, the unknown tail must be ordered
     away: every leading exponent of ``g`` must be nonnegative with at least
-    one strictly positive, and the result's validity is capped accordingly.
+    one strictly positive, and the result's validity is capped accordingly
+    (:func:`substituted_validity`).
     """
     f = PrefSeries.coerce(f)
     body = f.body
@@ -1116,9 +1129,11 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
     for e in sorted(groups):
         result = result.add(g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e]))))
     if finite_tail:
+        floors = {v.name: v.min_exp for v in rest_vars}
         for name, le in lead.items():
             if le > 0:
-                result = result.cap_absolute_valid(name, valid * le)
+                bound = substituted_validity(valid, le, floors.get(name, _ZERO))
+                result = result.cap_absolute_valid(name, bound)
     for name, e in f.prefactor.items():
         if name != var:
             result = result.shift(name, e)

@@ -18,7 +18,9 @@ modular forms are then
     q = q1*exp(w11),  s = q2*exp(w22),  r = exp(w12),  u = r + 1/r - 2,
 
 and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
-(q1, q2, eps) by substitution.  Two symmetries of the sewn period matrix
+(q1, q2, eps) by substitution.  It caps the hats to the validity box of the
+result before substituting, so no step expands orders that a later step
+throws away.  Two symmetries of the sewn period matrix
 halve the work of building these parameters: swapping the tori (q1 <-> q2)
 maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
 eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
@@ -40,11 +42,13 @@ from .series import (
     VarSpec,
     add,
     exp_series,
+    is_unbounded,
     mul,
     negate,
     scalar_mul,
     shift_var,
     substitute,
+    substituted_validity,
 )
 
 F = Fraction
@@ -217,10 +221,33 @@ def fourier_params(sewing: SewingExpansion) -> FourierParams:
 
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     """Rewrite a Fourier expansion in (q, s, r) or (q, s, u) as a series in
-    the pinching parameters (q1, q2, eps)."""
+    the pinching parameters (q1, q2, eps).
+
+    Each Fourier variable x that f knows only below x^V caps the result in
+    every pinching variable y at ``V*lead_x(y)`` (see
+    :func:`~twoloop.series.substituted_validity`), where ``lead_x(y) > 0``
+    is the leading y-exponent of x's hat.  The hats are capped to that box
+    before any substitution, so no step builds powers of a hat beyond the
+    orders the last step keeps; the result is the same, term for term, as
+    substituting the uncapped hats.
+    """
+    steps = (("q", params.qhat), ("s", params.shat),
+             ("u", params.uhat), ("r", params.rhat))
+    box: dict[str, Fraction] = {}
+    for var, hat in steps:
+        if not f.has_var(var) or is_unbounded(f.spec(var).valid):
+            continue
+        for y, lead in hat.leading_exponents().items():
+            if lead > 0:
+                floor = f.spec(y).min_exp if f.has_var(y) else 0
+                bound = substituted_validity(f.spec(var).valid, lead, floor)
+                box[y] = min(box.get(y, bound), bound)
     out = PrefSeries(f)
-    for var, hat in (("q", params.qhat), ("s", params.shat),
-                     ("u", params.uhat), ("r", params.rhat)):
+    for var, hat in steps:
+        for y, bound in box.items():
+            # a body without y is exact in y; adding y would reorder its vars
+            if hat.body.has_var(y):
+                hat = hat.cap_absolute_valid(y, bound)
         out = substitute(out, var, hat)
     return out
 

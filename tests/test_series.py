@@ -501,6 +501,22 @@ def test_substitute_squares_leading_exponent():
         out.coeff({"t": 4})
 
 
+def test_substitute_cap_counts_laurent_floor_of_remaining_var():
+    # f = e^-1 + q e^-1 is known below q^2 only: its unknown q^2 e^-1 term
+    # lands on e^1, so e is known below e^1, not below e^2
+    q, e = V("q", valid=2), V("e", min_exp=-1)
+    f = S([q, e], {(0, -1): 1, (1, -1): 1})
+    g = PrefSeries(MultiSeries.monomial(V("e"), 1))
+    out = substitute(f, "q", g)
+    assert out.coeff({"e": -1}) == GaussRat(1)
+    assert out.coeff({"e": 0}) == GaussRat(1)
+    with pytest.raises(UnknownCoefficient):
+        out.coeff({"e": 1})
+    # the same f known one order further has e^1 coefficient 1, not 0
+    longer = S([V("q", valid=3), e], {(0, -1): 1, (1, -1): 1, (2, -1): 1})
+    assert substitute(longer, "q", g).coeff({"e": 1}) == GaussRat(1)
+
+
 T6, W6 = V("t", min_exp=1, order=6), V("w", order=6)
 
 

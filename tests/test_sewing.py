@@ -18,6 +18,7 @@ from twoloop.series import (
     negate,
     scalar_mul,
     shift_var,
+    substitute,
     to_json_dict,
 )
 from twoloop.sewing import (
@@ -29,6 +30,7 @@ from twoloop.sewing import (
     required_m_max,
     torus_pair,
 )
+from twoloop.siegel import delta10, psi4_theta_candidate
 
 from conftest import assert_refines
 
@@ -97,13 +99,15 @@ def test_period_matrix_refines_with_order():
 
 
 def test_fourier_to_sewing_refines_with_order():
-    from twoloop.siegel import delta10
-
     def sewn(n):
         return fourier_to_sewing(delta10(n, n).fourier_u,
                                  fourier_params(period_matrix(n, n - 1)))
 
     assert_refines(sewn(4), sewn(6))
+    # the form's q-order held below the sewing q-order: the only case in
+    # which the hat caps bite, so the lower order must still claim no more
+    held = fourier_to_sewing(delta10(4, 4).fourier_u, fourier_params(period_matrix(6, 5)))
+    assert_refines(held, sewn(6))
 
 
 def test_period_matrix_requires_eps_order():
@@ -156,8 +160,6 @@ def test_fourier_params_refuses_w12_even_in_eps():
 
 def test_substitute_q_squared_example():
     # q^2 |-> q1^2 (1 + 2 eps^2 Ehat_2(q2)) + O(eps^4)
-    from twoloop.series import substitute
-
     params = fourier_params(period_matrix(3, 3))
     f = MultiSeries((VarSpec("q", 1, F(0), F(5)),), {(F(2),): 1})
     out = substitute(f, "q", params.qhat)
@@ -198,7 +200,6 @@ def test_r_form_and_u_form_substitution_agree():
 
 def test_substitution_inverts_rhat_at_most_once(monkeypatch):
     # the r-form needs r^-1 .. r^-4; all of them come from one inverse
-    from twoloop.siegel import delta10
 
     d = delta10(4, 4)
     params = fourier_params(period_matrix(4, 5))
@@ -219,7 +220,6 @@ def test_delta10_factorization_beyond_printed_order():
     # Ehat2(q1) Ehat2(q2) eps^2 + O(eps^4)) through the sewing map
     from twoloop.elliptic import delta_cusp, eisenstein_hat
     from twoloop.series import PrefSeries
-    from twoloop.siegel import delta10
 
     order = 5
     d = delta10(order, order)
@@ -236,6 +236,40 @@ def test_delta10_factorization_beyond_printed_order():
     assert ok, why
     # the comparison really does cover the box of q-exponents up to 4
     assert lhs.body.spec("q1").valid + lhs.prefactor.get("q1", 0) == 5
+
+
+def _uncapped_chain(f, params):
+    """fourier_to_sewing without the hat caps: one substitution per Fourier
+    variable, each at the hats' own orders."""
+    out = PrefSeries.coerce(f)
+    for var, hat in (("q", params.qhat), ("s", params.shat),
+                     ("u", params.uhat), ("r", params.rhat)):
+        out = substitute(out, var, hat)
+    return out
+
+
+def _q_unbounded_form():
+    # a polynomial in q (exact to every order) known below s^3 only
+    q, s, u = VarSpec("q"), VarSpec("s", valid=F(3)), VarSpec("u")
+    return MultiSeries((q, s, u), {(F(0), F(0), F(0)): 1, (F(2), F(1), F(1)): 3,
+                                   (F(5), F(2), F(0)): -2})
+
+
+@pytest.mark.parametrize("form, sewing_orders", [
+    pytest.param(lambda: delta10(6, 6).fourier_u, (12, 6), id="delta10-u-6-at-12-6"),
+    pytest.param(lambda: delta10(4, 4).fourier, (4, 5), id="delta10-r-4-at-4-5"),
+    pytest.param(lambda: psi4_theta_candidate(3, 3).fourier_u, (3, 2), id="psi4-u-3-at-3-2"),
+    pytest.param(lambda: delta10(6, 6).fourier_u, (4, 3), id="delta10-u-6-at-4-3"),
+    pytest.param(_q_unbounded_form, (4, 4), id="q-unbounded-at-4-4"),
+])
+def test_fourier_to_sewing_matches_uncapped_chain(form, sewing_orders):
+    # capping the hats to the result's box changes no term, bound or order
+    f = form()
+    params = fourier_params(period_matrix(*sewing_orders))
+    got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
+    assert got.body.vars == want.body.vars
+    assert got.prefactor == want.prefactor
+    assert list(got.body.terms.items()) == list(want.body.terms.items())
 
 
 def test_fourier_to_sewing_validity_caps():
