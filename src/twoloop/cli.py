@@ -202,6 +202,8 @@ def cmd_partition(args) -> int:
 def cmd_check(args) -> int:
     point = [_parse_complex(p) for p in args.point.split(",")] if args.point else []
     if args.kind == "ehat-anomaly":
+        if point and len(point) != 1:
+            raise ValueError("--point needs tau")
         tau = point[0] if point else 0.2 + 1.1j
         res = check_ehat_anomaly(tau, args.q_order or 40)
     elif args.kind == "period-s1":

@@ -272,7 +272,7 @@ class MultiSeries:
     constructor for terms that are already scaled.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_views")
 
     def __init__(self, vars: tuple[VarSpec, ...], terms: dict | None = None):
         vars = tuple(vars)
@@ -470,6 +470,21 @@ class MultiSeries:
             out[tuple(key)] = c
         return out
 
+    def _kernel_view(self, merged: tuple[VarSpec, ...]) -> "_KernelView":
+        """This series' :class:`_KernelView` on ``merged``'s layout (its
+        ``(name, den)`` per variable), built on first use and kept for every
+        later product on that layout."""
+        layout = tuple((v.name, v.den) for v in merged)
+        try:
+            views = self._views
+        except AttributeError:
+            views = {}
+            object.__setattr__(self, "_views", views)
+        view = views.get(layout)
+        if view is None:
+            view = views[layout] = _KernelView(self._aligned_to(merged))
+        return view
+
     def __repr__(self):
         parts = []
         for exps, c in sorted(self.iter_terms())[:6]:
@@ -563,71 +578,114 @@ def _scaled(c: GaussRat, l: int) -> tuple[int, int]:
     return x * f, y * f
 
 
+class _KernelView:
+    """A series' terms as :func:`mul` reads them on one merged variable
+    layout: the aligned terms, the lcm of their denominators and the sorted
+    exponents held per variable (so also the minima and maxima).  Per
+    packing strides it keeps, built on first use, the packed left-term list
+    and, for the right operand, the trie and its collected rooms."""
+
+    __slots__ = ("terms", "lcm", "held", "_left", "_right")
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.lcm = lcm(*{d for _, _, d in terms.values()})
+        self.held = [sorted(set(col)) for col in zip(*terms)]
+        self._left: dict[tuple[int, ...], list] = {}
+        self._right: dict[tuple[int, ...], tuple] = {}
+
+    def left(self, strides: tuple[int, ...]) -> list:
+        """``(key, packed key, re, im)`` per term, in term order, the
+        coefficient scaled to a Gaussian integer by ``lcm``."""
+        left = self._left.get(strides)
+        if left is None:
+            l = self.lcm
+            left = self._left[strides] = [(k, sum(map(times, k, strides)), *_scaled(c, l))
+                                          for k, c in self.terms.items()]
+        return left
+
+    def right(self, strides: tuple[int, ...]) -> tuple[tuple, dict]:
+        """``(trie, rooms)``: the terms as a trie, a ``(sorted exponents,
+        children)`` pair per level whose last level's children are the packed
+        Gaussian-integer terms, and a dict from rounded room to the flat
+        list of terms it selects, filled by :func:`mul`."""
+        right = self._right.get(strides)
+        if right is None:
+            l, terms = self.lcm, self.terms
+            trie = ([], [])
+            for k in sorted(terms):
+                keys, kids = trie
+                for ki in k[:-1]:
+                    if not keys or keys[-1] != ki:
+                        keys.append(ki)
+                        kids.append(([], []))
+                    keys, kids = kids[-1]
+                keys.append(k[-1])
+                kids.append((sum(map(times, k, strides)), *_scaled(terms[k], l)))
+            right = self._right[strides] = (trie, {})
+        return right
+
+
 def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     """Truncated Cauchy product with validity propagation.
 
     Each operand is scaled by the lcm of its denominators first, so the inner
     loop works on Gaussian integers with exponent tuples packed into single
-    ints (one radix field per variable, sized so that every achievable sum
-    stays in its field); each result term is reduced by one gcd.
-    Pairs are pruned against the result's validity box before any product
-    is formed.  The right operand is indexed as a trie with one sorted level
-    per variable, so a left term's room (``kmax - k``) selects a bisected
-    prefix at every level and its right terms come out in key order.  Rooms
-    are rounded down, per variable, to an exponent the right operand holds
-    (so none exceeds ``max_b``); left terms with equal rounded rooms select
-    the same right terms, so each rounded room's candidates are collected
-    into one flat list once per product.
+    ints (one radix field per variable); each result term is reduced by one
+    gcd.  A bounded variable's field spans the result's validity box, from
+    its Laurent floor to ``kmax``; an unbounded one spans the sums of the
+    operands' exponent ranges.  Pairs are pruned against the result's
+    validity box before any product is formed.  The right operand is indexed
+    as a trie with one sorted level per variable, so a left term's room
+    (``kmax - k``) selects a bisected prefix at every level and its right
+    terms come out in key order.  Rooms are rounded down, per variable, to
+    an exponent the right operand holds (so none exceeds its maximum); left
+    terms with equal rounded rooms select the same right terms, so each
+    rounded room's candidates are collected into one flat list.
+
+    The aligned, scaled and packed terms, the trie and the room lists are
+    kept on each operand, per merged layout and strides
+    (:class:`_KernelView`), and reused by every later product that packs
+    the same way.  The strides come from the box, so every product into
+    the same box does; terms are immutable, so a kept view never goes
+    stale.
     """
     merged = _merge_vars_mul(a, b)
     if a.is_zero() or b.is_zero():
         return MultiSeries._of(merged, {})
-    ta = a._aligned_to(merged)
-    tb = b._aligned_to(merged)
-    kmaxes = [v.kmax() for v in merged]
-    nvars = len(merged)
-    la, lb = (lcm(*{d for _, _, d in t.values()}) for t in (ta, tb))
-    if nvars == 0:
-        (ca,), (cb,) = ta.values(), tb.values()
+    if not merged:
+        (ca,), (cb,) = a.terms.values(), b.terms.values()
         c = ca * cb
         return MultiSeries._of(merged, {(): c} if c else {})
-    cols_a, cols_b = list(zip(*ta)), list(zip(*tb))
-    min_a, min_b = list(map(min, cols_a)), list(map(min, cols_b))
-    max_a, max_b = list(map(max, cols_a)), list(map(max, cols_b))
-    radix = [ma + mb - qa - qb + 1 for ma, mb, qa, qb in zip(max_a, max_b, min_a, min_b)]
+    va, vb = a._kernel_view(merged), b._kernel_view(merged)
+    kmaxes = [v.kmax() for v in merged]
+    nvars = len(merged)
+    lo, radix = [], []
+    for v, m, held_a, held_b in zip(merged, kmaxes, va.held, vb.held):
+        if is_unbounded(v.valid):
+            low, high = held_a[0] + held_b[0], held_a[-1] + held_b[-1]
+        else:
+            low, high = v.kmin(), m
+        lo.append(low)
+        radix.append(high - low + 1)
     strides = [1] * nvars
     for i in range(nvars - 2, -1, -1):
         strides[i] = strides[i + 1] * radix[i + 1]
-
-    def pack(k):
-        return sum(map(times, k, strides))
-
-    off_a, off_b = pack(min_a), pack(min_b)
-
-    # the right operand as a trie: (sorted exponents, children) per level,
-    # the last level's children being its packed Gaussian-integer terms
-    trie = ([], [])
-    for k in sorted(tb):
-        keys, kids = trie
-        for ki in k[:-1]:
-            if not keys or keys[-1] != ki:
-                keys.append(ki)
-                kids.append(([], []))
-            keys, kids = kids[-1]
-        keys.append(k[-1])
-        kids.append((pack(k) - off_b, *_scaled(tb[k], lb)))
+    strides = tuple(strides)
+    off = sum(map(times, lo, strides))
+    left = va.left(strides)
+    trie, rooms = vb.right(strides)
 
     # a left exponent's room in each variable, rounded down to the nearest
     # exponent the right operand holds there (or to one below them all):
     # left terms with equal rounded rooms select the same right terms
     rounded = []
-    for m, col_a, col_b, qb in zip(kmaxes, cols_a, cols_b, min_b):
-        held = [qb - 1, *sorted(set(col_b))]
-        rounded.append({ka: held[max(bisect_right(held, m - ka), 1) - 1] for ka in set(col_a)})
-    rooms: dict[tuple[int, ...], list] = {}
+    for m, held_a, held_b in zip(kmaxes, va.held, vb.held):
+        held = [held_b[0] - 1, *held_b]
+        rounded.append({ka: held[max(bisect_right(held, m - ka), 1) - 1] for ka in held_a})
     acc: dict[int, list] = {}
     get = acc.get
-    for k, c in ta.items():
+    for k, p1, a1, b1 in left:
         room = tuple(map(getitem, rounded, k))
         items = rooms.get(room)
         if items is None:
@@ -637,7 +695,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             rooms[room] = items
         if not items:
             continue
-        p1, (a1, b1) = pack(k) - off_a, _scaled(c, la)
+        p1 -= off
         if b1:
             for p2, a2, b2 in items:
                 p = p1 + p2
@@ -656,8 +714,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
                 else:
                     cur[0] += a1 * a2
                     cur[1] += a1 * b2
-    scale = la * lb
-    lo = [qa + qb for qa, qb in zip(min_a, min_b)]
+    scale = va.lcm * vb.lcm
     res = {}
     for p, (re, im) in acc.items():
         if not re and not im:

@@ -280,6 +280,13 @@ _INVARIANCES = {
 }
 
 
+def _relative_residual(lhs: complex, rhs: complex) -> float:
+    scale = max(abs(lhs), abs(rhs))
+    if not scale:
+        raise DomainError("target vanishes at this point; relative residual undefined")
+    return float(abs(lhs - rhs) / scale)
+
+
 def check_weight(target: str, gamma: str, ctx: EvalContext,
                  q_order: int = 16, eps_order: int = 6) -> CheckResult:
     """Transformation law of a genus-two object under one generator.
@@ -296,8 +303,7 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
         sew = period_matrix(q_order, eps_order)
         o11 = complex(omega_at(sew, ctx)[0, 0])
         rhs = _S1_LAWS[target](o11, ctx.tau1) * base
-        scale = max(abs(lhs), abs(rhs))
-        residual = float(abs(lhs - rhs) / scale)
+        residual = _relative_residual(lhs, rhs)
         epsmax = max(abs(ctx.eps), abs(ctx2.eps))
         ev = min(float(v.valid) for v in series.body.vars if v.name == "eps")
         qv = min(float(v.valid) for v in series.body.vars if v.name in ("q1", "q2"))
@@ -306,7 +312,7 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
         bound = 4.0 * epsmax ** ev + 24.0 * qmag ** qv + 1e-12
     elif gamma in _INVARIANCES:
         lhs = eval_series(series, _INVARIANCES[gamma](ctx).valuation())
-        residual = abs(lhs - base) / max(abs(lhs), abs(base))
+        residual = _relative_residual(lhs, base)
         bound = 1e-12
     else:
         raise DomainError(

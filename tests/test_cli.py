@@ -166,6 +166,17 @@ def test_malformed_point_exits_2(capsys):
     assert code == 2
     code, _ = run(capsys, "check", "period-s1", "--point", "what,is,this")
     assert code == 2
+    code, _ = run(capsys, "check", "ehat-anomaly", "--point=0.2+1.1i,7i,0.5")
+    assert code == 2
+
+
+@pytest.mark.parametrize("gamma", ["S1", "T1"])
+def test_weight_where_the_target_vanishes_exits_2(capsys, gamma):
+    code = main(["check", "weight", "--target", "delta10-sewing", "--gamma", gamma,
+                 "--q-order", "6", "--eps-order", "4", "--point=0.3+1.2i,1.7i,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: target vanishes") and "Traceback" not in err
 
 
 def test_bad_flags_exit_2():

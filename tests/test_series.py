@@ -290,6 +290,32 @@ def test_mul_packed_kernel_matches_naive(vars_a, vars_b, floor, max_terms, squar
     assert not (floor and fast.terms)
 
 
+@kernel_properties
+@given(data=st.data())
+def test_mul_reusing_a_kept_view_gives_the_same_product(data):
+    # one right operand b in a sequence of products whose merged layout or
+    # box changes, so that its kept views are built, reused and passed over;
+    # every product must still be the naive one, in the reference's order
+    q, s = V("q", order=4), V("s", den=2, order=3)
+
+    def draw(*vars):
+        return data.draw(box_series(vars, {}, max_terms=8))
+
+    b, c = draw(q, s), draw(q, s)
+    products = [
+        (draw(q, s), b),                       # builds b's view for this box
+        (draw(q, V("eps", order=5)), b),       # another variable set
+        (draw(q, V("s", den=2, order=2)), b),  # lower s bound: other strides
+        (draw(V("q", order=3), s), b),         # lower leading bound, same strides
+        (b, b),                                # a square
+        (b, c), (c, b),                        # b on the left, then on the right
+    ]
+    for x, y in products:
+        out = mul(x, y)
+        assert out.terms == _naive_product(x, y, out.vars).terms
+        assert list(out.terms.items()) == _ordered_product(x, y, out.vars)
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: period_matrix(8, 6), id="period_matrix-8-6"),
     pytest.param(lambda: delta10(4, 4), id="delta10-4-4"),
@@ -718,8 +744,9 @@ def test_cached_series_are_read_only():
 
 def test_cached_series_attributes_cannot_be_reassigned():
     body = delta_cusp(4).body
+    mul(body, body)  # fills the kernel's private view slot
     for obj, name in [(delta_cusp(4), "body"), (delta_cusp(4), "prefactor"),
-                      (body, "vars"), (body, "terms")]:
+                      (body, "vars"), (body, "terms"), (body, "_views")]:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):

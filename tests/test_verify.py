@@ -190,6 +190,14 @@ def test_weight_delta10_s1():
     assert res.passed, (res.residual, res.bound)
 
 
+@pytest.mark.parametrize("gamma", ["S1", "T1"])
+def test_weight_where_the_target_vanishes_is_a_domain_error(gamma):
+    # sewn Delta10 starts at eps^2: at eps = 0 both sides are 0
+    ctx = EvalContext(0.3 + 1.2j, 1.7j, 0)
+    with pytest.raises(DomainError, match="target vanishes"):
+        check_weight("delta10-sewing", gamma, ctx, q_order=6, eps_order=4)
+
+
 def test_residual_scaling_is_eps4():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.03)
     ratio, big, small = residual_scaling("z24", ctx, q_order=16, eps_order=6)
