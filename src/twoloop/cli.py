@@ -145,8 +145,10 @@ def cmd_expand(args) -> int:
     elif target == "f12-elliptic":
         series = f12_elliptic(qo)
     elif target == "theta-jacobi":
-        a, b = (F(x) for x in (args.char or "0,0").split(",")[:2])
-        series = theta_jacobi(a, b, qo)
+        char = [F(x) for x in (args.char or "0,0").split(",")]
+        if len(char) != 2:
+            raise TwoLoopError("theta-jacobi needs --char a,b")
+        series = theta_jacobi(*char, qo)
     elif target.startswith("e") and target[1:].isdigit():
         series = eisenstein(int(target[1:]), qo)
     elif target.startswith("ehat") and target[4:].isdigit():
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", help="delta10|f12|theta|theta-g2|psi4-candidate|"
                                    "psi4|psi6|t2|eta|delta|j|f12-elliptic|"
                                    "theta-jacobi|e<2k>|ehat<2k>")
-    sp.add_argument("--char", help="theta characteristic a1,a2,b1,b2")
+    sp.add_argument("--char", help="theta characteristic a1,a2,b1,b2 (a,b for theta-jacobi)")
     sp.add_argument("--coxeter", type=int, default=0, help="k for the t2 target")
     sp.add_argument("--r-form", action="store_true", help="emit the r-form")
     sp.add_argument("--gram", help="lattice JSON file for theta-g2")

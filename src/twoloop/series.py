@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import getitem, gt, mul as times
 from types import MappingProxyType
@@ -211,7 +212,8 @@ class VarSpec:
     Exponents of this variable are integer multiples of ``1/den`` no lower
     than ``min_exp``; those below ``valid`` are exactly determined and no
     others are stored.  A ``valid`` at or past the unbounded threshold is
-    stored as exactly :data:`UNBOUNDED`.
+    stored as exactly :data:`UNBOUNDED`.  The integer bounds, the equality
+    key and the hash are computed once, at construction.
     """
 
     name: str
@@ -220,8 +222,9 @@ class VarSpec:
     valid: Fraction = UNBOUNDED
 
     def __post_init__(self):
-        if self.den < 1:
-            raise DomainError(f"den must be >= 1, got {self.den}")
+        den = self.den
+        if type(den) is not int or den < 1:
+            raise DomainError(f"den must be an int >= 1, got {den!r}")
         min_exp, valid = self.min_exp, self.valid
         if type(min_exp) is not Fraction:
             min_exp = Fraction(min_exp)
@@ -240,16 +243,32 @@ class VarSpec:
             raise DomainError(
                 f"{self.name}: need min_exp <= valid, got {min_exp}, {valid}"
             )
+        (m, md), (v, vd) = min_exp.as_integer_ratio(), valid.as_integer_ratio()
+        object.__setattr__(self, "_kmin", -((-m * den) // md))
+        object.__setattr__(self, "_kmax", (v * den - 1) // vd)
+        object.__setattr__(self, "_key", (self.name, den, m, md, v, vd))
+        # the value the field-tuple hash of a frozen dataclass would give
+        object.__setattr__(self, "_hash", hash((self.name, den, min_exp, valid)))
+
+    def __eq__(self, other):
+        if type(other) is not VarSpec:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a string's hash differs per process
+        return VarSpec, (self.name, self.den, self.min_exp, self.valid)
 
     def kmax(self) -> int:
         """Largest scaled exponent that is still valid (inclusive)."""
-        v = self.valid * self.den
-        return (v.numerator - 1) // v.denominator if v.denominator > 1 else v.numerator - 1
+        return self._kmax
 
     def kmin(self) -> int:
         """Smallest scaled exponent allowed by the Laurent floor."""
-        m = self.min_exp * self.den
-        return -((-m.numerator) // m.denominator)
+        return self._kmin
 
 
 def _scale_exp(e, den: int) -> int:
@@ -452,29 +471,13 @@ class MultiSeries:
         When the keys already fit ``merged``, returns ``self.terms`` itself:
         callers only read the result.
         """
-        if [(v.name, v.den) for v in self.vars] == [(v.name, v.den) for v in merged]:
-            return self.terms
-        pos = {v.name: i for i, v in enumerate(merged)}
-        scale = {}
-        for v in self.vars:
-            m = merged[pos[v.name]]
-            scale[v.name] = m.den // v.den
-        n = len(merged)
-        idx = [pos[v.name] for v in self.vars]
-        mult = [scale[v.name] for v in self.vars]
-        out = {}
-        for k, c in self.terms.items():
-            key = [0] * n
-            for j, ki in enumerate(k):
-                key[idx[j]] = ki * mult[j]
-            out[tuple(key)] = c
-        return out
+        return _realign(self.terms, _alignment(self.vars, merged))
 
-    def _kernel_view(self, merged: tuple[VarSpec, ...]) -> "_KernelView":
-        """This series' :class:`_KernelView` on ``merged``'s layout (its
-        ``(name, den)`` per variable), built on first use and kept for every
-        later product on that layout."""
-        layout = tuple((v.name, v.den) for v in merged)
+    def _kernel_view(self, layout: tuple, align) -> "_KernelView":
+        """This series' :class:`_KernelView` on a merged ``layout`` (its
+        ``(name, den)`` per variable), re-keyed by ``align``
+        (:func:`_alignment`), built on first use and kept for every later
+        product on that layout."""
         try:
             views = self._views
         except AttributeError:
@@ -482,7 +485,7 @@ class MultiSeries:
             object.__setattr__(self, "_views", views)
         view = views.get(layout)
         if view is None:
-            view = views[layout] = _KernelView(self._aligned_to(merged))
+            view = views[layout] = _KernelView(_realign(self.terms, align))
         return view
 
     def __repr__(self):
@@ -497,63 +500,97 @@ class MultiSeries:
         return f"<MultiSeries {body}{more}>"
 
 
-def _merge_vars_add(a: MultiSeries, b: MultiSeries) -> tuple[VarSpec, ...]:
-    a_names = {v.name for v in a.vars}
-    b_names = {v.name for v in b.vars}
-    by_name: dict[str, VarSpec] = {}
-    order: list[str] = []
-    for v in a.vars + b.vars:
-        if v.name not in by_name:
-            if v.name not in (a_names & b_names):
-                # the other operand carries this variable at exponent 0
-                v = replace(v, min_exp=min(v.min_exp, _ZERO))
-            by_name[v.name] = v
-            order.append(v.name)
-        else:
-            u = by_name[v.name]
-            den = lcm(u.den, v.den)
-            by_name[v.name] = VarSpec(
-                v.name, den, min(u.min_exp, v.min_exp), min(u.valid, v.valid)
-            )
-    return tuple(by_name[n] for n in order)
+def _alignment(vars: tuple[VarSpec, ...], merged: tuple[VarSpec, ...]):
+    """How keys on ``vars`` are re-keyed onto ``merged``: ``None`` when they
+    already fit, else the merged length and, per variable of ``vars``, its
+    merged position and den multiplier."""
+    if [(v.name, v.den) for v in vars] == [(v.name, v.den) for v in merged]:
+        return None
+    pos = {v.name: i for i, v in enumerate(merged)}
+    return len(merged), tuple((pos[v.name], merged[pos[v.name]].den // v.den) for v in vars)
 
 
-def _merge_vars_mul(a: MultiSeries, b: MultiSeries) -> tuple[VarSpec, ...]:
-    a_by = {v.name: v for v in a.vars}
-    b_by = {v.name: v for v in b.vars}
-    order: list[str] = [v.name for v in a.vars]
-    order += [v.name for v in b.vars if v.name not in a_by]
-    out = []
-    for n in order:
-        u = a_by.get(n)
-        v = b_by.get(n)
-        if u is None:
-            u = VarSpec(n, v.den)  # exponent 0, fully known
-        if v is None:
-            v = VarSpec(n, u.den)
-        den = lcm(u.den, v.den)
-        out.append(VarSpec(
-            n, den, u.min_exp + v.min_exp,
-            min(u.valid + v.min_exp, v.valid + u.min_exp),
-        ))
-    return tuple(out)
+def _realign(terms, align) -> dict[tuple[int, ...], GaussRat]:
+    """``terms`` re-keyed by an :func:`_alignment` (``terms`` itself for
+    ``None``)."""
+    if align is None:
+        return terms
+    n, moves = align
+    out = {}
+    for k, c in terms.items():
+        key = [0] * n
+        for ki, (i, m) in zip(k, moves):
+            key[i] = ki * m
+        out[tuple(key)] = c
+    return out
+
+
+def _merged_vars(a_vars: tuple[VarSpec, ...], b_vars: tuple[VarSpec, ...],
+                 bounds) -> tuple[VarSpec, ...]:
+    """The variables of a result of series on ``a_vars`` and ``b_vars``,
+    ``a_vars``' first: dens merge by lcm, and ``bounds(u, v)`` gives the
+    floor and validity bound from the operands' specs.  An operand lacking
+    a variable holds it at exponent 0: floor 0, fully known."""
+    a_by = {v.name: v for v in a_vars}
+    b_by = {v.name: v for v in b_vars}
+    merged = []
+    for n in [v.name for v in a_vars] + [v.name for v in b_vars if v.name not in a_by]:
+        u = a_by.get(n) or VarSpec(n, b_by[n].den)
+        v = b_by.get(n) or VarSpec(n, u.den)
+        merged.append(VarSpec(n, lcm(u.den, v.den), *bounds(u, v)))
+    return tuple(merged)
+
+
+@lru_cache(maxsize=None)
+def _merge_vars_add(a_vars: tuple[VarSpec, ...], b_vars: tuple[VarSpec, ...]) -> tuple:
+    """The plan of a sum of series on ``a_vars`` and ``b_vars``: the
+    :func:`_merged_vars` (the lower floor and bound), each operand's
+    :func:`_alignment`, the merged ``kmax`` per variable, and whether an
+    operand can hold a key beyond the merged box."""
+    merged = _merged_vars(a_vars, b_vars, lambda u, v: (min(u.min_exp, v.min_exp),
+                                                        min(u.valid, v.valid)))
+    kmaxes = tuple(v.kmax() for v in merged)
+    prune = False
+    for vars in (a_vars, b_vars):
+        own = {v.name: v for v in vars}
+        for m, kmax in zip(merged, kmaxes):
+            v = own.get(m.name)
+            prune |= (0 if v is None else v.kmax() * (m.den // v.den)) > kmax
+    return merged, _alignment(a_vars, merged), _alignment(b_vars, merged), kmaxes, prune
+
+
+@lru_cache(maxsize=None)
+def _merge_vars_mul(a_vars: tuple[VarSpec, ...], b_vars: tuple[VarSpec, ...]) -> tuple:
+    """The plan of a product of series on ``a_vars`` and ``b_vars``: the
+    :func:`_merged_vars` (floors add; each bound is the lower of one
+    operand's bound plus the other's floor), their ``(name, den)`` layout
+    (the key of the kernel views), each operand's :func:`_alignment`, the
+    merged ``kmax``, packing floor and radix per variable (floor and radix
+    ``None`` where unbounded) and the positions of the unbounded ones."""
+    merged = _merged_vars(a_vars, b_vars, lambda u, v: (
+        u.min_exp + v.min_exp, min(u.valid + v.min_exp, v.valid + u.min_exp)))
+    kmaxes = tuple(v.kmax() for v in merged)
+    unbounded = tuple(i for i, v in enumerate(merged) if v.valid is UNBOUNDED)
+    lo = tuple(None if i in unbounded else v.kmin() for i, v in enumerate(merged))
+    radix = tuple(None if low is None else m - low + 1 for low, m in zip(lo, kmaxes))
+    return (merged, tuple((v.name, v.den) for v in merged), _alignment(a_vars, merged),
+            _alignment(b_vars, merged), kmaxes, lo, radix, unbounded)
 
 
 def add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    """Coefficientwise sum; validity is the pointwise minimum."""
-    merged = _merge_vars_add(a, b)
-    ta = a._aligned_to(merged)
-    tb = b._aligned_to(merged)
-    kmaxes = [v.kmax() for v in merged]
-    res = ta.copy()
-    for k, c in tb.items():
+    """Coefficientwise sum; validity is the pointwise minimum.  The result is
+    scanned for keys beyond the merged box only when the cached plan of the
+    two operand layouts (:func:`_merge_vars_add`) says one can be there."""
+    merged, align_a, align_b, kmaxes, prune = _merge_vars_add(a.vars, b.vars)
+    res = _realign(a.terms, align_a) if align_a else a.terms.copy()
+    for k, c in _realign(b.terms, align_b).items():
         cur = res.get(k)
         s = c if cur is None else cur + c
         if not s:
             res.pop(k, None)
         else:
             res[k] = s
-    if any(map(gt, map(max, zip(*res)), kmaxes)):
+    if prune and any(map(gt, map(max, zip(*res)), kmaxes)):
         res = {k: c for k, c in res.items() if not any(map(gt, k, kmaxes))}
     return MultiSeries._of(merged, res)
 
@@ -648,26 +685,25 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     (:class:`_KernelView`), and reused by every later product that packs
     the same way.  The strides come from the box, so every product into
     the same box does; terms are immutable, so a kept view never goes
-    stale.
+    stale.  The merged variables and the packing of the bounded ones come
+    from the cached plan of the two operand layouts (:func:`_merge_vars_mul`).
     """
-    merged = _merge_vars_mul(a, b)
+    (merged, layout, align_a, align_b, kmaxes, lo, radix,
+     unbounded) = _merge_vars_mul(a.vars, b.vars)
     if a.is_zero() or b.is_zero():
         return MultiSeries._of(merged, {})
     if not merged:
         (ca,), (cb,) = a.terms.values(), b.terms.values()
         c = ca * cb
         return MultiSeries._of(merged, {(): c} if c else {})
-    va, vb = a._kernel_view(merged), b._kernel_view(merged)
-    kmaxes = [v.kmax() for v in merged]
+    va, vb = a._kernel_view(layout, align_a), b._kernel_view(layout, align_b)
     nvars = len(merged)
-    lo, radix = [], []
-    for v, m, held_a, held_b in zip(merged, kmaxes, va.held, vb.held):
-        if is_unbounded(v.valid):
-            low, high = held_a[0] + held_b[0], held_a[-1] + held_b[-1]
-        else:
-            low, high = v.kmin(), m
-        lo.append(low)
-        radix.append(high - low + 1)
+    if unbounded:
+        lo, radix = list(lo), list(radix)
+        for i in unbounded:
+            held_a, held_b = va.held[i], vb.held[i]
+            lo[i] = held_a[0] + held_b[0]
+            radix[i] = held_a[-1] + held_b[-1] - lo[i] + 1
     strides = [1] * nvars
     for i in range(nvars - 2, -1, -1):
         strides[i] = strides[i + 1] * radix[i + 1]
@@ -1207,10 +1243,9 @@ def equal_on_joint_validity(a, b) -> tuple[bool, str | None]:
     Returns ``(True, None)`` or ``(False, description_of_first_mismatch)``.
     """
     common, ba, bb = PrefSeries.coerce(a)._aligned_bodies(PrefSeries.coerce(b))
-    merged = _merge_vars_add(ba, bb)
-    ta = ba._aligned_to(merged)
-    tb = bb._aligned_to(merged)
-    kmaxes = [v.kmax() for v in merged]
+    merged, align_a, align_b, kmaxes, _ = _merge_vars_add(ba.vars, bb.vars)
+    ta = _realign(ba.terms, align_a)
+    tb = _realign(bb.terms, align_b)
     for key in sorted(set(ta) | set(tb)):
         if any(k > m for k, m in zip(key, kmaxes)):
             continue

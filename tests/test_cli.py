@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import twoloop
 from twoloop.cli import main
 
 
@@ -35,6 +41,16 @@ def test_expand_theta_needs_char(capsys):
                     "--q-order", "2", "--s-order", "2")
     assert code == 0
     assert json.loads(out)["terms"]
+
+
+def test_expand_theta_jacobi_needs_a_two_entry_char(capsys):
+    for char in ("1/2", "0,0,0,0"):
+        code = main(["expand", "theta-jacobi", "--char", char])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: theta-jacobi needs --char a,b\n"
+    code, out = run(capsys, "expand", "theta-jacobi", "--char", "1/2,0", "--q-order", "3")
+    assert code == 0 and json.loads(out)["terms"]
 
 
 def test_expand_formats(capsys):
@@ -216,3 +232,28 @@ def test_verify_all_json(capsys):
     d = json.loads(out)
     assert d["passed"] is True
     assert len(d["results"]) == 16
+
+
+def test_caches_are_empty_after_import_and_parser_build():
+    # a cold benchmark pass imports the CLI, builds its parser and then
+    # requires every lru_cache of the library, the series plans included,
+    # to be empty; run in a fresh interpreter, as the benchmark does
+    probe = textwrap.dedent("""
+        import json, sys
+        from twoloop import cli
+        cli.build_parser()
+        sizes = {}
+        for name, mod in list(sys.modules.items()):
+            if name == "twoloop" or name.startswith("twoloop."):
+                for obj in vars(mod).values():
+                    if callable(getattr(obj, "cache_info", None)):
+                        sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().currsize
+        print(json.dumps(sizes))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(twoloop.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    sizes = json.loads(proc.stdout)
+    assert {"twoloop.series._merge_vars_mul", "twoloop.series._merge_vars_add",
+            "twoloop.sewing.period_matrix"} <= set(sizes)
+    assert not any(sizes.values()), sizes

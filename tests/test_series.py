@@ -1,8 +1,9 @@
 import copy
 import json
 import pickle
+from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -152,13 +153,41 @@ def test_gaussrat_is_an_immutable_number_not_a_tuple():
 
 
 def test_varspec_invariants():
-    with pytest.raises(DomainError):
-        VarSpec("q", den=0)
+    # the integer bounds of products and sums need an integer den
+    for den in (0, -1, 2.0, F(3, 2), F(2), True, "2", None):
+        with pytest.raises(DomainError):
+            VarSpec("q", den=den)
     with pytest.raises(DomainError):
         VarSpec("q", 1, F(2), F(1))  # min above valid
     v = VarSpec("q", 2, F(0), F(3))
     assert v.valid == F(3)
     assert v.kmax() == 5  # largest k with k/2 < 3
+
+
+def test_varspec_bounds_hash_and_equality_are_computed_once_and_agree():
+    for den in (1, 2, 3, 6):
+        for min_exp in (F(-2), F(-1, 2), F(0), F(1, 3)):
+            for valid in (F(1, 3), F(1), F(5, 2), F(7, 3), UNBOUNDED):
+                v = VarSpec("q", den, min_exp, valid)
+                grid = range(-3 * den, 4 * den)
+                kmax = max(k for k in grid if F(k, den) < valid) if valid < UNBOUNDED else \
+                    UNBOUNDED * den - 1
+                assert (v.kmin(), v.kmax()) == (min(k for k in grid if F(k, den) >= min_exp),
+                                                kmax)
+                # the hash a frozen dataclass gives, so set and dict order hold
+                assert hash(v) == hash((v.name, v.den, v.min_exp, v.valid))
+                w = VarSpec("q", den, min_exp, valid)
+                assert w == v and hash(w) == hash(v) and w is not v
+                assert pickle.loads(pickle.dumps(v)) == v
+                assert copy.deepcopy(v) == v
+    v = VarSpec("q", 2, F(-1), F(3))
+    assert v != VarSpec("q", 2, F(-1), F(5, 2)) and v != VarSpec("q", 2, F(0), F(3))
+    assert v != VarSpec("q", 4, F(-1), F(3)) and v != VarSpec("s", 2, F(-1), F(3))
+    assert v != ("q", 2, F(-1), F(3))
+    w = replace(v, valid=F(2))  # a replaced spec gets its own bounds
+    assert (w.kmin(), w.kmax()) == (-2, 3)
+    with pytest.raises(AttributeError):
+        v.den = 3
 
 
 def test_add_cancellation():
@@ -208,6 +237,36 @@ def _naive_product(a, b, vars):
             e2 = dict(zip((v.name for v in b.vars), k2))
             key = tuple(e1.get(v.name, 0) + e2.get(v.name, 0) for v in vars)
             terms[key] = terms.get(key, GaussRat(0)) + c1 * c2
+    return MultiSeries(vars, terms)
+
+
+def _reference_merge(a_vars, b_vars, op):
+    # the merged layout of op(a, b), built apart from the library: dens by
+    # lcm; a product sums the floors and is known below the lower of one
+    # bound plus the other floor, a sum keeps the lower floor and bound; a
+    # variable one side lacks is exponent 0 there, floor 0 and unbounded
+    a_by, b_by = {v.name: v for v in a_vars}, {v.name: v for v in b_vars}
+    names = [v.name for v in a_vars] + [v.name for v in b_vars if v.name not in a_by]
+    out = []
+    for n in names:
+        den = lcm(*(s[n].den for s in (a_by, b_by) if n in s))
+        u, v = a_by.get(n, VarSpec(n, den)), b_by.get(n, VarSpec(n, den))
+        if op is mul:
+            floor, valid = u.min_exp + v.min_exp, min(u.valid + v.min_exp, v.valid + u.min_exp)
+        else:
+            floor, valid = min(u.min_exp, v.min_exp), min(u.valid, v.valid)
+        out.append(VarSpec(n, den, floor, valid))
+    return tuple(out)
+
+
+def _naive_sum(a, b, vars):
+    # both operands' terms by name, restricted to the box of ``vars``
+    terms = {}
+    for s in (a, b):
+        for k, c in s.iter_terms():
+            e = dict(zip((v.name for v in s.vars), k))
+            key = tuple(e.get(v.name, F(0)) for v in vars)
+            terms[key] = terms.get(key, GaussRat(0)) + c
     return MultiSeries(vars, terms)
 
 
@@ -285,6 +344,7 @@ def test_mul_packed_kernel_matches_naive(vars_a, vars_b, floor, max_terms, squar
     assert not (a.is_zero() or b.is_zero())  # the kernel runs, not the shortcut
     fast = mul(a, b)
     assert [v.name for v in fast.vars] == names
+    assert fast.vars == _reference_merge(a.vars, b.vars, mul)
     assert fast.terms == _naive_product(a, b, fast.vars).terms
     assert list(fast.terms.items()) == _ordered_product(a, b, fast.vars)
     assert not (floor and fast.terms)
@@ -338,6 +398,61 @@ def test_mul_keeps_term_order_on_library_products(build, monkeypatch):
     assert len(products) > 10
     for a, b, out in products:
         assert list(out.terms.items()) == _ordered_product(a, b, out.vars)
+
+
+_SIBLINGS = [
+    (V("q", den=2, order=4), V("r", min_exp=-2, order=5)),
+    (V("q", den=2, order=3), V("r", min_exp=-2, order=5)),  # one bound lower
+    (V("q", den=2, order=4), V("r", min_exp=-1, order=5)),  # one floor higher
+    (V("q", den=4, order=4), V("r", min_exp=-2, order=5)),  # one den finer
+    (V("q", den=2, order=4), V("r", min_exp=-2)),           # one bound unbounded
+]
+
+
+@pytest.mark.parametrize("op", [mul, add], ids=["mul", "add"])
+def test_merged_layout_matches_reference_merge(op, rng):
+    # layouts that differ from a sibling in one bound, floor or den, each
+    # merged after the sibling's plan is cached: a plan served for the
+    # wrong layout would give the sibling's merged variables
+    plans = series._merge_vars_mul if op is mul else series._merge_vars_add
+    plans.cache_clear()
+    others = [_SIBLINGS[0], (V("q", den=3, order=5), V("eps", order=6)),
+              (V("s", order=2),)]
+    for right in others:
+        for left in _SIBLINGS + _SIBLINGS[::-1]:
+            a, b = random_series(rng, left), random_series(rng, right)
+            for x, y in ((a, b), (b, a)):
+                out = op(x, y)
+                assert out.vars == _reference_merge(x.vars, y.vars, op)
+                naive = (_naive_product if op is mul else _naive_sum)(x, y, out.vars)
+                assert out.terms == naive.terms
+    # one plan per ordered pair of layouts; (_SIBLINGS[0], _SIBLINGS[0]) comes twice
+    assert plans.cache_info().currsize == 2 * len(_SIBLINGS) * len(others) - 1
+
+
+@pytest.mark.parametrize("vars_a, vars_b", [
+    # b lacks s, whose merged bound is 0: b's terms, at s^0, are unknown
+    ([V("q", order=3), V("s", min_exp=-2, valid=0)], [V("q", order=3)]),
+    ([V("q", order=3), V("s", min_exp=-2, valid=F(-1, 2))], [V("q", order=3)]),
+    # a's q bound is higher
+    ([V("q", order=4), V("s", order=3)], [V("q", order=2), V("s", order=3)]),
+    # dens 2 and 3 merge to 6, and b's bound 1 cuts a's q^1 and q^(3/2)
+    ([V("q", den=2, order=2)], [V("q", den=3, order=1)]),
+], ids=["missing-var-bound-0", "missing-var-bound-below-0", "higher-bound",
+        "different-dens"])
+def test_add_drops_what_lies_beyond_the_merged_box(vars_a, vars_b, rng):
+    outside = 0
+    for _ in range(30):
+        a, b = random_series(rng, vars_a), random_series(rng, vars_b)
+        for x, y in ((a, b), (b, a)):
+            out = add(x, y)
+            assert out.vars == _reference_merge(x.vars, y.vars, add)
+            assert dict(out.terms) == dict(_naive_sum(x, y, out.vars).terms)
+            for s in (x, y):
+                for k, _ in s.iter_terms():
+                    e = dict(zip((v.name for v in s.vars), k))
+                    outside += any(e.get(v.name, 0) >= v.valid for v in out.vars)
+    assert outside  # operands held terms the merged box cuts away
 
 
 def test_mul_packed_kernel_matches_naive_int(rng):
