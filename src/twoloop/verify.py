@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,20 +116,23 @@ def eval_series(series, logs: dict[str, complex]) -> complex:
     exponent drop out, negative exponents are a pole.
     """
     s = PrefSeries.coerce(series)
+    body = s.body
     total = 0.0 + 0.0j
-    for exps, c in s.body.iter_terms():
+    # the exponent is k / den; int / int is correctly rounded, the same
+    # float as float(Fraction(k, den))
+    for key, c in body.terms.items():
         arg = 0.0 + 0.0j
         at_zero = False
-        for v, e in zip(s.body.vars, exps):
-            if not e:
+        for v, k in zip(body.vars, key):
+            if not k:
                 continue
             lg = logs.get(v.name)
             if lg is None:
-                if e < 0:
-                    raise DomainError(f"pole: {v.name}^{e} evaluated at 0")
+                if k < 0:
+                    raise DomainError(f"pole: {v.name}^{Fraction(k, v.den)} evaluated at 0")
                 at_zero = True
                 break
-            arg += float(e) * logs[v.name]
+            arg += k / v.den * lg
         if at_zero:
             continue
         total += complex(c) * cmath.exp(arg)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from twoloop.elliptic import eisenstein
-from twoloop.errors import DomainError, NotPositiveDefinite, OddLattice
+from twoloop.errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
 from twoloop.lattice import (
     _BLOCK_ROWS,
     Lattice,
     _pair_histogram,
+    _representatives,
     builtin_lattice,
     enumerate_shells,
     leech_theta,
@@ -135,19 +136,41 @@ def test_pair_histogram_refuses_inexact_products():
         _pair_histogram(gram, big, big)
 
 
+_EVEN_GRAMS = {
+    "E8": builtin_lattice("E8").gram,
+    "A2": ((2, -1), (-1, 2)),
+    "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    # even and not unimodular (determinant 7), with no vector of norm 6
+    "det7": ((2, 1), (1, 4)),
+}
+
+
 @pytest.mark.parametrize("q_order,s_order", [(3, 2), (2, 3)])
-def test_theta_g2_unequal_orders(q_order, s_order):
-    e8 = builtin_lattice("E8")
-    gram = np.array(e8.gram, dtype=np.int64)
+@pytest.mark.parametrize("name", list(_EVEN_GRAMS))
+def test_theta_g2_unequal_orders(name, q_order, s_order):
+    # oracle: histograms of every full pair of shells, no x -> -x reduction
+    lat = Lattice(name, len(_EVEN_GRAMS[name]), _EVEN_GRAMS[name])
+    gram = np.array(lat.gram, dtype=np.int64)
     rows = {n: np.array(v, dtype=np.int64)
-            for n, v in enumerate_shells(e8, 4).shells.items()}
+            for n, v in enumerate_shells(lat, 4).shells.items()}
     expected = {}
     for na in range(0, 2 * q_order, 2):
         for nc in range(0, 2 * s_order, 2):
-            for b, count in _unique_histogram(gram, rows[na], rows[nc]).items():
-                expected[(F(na, 2), F(b), F(nc, 2))] = GaussRat(count)
-    th = theta_g2(e8, q_order, s_order)
+            if na in rows and nc in rows:
+                for b, count in _unique_histogram(gram, rows[na], rows[nc]).items():
+                    expected[(F(na, 2), F(b), F(nc, 2))] = GaussRat(count)
+    th = theta_g2(lat, q_order, s_order)
     assert dict(th.iter_terms()) == expected
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1), (1, 0)],    # two representatives of two rows
+    [(-1, 0), (0, 1)],   # half are representatives, but not closed under x -> -x
+    [(-1, 0), (0, 0), (1, 0)],  # closed, but with a zero row
+], ids=["no-negatives", "half-not-closed", "zero-row"])
+def test_representatives_refuse_rows_not_closed_under_negation(rows):
+    with pytest.raises(InternalError):
+        _representatives(np.array(rows, dtype=np.int64))
 
 
 def _box_shells(gram, max_norm):

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from twoloop.verify import (
     truncation_bound,
 )
 from twoloop.elliptic import delta_cusp, eisenstein_hat
-from twoloop.series import PrefSeries
+from twoloop.series import GaussRat, MultiSeries, PrefSeries, VarSpec
 from twoloop.sewing import period_matrix
 
 
@@ -108,6 +109,30 @@ def test_eval_ehat2_fixed_point():
     e2 = eisenstein_hat(2, 40)
     val = eval_series(e2, tau_valuation(1j))
     assert abs(val - (-1 / (4 * np.pi))) < 1e-12
+
+
+def test_eval_series_matches_fraction_reference_bit_for_bit():
+    # Laurent in q with den 8, and den 3 in s, whose exponents are not dyadic
+    rng = random.Random(5)
+    qs = VarSpec("q", 8, Fraction(-5, 8), 3)
+    ss = VarSpec("s", 3, 0, 2)
+    terms = {(Fraction(kq, 8), Fraction(ks, 3)): GaussRat(Fraction(rng.randint(-9, 9), 7),
+                                                         rng.randint(-3, 3))
+             for kq in range(-5, 24) for ks in range(6)}
+    series = MultiSeries((qs, ss), terms)
+    logs = {"q": 0.3 - 2.1j, "s": -0.7 + 0.45j}
+
+    total = 0.0 + 0.0j
+    for exps, c in series.iter_terms():
+        arg = 0.0 + 0.0j
+        for v, e in zip(series.vars, exps):
+            if e:
+                arg += float(e) * logs[v.name]
+        total += complex(c) * cmath.exp(arg)
+    expected = total * cmath.exp(0.0 + 0.0j)  # the empty prefactor, as eval_series applies it
+
+    got = eval_series(series, logs)
+    assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_truncation_bound_treats_a_missing_variable_as_zero():
