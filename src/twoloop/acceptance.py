@@ -193,10 +193,10 @@ def c10_lattice_oracle() -> str | None:
     if coeff(th, {"q": 1, "r": 2, "s": 1}) != GaussRat(240):
         return "q*s*r^2 coefficient of the lattice theta is not 240"
     try:
-        assert_support_condition(th, uform=False)
-        assert_support_condition(delta10(3, 3).fourier, uform=False)
-        assert_support_condition(f12_siegel(2, 2).fourier, uform=False)
-        assert_support_condition(psi4_theta_candidate(3, 3).fourier, uform=False)
+        assert_support_condition(th)
+        assert_support_condition(delta10(3, 3).fourier)
+        assert_support_condition(f12_siegel(2, 2).fourier)
+        assert_support_condition(psi4_theta_candidate(3, 3).fourier)
     except TwoLoopError as exc:
         return str(exc)
     return None

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .errors import DomainError, OddCharacteristic, ValidationFailed
+from .errors import DomainError, ValidationFailed
 from .series import (
     GaussRat,
     MultiSeries,
@@ -146,10 +146,6 @@ def covariant_derivative(f: PrefSeries, weight: int) -> PrefSeries:
     return out
 
 
-def is_odd_characteristic(a: Fraction, b: Fraction) -> bool:
-    return (4 * Fraction(a) * Fraction(b)) % 2 == 1
-
-
 #: exp(2*pi*i*k/4) for k = 0, 1, 2, 3: the only phases theta series carry.
 _QUARTER_PHASES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
 
@@ -173,17 +169,15 @@ def _theta_exponents(a: Fraction, order: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def theta_jacobi(a, b, q_order: int, require_nonzero: bool = False) -> PrefSeries:
+def theta_jacobi(a, b, q_order: int) -> PrefSeries:
     """theta[a;b](q) = sum_n q^((n+a)^2/2) exp(2*pi*i*(n+a)*b).
 
     The odd characteristic a = b = 1/2 cancels in pairs and yields the zero
-    series; pass ``require_nonzero=True`` to make that an error.
+    series.
     """
     a, b = Fraction(a), Fraction(b)
     if a not in (F(0), HALF) or b not in (F(0), HALF):
         raise DomainError("characteristics must lie in {0, 1/2}")
-    if is_odd_characteristic(a, b) and require_nonzero:
-        raise OddCharacteristic(f"theta[{a};{b}] vanishes identically")
     terms: dict[tuple[Fraction, ...], GaussRat] = {}
     for x in _theta_exponents(a, q_order):
         key = (x * x / 2,)
@@ -200,7 +194,7 @@ def f12_elliptic(q_order: int) -> MultiSeries:
     = 1 + 1104 q + ..."""
     total = None
     for a, b in EVEN_JACOBI_CHARS:
-        th = theta_jacobi(a, b, q_order, require_nonzero=True)
+        th = theta_jacobi(a, b, q_order)
         p = pow_int(th.body, 24)
         total = p if total is None else add(total, p)
     half = scalar_mul(F(1, 2), total)

@@ -39,11 +39,6 @@ class FractionalExponentUnsupported(TwoLoopError):
     """Operation requires integer exponents in some variable."""
 
 
-class OddCharacteristic(TwoLoopError):
-    """A non-zero theta series was required but the characteristic is odd
-    (its theta series vanishes identically)."""
-
-
 class NotPositiveDefinite(TwoLoopError):
     """Lattice enumeration needs a positive definite Gram matrix."""
 

@@ -12,9 +12,9 @@ Both use the symmetry x -> -x of every shell of positive norm.  The search
 visits one vector of each pair {x, -x} and adds the other at the leaf, and
 a pair of shells is histogrammed on one representative of each pair only,
 since <sa, tb> = st <a, b> for signs s, t: a quarter of the inner products.
-``theta_g2(E8, 4, 4)`` on warm shells went from about 0.36 s to 0.09 s, and
-the E8+E8 shells to norm 4 from about 0.31-0.36 s to 0.23-0.28 s (2-vCPU
-x86 VM, Python 3.11).
+
+Only the histogram path of :func:`theta_g2` needs numpy, and imports it
+where it runs.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-
-import numpy as np
 
 from .elliptic import delta_cusp, j_function
 from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
@@ -230,6 +228,8 @@ def _pair_histogram(gram_np, va, vb) -> dict[int, int]:
     an integer of size at most ``bound`` = max_a |aG|_1 * max|vb| < 2**53.  By
     Cauchy-Schwarz, |<a, b>| <= ``reach``, the offset of the ``np.bincount``.
     """
+    import numpy as np
+
     ag = va @ gram_np
     bound = int(np.abs(ag).sum(axis=1).max(initial=0)) * int(np.abs(vb).max(initial=0))
     if bound >= 2**53:
@@ -254,6 +254,8 @@ def _representatives(rows):
     order and exactly half its rows are representatives; anything else
     raises :class:`InternalError`.
     """
+    import numpy as np
+
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     reps = rows[lead > 0]
     if 2 * len(reps) != len(rows) or not np.array_equal(rows, -rows[::-1]):
@@ -283,6 +285,8 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     """
     if not lattice.is_even:
         raise OddLattice(f"{lattice.name} is not even")
+    import numpy as np
+
     table = enumerate_shells(lattice, 2 * (max(q_order, s_order) - 1))
     gram_np = np.array(lattice.gram, dtype=np.int64)
     size = {norm: len(vecs) for norm, vecs in table.shells.items()}

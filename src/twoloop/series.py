@@ -1285,7 +1285,7 @@ def _var_from_json(d: dict) -> VarSpec:
     valid = parse_rat(d["valid"])
     if valid > parse_rat(d["order"]):
         raise DomainError(f"{d['name']}: valid {d['valid']} exceeds order {d['order']}")
-    return VarSpec(d["name"], int(d["den"]), parse_rat(d["min"]), valid)
+    return VarSpec(d["name"], d["den"], parse_rat(d["min"]), valid)
 
 
 def to_json_dict(s) -> dict:

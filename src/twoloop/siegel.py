@@ -105,10 +105,8 @@ class SiegelForm:
     """
 
     label: str
-    weight: Fraction
     fourier: MultiSeries | None
     fourier_u: MultiSeries | None = None
-    odd: bool = False
 
     def coeff_r(self, a, b, c) -> GaussRat:
         if self.fourier is None:
@@ -128,7 +126,7 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
         q^((n1+a1)^2/2) * r^((n1+a1)(n2+a2)) * s^((n2+a2)^2/2)
           * exp(2*pi*i*((n1+a1)b1 + (n2+a2)b2)).
 
-    Odd characteristics cancel in pairs and return the zero form, flagged.
+    Odd characteristics cancel in pairs and return the zero form.
     """
     a1, a2 = char.a
     b1, b2 = char.b
@@ -145,12 +143,7 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
         VarSpec(SVAR, 8, F(0), s_order),
     )
     ms = MultiSeries(vars, terms)
-    return SiegelForm(
-        label=f"Theta{char.label()}",
-        weight=HALF,
-        fourier=ms,
-        odd=not char.is_even,
-    )
+    return SiegelForm(f"Theta{char.label()}", ms)
 
 
 def _assert_real_integral(ms: MultiSeries, what: str) -> MultiSeries:
@@ -165,9 +158,11 @@ def _assert_real_integral(ms: MultiSeries, what: str) -> MultiSeries:
     return ms.simplify_dens()
 
 
-def assert_support_condition(ms: MultiSeries, uform: bool) -> None:
+def assert_support_condition(ms: MultiSeries) -> None:
     """Fourier support of a full modular group Siegel form: the coefficient
-    of q^a r^b s^c can be nonzero only if a, c >= 0 and b^2 <= 4ac."""
+    of q^a r^b s^c can be nonzero only if a, c >= 0 and b^2 <= 4ac.  A
+    u-form, one in (q, s, u), is checked with its u-exponent for b."""
+    uform = ms.has_var(UVAR)
     for exps, _ in ms.iter_terms():
         if uform:
             a, c, j = exps[ms.var_index(QVAR)], exps[ms.var_index(SVAR)], exps[ms.var_index(UVAR)]
@@ -225,15 +220,15 @@ def _even_theta_powers(n: int, q_order: int, s_order: int):
         yield _translate(power, char.b)
 
 
-def _theta_form(label: str, weight: int, scale: Fraction, series: MultiSeries) -> SiegelForm:
+def _theta_form(label: str, scale: Fraction, series: MultiSeries) -> SiegelForm:
     """The form ``scale * series``, exposed only once its coefficients are
     real integers and its r-form and u-form both meet the support
     condition."""
     rform = _assert_real_integral(scalar_mul(scale, series), label)
-    assert_support_condition(rform, uform=False)
+    assert_support_condition(rform)
     uform = r_to_u(rform)
-    assert_support_condition(uform, uform=True)
-    return SiegelForm(label, F(weight), rform, uform)
+    assert_support_condition(uform)
+    return SiegelForm(label, rform, uform)
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +237,7 @@ def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     the ten even theta series."""
     if q_order < 2 or s_order < 2:
         raise DomainError("delta10 needs orders >= 2")
-    return _theta_form("Delta_10", 10, F(1, 2**12),
+    return _theta_form("Delta_10", F(1, 2**12),
                        reduce(mul, _even_theta_powers(2, q_order, s_order)))
 
 
@@ -252,7 +247,7 @@ def f12_siegel(q_order: int = 2, s_order: int = 2) -> SiegelForm:
     ten even theta series."""
     if q_order < 2 or s_order < 2:
         raise DomainError("f12 needs orders >= 2")
-    return _theta_form("F_12", 12, F(1, 4),
+    return _theta_form("F_12", F(1, 4),
                        reduce(add, _even_theta_powers(24, q_order, s_order)))
 
 
@@ -278,7 +273,7 @@ def psi_reference(k2: int) -> SiegelForm:
         (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR)),
         {(F(1), F(1), F(1)): cu, (F(1), F(1), F(2)): cu2},
     )
-    return SiegelForm(f"psi_{k2}", F(k2), None, add(base, corr))
+    return SiegelForm(f"psi_{k2}", None, add(base, corr))
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +285,7 @@ def psi4_theta_candidate(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     reference's entire validity region (including the 240*q*s*u^2 term that
     older published tables omitted).
     """
-    form = _theta_form("psi_4_theta", 4, F(1, 4),
+    form = _theta_form("psi_4_theta", F(1, 4),
                        reduce(add, _even_theta_powers(8, q_order, s_order)))
     ok, mismatch = equal_on_joint_validity(form.fourier_u, psi_reference(4).fourier_u)
     if not ok:
@@ -320,7 +315,7 @@ def t2_selfdual(k: int, q_order: int = 2, s_order: int = 2) -> SiegelForm:
         add(scalar_mul(c1, pow_int(p4, 3)), scalar_mul(c2, pow_int(p6, 2))),
         scalar_mul(1 - c1 - c2, f12),
     )
-    return SiegelForm(f"T2(k={k})", F(12), None, combo)
+    return SiegelForm(f"T2(k={k})", None, combo)
 
 
 ALLOWED_PATTERN_WEIGHTS = (4, 6, 8, 12)
@@ -344,8 +339,7 @@ def fk_fourier_pattern(a, weight: int) -> SiegelForm:
         (F(1), F(1), F(1)): GaussRat(a * a / weight),
         (F(1), F(1), F(2)): GaussRat(a),
     }
-    return SiegelForm(f"pattern(a={a},k={weight})", F(weight), None,
-                      MultiSeries(vars, terms))
+    return SiegelForm(f"pattern(a={a},k={weight})", None, MultiSeries(vars, terms))
 
 
 def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:

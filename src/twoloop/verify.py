@@ -20,10 +20,10 @@ estimate (and below any hard threshold the caller supplies).
 from __future__ import annotations
 
 import cmath
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from types import MappingProxyType
 
 from .elliptic import eisenstein_hat
 from .errors import DomainError, SingularDenominator
@@ -34,47 +34,40 @@ from .siegel import delta10
 
 TWO_PI_I = 2j * cmath.pi
 
-_GENS = {
+#: A 2x2 complex matrix as rows, such as the period matrix Omega.
+Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+# read-only: generators() hands out this table, and check_period_s1 uses it
+_GENS = MappingProxyType({
     "S1": ((0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1)),
     "S2": ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0)),
     "T1": ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
     "T2": ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
     "U": ((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
     "V": ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1)),
-}
-
-XI = np.block([[np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)],
-               [-np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)]])
+})
 
 
-def generators() -> dict[str, np.ndarray]:
-    """The generator matrices S1, S2, T1, T2, U plus the reflection V."""
-    return {name: np.array(rows, dtype=np.int64) for name, rows in _GENS.items()}
+def generators() -> Mapping[str, tuple[tuple[int, ...], ...]]:
+    """The generator matrices S1, S2, T1, T2, U plus the reflection V, as
+    4x4 integer rows."""
+    return _GENS
 
 
-def is_symplectic(gamma) -> bool:
-    g = np.array(gamma, dtype=np.int64)
-    return bool(np.array_equal(g.T @ XI @ g, XI))
+def act(gamma, omega: Mat2) -> Mat2:
+    """gamma[Omega] = (A Omega + B)(C Omega + D)^-1 on the Siegel half plane,
+    for a 4x4 gamma and a 2x2 Omega given as rows."""
+    def affine(r):  # rows r, r + 1 of gamma on Omega: A Omega + B or C Omega + D
+        return [[row[0] * omega[0][j] + row[1] * omega[1][j] + row[2 + j] for j in (0, 1)]
+                for row in gamma[r:r + 2]]
 
-
-def blocks(gamma):
-    g = np.asarray(gamma)
-    return g[:2, :2], g[:2, 2:], g[2:, :2], g[2:, 2:]
-
-
-def act(gamma, omega) -> np.ndarray:
-    """gamma[Omega] = (A Omega + B)(C Omega + D)^-1 on the Siegel half plane."""
-    a, b, c, d = blocks(gamma)
-    omega = np.asarray(omega, dtype=complex)
-    den = c @ omega + d
-    if abs(np.linalg.det(den)) < 1e-14:
+    (n11, n12), (n21, n22) = affine(0)
+    (d11, d12), (d21, d22) = affine(2)
+    det = d11 * d22 - d12 * d21
+    if abs(det) < 1e-14:
         raise SingularDenominator("det(C*Omega + D) vanishes at this point")
-    return (a @ omega + b) @ np.linalg.inv(den)
-
-
-def cocycle_det(gamma, omega) -> complex:
-    _, _, c, d = blocks(gamma)
-    return complex(np.linalg.det(c @ np.asarray(omega, dtype=complex) + d))
+    return (((n11 * d22 - n12 * d21) / det, (n12 * d11 - n11 * d12) / det),
+            ((n21 * d22 - n22 * d21) / det, (n22 * d11 - n21 * d12) / det))
 
 
 @dataclass(frozen=True)
@@ -221,13 +214,13 @@ def check_ehat_anomaly(tau: complex, q_order: int = 40) -> CheckResult:
     )
 
 
-def omega_at(sewing: SewingExpansion, ctx: EvalContext) -> np.ndarray:
+def omega_at(sewing: SewingExpansion, ctx: EvalContext) -> Mat2:
     """Numeric period matrix from the sewing expansion (2*pi*i restored)."""
     logs = ctx.valuation()
     o11 = ctx.tau1 + eval_series(sewing.w11, logs) / TWO_PI_I
     o12 = eval_series(sewing.w12, logs) / TWO_PI_I
     o22 = ctx.tau2 + eval_series(sewing.w22, logs) / TWO_PI_I
-    return np.array([[o11, o12], [o12, o22]])
+    return ((o11, o12), (o12, o22))
 
 
 def check_period_s1(ctx: EvalContext, q_order: int = 12, eps_order: int = 6) -> CheckResult:
@@ -238,8 +231,9 @@ def check_period_s1(ctx: EvalContext, q_order: int = 12, eps_order: int = 6) -> 
     omega = omega_at(sew, ctx)
     ctx2 = ctx.transformed_s1()
     omega2 = omega_at(sew, ctx2)
-    res = np.abs(omega2 - act(generators()["S1"], omega))
-    residual = float(res.max())
+    res = [[abs(x - y) for x, y in zip(row2, row)]
+           for row2, row in zip(omega2, act(_GENS["S1"], omega))]
+    residual = max(map(max, res))
     epsmax = max(abs(ctx.eps), abs(ctx2.eps))
     logs1, logs2 = ctx.valuation(), ctx2.valuation()
     qtail = sum(
@@ -250,8 +244,7 @@ def check_period_s1(ctx: EvalContext, q_order: int = 12, eps_order: int = 6) -> 
     return CheckResult(
         "period-s1", residual < 10 * bound, residual, 10 * bound,
         {"tau1": ctx.tau1, "tau2": ctx.tau2, "eps": ctx.eps},
-        {"residual_11": float(res[0, 0]), "residual_12": float(res[0, 1]),
-         "residual_22": float(res[1, 1])},
+        {"residual_11": res[0][0], "residual_12": res[0][1], "residual_22": res[1][1]},
     )
 
 
@@ -305,7 +298,7 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
         ctx2 = ctx.transformed_s1()
         lhs = eval_series(series, ctx2.valuation())
         sew = period_matrix(q_order, eps_order)
-        o11 = complex(omega_at(sew, ctx)[0, 0])
+        o11 = omega_at(sew, ctx)[0][0]
         rhs = _S1_LAWS[target](o11, ctx.tau1) * base
         residual = _relative_residual(lhs, rhs)
         epsmax = max(abs(ctx.eps), abs(ctx2.eps))

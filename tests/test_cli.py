@@ -281,3 +281,41 @@ def test_caches_are_empty_after_import_and_parser_build():
     assert {"twoloop.series._merge_vars_mul", "twoloop.series._merge_vars_add",
             "twoloop.sewing.period_matrix"} <= set(sizes)
     assert not any(sizes.values()), sizes
+
+
+NUMPY_FREE_COMMANDS = [
+    ["sew", "--q-order", "4", "--eps-order", "4"],
+    ["check", "period-s1"],
+    ["check", "weight"],
+    ["partition", "--theory", "lattice:E8", "--q-order", "3"],
+    ["lattice-info", "--max-norm", "4"],
+    ["expand", "delta10"],
+]
+
+
+def test_commands_without_lattice_histograms_need_no_numpy(capsys):
+    # only theta_g2's inner-product histograms use numpy: importing the CLI
+    # must not load it, and with every import of it refused these commands
+    # must run and print what they print with numpy present
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from twoloop import cli
+        cli.build_parser()
+        loaded = "numpy" in sys.modules
+        sys.modules["numpy"] = None  # every later `import numpy` raises ImportError
+        runs = []
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            runs.append([code, out.getvalue()])
+        print(json.dumps({"numpy_loaded": loaded, "runs": runs}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(twoloop.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(NUMPY_FREE_COMMANDS)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["numpy_loaded"] is False
+    for argv, (code, out) in zip(NUMPY_FREE_COMMANDS, got["runs"], strict=True):
+        assert code == 0, argv
+        assert (code, out) == run(capsys, *argv), argv

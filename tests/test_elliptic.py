@@ -16,7 +16,7 @@ from twoloop.elliptic import (
     sigma,
     theta_jacobi,
 )
-from twoloop.errors import DomainError, OddCharacteristic
+from twoloop.errors import DomainError
 from twoloop.series import (
     GaussRat,
     MultiSeries,
@@ -173,8 +173,6 @@ def test_theta_jacobi_even_series():
 def test_theta_jacobi_odd_cancels():
     th = theta_jacobi(HALF, HALF, 6)
     assert th.body.is_zero()
-    with pytest.raises(OddCharacteristic):
-        theta_jacobi(HALF, HALF, 6, require_nonzero=True)
 
 
 def test_f12_expansion():

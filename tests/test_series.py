@@ -836,6 +836,11 @@ def test_json_valid_above_order_is_refused():
         from_json_dict(d)
     d["vars"][0]["valid"] = "2"
     assert from_json_dict(d).body.spec("q").valid == 2
+    # a den that is not an int is refused, not rounded or read as a string
+    for den in (2.5, "2", True):
+        d["vars"][0]["den"] = den
+        with pytest.raises(DomainError, match="den must be an int"):
+            from_json_dict(d)
 
 
 def test_simplify_dens():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoloop.elliptic import eisenstein, f12_elliptic
-from twoloop.errors import DomainError, UnknownCoefficient
+from twoloop.errors import DomainError, InternalError, UnknownCoefficient
 from twoloop.lattice import builtin_lattice, theta_g2
 from twoloop.series import (
     UNBOUNDED,
@@ -62,11 +62,10 @@ def test_theta_char_basic_coefficients():
 
 
 def test_theta_char_odd_vanishes():
-    for char in all_characteristics():
-        if not char.is_even:
-            th = theta_char(char, 3, 3)
-            assert th.odd
-            assert th.fourier.is_zero()
+    odd = [char for char in all_characteristics() if not char.is_even]
+    assert len(odd) == 6
+    for char in odd:
+        assert theta_char(char, 3, 3).fourier.is_zero()
 
 
 def test_theta_char_half_shift_vanishes_at_q_zero():
@@ -258,9 +257,17 @@ def test_fk_pattern_values():
 
 
 def test_support_condition_on_products():
-    assert_support_condition(delta10(3, 3).fourier, uform=False)
-    assert_support_condition(f12_siegel(2, 2).fourier, uform=False)
-    assert_support_condition(psi4_theta_candidate(3, 3).fourier, uform=False)
+    assert_support_condition(delta10(3, 3).fourier)
+    assert_support_condition(f12_siegel(2, 2).fourier)
+    assert_support_condition(psi4_theta_candidate(3, 3).fourier)
+    # a u-form is told apart by its variable u, whose exponent stands for b
+    assert_support_condition(delta10(3, 3).fourier_u)
+    u_vars = (VarSpec("q"), VarSpec("s"), VarSpec("u"))
+    assert_support_condition(MultiSeries(u_vars, {(1, 1, 2): 1}))
+    for ms in (MultiSeries(u_vars, {(1, 1, 3): 1}),
+               MultiSeries((VarSpec("q"), VarSpec("r", 1, -3), VarSpec("s")), {(1, -3, 1): 1})):
+        with pytest.raises(InternalError, match="support condition"):
+            assert_support_condition(ms)
 
 
 # -- Omega -> Omega + B translates --------------------------------------------

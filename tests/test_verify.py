@@ -12,10 +12,8 @@ from twoloop.verify import (
     check_ehat_anomaly,
     check_period_s1,
     check_weight,
-    cocycle_det,
     eval_series,
     generators,
-    is_symplectic,
     omega_at,
     residual_scaling,
     tau_valuation,
@@ -25,22 +23,62 @@ from twoloop.elliptic import delta_cusp, eisenstein_hat
 from twoloop.series import GaussRat, MultiSeries, PrefSeries, VarSpec
 from twoloop.sewing import period_matrix
 
+# numpy reference algebra for Sp(4, Z) acting on the Siegel half plane
+
+XI = np.block([[np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)],
+               [-np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)]])
+
+
+def np_generators() -> dict[str, np.ndarray]:
+    return {name: np.array(rows, dtype=np.int64) for name, rows in generators().items()}
+
+
+def is_symplectic(gamma) -> bool:
+    g = np.array(gamma, dtype=np.int64)
+    return bool(np.array_equal(g.T @ XI @ g, XI))
+
+
+def blocks(gamma):
+    g = np.asarray(gamma)
+    return g[:2, :2], g[:2, 2:], g[2:, :2], g[2:, 2:]
+
+
+def np_act(gamma, omega) -> np.ndarray:
+    a, b, c, d = blocks(gamma)
+    omega = np.asarray(omega, dtype=complex)
+    return (a @ omega + b) @ np.linalg.inv(c @ omega + d)
+
+
+def cocycle_det(gamma, omega) -> complex:
+    _, _, c, d = blocks(gamma)
+    return complex(np.linalg.det(c @ np.asarray(omega, dtype=complex) + d))
+
+
+def as_rows(m) -> tuple:
+    return tuple(tuple(row) for row in np.asarray(m).tolist())
+
+
+OMEGA = ((0.2 + 1.1j, 0.1 + 0.04j), (0.1 + 0.04j, -0.3 + 1.5j))
+
 
 def test_generators_are_symplectic():
     gens = generators()
     assert set(gens) == {"S1", "S2", "T1", "T2", "U", "V"}
     for name, g in gens.items():
+        assert all(type(x) is int for row in g for x in row), name
         assert is_symplectic(g), name
+    with pytest.raises(TypeError):
+        gens["S1"] = gens["V"]
 
 
 def test_s1_squared_is_reflection():
-    g = generators()
+    g = np_generators()
     assert np.array_equal(g["S1"] @ g["S1"], g["V"])
     assert np.array_equal(g["S2"] @ g["S2"], -g["V"])
 
 
 def test_random_words_stay_symplectic():
-    gens = list(generators().values())
+    gens = list(np_generators().values())
     rng = random.Random(7)
     for _ in range(50):
         word = np.eye(4, dtype=np.int64)
@@ -49,40 +87,52 @@ def test_random_words_stay_symplectic():
         assert is_symplectic(word)
 
 
+def test_act_matches_numpy_reference():
+    gens = list(np_generators().values())
+    rng = random.Random(3)
+    for omega in (OMEGA, ((0.3 + 1.2j, 0.05j), (0.05j, 1.7j))):
+        for _ in range(30):
+            word = np.eye(4, dtype=np.int64)
+            for _ in range(rng.randint(1, 4)):
+                word = word @ rng.choice(gens)
+            got = np.array(act(as_rows(word), omega))
+            assert got.shape == (2, 2)
+            assert np.abs(got - np_act(word, omega)).max() < 1e-12
+
+
 def test_act_matches_translation_laws():
     gens = generators()
-    omega = np.array([[0.3 + 1.2j, 0.05j], [0.05j, 1.7j]])
+    omega = ((0.3 + 1.2j, 0.05j), (0.05j, 1.7j))
     t1 = act(gens["T1"], omega)
-    assert abs(t1[0, 0] - (omega[0, 0] + 1)) < 1e-14
-    assert abs(t1[1, 1] - omega[1, 1]) < 1e-14
+    assert abs(t1[0][0] - (omega[0][0] + 1)) < 1e-14
+    assert abs(t1[1][1] - omega[1][1]) < 1e-14
     u = act(gens["U"], omega)
-    assert abs(u[0, 1] - (omega[0, 1] + 1)) < 1e-14
+    assert abs(u[0][1] - (omega[0][1] + 1)) < 1e-14
     v = act(gens["V"], omega)
-    assert abs(v[0, 1] + omega[0, 1]) < 1e-14
+    assert abs(v[0][1] + omega[0][1]) < 1e-14
     s1 = act(gens["S1"], omega)
-    assert abs(s1[0, 0] + 1 / omega[0, 0]) < 1e-14
-    assert abs(s1[0, 1] + omega[0, 1] / omega[0, 0]) < 1e-14
-    assert abs(s1[1, 1] - (omega[1, 1] - omega[0, 1] ** 2 / omega[0, 0])) < 1e-14
+    assert abs(s1[0][0] + 1 / omega[0][0]) < 1e-14
+    assert abs(s1[0][1] + omega[0][1] / omega[0][0]) < 1e-14
+    assert abs(s1[1][1] - (omega[1][1] - omega[0][1] ** 2 / omega[0][0])) < 1e-14
 
 
 def test_act_is_group_action():
-    gens = list(generators().values())
+    gens = list(np_generators().values())
     rng = random.Random(11)
-    omega = np.array([[0.2 + 1.1j, 0.1 + 0.04j], [0.1 + 0.04j, -0.3 + 1.5j]])
     for _ in range(20):
         g1 = rng.choice(gens) @ rng.choice(gens)
         g2 = rng.choice(gens)
-        lhs = act(g1 @ g2, omega)
-        rhs = act(g1, act(g2, omega))
+        lhs = np.array(act(as_rows(g1 @ g2), OMEGA))
+        rhs = np.array(act(as_rows(g1), act(as_rows(g2), OMEGA)))
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_det_im_transformation():
     gens = generators()
-    omega = np.array([[0.2 + 1.1j, 0.1 + 0.04j], [0.1 + 0.04j, -0.3 + 1.5j]])
+    omega = np.array(OMEGA)
     for name in ("S1", "S2", "U", "T1"):
         g = gens[name]
-        moved = act(g, omega)
+        moved = np.array(act(g, OMEGA))
         lhs = np.linalg.det(moved.imag)
         rhs = np.linalg.det(omega.imag) / abs(cocycle_det(g, omega)) ** 2
         assert abs(lhs - rhs) < 1e-12, name
@@ -90,7 +140,7 @@ def test_det_im_transformation():
 
 def test_act_singular_denominator():
     gens = generators()
-    omega = np.array([[1e-20 + 0j, 0], [0, 1j]])
+    omega = ((1e-20 + 0j, 0), (0, 1j))
     with pytest.raises(SingularDenominator):
         act(gens["S1"], omega)
 
@@ -173,8 +223,8 @@ def test_period_s1_eps_zero_diagonal():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.0)
     sew = period_matrix(8, 4)
     omega = omega_at(sew, ctx)
-    assert abs(omega[0, 1]) < 1e-15
-    assert abs(omega[0, 0] - ctx.tau1) < 1e-15
+    assert abs(omega[0][1]) < 1e-15
+    assert abs(omega[0][0] - ctx.tau1) < 1e-15
 
 
 def test_eps_reflection_flips_omega12():
@@ -182,9 +232,9 @@ def test_eps_reflection_flips_omega12():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.05)
     flip = EvalContext(0.3 + 1.2j, 1.7j, -0.05)
     om, om2 = omega_at(sew, ctx), omega_at(sew, flip)
-    assert abs(om2[0, 1] + om[0, 1]) < 1e-15
-    assert abs(om2[0, 0] - om[0, 0]) < 1e-15
-    assert abs(om2[1, 1] - om[1, 1]) < 1e-15
+    assert abs(om2[0][1] + om[0][1]) < 1e-15
+    assert abs(om2[0][0] - om[0][0]) < 1e-15
+    assert abs(om2[1][1] - om[1][1]) < 1e-15
 
 
 def test_weight_z24_translations_and_reflection():
