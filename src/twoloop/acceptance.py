@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .elliptic import (
     delta_cusp,
@@ -34,8 +35,11 @@ from .series import (
     PrefSeries,
     coeff,
     equal_on_joint_validity,
+    mul,
+    scalar_mul,
 )
 from .siegel import (
+    _even_theta_powers,
     assert_support_condition,
     delta10,
     f12_siegel,
@@ -87,7 +91,13 @@ def c01_delta10_table() -> str | None:
         (1, 1, 1): 1, (2, 1, 1): -24, (1, 2, 1): -24, (2, 2, 1): 576,
         (2, 1, 2): -2, (1, 2, 2): -2, (2, 2, 2): 144, (2, 2, 3): -16,
     }
-    return _expect(table, lambda k: d.coeff_u(k[0], k[1], k[2]))
+    bad = _expect(table, lambda k: d.coeff_u(k[0], k[1], k[2]))
+    if bad:
+        return bad
+    # the Maass lift against the independent theta route
+    theta = scalar_mul(F(1, 2**12), reduce(mul, _even_theta_powers(2, 3, 3)))
+    ok, why = equal_on_joint_validity(d.fourier, theta)
+    return None if ok else f"Maass lift != theta product at {why}"
 
 
 def c02_f12_table() -> str | None:

@@ -28,7 +28,6 @@ from .series import (
     VarSpec,
     add,
     is_unbounded,
-    mul,
     pow_int,
     scalar_mul,
 )
@@ -92,13 +91,17 @@ def eisenstein_hat(k2: int, q_order: int) -> PrefSeries:
 
 @lru_cache(maxsize=None)
 def euler_product(q_order: int) -> MultiSeries:
-    """prod_{n>=1} (1 - q^n), truncated."""
-    spec = VarSpec("q", valid=q_order)
-    out = MultiSeries.constant(1, (spec,))
-    for n in range(1, q_order):
-        factor = MultiSeries((spec,), {(F(0),): 1, (F(n),): -1})
-        out = mul(out, factor)
-    return out
+    """prod_{n>=1} (1 - q^n) below q^q_order, by Euler's pentagonal number
+    theorem: the sum over k in Z of (-1)^k q^(k(3k-1)/2)."""
+    terms = {(0,): GaussRat(1)}
+    k = 1
+    while (e := k * (3 * k - 1) // 2) < q_order:
+        sign = GaussRat(-1 if k % 2 else 1)
+        terms[(e,)] = sign
+        if e + k < q_order:  # -k gives k(3k+1)/2
+            terms[(e + k,)] = sign
+        k += 1
+    return MultiSeries._of((VarSpec("q", valid=q_order),), terms)
 
 
 @lru_cache(maxsize=None)

@@ -271,6 +271,14 @@ class VarSpec:
         return self._kmin
 
 
+def _distinct(vars: tuple[VarSpec, ...]) -> tuple[VarSpec, ...]:
+    """``vars`` itself, once their names are checked to be distinct."""
+    names = [v.name for v in vars]
+    if len(set(names)) != len(names):
+        raise DomainError(f"duplicate variable names: {names}")
+    return vars
+
+
 def _scale_exp(e, den: int) -> int:
     e = e if isinstance(e, Fraction) else Fraction(e)
     k = e * den
@@ -294,7 +302,7 @@ class MultiSeries:
     __slots__ = ("vars", "terms", "_views")
 
     def __init__(self, vars: tuple[VarSpec, ...], terms: dict | None = None):
-        vars = tuple(vars)
+        vars = _distinct(tuple(vars))
         store: dict[tuple[int, ...], GaussRat] = {}
         if terms:
             for exps, c in terms.items():
@@ -323,16 +331,15 @@ class MultiSeries:
     @classmethod
     def _of(cls, vars: tuple[VarSpec, ...], terms) -> "MultiSeries":
         """Build-and-freeze: ``terms`` must hold scaled, nonzero keys inside
-        the validity box.  A dict is wrapped without a copy, so the caller
+        the validity box, and ``vars`` distinct names (every caller takes
+        them from operands, drops some, or checks new ones with
+        :func:`_distinct`).  A dict is wrapped without a copy, so the caller
         must not keep writing to it; a frozen mapping is shared."""
         out = cls.__new__(cls)
         out._freeze(tuple(vars), terms)
         return out
 
     def _freeze(self, vars: tuple[VarSpec, ...], terms) -> None:
-        names = [v.name for v in vars]
-        if len(set(names)) != len(names):
-            raise DomainError(f"duplicate variable names: {names}")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms if type(terms) is MappingProxyType
                            else MappingProxyType(terms))
@@ -341,7 +348,7 @@ class MultiSeries:
 
     @staticmethod
     def zero(vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
-        return MultiSeries._of(vars, {})
+        return MultiSeries._of(_distinct(tuple(vars)), {})
 
     @staticmethod
     def constant(c, vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
@@ -429,7 +436,7 @@ class MultiSeries:
 
     def rename_vars(self, mapping: dict[str, str]) -> "MultiSeries":
         new_vars = tuple(replace(v, name=mapping.get(v.name, v.name)) for v in self.vars)
-        return MultiSeries._of(new_vars, self.terms)
+        return MultiSeries._of(_distinct(new_vars), self.terms)
 
     def with_den(self, name: str, den: int) -> "MultiSeries":
         """Re-grid one variable to a denominator divisible by all current
@@ -925,7 +932,7 @@ def r_to_u(a: MultiSeries) -> MultiSeries:
         for j, c in ucoeffs.items():
             if not c.is_zero():
                 res[rest + (j,)] = c
-    return MultiSeries._of(a.vars[:i] + a.vars[i + 1:] + (VarSpec("u"),), res)
+    return MultiSeries._of(_distinct(a.vars[:i] + a.vars[i + 1:] + (VarSpec("u"),)), res)
 
 
 def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:

@@ -1,10 +1,14 @@
 """Genus-two Siegel modular forms as exact Fourier expansions.
 
-The ten even half-integral characteristic theta series generate everything
-computed here: the weight-10 cusp form (2^-12 times the product of their
-squares), the weight-12 form (a quarter of the sum of their 24th powers),
-and a validated weight-4 candidate (a quarter of the sum of their 8th
-powers).  All three take their theta powers from one generator that raises
+The weight-10 cusp form is the Maass lift of the index-1 Jacobi cusp form
+phi_{10,1} = eta^18 theta_1^2 (see :func:`_maass_lift`); its coefficients
+are divisor sums of the coefficients of one genus-one series, with no
+genus-two product.  The ten even half-integral characteristic theta
+series generate the weight-12 form (a quarter of the sum of their 24th
+powers) and a validated weight-4 candidate (a quarter of the sum of their
+8th powers), and, as 2^-12 times the product of their squares, the
+independent route to the weight-10 form that the acceptance suite checks
+the lift against.  The theta powers come from one generator that raises
 only the four Theta[a; 0] to the n-th power: Theta[a; b] is Theta[a; 0]
 under Omega -> Omega + B (see :func:`_translate`), so each of the other six
 powers is an exact coefficientwise translate, checked against the ten theta
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul as times
 
 from .elliptic import (
@@ -33,11 +37,13 @@ from .elliptic import (
     _phase,
     _theta_exponents,
     covariant_derivative,
+    dedekind_eta,
     eisenstein,
     eisenstein_hat,
 )
 from .errors import DomainError, InternalError, NotAUnit, ValidationFailed
 from .series import (
+    GR_ZERO,
     GaussRat,
     MultiSeries,
     PrefSeries,
@@ -45,10 +51,12 @@ from .series import (
     add,
     coeff,
     equal_on_joint_validity,
+    is_unbounded,
     mul,
     pow_int,
     r_to_u,
     scalar_mul,
+    shift_var,
 )
 from .sewing import eps2_bracket, torus_pair
 
@@ -231,14 +239,79 @@ def _theta_form(label: str, scale: Fraction, series: MultiSeries) -> SiegelForm:
     return SiegelForm(label, rform, uform)
 
 
+def _phi10_1(q_valid: int) -> MultiSeries:
+    """The Jacobi cusp form phi_{10,1} = eta^18 theta_1^2 of weight 10 and
+    index 1 in (q, r), r standing for zeta = exp(2*pi*i*z), known below
+    q^(q_valid + 3/4): q (r - 2 + 1/r) + O(q^2).
+
+    theta_1(tau, z) is taken as the sum over x in Z + 1/2 of
+    (-1)^(x - 1/2) q^(x^2/2) r^x = q^(1/8) (r^(1/2) - r^(-1/2)) + ...
+    """
+    theta = {(x * x / 2, x): -1 if (x - HALF) % 2 else 1
+             for x in _theta_exponents(HALF, q_valid)}
+    rmin = min(x for _, x in theta)
+    theta = MultiSeries((VarSpec(QVAR, 8, F(0), q_valid), VarSpec(RVAR, 2, rmin)), theta)
+    eta18 = dedekind_eta(q_valid).pow_int(18)
+    phi = mul(mul(theta, theta), eta18.body)
+    return shift_var(phi, QVAR, eta18.prefactor[QVAR]).simplify_dens()
+
+
+def _maass_lift(c: MultiSeries, weight: int, q_order: int, s_order: int) -> MultiSeries:
+    """The Maass lift of an index-1 Jacobi cusp form of weight k, given as
+    its (q, r) series ``c`` with integer exponents: the Siegel form whose
+    coefficient of q^n r^r s^m is the sum over d | gcd(n, r, m) of
+    d^(k-1) c((4nm - r^2)/d^2) (Eichler and Zagier, *The Theory of Jacobi
+    Forms*, 1985, section 6), in (q, r, s) below q^q_order s^s_order and
+    exact in r.
+
+    c(D) is read from ``c`` at 4n - r^2 = D for every D up to
+    Dmax = 4 (q_order - 1)(s_order - 1), so ``c`` must be known through
+    q^(Dmax/4).  Raises :class:`InternalError` if a coefficient of ``c``
+    is not a function of 4n - r^2 on that range, or is nonzero at some
+    4n - r^2 <= 0.
+    """
+    top = (q_order - 1) * (s_order - 1)
+    if ([(v.name, v.den) for v in c.vars] != [(QVAR, 1), (RVAR, 1)]
+            or c.vars[0].valid <= top or not is_unbounded(c.vars[1].valid)):
+        raise InternalError(f"Maass lift needs c(n, r) on integers, known through q^{top}")
+    terms = c.terms
+    if any(4 * n - r * r <= 0 for n, r in terms):
+        raise InternalError("Maass lift of a form that is not a Jacobi cusp form")
+    cd = {}
+    for n in range(1, top + 1):
+        reach = isqrt(4 * n - 1)
+        for r in range(-reach, reach + 1):
+            got = terms.get((n, r), GR_ZERO)
+            if cd.setdefault(4 * n - r * r, got) != got:
+                raise InternalError(f"c({n}, {r}) is not a function of 4n - r^2")
+    out = {}
+    for n in range(1, q_order):
+        for m in range(1, s_order):
+            reach = isqrt(4 * n * m)
+            for r in range(-reach, reach + 1):
+                g, disc = gcd(n, r, m), 4 * n * m - r * r
+                a = sum((d ** (weight - 1) * cd.get(disc // (d * d), GR_ZERO)
+                         for d in range(1, g + 1) if not g % d), GR_ZERO)
+                if a:
+                    out[(n, r, m)] = a
+    rmin = min((r for _, r, _ in out), default=0)
+    return MultiSeries._of(
+        (VarSpec(QVAR, 1, F(0), q_order), VarSpec(RVAR, 1, rmin), VarSpec(SVAR, 1, F(0), s_order)),
+        out)
+
+
 @lru_cache(maxsize=None)
 def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
-    """The weight-10 cusp form: 2^-12 times the product of the squares of
-    the ten even theta series."""
+    """The weight-10 cusp form: the Maass lift of phi_{10,1} = eta^18
+    theta_1^2 (Eichler and Zagier, *The Theory of Jacobi Forms*, 1985,
+    section 6), equal to 2^-12 times the product of the squares of the ten
+    even theta series.  The declared Laurent floor of r is the lowest
+    stored r-exponent: r is exact, so every coefficient in the (q, s) box
+    is known."""
     if q_order < 2 or s_order < 2:
         raise DomainError("delta10 needs orders >= 2")
-    return _theta_form("Delta_10", F(1, 2**12),
-                       reduce(mul, _even_theta_powers(2, q_order, s_order)))
+    phi = _phi10_1((q_order - 1) * (s_order - 1))
+    return _theta_form("Delta_10", F(1), _maass_lift(phi, 10, q_order, s_order))
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from twoloop.series import (
     VarSpec,
     coeff,
     equal_on_joint_validity,
+    mul,
     shift_var,
 )
 
@@ -96,6 +97,18 @@ def test_eta_matches_pentagonal_oracle():
     oracle = pentagonal_euler(order)
     for n in range(order):
         assert coeff(body, {"q": n}) == GaussRat(oracle.get(n, 0)), n
+
+
+@pytest.mark.parametrize("order", [2, 3, 10, 81])
+def test_euler_product_equals_the_product_form(order):
+    # the pentagonal sum against prod_{n < order} (1 - q^n), one mul per factor
+    spec = VarSpec("q", valid=order)
+    ref = MultiSeries.constant(1, (spec,))
+    for n in range(1, order):
+        ref = mul(ref, MultiSeries((spec,), {(F(0),): 1, (F(n),): -1}))
+    got = euler_product(order)
+    assert got.vars == ref.vars
+    assert got.terms == ref.terms
 
 
 def test_delta_expansion():

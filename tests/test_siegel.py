@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from twoloop.series import (
     MultiSeries,
     VarSpec,
     add,
+    coeff,
     equal_on_joint_validity,
     limit_var_zero,
     mul,
@@ -23,6 +26,9 @@ from twoloop.series import (
 )
 from twoloop.siegel import (
     Characteristic,
+    _even_theta_powers,
+    _maass_lift,
+    _phi10_1,
     _translate,
     all_characteristics,
     assert_support_condition,
@@ -354,7 +360,7 @@ def test_power_sum_matches_ten_power_reference(form, n, order):
 @pytest.mark.parametrize("form, low, high", [
     (f12_siegel, 2, 4),
     (psi4_theta_candidate, 3, 5),
-    (delta10, 4, 6),
+    (delta10, 6, 9),
 ], ids=["f12", "psi4", "delta10"])
 def test_power_sum_refines_with_order(form, low, high):
     lo, hi = form(low, low), form(high, high)
@@ -373,3 +379,93 @@ def test_r_validity_stays_exactly_unbounded(form, order):
 def test_r_form_json_prints_the_unbounded_sentinel():
     (r,) = [v for v in to_json_dict(delta10(4, 4).fourier)["vars"] if v["name"] == "r"]
     assert r["order"] == r["valid"] == "1000000000"
+
+
+def _theta_delta10(q_order, s_order):
+    """2^-12 times the product of the squares of the ten even theta series."""
+    prod = reduce(mul, _even_theta_powers(2, q_order, s_order))
+    return scalar_mul(F(1, 2**12), prod).simplify_dens()
+
+
+@pytest.mark.parametrize("q_order, s_order", [(2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (5, 2)])
+def test_delta10_lift_equals_theta_product(q_order, s_order):
+    got, ref = delta10(q_order, s_order), _theta_delta10(q_order, s_order)
+    assert to_json_dict(got.fourier_u) == to_json_dict(r_to_u(ref))
+    assert got.fourier.terms == ref.terms
+    # r is exact, so its declared floor is the lowest stored r-exponent
+    i = ref.var_index("r")
+    assert got.fourier.spec("r").min_exp == min(k[i] for k in ref.terms)
+    assert [v for v in got.fourier.vars if v.name != "r"] == \
+        [v for v in ref.vars if v.name != "r"]
+
+
+def test_phi10_1_leading_coefficients():
+    # eta^18 theta_1^2 = q (r - 2 + 1/r) + q^2 (-2 r^2 - 16 r + 36 - 16/r - 2/r^2) + ...
+    phi = _phi10_1(2)
+    want = {(1, 1): 1, (1, 0): -2, (1, -1): 1,
+            (2, 2): -2, (2, 1): -16, (2, 0): 36, (2, -1): -16, (2, -2): -2}
+    for (n, r), c in want.items():
+        assert coeff(phi, {"q": n, "r": r}) == GaussRat(c), (n, r)
+
+
+def _with_terms(ms, terms):
+    return MultiSeries._of(ms.vars, terms)
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda t: {**t, (2, 1): t[(2, 1)] + 1}, "not a function"),
+    (lambda t: {k: c for k, c in t.items() if k != (2, -1)}, "not a function"),
+    (lambda t: {**t, (1, 2): GaussRat(1)}, "not a Jacobi cusp form"),
+], ids=["changed", "dropped", "nonzero-at-D=0"])
+def test_maass_lift_refuses_what_is_not_a_jacobi_cusp_form(edit, why):
+    phi = _phi10_1(4)
+    assert _maass_lift(phi, 10, 3, 3).terms == delta10(3, 3).fourier.terms
+    with pytest.raises(InternalError, match=why):
+        _maass_lift(_with_terms(phi, edit(dict(phi.terms))), 10, 3, 3)
+    with pytest.raises(InternalError, match="known through"):
+        _maass_lift(phi, 10, 4, 3)  # needs c through q^6
+
+
+def gl2_violations(ms, q_order, s_order):
+    """The coefficients of a (q, r, s) series in the box below q^q_order
+    s^s_order, r^2 <= 4nm, that differ from the coefficient at an image in
+    the box under q <-> s, r -> -r or one of the four unipotent moves.
+
+    A Siegel form of even weight for the full modular group has a(T) =
+    a(U^t T U) for every U in GL2(Z), with T = [[n, r/2], [r/2, m]]; the
+    unipotent U = [[1, +-1], [0, 1]] and its transpose move (n, r, m) to
+    (n, r +- 2n, n +- r + m) and (n +- r + m, r +- 2m, m)."""
+    def a(n, r, m):
+        return coeff(ms, {"q": n, "r": r, "s": m})
+
+    bad = []
+    for n in range(q_order):
+        for m in range(s_order):
+            reach = isqrt(4 * n * m)
+            for r in range(-reach, reach + 1):
+                images = [(m, r, n), (n, -r, m),
+                          (n, r + 2 * n, n + r + m), (n, r - 2 * n, n - r + m),
+                          (n + r + m, r + 2 * m, m), (n - r + m, r - 2 * m, m)]
+                here = a(n, r, m)
+                bad += [((n, r, m), img) for img in images
+                        if img[0] < q_order and img[2] < s_order and a(*img) != here]
+    return bad
+
+
+@pytest.mark.parametrize("build, box", [
+    (lambda: _theta_delta10(5, 5), (5, 5)),
+    (lambda: delta10(6, 6).fourier, (6, 6)),
+    (lambda: f12_siegel(5, 5).fourier, (5, 5)),
+    (lambda: psi4_theta_candidate(5, 5).fourier, (5, 5)),
+    (lambda: theta_g2(builtin_lattice("E8"), 4, 4), (4, 4)),
+], ids=["delta10-theta-5", "delta10-lift-6", "f12-5", "psi4-5", "theta_g2-E8-4"])
+def test_gl2_invariance(build, box):
+    assert gl2_violations(build(), *box) == []
+
+
+def test_gl2_oracle_sees_one_dropped_term():
+    d = delta10(4, 4).fourier
+    key = tuple(e * v.den for e, v in zip((1, 1, 2), d.vars))
+    dropped = _with_terms(d, {k: c for k, c in d.terms.items() if k != key})
+    bad = gl2_violations(dropped, 4, 4)
+    assert bad and all((1, 1, 2) in pair for pair in bad)
