@@ -1,8 +1,10 @@
 """Integral lattices: ingestion, exact vector enumeration, theta series.
 
-Enumeration bounds each coordinate with the exact LDL^T decomposition of
-the Gram matrix, scaled once to integers over common denominators, so the
-search runs in integer arithmetic and no boundary vector is ever missed.
+Each Gram matrix is eliminated once, fraction-free, when its lattice is
+built: the leading principal minors give the determinant and positive
+definiteness, and with the integers below the diagonal they bound every
+coordinate of the search in integer arithmetic, so no boundary vector is
+ever missed.
 Genus-two theta series are assembled from inner-product histograms of shell
 pairs rather than raw vector pairs: the products are taken in blocks of rows
 (exact float64 BLAS products of integer matrices) and counted with an offset
@@ -22,12 +24,11 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .elliptic import delta_cusp, j_function
 from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
 from .series import GaussRat, MultiSeries, VarSpec
 
@@ -36,31 +37,38 @@ F = Fraction
 
 @dataclass(frozen=True)
 class Lattice:
-    """A positive definite integral lattice given by its Gram matrix."""
+    """A positive definite integral lattice given by its Gram matrix.
+
+    ``_elim`` holds the :func:`_elimination` of the Gram matrix, run once at
+    construction, which raises :class:`NotPositiveDefinite` for a matrix
+    that is not positive definite."""
 
     name: str
     rank: int
     gram: tuple[tuple[int, ...], ...]
+    _elim: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
+        # type(x) is int: a bool, float or Fraction is refused, not coerced
+        if type(self.rank) is not int or not all(type(x) is int for row in g for x in row):
+            raise DomainError(f"rank and Gram entries of {self.name} must be integers")
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
             raise DomainError(f"Gram matrix of {self.name} is not {self.rank}x{self.rank}")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if g[i][j] != g[j][i]:
-                    raise DomainError(f"Gram matrix of {self.name} is not symmetric")
+        if any(g[i][j] != g[j][i] for i in range(self.rank) for j in range(i)):
+            raise DomainError(f"Gram matrix of {self.name} is not symmetric")
+        object.__setattr__(self, "_elim", _elimination(g))
 
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return _int_det(self.gram)
+        return self._elim[0][-1]
 
     @property
     def is_unimodular(self) -> bool:
-        return abs(self.determinant()) == 1
+        return self.determinant() == 1
 
     def direct_sum(self, other: "Lattice", name: str | None = None) -> "Lattice":
         n, m = self.rank, other.rank
@@ -77,17 +85,14 @@ class Lattice:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Lattice":
-        """Refuses a ``rank`` or Gram entry that is not a JSON integer (a
-        float, string or boolean), rather than truncating or coercing it."""
+        """Refuses JSON that is not an object with a ``gram`` list of rows;
+        the constructor refuses a ``rank`` or entry that is no JSON integer."""
         if not isinstance(d, dict):
             raise DomainError("lattice JSON must be an object")
-        rank, rows = d.get("rank"), d.get("gram")
-        # type(x) is int: bool is a subclass of int, but JSON true is no number
-        if (type(rank) is not int or not isinstance(rows, list)
-                or not all(isinstance(row, list) and all(type(x) is int for x in row)
-                           for row in rows)):
-            raise DomainError("lattice JSON needs 'rank' and 'gram' made of JSON integers")
-        return Lattice(str(d.get("name", "lattice")), rank, tuple(map(tuple, rows)))
+        rows = d.get("gram")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise DomainError("lattice JSON needs 'gram', a list of rows of integers")
+        return Lattice(str(d.get("name", "lattice")), d.get("rank"), tuple(map(tuple, rows)))
 
     @staticmethod
     def from_file(path: str) -> "Lattice":
@@ -95,28 +100,30 @@ class Lattice:
             return Lattice.from_json_dict(json.load(fh))
 
 
-def _int_det(rows) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [list(map(int, row)) for row in rows]
+def _elimination(gram) -> tuple[tuple[int, ...], tuple]:
+    """Fraction-free elimination of a symmetric integer matrix G without
+    pivoting (Bareiss, *Math. Comp.* 22, 1968).
+
+    Returns the leading principal minors (M_0 = 1, M_1, ..., M_n) and, per
+    column i, the pairs (j, a_ji) of nonzero integers left below the
+    diagonal, so that <x,x> = sum_i (M_{i+1} x_i + sum_{j>i} a_ji x_j)^2 /
+    (M_i M_{i+1}): LDL^T with its denominators cleared.  By Sylvester's
+    criterion G is positive definite exactly when every M_k > 0; the first
+    M_k <= 0 raises :class:`NotPositiveDefinite`, before any division by it.
+    """
+    a = [list(row) for row in gram]
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    minors, below = [1], []
+    for k in range(n):
+        pivot, prev = a[k][k], minors[-1]
+        if pivot <= 0:
+            raise NotPositiveDefinite("Gram matrix is not positive definite")
+        below.append(tuple((j, a[j][k]) for j in range(k + 1, n) if a[j][k]))
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        minors.append(pivot)
+    return tuple(minors), tuple(below)
 
 
 @dataclass(frozen=True)
@@ -136,46 +143,23 @@ class ShellTable:
         return len(self.shells.get(norm, ()))
 
 
-def _ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """G = L D L^T with unit lower-triangular L, exact rationals.
-
-    D_j is the ratio of the j-th to the (j-1)-th leading principal minor,
-    so G is positive definite exactly when every D_j > 0; anything else
-    raises :class:`NotPositiveDefinite`.
-    """
-    n = len(gram)
-    L = [[F(0)] * n for _ in range(n)]
-    D = [F(0)] * n
-    for j in range(n):
-        D[j] = F(gram[j][j]) - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if D[j] <= 0:
-            raise NotPositiveDefinite("Gram matrix is not positive definite")
-        L[j][j] = F(1)
-        for i in range(j + 1, n):
-            L[i][j] = (F(gram[i][j]) - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-    return L, D
-
-
 @lru_cache(maxsize=None)
 def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
     """All vectors with <x,x> <= max_norm, by depth-first search with exact
-    integer bounds from the LDL^T decomposition.
+    integer bounds from the lattice's :func:`_elimination`.
 
-    With ``m`` and ``t`` the common denominators of L and D, the form is
-    ``<x,x> = sum_i e_i (m x_i + c_i)^2 / (t m^2)`` for integers
-    ``e_i = t D_i`` and ``c_i = sum_{j>i} m L_ji x_j``, so every bound and
-    every remaining budget in the search is an integer.  Shells are closed
-    under x -> -x, so the search keeps the last nonzero coordinate positive
-    and adds each vector's negation at the leaf: half the search tree.
+    With ``scale`` the lcm of the M_i M_{i+1}, ``scale <x,x>`` is the sum of
+    ``w_i (M_{i+1} x_i + c_i)^2`` for the integer weights
+    ``w_i = scale / (M_i M_{i+1})``, so every bound and every remaining
+    budget in the search is an integer.  Shells are closed under
+    x -> -x, so the search keeps the last nonzero coordinate positive and
+    adds each vector's negation at the leaf: half the search tree.
     """
-    n = lattice.rank
-    L, D = _ldl(lattice.gram)
-    m = math.lcm(*(L[j][i].denominator for j in range(n) for i in range(j)))
-    t = math.lcm(*(d.denominator for d in D))
-    e = [int(d * t) for d in D]
-    # cols[i]: (j, m L_ji) for the nonzero entries below the diagonal
-    cols = [[(j, int(L[j][i] * m)) for j in range(i + 1, n) if L[j][i]] for i in range(n)]
-    scale = t * m * m
+    n, (minors, below) = lattice.rank, lattice._elim
+    scale = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    # levels[i]: (multiplier M_{i+1}, weight w_i, pairs (j, a_ji) of column i)
+    levels = [(minors[i + 1], scale // (minors[i] * minors[i + 1]), below[i])
+              for i in range(n)]
     top = scale * max_norm
     shells: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
@@ -189,13 +173,14 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
             if not lead:
                 shell.append(tuple([-xi for xi in x]))
             return
-        c = sum(lij * x[j] for j, lij in cols[i])
-        # e_i (m x_i + c)^2 <= budget  <=>  |m x_i + c| <= isqrt(budget // e_i)
-        s = math.isqrt(budget // e[i])
-        for xi in range(0 if lead else -((s + c) // m), (s - c) // m + 1):
-            y = m * xi + c
+        mult, weight, col = levels[i]
+        c = sum(a * x[j] for j, a in col)
+        # weight (mult x_i + c)^2 <= budget  <=>  |mult x_i + c| <= isqrt(budget // weight)
+        s = math.isqrt(budget // weight)
+        for xi in range(0 if lead else -((s + c) // mult), (s - c) // mult + 1):
+            y = mult * xi + c
             x[i] = xi
-            descend(i - 1, budget - e[i] * y * y, lead and not xi)
+            descend(i - 1, budget - weight * y * y, lead and not xi)
         x[i] = 0
 
     if max_norm >= 0:
@@ -312,17 +297,6 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     rs = VarSpec("r", 1, bmin)
     ss = VarSpec("s", valid=s_order)
     return MultiSeries((qs, rs, ss), terms)
-
-
-def leech_theta(q_order: int) -> MultiSeries:
-    """Theta series of the Leech lattice as Delta * (J + 24).
-
-    The 24-dimensional lattice is never enumerated; its theta series is
-    pinned down by the weight-12 relation theta/Delta = J + 24.
-    """
-    t = delta_cusp(q_order).mul(j_function(q_order).add(24))
-    assert not t.prefactor, "prefactors must cancel in Delta*(J+24)"
-    return t.body
 
 
 # -- built-in Gram matrices -------------------------------------------------

@@ -31,6 +31,7 @@ operations here build their results through the internal constructor
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -73,7 +74,14 @@ def fmt_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RAT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def parse_rat(s: str) -> Fraction:
+    """Read a rational written by :func:`fmt_rat`, ``"p"`` or ``"p/q"``;
+    anything else (a JSON number or boolean, a decimal) is refused."""
+    if type(s) is not str or not _RAT.fullmatch(s):
+        raise DomainError(f"expected a rational string 'p' or 'p/q', got {s!r}")
     return Fraction(s)
 
 
@@ -1288,11 +1296,18 @@ def _var_to_json(v: VarSpec) -> dict:
     }
 
 
+def _field(d: dict, key: str):
+    try:
+        return d[key]
+    except (KeyError, TypeError):
+        raise DomainError(f"series JSON lacks {key!r}") from None
+
+
 def _var_from_json(d: dict) -> VarSpec:
-    valid = parse_rat(d["valid"])
-    if valid > parse_rat(d["order"]):
-        raise DomainError(f"{d['name']}: valid {d['valid']} exceeds order {d['order']}")
-    return VarSpec(d["name"], d["den"], parse_rat(d["min"]), valid)
+    name, valid = _field(d, "name"), parse_rat(_field(d, "valid"))
+    if valid > parse_rat(_field(d, "order")):
+        raise DomainError(f"{name}: valid {d['valid']} exceeds order {d['order']}")
+    return VarSpec(name, _field(d, "den"), parse_rat(_field(d, "min")), valid)
 
 
 def to_json_dict(s) -> dict:
@@ -1319,8 +1334,11 @@ def from_json_dict(d: dict) -> PrefSeries:
     vars = tuple(_var_from_json(v) for v in d.get("vars", []))
     terms = {}
     for t in d.get("terms", []):
-        exps = tuple(parse_rat(e) for e in t["exp"])
-        terms[exps] = GaussRat(parse_rat(t["re"]), parse_rat(t.get("im", "0")))
+        exps = _field(t, "exp")
+        if not isinstance(exps, list):
+            raise DomainError(f"series JSON: 'exp' must be a list, got {exps!r}")
+        terms[tuple(map(parse_rat, exps))] = GaussRat(parse_rat(_field(t, "re")),
+                                                      parse_rat(_field(t, "im")))
     body = MultiSeries(vars, terms)
     pref = {n: parse_rat(e) for n, e in d.get("prefactor", {}).items()}
     return PrefSeries(body, pref)

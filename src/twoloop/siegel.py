@@ -154,31 +154,21 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
     return SiegelForm(f"Theta{char.label()}", ms)
 
 
-def _assert_real_integral(ms: MultiSeries, what: str) -> MultiSeries:
-    for exps, c in ms.iter_terms():
-        if c.im:
-            raise InternalError(
-                f"{what}: residual imaginary part {c!r} at {exps} "
-                "(theta phases should cancel exactly)"
-            )
-        if any(e.denominator != 1 for e in exps):
-            raise InternalError(f"{what}: fractional exponent {exps} survived")
-    return ms.simplify_dens()
-
-
 def assert_support_condition(ms: MultiSeries) -> None:
     """Fourier support of a full modular group Siegel form: the coefficient
     of q^a r^b s^c can be nonzero only if a, c >= 0 and b^2 <= 4ac.  A
-    u-form, one in (q, s, u), is checked with its u-exponent for b."""
-    uform = ms.has_var(UVAR)
-    for exps, _ in ms.iter_terms():
-        if uform:
-            a, c, j = exps[ms.var_index(QVAR)], exps[ms.var_index(SVAR)], exps[ms.var_index(UVAR)]
-            b = j
-        else:
-            a, b, c = exps[ms.var_index(QVAR)], exps[ms.var_index(RVAR)], exps[ms.var_index(SVAR)]
-        if a < 0 or c < 0 or b * b > 4 * a * c:
-            raise InternalError(f"support condition violated at {exps}")
+    u-form, one in (q, s, u), is checked with its u-exponent for b.  On the
+    scaled keys ka/dq, kb/db, kc/ds that is kb^2 dq ds <= 4 ka kc db^2."""
+    iq, ib, ic = (ms.var_index(v) for v in (QVAR, UVAR if ms.has_var(UVAR) else RVAR, SVAR))
+    dq, db, ds = (ms.vars[i].den for i in (iq, ib, ic))
+    for key in ms.terms:
+        ka, kb, kc = key[iq], key[ib], key[ic]
+        if ka < 0 or kc < 0 or kb * kb * dq * ds > 4 * ka * kc * db * db:
+            raise InternalError(f"support condition violated at {_exponents(ms, key)}")
+
+
+def _exponents(ms: MultiSeries, key: tuple[int, ...]) -> tuple[Fraction, ...]:
+    return tuple(F(k, v.den) for k, v in zip(key, ms.vars))
 
 
 def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
@@ -232,7 +222,13 @@ def _theta_form(label: str, scale: Fraction, series: MultiSeries) -> SiegelForm:
     """The form ``scale * series``, exposed only once its coefficients are
     real integers and its r-form and u-form both meet the support
     condition."""
-    rform = _assert_real_integral(scalar_mul(scale, series), label)
+    rform = scalar_mul(scale, series)
+    dens = [v.den for v in rform.vars]
+    for key, (_, y, _) in rform.terms.items():
+        if y or any(k % d for k, d in zip(key, dens)):
+            what = "residual imaginary part" if y else "fractional exponent"
+            raise InternalError(f"{label}: {what} at {_exponents(rform, key)}")
+    rform = rform.simplify_dens()
     assert_support_condition(rform)
     uform = r_to_u(rform)
     assert_support_condition(uform)

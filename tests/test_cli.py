@@ -175,25 +175,36 @@ def test_lattice_info_from_file(tmp_path, capsys):
 _NON_INTEGER_LATTICES = {
     # each once passed through int() (2.5 -> 2, "2" -> 2, true -> 1), and
     # lattice-info described the truncated lattice and exited 0
-    "gram-float": {"rank": 2, "gram": [[2.5, -1], [-1, 2]]},
-    "gram-string": {"rank": 2, "gram": [["2", -1], [-1, 2]]},
-    "gram-bool": {"rank": 2, "gram": [[2, True], [True, 2]]},
-    "rank-float": {"rank": 2.5, "gram": [[2, -1], [-1, 2]]},
-    "rank-string": {"rank": "2", "gram": [[2, -1], [-1, 2]]},
-    "rank-bool": {"rank": True, "gram": [[2]]},
+    "gram-float": ({"rank": 2, "gram": [[2.5, -1], [-1, 2]]}, "must be integers"),
+    "gram-string": ({"rank": 2, "gram": [["2", -1], [-1, 2]]}, "must be integers"),
+    "gram-bool": ({"rank": 2, "gram": [[2, True], [True, 2]]}, "must be integers"),
+    "rank-float": ({"rank": 2.5, "gram": [[2, -1], [-1, 2]]}, "must be integers"),
+    "rank-string": ({"rank": "2", "gram": [[2, -1], [-1, 2]]}, "must be integers"),
+    "rank-bool": ({"rank": True, "gram": [[2]]}, "must be integers"),
     # once a KeyError traceback
-    "gram-missing": {"rank": 2},
+    "gram-missing": ({"rank": 2}, "list of rows"),
 }
+
+
+def _lattice_info_error(tmp_path, capsys, lattice) -> str:
+    p = tmp_path / "lat.json"
+    p.write_text(json.dumps(lattice))
+    code = main(["lattice-info", "--gram", str(p), "--max-norm", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
 
 
 @pytest.mark.parametrize("case", sorted(_NON_INTEGER_LATTICES))
 def test_lattice_info_refuses_non_integer_json(tmp_path, capsys, case):
-    p = tmp_path / "lat.json"
-    p.write_text(json.dumps(_NON_INTEGER_LATTICES[case]))
-    code = main(["lattice-info", "--gram", str(p), "--max-norm", "2"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and "JSON integers" in captured.err
+    lattice, message = _NON_INTEGER_LATTICES[case]
+    assert message in _lattice_info_error(tmp_path, capsys, lattice)
+
+
+def test_lattice_info_refuses_indefinite_gram(tmp_path, capsys):
+    lattice = {"rank": 2, "gram": [[2, 3], [3, 2]]}
+    assert "not positive definite" in _lattice_info_error(tmp_path, capsys, lattice)
 
 
 def test_unknown_target_exits_2(capsys):

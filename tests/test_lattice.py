@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from twoloop.elliptic import eisenstein
 from twoloop.errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
@@ -14,10 +15,10 @@ from twoloop.lattice import (
     _representatives,
     builtin_lattice,
     enumerate_shells,
-    leech_theta,
     theta_g1,
     theta_g2,
 )
+from twoloop.partition import t1_selfdual
 from twoloop.series import (
     GaussRat,
     coeff,
@@ -53,10 +54,24 @@ def test_e8_shell_counts():
 
 
 def test_enumerate_rejects_indefinite():
-    # indefinite, and semidefinite with D_2 = 0 in its LDL^T
-    for gram in (((2, 3), (3, 2)), ((2, 2), (2, 2))):
+    # indefinite, and semidefinite with leading minor M_2 or M_3 = 0: refused
+    # when the lattice is built, before any enumeration
+    for gram in (((2, 3), (3, 2)), ((2, 2), (2, 2)), ((2, -1, 1), (-1, 2, 1), (1, 1, 2))):
         with pytest.raises(NotPositiveDefinite):
-            enumerate_shells(Lattice("bad", 2, gram), 2)
+            Lattice("bad", len(gram), gram)
+
+
+@pytest.mark.parametrize("rank, gram", [
+    pytest.param(1, ((F(5, 2),),), id="fraction-entry"),
+    pytest.param(1, ((2.0,),), id="float-entry"),
+    pytest.param(2, ((2, True), (True, 2)), id="bool-entry"),
+    pytest.param(2.0, ((2, -1), (-1, 2)), id="float-rank"),
+])
+def test_lattice_construction_refuses_non_integers(rank, gram):
+    # Fraction(5, 2) was once read as determinant 2, its vectors +-1 filed
+    # under norm 2
+    with pytest.raises(DomainError, match="must be integers"):
+        Lattice("bad", rank, gram)
 
 
 def test_theta_g1_e8_equals_e4():
@@ -213,6 +228,20 @@ def test_enumerate_shells_matches_box_search(name, where):
     assert dict(table.shells) == expected
 
 
+_DET_GRAMS = {
+    **{f"even-{k}": g for k, g in _EVEN_GRAMS.items()},
+    **{f"oracle-{k}": g for k, g in _ORACLE_GRAMS.items()},
+    "E8+E8": builtin_lattice("E8").direct_sum(builtin_lattice("E8")).gram,
+    "E8x3": builtin_lattice("E8x3").gram,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DET_GRAMS))
+def test_determinant_matches_exact_reference(name):
+    gram = _DET_GRAMS[name]
+    assert Lattice(name, len(gram), gram).determinant() == sympy.Matrix(gram).det()
+
+
 def test_negative_max_norm_has_no_vectors():
     for gram in _ORACLE_GRAMS.values():
         assert dict(enumerate_shells(Lattice("x", len(gram), gram), -1).shells) == {}
@@ -228,7 +257,8 @@ def test_cached_shells_are_read_only():
 
 
 def test_leech_theta_values():
-    th = leech_theta(3)
+    # the Leech theta series is Delta * (J + 24), with no enumeration
+    th = t1_selfdual(24, 3).body
     assert coeff(th, {"q": 0}) == GaussRat(1)
     assert coeff(th, {"q": 1}) == GaussRat(0)
     assert coeff(th, {"q": 2}) == GaussRat(196560)

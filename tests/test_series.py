@@ -844,6 +844,43 @@ def test_json_valid_above_order_is_refused():
             from_json_dict(d)
 
 
+def _set_var(d, key, value):
+    d["vars"][0][key] = value
+
+
+def _set_term(d, key, value):
+    d["terms"][0][key] = value
+
+
+def _drop_var(d, key):
+    del d["vars"][0][key]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: _set_var(d, "valid", True), id="valid-true"),
+    pytest.param(lambda d: _set_var(d, "valid", 0.1), id="valid-float"),
+    pytest.param(lambda d: _set_var(d, "valid", 2), id="valid-int"),
+    pytest.param(lambda d: _set_var(d, "min", "0.5"), id="min-decimal"),
+    pytest.param(lambda d: _set_var(d, "order", " 3"), id="order-space"),
+    pytest.param(lambda d: _drop_var(d, "order"), id="order-missing"),
+    pytest.param(lambda d: _drop_var(d, "min"), id="min-missing"),
+    pytest.param(lambda d: _set_term(d, "re", 0.1), id="re-float"),
+    pytest.param(lambda d: _set_term(d, "im", "1e3"), id="im-exponent"),
+    pytest.param(lambda d: d["terms"][0].pop("im"), id="im-missing"),
+    pytest.param(lambda d: _set_term(d, "exp", [True]), id="exp-true"),
+    pytest.param(lambda d: _set_term(d, "exp", ["1/0"]), id="exp-zero-den"),
+    pytest.param(lambda d: _set_term(d, "exp", "1"), id="exp-not-a-list"),
+    pytest.param(lambda d: d["prefactor"].update(eps=-2), id="prefactor-int"),
+])
+def test_json_rationals_must_be_rational_strings(edit):
+    d = to_json_dict(PrefSeries(S([V("q", order=3)], {(1,): 2}), {"eps": F(-2)}))
+    back = from_json_dict(json.loads(json.dumps(d)))
+    assert back.body.terms == {(1,): GaussRat(2)} and back.prefactor == {"eps": -2}
+    edit(d)
+    with pytest.raises(DomainError):
+        from_json_dict(d)
+
+
 def test_simplify_dens():
     q = V("q", den=8, order=3)
     f = S([q], {(F(1, 2),): 1, (1,): 2})

@@ -29,6 +29,7 @@ from twoloop.siegel import (
     _even_theta_powers,
     _maass_lift,
     _phi10_1,
+    _theta_form,
     _translate,
     all_characteristics,
     assert_support_condition,
@@ -270,10 +271,26 @@ def test_support_condition_on_products():
     assert_support_condition(delta10(3, 3).fourier_u)
     u_vars = (VarSpec("q"), VarSpec("s"), VarSpec("u"))
     assert_support_condition(MultiSeries(u_vars, {(1, 1, 2): 1}))
+    # read on scaled keys: b = 3/2 passes, and q^(1/2) r s^(1/4) fails
+    fine = (VarSpec("q", 2), VarSpec("r", 2), VarSpec("s", 4))
+    assert_support_condition(MultiSeries(fine, {(1, F(3, 2), 1): 1, (F(1, 2), 1, F(1, 2)): 1}))
     for ms in (MultiSeries(u_vars, {(1, 1, 3): 1}),
-               MultiSeries((VarSpec("q"), VarSpec("r", 1, -3), VarSpec("s")), {(1, -3, 1): 1})):
+               MultiSeries((VarSpec("q"), VarSpec("r", 1, -3), VarSpec("s")), {(1, -3, 1): 1}),
+               MultiSeries(fine, {(F(1, 2), 1, F(1, 4)): 1})):
         with pytest.raises(InternalError, match="support condition"):
             assert_support_condition(ms)
+
+
+@pytest.mark.parametrize("den, exps, c, message", [
+    pytest.param(1, (1, 0, 1), GaussRat(1, 1),
+                 r"imaginary part at \(Fraction\(1, 1\), Fraction\(0, 1\)", id="imaginary-part"),
+    pytest.param(2, (F(1, 2), 0, 1), GaussRat(1),
+                 r"fractional exponent at \(Fraction\(1, 2\)", id="fractional-exponent"),
+])
+def test_theta_form_refuses_non_integral_data(den, exps, c, message):
+    qrs = (VarSpec("q", den), VarSpec("r"), VarSpec("s"))
+    with pytest.raises(InternalError, match=message):
+        _theta_form("bad", F(1), MultiSeries(qrs, {exps: c}))
 
 
 # -- Omega -> Omega + B translates --------------------------------------------
