@@ -12,7 +12,6 @@ from .series import (
     GaussRat,
     MultiSeries,
     PrefSeries,
-    Rat,
     UNBOUNDED,
     VarSpec,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "GaussRat",
     "MultiSeries",
     "PrefSeries",
-    "Rat",
     "UNBOUNDED",
     "VarSpec",
 ]

@@ -80,7 +80,7 @@ def _series_payload(s, fmt: str):
     return header + "\n".join(f"{m:<{width}}  {v}" for m, v in rows)
 
 
-def _emit(payload, fmt: str) -> None:
+def _emit(payload) -> None:
     if isinstance(payload, str):
         print(payload)
     else:
@@ -155,7 +155,7 @@ def cmd_expand(args) -> int:
         series = eisenstein_hat(int(target[4:]), qo)
     else:
         raise TwoLoopError(f"unknown expand target {target!r}")
-    _emit(_series_payload(series, args.format), args.format)
+    _emit(_series_payload(series, args.format))
     return 0
 
 
@@ -167,11 +167,11 @@ def cmd_sew(args) -> int:
     if args.format == "json":
         payload = {"q_order": args.q_order, "eps_order": args.eps_order}
         payload.update((name, to_json_dict(s)) for name, s in named.items())
-        _emit(payload, "json")
+        _emit(payload)
     else:
         for name, series in named.items():
             print(f"-- {name}")
-            _emit(_series_payload(series, args.format), args.format)
+            _emit(_series_payload(series, args.format))
     return 0
 
 
@@ -197,7 +197,7 @@ def cmd_partition(args) -> int:
     if args.with_g2:
         payload["g2_correction"] = to_json_dict(PrefSeries(g2_correction(qo)))
         payload["g2_conjectural"] = True
-    _emit(payload, "json")
+    _emit(payload)
     return 0
 
 
@@ -223,7 +223,7 @@ def cmd_check(args) -> int:
                            args.q_order or 12, args.eps_order or 6)
     else:
         raise TwoLoopError(f"unknown check {args.kind!r}")
-    _emit(res.as_json_dict(), "json")
+    _emit(res.as_json_dict())
     return 0 if res.passed else 1
 
 
@@ -238,7 +238,7 @@ def cmd_lattice_info(args) -> int:
         "determinant": lat.determinant(),
         "shell_counts": {str(n): len(v) for n, v in shells.shells.items()},
     }
-    _emit(payload, "json")
+    _emit(payload)
     return 0
 
 
@@ -246,7 +246,7 @@ def cmd_verify_all(args) -> int:
     results = acceptance.run_all()
     if args.format == "json":
         _emit({"results": [r.as_json_dict() for r in results],
-               "passed": all(r.ok for r in results)}, "json")
+               "passed": all(r.ok for r in results)})
     else:
         for r in results:
             print(r.line())
@@ -264,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_series_flags(sp, q_default=3, s_default=3):
-        sp.add_argument("--q-order", type=_order, default=q_default)
-        sp.add_argument("--s-order", type=_order, default=s_default)
-        sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
-
     sp = sub.add_parser("expand", help="dump a series expansion")
     sp.add_argument("target", help="delta10|f12|theta|theta-g2|psi4-candidate|"
                                    "psi4|psi6|t2|eta|delta|j|f12-elliptic|"
@@ -278,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-form", action="store_true", help="emit the r-form")
     sp.add_argument("--gram", help="lattice JSON file for theta-g2")
     sp.add_argument("--lattice", help="built-in lattice name for theta-g2")
-    add_series_flags(sp)
+    sp.add_argument("--q-order", type=_order, default=3)
+    sp.add_argument("--s-order", type=_order, default=3)
+    sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("sew", help="period matrix and Fourier parameters")

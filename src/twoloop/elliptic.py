@@ -89,7 +89,6 @@ def eisenstein_hat(k2: int, q_order: int) -> PrefSeries:
     return eisenstein(k2, q_order).scalar(-bernoulli(k2) / factorial(k2))
 
 
-@lru_cache(maxsize=None)
 def euler_product(q_order: int) -> MultiSeries:
     """prod_{n>=1} (1 - q^n) below q^q_order, by Euler's pentagonal number
     theorem: the sum over k in Z of (-1)^k q^(k(3k-1)/2)."""
@@ -171,7 +170,6 @@ def _theta_exponents(a: Fraction, order: int) -> list[Fraction]:
     return [x for x in xs if x * x < 2 * order]
 
 
-@lru_cache(maxsize=None)
 def theta_jacobi(a, b, q_order: int) -> PrefSeries:
     """theta[a;b](q) = sum_n q^((n+a)^2/2) exp(2*pi*i*(n+a)*b).
 
@@ -191,7 +189,6 @@ def theta_jacobi(a, b, q_order: int) -> PrefSeries:
 EVEN_JACOBI_CHARS = ((F(0), F(0)), (F(0), HALF), (HALF, F(0)))
 
 
-@lru_cache(maxsize=None)
 def f12_elliptic(q_order: int) -> MultiSeries:
     """f12 = (1/2) * sum of the 24th powers of the three even theta series
     = 1 + 1104 q + ..."""

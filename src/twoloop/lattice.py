@@ -49,7 +49,10 @@ class Lattice:
     _elim: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.gram
+        # rows are stored as tuples, so a lattice built from lists hashes
+        # (and is a cache key) like one built from tuples
+        g = tuple(map(tuple, self.gram))
+        object.__setattr__(self, "gram", g)
         # type(x) is int: a bool, float or Fraction is refused, not coerced
         if type(self.rank) is not int or not all(type(x) is int for row in g for x in row):
             raise DomainError(f"rank and Gram entries of {self.name} must be integers")
@@ -72,12 +75,9 @@ class Lattice:
 
     def direct_sum(self, other: "Lattice", name: str | None = None) -> "Lattice":
         n, m = self.rank, other.rank
-        gram = []
-        for i in range(n):
-            gram.append(tuple(self.gram[i]) + (0,) * m)
-        for i in range(m):
-            gram.append((0,) * n + tuple(other.gram[i]))
-        return Lattice(name or f"{self.name}+{other.name}", n + m, tuple(gram))
+        gram = [row + (0,) * m for row in self.gram]
+        gram += [(0,) * n + row for row in other.gram]
+        return Lattice(name or f"{self.name}+{other.name}", n + m, gram)
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "rank": self.rank,
@@ -92,7 +92,7 @@ class Lattice:
         rows = d.get("gram")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise DomainError("lattice JSON needs 'gram', a list of rows of integers")
-        return Lattice(str(d.get("name", "lattice")), d.get("rank"), tuple(map(tuple, rows)))
+        return Lattice(str(d.get("name", "lattice")), d.get("rank"), rows)
 
     @staticmethod
     def from_file(path: str) -> "Lattice":
@@ -133,7 +133,6 @@ class ShellTable:
     ``shells`` is read-only: tables are cached and shared between callers.
     """
 
-    lattice: Lattice
     max_norm: int
     shells: Mapping[int, tuple[tuple[int, ...], ...]]
 
@@ -185,7 +184,7 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
 
     if max_norm >= 0:
         descend(n - 1, top, True)
-    return ShellTable(lattice, max_norm, MappingProxyType(
+    return ShellTable(max_norm, MappingProxyType(
         {k: tuple(sorted(v)) for k, v in sorted(shells.items())}))
 
 

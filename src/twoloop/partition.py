@@ -64,8 +64,6 @@ class CBoson:
     def central_charge(self) -> int:
         return self.c
 
-    conjectural = False
-
     def label(self) -> str:
         return f"boson:{self.c}"
 
@@ -81,8 +79,6 @@ class LatticeTheory:
     @property
     def central_charge(self) -> int:
         return self.lattice.rank
-
-    conjectural = False
 
     def label(self) -> str:
         return f"lattice:{self.lattice.name}"
@@ -100,8 +96,6 @@ class SelfDual:
     def central_charge(self) -> int:
         return 24
 
-    conjectural = False
-
     def label(self) -> str:
         return f"selfdual:{self.n1}"
 
@@ -111,8 +105,6 @@ class Ghost:
     @property
     def central_charge(self) -> int:
         return -26
-
-    conjectural = True
 
     def label(self) -> str:
         return "ghost"
@@ -203,17 +195,6 @@ class GenusTwoZ:
     pref: PrefSeries
     conjectural: bool
 
-    @property
-    def eps_exponent(self) -> Fraction:
-        return self.pref.prefactor.get("eps", F(0))
-
-    @property
-    def body(self) -> MultiSeries:
-        return self.pref.body
-
-    def coeff(self, exps: dict):
-        return self.pref.coeff(exps)
-
 
 def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) -> GenusTwoZ:
     """Genus-two partition function of the theory, exact through eps^2.
@@ -290,10 +271,10 @@ class F2Report:
     conjectural: bool
     q_valid: Fraction
     eps_valid: Fraction
-    detail: str | None = None
+    detail: str | None
 
 
-def verify_f2(q_order: int = 4, eps_order: int = 4) -> F2Report:
+def verify_f2(q_order: int, eps_order: int) -> F2Report:
     """Check Delta10(sewing) * G2 * Z2(24-boson) = 1 + O(eps^4) exactly.
 
     The sewing data is computed one order beyond ``eps_order`` so that the

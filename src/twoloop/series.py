@@ -50,9 +50,6 @@ from .errors import (
     UnknownCoefficient,
 )
 
-#: Alias for the coefficient field's real subfield.
-Rat = Fraction
-
 #: Sentinel validity bound that behaves like +infinity; any bound at or past
 #: the threshold is stored as exactly this value.
 UNBOUNDED = Fraction(10**9)
@@ -362,10 +359,6 @@ class MultiSeries:
     def constant(c, vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
         zero_key = (Fraction(0),) * len(vars)
         return MultiSeries(vars, {zero_key: GaussRat.coerce(c)})
-
-    @staticmethod
-    def monomial(var: VarSpec, exp, c=1) -> "MultiSeries":
-        return MultiSeries((var,), {(Fraction(exp),): GaussRat.coerce(c)})
 
     def spec(self, name: str) -> VarSpec:
         for v in self.vars:
@@ -1275,10 +1268,10 @@ def equal_on_joint_validity(a, b) -> tuple[bool, str | None]:
     return True, None
 
 
-def assert_equal_on_joint_validity(a, b, context: str = "") -> None:
+def assert_equal_on_joint_validity(a, b, context: str) -> None:
     ok, mismatch = equal_on_joint_validity(a, b)
     if not ok:
-        raise AssertionError(f"{context or 'series mismatch'} at {mismatch}")
+        raise AssertionError(f"{context} at {mismatch}")
 
 
 # ---------------------------------------------------------------------------

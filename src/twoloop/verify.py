@@ -76,7 +76,7 @@ class EvalContext:
 
     tau1: complex
     tau2: complex
-    eps: complex = 0.0
+    eps: complex
 
     def __post_init__(self):
         if self.tau1.imag <= 0 or self.tau2.imag <= 0:
@@ -98,8 +98,8 @@ class EvalContext:
         return EvalContext(-1 / self.tau1, self.tau2, -self.eps / self.tau1)
 
 
-def tau_valuation(tau: complex, var: str = "q") -> dict[str, complex]:
-    return {var: TWO_PI_I * tau}
+def tau_valuation(tau: complex) -> dict[str, complex]:
+    return {"q": TWO_PI_I * tau}
 
 
 def eval_series(series, logs: dict[str, complex]) -> complex:
@@ -183,7 +183,7 @@ class CheckResult:
     passed: bool
     residual: float
     bound: float
-    point: dict = field(default_factory=dict)
+    point: dict
     extra: dict = field(default_factory=dict)
 
     def as_json_dict(self) -> dict:
@@ -197,7 +197,7 @@ class CheckResult:
         }
 
 
-def check_ehat_anomaly(tau: complex, q_order: int = 40) -> CheckResult:
+def check_ehat_anomaly(tau: complex, q_order: int) -> CheckResult:
     """Ehat_2 at -1/tau against tau^2 (Ehat_2(q) - 1/(2*pi*i*tau))."""
     if tau.imag <= 0:
         raise DomainError("need Im(tau) > 0")
@@ -223,7 +223,7 @@ def omega_at(sewing: SewingExpansion, ctx: EvalContext) -> Mat2:
     return ((o11, o12), (o12, o22))
 
 
-def check_period_s1(ctx: EvalContext, q_order: int = 12, eps_order: int = 6) -> CheckResult:
+def check_period_s1(ctx: EvalContext, q_order: int, eps_order: int) -> CheckResult:
     """The S1 rule on pinching parameters must induce the action of the
     generator S1 on the period matrix: Omega11 -> -1/Omega11,
     Omega12 -> -Omega12/Omega11, Omega22 -> Omega22 - Omega12^2/Omega11."""
@@ -285,7 +285,7 @@ def _relative_residual(lhs: complex, rhs: complex) -> float:
 
 
 def check_weight(target: str, gamma: str, ctx: EvalContext,
-                 q_order: int = 16, eps_order: int = 6) -> CheckResult:
+                 q_order: int, eps_order: int) -> CheckResult:
     """Transformation law of a genus-two object under one generator.
 
     S1 uses the conjectured/derived laws through Omega11; T1, T2 and V are
@@ -321,8 +321,8 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
     )
 
 
-def residual_scaling(target: str, ctx: EvalContext, q_order: int = 16,
-                     eps_order: int = 6) -> tuple[float, CheckResult, CheckResult]:
+def residual_scaling(target: str, ctx: EvalContext, q_order: int,
+                     eps_order: int) -> tuple[float, CheckResult, CheckResult]:
     """Halving eps must reduce the S1 residual by roughly 2^4 = 16: the
     residual is dominated by the first missing eps order of the data."""
     big = check_weight(target, "S1", ctx, q_order, eps_order)

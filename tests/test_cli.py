@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -86,6 +87,18 @@ def test_sew_dump(capsys):
     d = json.loads(out)
     assert set(d) >= {"w11", "w12", "w22", "qhat", "shat", "uhat"}
     assert d["uhat"]["prefactor"] == {"eps": "2"}
+
+
+def test_sew_output_is_pinned(capsys):
+    # the exact bytes of a mid-size sewing dump: any change to a coefficient
+    # or validity bound of period_matrix or fourier_params, or to the JSON
+    # writer, shows here
+    code, out = run(capsys, "sew", "--q-order", "8", "--eps-order", "6", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 107_615
+    assert hashlib.sha256(data).hexdigest() == (
+        "28708a4936ec0bbf08d1c98f497c276469ffd1ebda3747b02d51f01cafbb8468")
 
 
 def test_partition_selfdual(capsys):

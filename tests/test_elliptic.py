@@ -166,7 +166,7 @@ def test_covariant_derivative_weight_zero_constant():
 def test_covariant_derivative_refuses_shifted_exact_series():
     # q^2 * q^-1 is exact: its q-validity 10^9 - 1 is unbounded, so D must
     # refuse it rather than build Ehat_2 out to that order
-    body = shift_var(MultiSeries.monomial(VarSpec("q"), 2), "q", -1)
+    body = shift_var(MultiSeries((VarSpec("q"),), {(2,): 1}), "q", -1)
     with pytest.raises(DomainError, match="truncated"):
         covariant_derivative(PrefSeries(body), 2)
 

@@ -74,6 +74,15 @@ def test_lattice_construction_refuses_non_integers(rank, gram):
         Lattice("bad", rank, gram)
 
 
+def test_lattice_from_list_rows_is_the_tuple_lattice():
+    # rows are stored as tuples: a list-built lattice equals and hashes like
+    # the tuple-built one, so the enumerate_shells cache takes it
+    lists = Lattice("A2", 2, [[2, -1], [-1, 2]])
+    tuples = Lattice("A2", 2, ((2, -1), (-1, 2)))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert enumerate_shells(lists, 2).count(2) == 6
+
+
 def test_theta_g1_e8_equals_e4():
     th = theta_g1(builtin_lattice("E8"), 4)
     e4 = eisenstein(4, 4).body

@@ -129,14 +129,14 @@ def test_z1_omega_ghost_unsupported():
 
 def test_z2_boson24_eps2_term():
     zg = z2(CBoson(24), 4)
-    assert zg.eps_exponent == -2
+    assert zg.pref.prefactor["eps"] == -2
     assert not zg.conjectural
     # exponents are absolute: the eps^2 bracket term sits at eps^0 overall;
     # its value is 12 Ehat2 Ehat2/(Delta Delta) with Ehat2 constant -1/12,
     # so the q1^-1 q2^-1 eps^0 coefficient is 12/144 = 1/12
-    assert zg.coeff({"q1": -1, "q2": -1, "eps": -2}) == GaussRat(1)
-    assert zg.coeff({"q1": -1, "q2": -1, "eps": -1}) == GaussRat(0)
-    assert zg.coeff({"q1": -1, "q2": -1, "eps": 0}) == GaussRat(F(1, 12))
+    assert zg.pref.coeff({"q1": -1, "q2": -1, "eps": -2}) == GaussRat(1)
+    assert zg.pref.coeff({"q1": -1, "q2": -1, "eps": -1}) == GaussRat(0)
+    assert zg.pref.coeff({"q1": -1, "q2": -1, "eps": 0}) == GaussRat(F(1, 12))
 
 
 def test_z2_swap_symmetry_and_parity():
@@ -145,15 +145,15 @@ def test_z2_swap_symmetry_and_parity():
         swapped = zg.pref.rename_vars({"q1": "q2", "q2": "q1"})
         ok, why = equal_on_joint_validity(zg.pref, swapped)
         assert ok, (theory.label(), why)
-        i = zg.body.var_index("eps")
-        assert all(k[i] % 2 == 0 for k in zg.body.terms)
+        i = zg.pref.body.var_index("eps")
+        assert all(k[i] % 2 == 0 for k in zg.pref.body.terms)
 
 
 def test_z2_eps0_is_z1_product():
     zg = z2(SelfDual(0), 3)
     from twoloop.series import limit_var_zero
 
-    eps0 = limit_var_zero(zg.body, "eps")
+    eps0 = limit_var_zero(zg.pref.body, "eps")
     z = z1(SelfDual(0), 3)
     prod = z.rename_vars({"q": "q1"}).mul(z.rename_vars({"q": "q2"}))
     got = PrefSeries(eps0, {k: v for k, v in zg.pref.prefactor.items() if k != "eps"})
@@ -172,7 +172,7 @@ def test_z2_rejects_higher_eps_order():
 def test_z2_general_matches_closed_form(c):
     # the closed-form crosscheck runs inside z2 for every boson
     zg = z2(CBoson(c), 3)
-    assert zg.eps_exponent == F(-c, 12)
+    assert zg.pref.prefactor["eps"] == F(-c, 12)
 
 
 def test_z2_tensor_multiplicativity():
@@ -193,7 +193,7 @@ def test_z2_tensor_power_law():
 def test_z2_ghost_prefactor_and_flag():
     zg = z2_ghost(3)
     assert zg.conjectural
-    assert zg.eps_exponent == F(1, 6)
+    assert zg.pref.prefactor["eps"] == F(1, 6)
 
 
 def test_g2_correction_expansion():

@@ -584,7 +584,7 @@ def test_substitute_identity(rng):
     q = V("q", den=1, order=4)
     s = V("s", order=4)
     f = random_series(rng, [q, s])
-    g = PrefSeries(MultiSeries.monomial(V("q", order=4), 1))
+    g = PrefSeries(MultiSeries((V("q", order=4),), {(1,): 1}))
     out = substitute(f, "q", g)
     ok, why = equal_on_joint_validity(out, f)
     assert ok, why
@@ -624,7 +624,7 @@ def test_substitute_validity_cap():
     # f known to q^2 exclusive; substituting q -> t must cap t-validity at 2
     q = V("q", order=10, valid=2)
     f = S([q], {(0,): 1, (1,): 3})
-    g = PrefSeries(MultiSeries.monomial(V("t", order=UNBOUNDED), 1))
+    g = PrefSeries(MultiSeries((V("t", order=UNBOUNDED),), {(1,): 1}))
     out = substitute(f, "q", g)
     assert out.coeff({"t": 1}) == GaussRat(3)
     with pytest.raises(UnknownCoefficient):
@@ -635,7 +635,7 @@ def test_substitute_squares_leading_exponent():
     # q -> t^2 pushes the validity cap to 4
     q = V("q", order=10, valid=2)
     f = S([q], {(1,): 1})
-    g = PrefSeries(MultiSeries.monomial(V("t", order=UNBOUNDED), 2))
+    g = PrefSeries(MultiSeries((V("t", order=UNBOUNDED),), {(2,): 1}))
     out = substitute(f, "q", g)
     assert out.coeff({"t": 2}) == GaussRat(1)
     assert out.coeff({"t": 3}) == GaussRat(0)
@@ -648,7 +648,7 @@ def test_substitute_cap_counts_laurent_floor_of_remaining_var():
     # lands on e^1, so e is known below e^1, not below e^2
     q, e = V("q", valid=2), V("e", min_exp=-1)
     f = S([q, e], {(0, -1): 1, (1, -1): 1})
-    g = PrefSeries(MultiSeries.monomial(V("e"), 1))
+    g = PrefSeries(MultiSeries((V("e"),), {(1,): 1}))
     out = substitute(f, "q", g)
     assert out.coeff({"e": -1}) == GaussRat(1)
     assert out.coeff({"e": 0}) == GaussRat(1)

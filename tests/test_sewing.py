@@ -38,13 +38,13 @@ F = Fraction
 
 
 def test_a_matrix_low_entries():
-    a = a_matrix(3, 4, "q")
-    a11 = a.entry(1, 1)
+    a = a_matrix(3, 4, "q", required_m_max(4))
+    a11 = a[0][0]
     assert coeff(a11, {"q": 0, "eps": 1}) == GaussRat(F(-1, 12))
     assert coeff(a11, {"q": 1, "eps": 1}) == GaussRat(2)
     # A_12 = 3 eps^2 Ehat_4, A_21 = eps^2 Ehat_4: A is not symmetric
-    a12 = a.entry(1, 2)
-    a21 = a.entry(2, 1)
+    a12 = a[0][1]
+    a21 = a[1][0]
     e4 = eisenstein_hat(4, 3).body
     ok, why = equal_on_joint_validity(a12, mul(scalar_mul(3, e4),
                                                MultiSeries((a12.spec("eps"),), {(F(2),): 1})))
@@ -153,7 +153,7 @@ def test_fourier_params_mirror_images_match_direct_construction(q_order, eps_ord
 def test_fourier_params_refuses_w12_even_in_eps():
     sew = period_matrix(2, 3)
     eps2 = MultiSeries((VarSpec("eps", 1, F(0), F(4)),), {(F(2),): 1})
-    bad = SewingExpansion(sew.w11, add(sew.w12, eps2), sew.w22, 2, 3)
+    bad = SewingExpansion(sew.w11, add(sew.w12, eps2), sew.w22)
     with pytest.raises(InternalError):
         fourier_params(bad)
 
