@@ -21,7 +21,7 @@ from .elliptic import (
     j_function,
 )
 from .errors import TwoLoopError
-from .lattice import builtin_lattice, enumerate_shells, theta_g2
+from .lattice import builtin_lattice, enumerate_shells, theta_g1, theta_g2
 from .partition import CBoson, t1_selfdual, verify_f2, z2
 from .sewing import (
     eps2_bracket,
@@ -32,6 +32,7 @@ from .sewing import (
 )
 from .series import (
     GaussRat,
+    MultiSeries,
     PrefSeries,
     coeff,
     equal_on_joint_validity,
@@ -77,9 +78,11 @@ class CriterionResult:
                 "detail": self.detail, "seconds": round(self.seconds, 3)}
 
 
-def _expect(table: dict, got) -> str | None:
+def _expect(uform: MultiSeries, table: dict) -> str | None:
+    """Compare the coefficients of ``uform`` with ``table``, which maps
+    (q, s, u) exponents to expected values."""
     for key, want in table.items():
-        value = got(key)
+        value = coeff(uform, dict(zip("qsu", key)))
         if value != GaussRat(want):
             return f"{key}: expected {want}, got {value!r}"
     return None
@@ -91,7 +94,7 @@ def c01_delta10_table() -> str | None:
         (1, 1, 1): 1, (2, 1, 1): -24, (1, 2, 1): -24, (2, 2, 1): 576,
         (2, 1, 2): -2, (1, 2, 2): -2, (2, 2, 2): 144, (2, 2, 3): -16,
     }
-    bad = _expect(table, lambda k: d.coeff_u(k[0], k[1], k[2]))
+    bad = _expect(d.fourier_u, table)
     if bad:
         return bad
     # the Maass lift against the independent theta route
@@ -101,34 +104,33 @@ def c01_delta10_table() -> str | None:
 
 
 def c02_f12_table() -> str | None:
-    f = f12_siegel(2, 2)
+    f = f12_siegel(2, 2).fourier_u
     table = {(1, 0, 0): 1104, (0, 1, 0): 1104, (1, 1, 1): 101568, (1, 1, 2): 1104}
-    bad = _expect(table, lambda k: f.coeff_u(k[0], k[1], k[2]))
+    bad = _expect(f, table)
     if bad:
         return bad
-    if f.coeff_u(1, 1, 1) != GaussRat(F(1104**2, 12)):
+    if coeff(f, {"q": 1, "s": 1, "u": 1}) != GaussRat(F(1104**2, 12)):
         return "101568 != 1104^2/12"
     return None
 
 
 def c03_psi4_candidate() -> str | None:
-    cand = psi4_theta_candidate(3, 3)  # raises ValidationFailed on mismatch
-    ref = psi_reference(4)
-    ok, why = equal_on_joint_validity(cand.fourier_u, ref.fourier_u)
+    cand = psi4_theta_candidate(3, 3).fourier_u  # raises ValidationFailed on mismatch
+    ok, why = equal_on_joint_validity(cand, psi_reference(4))
     if not ok:
         return why
-    if cand.coeff_u(1, 1, 2) != GaussRat(240):
+    if coeff(cand, {"q": 1, "s": 1, "u": 2}) != GaussRat(240):
         return "corrected q*s*u^2 coefficient is wrong"
     return None
 
 
 def c04_eisenstein_observations() -> str | None:
     p4, p6 = psi_reference(4), psi_reference(6)
-    a4 = p4.coeff_u(1, 0, 0)
-    a6 = p6.coeff_u(1, 0, 0)
-    if p4.coeff_u(1, 1, 1) != a4 * a4 * GaussRat(F(1, 4)):
+    a4, a6 = coeff(p4, {"q": 1}), coeff(p6, {"q": 1})
+    qsu = {"q": 1, "s": 1, "u": 1}
+    if coeff(p4, qsu) != a4 * a4 * GaussRat(F(1, 4)):
         return "weight 4: q*s*u coefficient is not a^2/4"
-    if p6.coeff_u(1, 1, 1) != a6 * a6 * GaussRat(F(1, 6)):
+    if coeff(p6, qsu) != a6 * a6 * GaussRat(F(1, 6)):
         return "weight 6: q*s*u coefficient is not a^2/6"
     return None
 
@@ -156,16 +158,13 @@ def c06_g2_consistency() -> str | None:
 
 
 def c07_t2_moonshine() -> str | None:
-    t = t2_selfdual(0)
     table = {(0, 0, 0): 1, (1, 0, 0): -24, (0, 1, 0): -24, (1, 1, 0): 576,
              (1, 1, 1): 48, (1, 1, 2): -24}
-    return _expect(table, lambda k: t.coeff_u(k[0], k[1], k[2]))
+    return _expect(t2_selfdual(0), table)
 
 
 def c08_t2_leech() -> str | None:
-    t = t2_selfdual(1)
-    table = {(1, 0, 0): 0, (1, 1, 1): 0}
-    return _expect(table, lambda k: t.coeff_u(k[0], k[1], k[2]))
+    return _expect(t2_selfdual(1), {(1, 0, 0): 0, (1, 1, 1): 0})
 
 
 def c09_fk_cross_oracle() -> str | None:
@@ -173,18 +172,15 @@ def c09_fk_cross_oracle() -> str | None:
     params = fourier_params(period_matrix(order, 2))
     # weight 4: theta-constant route against the torus-data route
     cand = psi4_theta_candidate(order, order)
-    from .lattice import theta_g1
-
     theta8 = PrefSeries(theta_g1(builtin_lattice("E8"), order))
     ok, why = equal_on_joint_validity(
         fourier_to_sewing(cand.fourier_u, params), fk_eps_expansion(theta8, 4))
     if not ok:
         return f"weight 4: {why}"
     # weight 12: the Leech combination against Delta*(J+24)
-    t2f = t2_selfdual(1)
     params2 = fourier_params(period_matrix(2, 2))
     ok, why = equal_on_joint_validity(
-        fourier_to_sewing(t2f.fourier_u, params2),
+        fourier_to_sewing(t2_selfdual(1), params2),
         fk_eps_expansion(t1_selfdual(24, 2), 12))
     if not ok:
         return f"weight 12: {why}"

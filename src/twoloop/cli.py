@@ -118,24 +118,21 @@ def _load_lattice(args) -> Lattice:
 def cmd_expand(args) -> int:
     qo, so = args.q_order, args.s_order
     target = args.target
-    if target == "delta10":
-        form = delta10(qo, so)
-        series = form.fourier if args.r_form else form.fourier_u
-    elif target == "f12":
-        form = f12_siegel(qo, so)
+    if target in ("delta10", "f12"):
+        form = (delta10 if target == "delta10" else f12_siegel)(qo, so)
         series = form.fourier if args.r_form else form.fourier_u
     elif target == "theta":
         if not args.char:
             raise TwoLoopError("theta needs --char a1,a2,b1,b2")
-        series = theta_char(_parse_char(args.char), qo, so).fourier
+        series = theta_char(_parse_char(args.char), qo, so)
     elif target == "theta-g2":
         series = theta_g2(_load_lattice(args), qo, so)
     elif target == "psi4-candidate":
         series = psi4_theta_candidate(qo, so).fourier_u
     elif target in ("psi4", "psi6"):
-        series = psi_reference(int(target[-1])).fourier_u
+        series = psi_reference(int(target[-1]))
     elif target == "t2":
-        series = t2_selfdual(args.coxeter).fourier_u
+        series = t2_selfdual(args.coxeter)
     elif target == "eta":
         series = dedekind_eta(qo)
     elif target == "delta":

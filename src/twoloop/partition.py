@@ -31,7 +31,7 @@ from .elliptic import (
     j_function,
 )
 from .errors import DomainError, InternalError, Unsupported, ValidationFailed
-from .lattice import Lattice, theta_g1
+from .lattice import Lattice, builtin_lattice, theta_g1
 from .series import (
     MultiSeries,
     PrefSeries,
@@ -120,8 +120,6 @@ def parse_theory(text: str) -> TheoryDescriptor:
     if kind == "boson":
         return CBoson(int(arg))
     if kind == "lattice":
-        from .lattice import builtin_lattice
-
         try:
             return LatticeTheory(builtin_lattice(arg))
         except DomainError:
@@ -191,7 +189,6 @@ class GenusTwoZ:
     series in (q1, q2, eps), symmetric under q1 <-> q2 and even in eps.
     """
 
-    theory: TheoryDescriptor
     pref: PrefSeries
     conjectural: bool
 
@@ -213,21 +210,19 @@ def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) 
     ww = torus_pair(z1_omega(theory, q_order))
     body = eps2_bracket(zz, ww.scalar(F(2, c)))
     full = body.shift("eps", F(-c, 12))
-    out = GenusTwoZ(theory, full, conjectural=False)
     if isinstance(theory, CBoson):
-        _crosscheck_boson_closed_form(out, q_order)
-    return out
+        _crosscheck_boson_closed_form(full, c, q_order)
+    return GenusTwoZ(full, conjectural=False)
 
 
-def _crosscheck_boson_closed_form(zg: GenusTwoZ, q_order: int) -> None:
-    """The state sum must reproduce the closed product form
+def _crosscheck_boson_closed_form(pref: PrefSeries, c: int, q_order: int) -> None:
+    """The C-boson state sum ``pref`` must reproduce the closed product form
     eps^(-C/12) eta^-C(q1) eta^-C(q2) (1 + (C/2) Ehat2 Ehat2 eps^2)."""
-    c = zg.theory.c
     ee = torus_pair(eisenstein_hat(2, q_order))
     bracket = eps2_bracket(1, ee.scalar(F(c, 2)))
     closed = (torus_pair(dedekind_eta(q_order).pow_int(-c))
               .mul(bracket).shift("eps", F(-c, 12)))
-    ok, why = equal_on_joint_validity(zg.pref, closed)
+    ok, why = equal_on_joint_validity(pref, closed)
     if not ok:
         raise InternalError(f"boson state sum disagrees with closed form at {why}")
 
@@ -239,7 +234,7 @@ def z2_ghost(q_order: int) -> GenusTwoZ:
     bracket = eps2_bracket(1, ee.scalar(-3))
     pref = (torus_pair(dedekind_eta(q_order).pow_int(2))
             .mul(bracket).shift("eps", F(1, 6)))
-    return GenusTwoZ(Ghost(), pref, conjectural=True)
+    return GenusTwoZ(pref, conjectural=True)
 
 
 def g2_correction(q_order: int) -> MultiSeries:

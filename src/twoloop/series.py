@@ -311,13 +311,13 @@ class MultiSeries:
         store: dict[tuple[int, ...], GaussRat] = {}
         if terms:
             for exps, c in terms.items():
-                c = GaussRat.coerce(c)
-                if c.is_zero():
-                    continue
                 if len(exps) != len(vars):
                     raise DomainError(
                         f"exponent key {exps} does not match {len(vars)} variables"
                     )
+                c = GaussRat.coerce(c)
+                if c.is_zero():
+                    continue
                 key = tuple(_scale_exp(e, v.den) for e, v in zip(exps, vars))
                 for k, v in zip(key, vars):
                     if k < v.kmin():
@@ -1289,11 +1289,14 @@ def _var_to_json(v: VarSpec) -> dict:
     }
 
 
-def _field(d: dict, key: str):
+def _field(d: dict, key: str, kind: type = object):
     try:
-        return d[key]
+        value = d[key]
     except (KeyError, TypeError):
         raise DomainError(f"series JSON lacks {key!r}") from None
+    if not isinstance(value, kind):
+        raise DomainError(f"series JSON: {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _var_from_json(d: dict) -> VarSpec:
@@ -1324,14 +1327,15 @@ def to_json_dict(s) -> dict:
 
 
 def from_json_dict(d: dict) -> PrefSeries:
-    vars = tuple(_var_from_json(v) for v in d.get("vars", []))
+    """The series that :func:`to_json_dict` wrote; every key it writes is
+    required, and an exponent given twice is refused."""
+    vars = tuple(_var_from_json(v) for v in _field(d, "vars", list))
     terms = {}
-    for t in d.get("terms", []):
-        exps = _field(t, "exp")
-        if not isinstance(exps, list):
-            raise DomainError(f"series JSON: 'exp' must be a list, got {exps!r}")
-        terms[tuple(map(parse_rat, exps))] = GaussRat(parse_rat(_field(t, "re")),
-                                                      parse_rat(_field(t, "im")))
-    body = MultiSeries(vars, terms)
-    pref = {n: parse_rat(e) for n, e in d.get("prefactor", {}).items()}
-    return PrefSeries(body, pref)
+    for t in _field(d, "terms", list):
+        exps = _field(t, "exp", list)
+        key = tuple(map(parse_rat, exps))
+        if key in terms:
+            raise DomainError(f"series JSON: exponent {exps} is given twice")
+        terms[key] = GaussRat(parse_rat(_field(t, "re")), parse_rat(_field(t, "im")))
+    pref = {n: parse_rat(e) for n, e in _field(d, "prefactor", dict).items()}
+    return PrefSeries(MultiSeries(vars, terms), pref)

@@ -20,8 +20,11 @@ reference Fourier data, which is only known on the box of q- and
 s-exponents <= 1; the validity machinery of :mod:`twoloop.series` keeps that
 limitation attached to every derived quantity.
 
-V-symmetric forms are canonically stored as polynomials in u = r + 1/r - 2;
-the r-form is retained for the q -> 0 style degenerations.
+V-symmetric forms are canonically stored as polynomials in u = r + 1/r - 2.
+A builder returns the series its callers read: a theta series its r-form,
+the reference data, the weight-12 combination and the Fourier template their
+u-forms, and the forms that one finishing step checks in both (Delta10, F12
+and the weight-4 candidate) a :class:`SiegelForm` holding the pair.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .series import (
     PrefSeries,
     VarSpec,
     add,
-    coeff,
     equal_on_joint_validity,
     is_unbounded,
     mul,
@@ -106,35 +108,21 @@ def even_characteristics() -> tuple[Characteristic, ...]:
 
 @dataclass(frozen=True)
 class SiegelForm:
-    """A Siegel modular form given by (truncated) Fourier data.
+    """A V-symmetric Siegel modular form given by truncated Fourier data:
+    ``fourier`` in (q, r, s) and ``fourier_u`` its rewriting in (q, s, u)."""
 
-    ``fourier`` is the expansion in (q, r, s); ``fourier_u`` the V-symmetric
-    rewriting in (q, s, u) when it exists.
-    """
-
-    label: str
-    fourier: MultiSeries | None
-    fourier_u: MultiSeries | None = None
-
-    def coeff_r(self, a, b, c) -> GaussRat:
-        if self.fourier is None:
-            raise DomainError(f"{self.label} has no r-form stored")
-        return coeff(self.fourier, {QVAR: a, RVAR: b, SVAR: c})
-
-    def coeff_u(self, a, c, j) -> GaussRat:
-        if self.fourier_u is None:
-            raise DomainError(f"{self.label} has no u-form stored")
-        return coeff(self.fourier_u, {QVAR: a, SVAR: c, UVAR: j})
+    fourier: MultiSeries
+    fourier_u: MultiSeries
 
 
 @lru_cache(maxsize=None)
-def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
+def theta_char(char: Characteristic, q_order: int, s_order: int) -> MultiSeries:
     """Theta series with characteristic: the lattice sum over n in Z^2 of
 
         q^((n1+a1)^2/2) * r^((n1+a1)(n2+a2)) * s^((n2+a2)^2/2)
           * exp(2*pi*i*((n1+a1)b1 + (n2+a2)b2)).
 
-    Odd characteristics cancel in pairs and return the zero form.
+    Odd characteristics cancel in pairs and return the zero series.
     """
     a1, a2 = char.a
     b1, b2 = char.b
@@ -150,8 +138,7 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> SiegelForm:
         VarSpec(RVAR, 4, min(rmin, F(0))),
         VarSpec(SVAR, 8, F(0), s_order),
     )
-    ms = MultiSeries(vars, terms)
-    return SiegelForm(f"Theta{char.label()}", ms)
+    return MultiSeries(vars, terms)
 
 
 def assert_support_condition(ms: MultiSeries) -> None:
@@ -206,7 +193,7 @@ def _even_theta_powers(n: int, q_order: int, s_order: int):
     checked for each of the six b != 0.
     """
     for char in even_characteristics():
-        theta = theta_char(char, q_order, s_order).fourier
+        theta = theta_char(char, q_order, s_order)
         if not any(char.b):
             top, base, power = char, theta, pow_int(theta, n)
             yield power
@@ -232,7 +219,7 @@ def _theta_form(label: str, scale: Fraction, series: MultiSeries) -> SiegelForm:
     assert_support_condition(rform)
     uform = r_to_u(rform)
     assert_support_condition(uform)
-    return SiegelForm(label, rform, uform)
+    return SiegelForm(rform, uform)
 
 
 def _phi10_1(q_valid: int) -> MultiSeries:
@@ -297,7 +284,7 @@ def _maass_lift(c: MultiSeries, weight: int, q_order: int, s_order: int) -> Mult
 
 
 @lru_cache(maxsize=None)
-def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
+def delta10(q_order: int, s_order: int) -> SiegelForm:
     """The weight-10 cusp form: the Maass lift of phi_{10,1} = eta^18
     theta_1^2 (Eichler and Zagier, *The Theory of Jacobi Forms*, 1985,
     section 6), equal to 2^-12 times the product of the squares of the ten
@@ -311,7 +298,7 @@ def delta10(q_order: int = 3, s_order: int = 3) -> SiegelForm:
 
 
 @lru_cache(maxsize=None)
-def f12_siegel(q_order: int = 2, s_order: int = 2) -> SiegelForm:
+def f12_siegel(q_order: int, s_order: int) -> SiegelForm:
     """The weight-12 form: a quarter of the sum of the 24th powers of the
     ten even theta series."""
     if q_order < 2 or s_order < 2:
@@ -321,9 +308,9 @@ def f12_siegel(q_order: int = 2, s_order: int = 2) -> SiegelForm:
 
 
 @lru_cache(maxsize=None)
-def psi_reference(k2: int) -> SiegelForm:
+def psi_reference(k2: int) -> MultiSeries:
     """Reference Fourier data for the genus-two Eisenstein series of weight
-    4 or 6, in u-form.
+    4 or 6, as its u-form.
 
     The data is E_2k(q) E_2k(s) plus the corrections 14400*q*s*u +
     240*q*s*u^2 (weight 4) or 42336*q*s*u - 504*q*s*u^2 (weight 6), and is
@@ -342,11 +329,11 @@ def psi_reference(k2: int) -> SiegelForm:
         (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR)),
         {(F(1), F(1), F(1)): cu, (F(1), F(1), F(2)): cu2},
     )
-    return SiegelForm(f"psi_{k2}", None, add(base, corr))
+    return add(base, corr)
 
 
 @lru_cache(maxsize=None)
-def psi4_theta_candidate(q_order: int = 3, s_order: int = 3) -> SiegelForm:
+def psi4_theta_candidate(q_order: int, s_order: int) -> SiegelForm:
     """Weight-4 candidate: a quarter of the sum of the 8th powers of the ten
     even theta series.
 
@@ -356,7 +343,7 @@ def psi4_theta_candidate(q_order: int = 3, s_order: int = 3) -> SiegelForm:
     """
     form = _theta_form("psi_4_theta", F(1, 4),
                        reduce(add, _even_theta_powers(8, q_order, s_order)))
-    ok, mismatch = equal_on_joint_validity(form.fourier_u, psi_reference(4).fourier_u)
+    ok, mismatch = equal_on_joint_validity(form.fourier_u, psi_reference(4))
     if not ok:
         raise ValidationFailed(f"theta candidate for psi_4 disagrees at {mismatch}")
     return form
@@ -371,28 +358,26 @@ def t2_coefficients(k: int) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def t2_selfdual(k: int, q_order: int = 2, s_order: int = 2) -> SiegelForm:
+def t2_selfdual(k: int) -> MultiSeries:
     """c1 psi_4^3 + c2 psi_6^2 + (1 - c1 - c2) F_12 for dual Coxeter number
-    k >= 0; validity is the intersection of the operands' boxes."""
+    k >= 0, as its u-form.  It is known only where the reference data is,
+    on the box of q- and s-exponents <= 1, so F_12 enters at orders (2, 2)."""
     if k < 0:
         raise DomainError("k must be a nonnegative integer")
     c1, c2 = t2_coefficients(k)
-    p4 = psi_reference(4).fourier_u
-    p6 = psi_reference(6).fourier_u
-    f12 = f12_siegel(q_order, s_order).fourier_u
-    combo = add(
-        add(scalar_mul(c1, pow_int(p4, 3)), scalar_mul(c2, pow_int(p6, 2))),
-        scalar_mul(1 - c1 - c2, f12),
+    return add(
+        add(scalar_mul(c1, pow_int(psi_reference(4), 3)),
+            scalar_mul(c2, pow_int(psi_reference(6), 2))),
+        scalar_mul(1 - c1 - c2, f12_siegel(2, 2).fourier_u),
     )
-    return SiegelForm(f"T2(k={k})", None, combo)
 
 
 ALLOWED_PATTERN_WEIGHTS = (4, 6, 8, 12)
 
 
-def fk_fourier_pattern(a, weight: int) -> SiegelForm:
-    """The observed Fourier template for a weight-k Siegel form that
-    factorizes into f_k(q1) f_k(q2) with f_k = 1 + a q + O(q^2):
+def fk_fourier_pattern(a, weight: int) -> MultiSeries:
+    """The observed Fourier template, as a u-form, for a weight-k Siegel form
+    that factorizes into f_k(q1) f_k(q2) with f_k = 1 + a q + O(q^2):
 
         (1 + a q)(1 + a s) + (a^2/k) q s u + a q s u^2 + O(q^2, s^2).
     """
@@ -408,7 +393,7 @@ def fk_fourier_pattern(a, weight: int) -> SiegelForm:
         (F(1), F(1), F(1)): GaussRat(a * a / weight),
         (F(1), F(1), F(2)): GaussRat(a),
     }
-    return SiegelForm(f"pattern(a={a},k={weight})", None, MultiSeries(vars, terms))
+    return MultiSeries(vars, terms)
 
 
 def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:

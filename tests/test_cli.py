@@ -101,6 +101,36 @@ def test_sew_output_is_pinned(capsys):
         "28708a4936ec0bbf08d1c98f497c276469ffd1ebda3747b02d51f01cafbb8468")
 
 
+@pytest.mark.parametrize("argv, size, digest", [
+    pytest.param("expand theta --char 0,0,1/2,0", 1822,
+                 "d6d3dd8dd299b046af3a337baaba09d980998daf1d1352b3e19a5565be6288e6",
+                 id="theta"),
+    pytest.param("expand psi4", 1050,
+                 "d17a6372b9463a4389866dfa9ea6babec774463dfebcc05e8010646f95fa7689",
+                 id="psi4"),
+    pytest.param("expand psi6", 1054,
+                 "c505da8327c5ab4e36d3a18babf297f426c2d87d4fcf955fe85df6446c0c9372",
+                 id="psi6"),
+    pytest.param("expand t2 --coxeter 0", 1045,
+                 "367caa3d4d6bb527723d6065fd021592b089abdc72484764651a56ec4847d1a9",
+                 id="t2-0"),
+    pytest.param("expand t2 --coxeter 47", 1056,
+                 "1f554d9886eeb9fe285feaa29639ab0f5013efe2a76e62c4d498da48b6273585",
+                 id="t2-47"),
+    pytest.param("expand delta10 --r-form --q-order 4 --s-order 4", 7357,
+                 "5e8624fcdc9c420834296810df6d47cbe8df3aaf38f5a00b0127deeb614882d1",
+                 id="delta10-r-form"),
+])
+def test_siegel_expand_output_is_pinned(capsys, argv, size, digest):
+    # the exact bytes of the Siegel builders' CLI dumps: a change to what a
+    # builder returns, or to the form the CLI prints from it, shows here
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_partition_selfdual(capsys):
     code, out = run(capsys, "partition", "--theory", "selfdual:0", "--q-order", "2")
     assert code == 0

@@ -251,7 +251,7 @@ def test_fk_cross_oracle_selfdual_vs_fourier():
     order = 2
     t2f = t2_selfdual(1)
     params = fourier_params(period_matrix(order, 2))
-    via_fourier = fourier_to_sewing(t2f.fourier_u, params)
+    via_fourier = fourier_to_sewing(t2f, params)
     fk = fk_eps_expansion(t1_selfdual(24, order), 12)
     ok, why = equal_on_joint_validity(via_fourier, fk)
     assert ok, why

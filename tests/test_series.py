@@ -871,12 +871,24 @@ def _drop_var(d, key):
     pytest.param(lambda d: _set_term(d, "exp", ["1/0"]), id="exp-zero-den"),
     pytest.param(lambda d: _set_term(d, "exp", "1"), id="exp-not-a-list"),
     pytest.param(lambda d: d["prefactor"].update(eps=-2), id="prefactor-int"),
+    # every top-level key is required, so none of these reads as a zero series
+    pytest.param(lambda d: d.clear(), id="empty-object"),
+    pytest.param(lambda d: d.update(term=d.pop("terms")), id="terms-misspelled"),
+    pytest.param(lambda d: d.pop("prefactor"), id="prefactor-missing"),
+    # a document that is not an object
+    pytest.param([], id="not-an-object-list"),
+    pytest.param("terms", id="not-an-object-str"),
+    # two terms with one exponent: neither may win
+    pytest.param(lambda d: d["terms"].append(dict(d["terms"][0], re="3")), id="exp-twice"),
 ])
 def test_json_rationals_must_be_rational_strings(edit):
     d = to_json_dict(PrefSeries(S([V("q", order=3)], {(1,): 2}), {"eps": F(-2)}))
     back = from_json_dict(json.loads(json.dumps(d)))
     assert back.body.terms == {(1,): GaussRat(2)} and back.prefactor == {"eps": -2}
-    edit(d)
+    if callable(edit):
+        edit(d)
+    else:
+        d = edit
     with pytest.raises(DomainError):
         from_json_dict(d)
 
@@ -896,7 +908,7 @@ def test_cached_series_are_read_only():
         d.fourier_u.terms[key] = GaussRat(999)
     with pytest.raises(TypeError):
         delta_cusp(4).prefactor["q"] = F(2)
-    assert delta10(3, 3).coeff_u(1, 1, 1) == GaussRat(1)
+    assert coeff(delta10(3, 3).fourier_u, {"q": 1, "s": 1, "u": 1}) == GaussRat(1)
     assert delta_cusp(4).prefactor["q"] == 1
 
 
@@ -913,15 +925,18 @@ def test_cached_series_attributes_cannot_be_reassigned():
     assert delta_cusp(4).body.terms and delta_cusp(4).prefactor["q"] == 1
 
 
-@pytest.mark.parametrize("vars, key", [
-    pytest.param([V("q")], (1, 2), id="too-long"),
-    pytest.param([V("q"), V("s")], (1,), id="too-short"),
+@pytest.mark.parametrize("vars, key, c", [
+    pytest.param([V("q")], (1, 2), 3, id="too-long"),
+    pytest.param([V("q"), V("s")], (1,), 3, id="too-short"),
+    # the length is checked before a zero coefficient is skipped
+    pytest.param([V("q")], (1, 2), 0, id="too-long-zero"),
 ])
-def test_exponent_keys_must_match_the_variables(vars, key):
+def test_exponent_keys_must_match_the_variables(vars, key, c):
     with pytest.raises(DomainError, match="does not match"):
-        S(vars, {key: 3})
+        S(vars, {key: c})
     d = to_json_dict(S(vars, {(0,) * len(vars): 1}))
     d["terms"][0]["exp"] = [str(k) for k in key]
+    d["terms"][0]["re"] = str(c)
     with pytest.raises(DomainError, match="does not match"):
         from_json_dict(d)
 
