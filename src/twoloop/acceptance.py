@@ -282,8 +282,6 @@ def run_criterion(ident: str, name: str, fn) -> CriterionResult:
         detail = fn()
     except TwoLoopError as exc:
         detail = f"{type(exc).__name__}: {exc}"
-    except AssertionError as exc:
-        detail = f"assertion failed: {exc}"
     dt = time.perf_counter() - t0
     status = PASS if detail is None else FAIL
     return CriterionResult(ident, name, status, detail or "", dt)

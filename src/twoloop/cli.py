@@ -118,8 +118,9 @@ def _load_lattice(args) -> Lattice:
 def cmd_expand(args) -> int:
     qo, so = args.q_order, args.s_order
     target = args.target
-    if target in ("delta10", "f12"):
-        form = (delta10 if target == "delta10" else f12_siegel)(qo, so)
+    if target in ("delta10", "f12", "psi4-candidate"):
+        form = {"delta10": delta10, "f12": f12_siegel,
+                "psi4-candidate": psi4_theta_candidate}[target](qo, so)
         series = form.fourier if args.r_form else form.fourier_u
     elif target == "theta":
         if not args.char:
@@ -127,8 +128,6 @@ def cmd_expand(args) -> int:
         series = theta_char(_parse_char(args.char), qo, so)
     elif target == "theta-g2":
         series = theta_g2(_load_lattice(args), qo, so)
-    elif target == "psi4-candidate":
-        series = psi4_theta_candidate(qo, so).fourier_u
     elif target in ("psi4", "psi6"):
         series = psi_reference(int(target[-1]))
     elif target == "t2":
@@ -211,15 +210,13 @@ def cmd_check(args) -> int:
         tau1, tau2, eps = point or [0.3 + 1.2j, 1.7j, 0.05]
         res = check_period_s1(EvalContext(tau1, tau2, eps),
                               args.q_order or 12, args.eps_order or 6)
-    elif args.kind == "weight":
+    else:  # "weight": argparse refuses any other kind
         if point and len(point) != 3:
             raise ValueError("--point needs tau1,tau2,eps")
         tau1, tau2, eps = point or [0.3 + 1.2j, 1.7j, 0.03]
         res = check_weight(args.target, args.gamma,
                            EvalContext(tau1, tau2, eps),
                            args.q_order or 12, args.eps_order or 6)
-    else:
-        raise TwoLoopError(f"unknown check {args.kind!r}")
     _emit(res.as_json_dict())
     return 0 if res.passed else 1
 
@@ -267,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "theta-jacobi|e<2k>|ehat<2k>")
     sp.add_argument("--char", help="theta characteristic a1,a2,b1,b2 (a,b for theta-jacobi)")
     sp.add_argument("--coxeter", type=int, default=0, help="k for the t2 target")
-    sp.add_argument("--r-form", action="store_true", help="emit the r-form")
+    sp.add_argument("--r-form", action="store_true",
+                    help="emit the r-form of delta10, f12 or psi4-candidate")
     sp.add_argument("--gram", help="lattice JSON file for theta-g2")
     sp.add_argument("--lattice", help="built-in lattice name for theta-g2")
     sp.add_argument("--q-order", type=_order, default=3)

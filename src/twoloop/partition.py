@@ -222,9 +222,8 @@ def _crosscheck_boson_closed_form(pref: PrefSeries, c: int, q_order: int) -> Non
     bracket = eps2_bracket(1, ee.scalar(F(c, 2)))
     closed = (torus_pair(dedekind_eta(q_order).pow_int(-c))
               .mul(bracket).shift("eps", F(-c, 12)))
-    ok, why = equal_on_joint_validity(pref, closed)
-    if not ok:
-        raise InternalError(f"boson state sum disagrees with closed form at {why}")
+    assert_equal_on_joint_validity(pref, closed,
+                                   "boson state sum disagrees with closed form")
 
 
 def z2_ghost(q_order: int) -> GenusTwoZ:

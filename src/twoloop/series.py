@@ -35,7 +35,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import getitem, gt, mul as times
 from types import MappingProxyType
@@ -44,6 +44,7 @@ from .errors import (
     AsymmetryError,
     DomainError,
     FractionalExponentUnsupported,
+    InternalError,
     NonNilpotentExponent,
     NotAUnit,
     TruncationUnderflow,
@@ -607,10 +608,6 @@ def negate(a: MultiSeries) -> MultiSeries:
     return MultiSeries._of(a.vars, {k: -c for k, c in a.terms.items()})
 
 
-def sub(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return add(a, negate(b))
-
-
 def scalar_mul(c, a: MultiSeries) -> MultiSeries:
     c = GaussRat.coerce(c)
     return MultiSeries._of(a.vars, {k: c * v for k, v in a.terms.items()} if c else {})
@@ -806,26 +803,38 @@ def _check_nilpotent(a: MultiSeries) -> None:
             )
 
 
-def exp_series(a: MultiSeries) -> MultiSeries:
-    """``sum a^k / k!`` for a series with vanishing constant term."""
-    _check_nilpotent(a)
-    result = MultiSeries.constant(1, a.vars)
-    term = MultiSeries.constant(1, a.vars)
+def _power_sum(x: MultiSeries, factorial: bool) -> MultiSeries:
+    """``sum x^k`` (``sum x^k / k!`` with ``factorial``) over ``k >= 0`` for
+    a nilpotent ``x``, term by term until a power truncates to zero."""
+    _check_nilpotent(x)
+    result = term = MultiSeries.constant(1, x.vars)
     k = 0
     while True:
         k += 1
-        term = scalar_mul(Fraction(1, k), mul(term, a))
+        term = mul(term, x)
+        if factorial:
+            term = scalar_mul(Fraction(1, k), term)
         if term.is_zero():
-            break
+            return result
         result = add(result, term)
-    return result
+
+
+def exp_series(a: MultiSeries) -> MultiSeries:
+    """``sum a^k / k!`` for a series with vanishing constant term."""
+    return _power_sum(a, factorial=True)
 
 
 def coeff(a: MultiSeries, exps: dict) -> GaussRat:
-    """Coefficient at the given exponents (missing variables mean 0).
+    """Coefficient at the given exponents (a variable left out of ``exps``
+    is read at exponent 0).
 
-    Raises :class:`UnknownCoefficient` outside the validity region.
+    Raises :class:`UnknownCoefficient` outside the validity region and
+    :class:`DomainError` for a name that is not a variable of the series.
     """
+    unknown = set(exps).difference(v.name for v in a.vars)
+    if unknown:
+        raise DomainError(f"no variable {sorted(unknown)} in a series on "
+                          f"{[v.name for v in a.vars]}")
     key = []
     for v in a.vars:
         e = Fraction(exps.get(v.name, 0))
@@ -835,9 +844,6 @@ def coeff(a: MultiSeries, exps: dict) -> GaussRat:
             )
         k = e * v.den
         key.append(k.numerator if k.denominator == 1 else None)
-    for name, e in exps.items():
-        if not a.has_var(name) and Fraction(e) != 0:
-            return GR_ZERO
     if None in key:
         return GR_ZERO  # off-grid exponent inside the validity region
     return a.terms.get(tuple(key), GR_ZERO)
@@ -948,7 +954,6 @@ def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:
     den = lcm(v.den, amount.denominator)
     if den != v.den:
         a = a.with_den(name, den)
-        i = a.var_index(name)
         v = a.vars[i]
     dk = int(amount * v.den)
     new_vars = list(a.vars)
@@ -959,7 +964,10 @@ def shift_var(a: MultiSeries, name: str, amount) -> MultiSeries:
 
 
 def q_log_deriv(a: MultiSeries, name: str) -> MultiSeries:
-    """``x d/dx`` applied to the series (exponents are unchanged)."""
+    """``x d/dx`` applied to the series (exponents are unchanged); zero for
+    a series without x."""
+    if not a.has_var(name):
+        return MultiSeries.zero(a.vars)
     i = a.var_index(name)
     den = a.vars[i].den
     return MultiSeries._of(a.vars, {
@@ -1000,9 +1008,6 @@ class PrefSeries:
             return PrefSeries(x)
         return PrefSeries(MultiSeries.constant(GaussRat.coerce(x)))
 
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
     def __repr__(self):
         pref = "*".join(f"{n}^{fmt_rat(e)}" for n, e in sorted(self.prefactor.items()))
         return f"<PrefSeries {pref or '1'} * {self.body!r}>"
@@ -1015,11 +1020,6 @@ class PrefSeries:
         for n, e in other.prefactor.items():
             pref[n] = pref.get(n, _ZERO) + e
         return PrefSeries(mul(self.body, other.body), pref)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    __rmul__ = __mul__
 
     def scalar(self, c) -> "PrefSeries":
         return PrefSeries(scalar_mul(c, self.body), self.prefactor)
@@ -1047,41 +1047,16 @@ class PrefSeries:
         return common, *bodies
 
     def add(self, other) -> "PrefSeries":
-        other = PrefSeries.coerce(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        common, a, b = self._aligned_bodies(other)
+        common, a, b = self._aligned_bodies(PrefSeries.coerce(other))
         return PrefSeries(add(a, b), common)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.add(PrefSeries.coerce(other).scalar(-1))
-
-    def __neg__(self):
-        return self.scalar(-1)
 
     def invert(self) -> "PrefSeries":
         """Geometric-series inversion; the prefactor is negated."""
         c0 = self.body.constant_term()
         if c0.is_zero() or any(k < 0 for key in self.body.terms for k in key):
             raise NotAUnit("body has no invertible constant term")
-        one = MultiSeries.constant(1, self.body.vars)
-        x = sub(one, scalar_mul(c0.inverse(), self.body))
-        _check_nilpotent(x)
-        result = one
-        term = one
-        while True:
-            term = mul(term, x)
-            if term.is_zero():
-                break
-            result = add(result, term)
-        result = scalar_mul(c0.inverse(), result)
+        x = add(MultiSeries.constant(1, self.body.vars), scalar_mul(-c0.inverse(), self.body))
+        result = scalar_mul(c0.inverse(), _power_sum(x, factorial=False))
         return PrefSeries(result, {n: -e for n, e in self.prefactor.items()})
 
     def pow_int(self, n: int) -> "PrefSeries":
@@ -1093,16 +1068,19 @@ class PrefSeries:
     # -- queries ---------------------------------------------------------
 
     def coeff(self, exps: dict) -> GaussRat:
-        """Coefficient at absolute exponents (prefactor included)."""
+        """Coefficient at absolute exponents (prefactor included).  The body
+        is exact and constant in a prefactor variable it lacks, so there only
+        the prefactor's own exponent reads nonzero."""
         rel = dict(exps)
+        off = False
         for n, e in self.prefactor.items():
-            rel[n] = Fraction(rel.get(n, 0)) - e
-        for n, e in list(rel.items()):
-            if not self.body.has_var(n):
-                if Fraction(e) != 0:
-                    return GR_ZERO
-                del rel[n]
-        return coeff(self.body, rel)
+            e = Fraction(rel.pop(n, 0)) - e
+            if self.body.has_var(n):
+                rel[n] = e
+            else:
+                off |= e != 0
+        c = coeff(self.body, rel)
+        return GR_ZERO if off else c
 
     def leading_exponents(self) -> dict[str, Fraction]:
         """Sound per-variable lower bounds on the exponents this series can
@@ -1120,8 +1098,6 @@ class PrefSeries:
                 floor = v.valid if floor is None else min(floor, v.valid)
             if floor is not None:
                 lead[v.name] = lead.get(v.name, _ZERO) + floor
-            elif v.name in lead and not lead[v.name]:
-                del lead[v.name]
         return lead
 
     def rename_vars(self, mapping: dict[str, str]) -> "PrefSeries":
@@ -1132,9 +1108,8 @@ class PrefSeries:
 
     def q_log_deriv(self, name: str) -> "PrefSeries":
         """``x d/dx`` including the prefactor exponent."""
-        p = self.prefactor.get(name, _ZERO)
-        body = q_log_deriv(self.body, name) if self.body.has_var(name) else \
-            MultiSeries.zero(self.body.vars)
+        p = self.prefactor.get(name)
+        body = q_log_deriv(self.body, name)
         if p:
             body = add(body, scalar_mul(p, self.body))
         return PrefSeries(body, self.prefactor)
@@ -1143,15 +1118,12 @@ class PrefSeries:
         """Lower the validity of one variable, measured in absolute
         (prefactor-included) exponents."""
         rel = bound - self.prefactor.get(name, _ZERO)
-        if not self.body.has_var(name):
-            body = mul(self.body, MultiSeries.constant(1, (VarSpec(name, 1),)))
-        else:
-            body = self.body
-        v = body.spec(name)
-        if rel >= v.valid:
-            return PrefSeries(body, self.prefactor)
-        rel = max(rel, v.min_exp)
-        return PrefSeries(body.with_validity(**{name: rel}), self.prefactor)
+        body = self.body
+        if not body.has_var(name):
+            body = mul(body, MultiSeries.constant(1, (VarSpec(name, 1),)))
+        if rel < body.spec(name).valid:
+            body = body.with_validity(**{name: rel})
+        return PrefSeries(body, self.prefactor)
 
 
 def substituted_validity(valid: Fraction, lead: Fraction, floor: Fraction) -> Fraction:
@@ -1213,7 +1185,6 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
                 f"substitution for {var} cannot be ordered away: leading "
                 f"exponents {lead} against validity {fmt_rat(valid)}"
             )
-    result = PrefSeries(MultiSeries.zero(rest_vars))
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
     g_inverse = g.invert() if min(groups, default=0) < 0 else None
 
@@ -1227,8 +1198,11 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
         power_cache[e] = power
         return power
 
-    for e in sorted(groups):
-        result = result.add(g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e]))))
+    # summed term by term, so only one new term is held at a time
+    terms = (g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
+             for e in sorted(groups))
+    result = (reduce(PrefSeries.add, terms) if groups
+              else PrefSeries(MultiSeries.zero(rest_vars)))
     if finite_tail:
         floors = {v.name: v.min_exp for v in rest_vars}
         for name, le in lead.items():
@@ -1271,7 +1245,7 @@ def equal_on_joint_validity(a, b) -> tuple[bool, str | None]:
 def assert_equal_on_joint_validity(a, b, context: str) -> None:
     ok, mismatch = equal_on_joint_validity(a, b)
     if not ok:
-        raise AssertionError(f"{context} at {mismatch}")
+        raise InternalError(f"{context} at {mismatch}")
 
 
 # ---------------------------------------------------------------------------

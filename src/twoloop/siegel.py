@@ -413,6 +413,6 @@ def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:
     order = int(min(v.valid for v in f.body.vars))
     lf = covariant_derivative(f, weight).mul(f.invert())
     ee = torus_pair(eisenstein_hat(2, order))
-    term = torus_pair(lf).scalar(F(1, weight)) - ee.scalar(weight)
+    term = torus_pair(lf).scalar(F(1, weight)).add(ee.scalar(-weight))
     bracket = eps2_bracket(1, term)
     return torus_pair(f).mul(bracket)

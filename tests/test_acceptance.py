@@ -3,6 +3,9 @@
 import pytest
 
 from twoloop import acceptance
+from twoloop.elliptic import j_function
+from twoloop.errors import ValidationFailed
+from twoloop.series import MultiSeries, PrefSeries, VarSpec
 
 
 @pytest.mark.parametrize(
@@ -33,3 +36,23 @@ def test_run_all_is_green():
     assert len(results) == 16
     bad = [r for r in results if r.status == acceptance.FAIL]
     assert not bad, "\n".join(r.line() for r in bad)
+
+
+def test_a_wrong_coefficient_fails_its_criterion(monkeypatch):
+    # J with 196885 q in place of 196884 q
+    q = PrefSeries(MultiSeries.constant(1, (VarSpec("q"),)), {"q": 1})
+    monkeypatch.setattr(acceptance, "j_function", lambda order: j_function(order).add(q))
+    result = acceptance.run_criterion("12", "J expansion", acceptance.c12_j_validation)
+    assert result.status == acceptance.FAIL
+    assert result.detail == "q coefficient is not 196884"
+    assert not result.ok
+
+
+def test_a_library_error_fails_its_criterion(monkeypatch):
+    def broken(q_order, eps_order):
+        raise ValidationFailed("product is not 1")
+
+    monkeypatch.setattr(acceptance, "verify_f2", broken)
+    result = acceptance.run_criterion("6", "g2 consistency", acceptance.c06_g2_consistency)
+    assert result.status == acceptance.FAIL
+    assert result.detail == "ValidationFailed: product is not 1"

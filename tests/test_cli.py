@@ -131,6 +131,33 @@ def test_siegel_expand_output_is_pinned(capsys, argv, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_expand_psi4_candidate_r_form(capsys):
+    from twoloop.series import to_json_dict
+    from twoloop.siegel import psi4_theta_candidate
+
+    code, out = run(capsys, "expand", "psi4-candidate", "--r-form",
+                    "--q-order", "3", "--s-order", "3")
+    assert code == 0
+    assert json.loads(out) == to_json_dict(psi4_theta_candidate(3, 3).fourier)
+
+
+def test_partition_lattice_from_gram_file(tmp_path, capsys):
+    from twoloop.lattice import builtin_lattice
+
+    p = tmp_path / "e8.json"
+    p.write_text(json.dumps(builtin_lattice("E8").to_json_dict()))
+    code, out = run(capsys, "partition", "--theory", f"lattice:{p}", "--q-order", "3")
+    assert code == 0
+    code, want = run(capsys, "partition", "--theory", "lattice:E8", "--q-order", "3")
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    for key in ("z1", "z1_omega", "z2"):
+        assert got[key] == want[key], key
+    code = main(["partition", "--theory", f"lattice:{tmp_path / 'missing.json'}"])
+    assert code == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
 def test_partition_selfdual(capsys):
     code, out = run(capsys, "partition", "--theory", "selfdual:0", "--q-order", "2")
     assert code == 0

@@ -8,7 +8,7 @@ from twoloop.elliptic import (
     eisenstein,
     eisenstein_hat,
 )
-from twoloop.errors import DomainError, Unsupported
+from twoloop.errors import DomainError, UnknownCoefficient, Unsupported
 from twoloop.lattice import builtin_lattice
 from twoloop.partition import (
     CBoson,
@@ -280,6 +280,15 @@ def test_fk_eps2_constant_vanishes(weight, builder):
     # (1/k)(Df/f)(0)^2 - k Ehat2(0)^2 = (1/k)(k/12)^2 - k/144 = 0
     fk = fk_eps_expansion(builder(), weight)
     assert fk.coeff({"q1": 0, "q2": 0, "eps": 2}) == GaussRat(0)
+
+
+def test_fk_expansion_claims_no_eps_coefficient_beyond_eps3():
+    # weight 12 with N1 = 24: below q^2 the eps^2 term vanishes, which must
+    # not make the eps^4 coefficient a known zero
+    fk = fk_eps_expansion(t1_selfdual(24, 2), 12)
+    assert fk.coeff({"q1": 0, "q2": 0, "eps": 2}) == GaussRat(0)
+    with pytest.raises(UnknownCoefficient):
+        fk.coeff({"eps": 4})
 
 
 def test_parse_theory():

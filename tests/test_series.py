@@ -12,6 +12,7 @@ from twoloop.errors import (
     AsymmetryError,
     DomainError,
     FractionalExponentUnsupported,
+    InternalError,
     NonNilpotentExponent,
     NotAUnit,
     TruncationUnderflow,
@@ -24,6 +25,7 @@ from twoloop.series import (
     PrefSeries,
     VarSpec,
     add,
+    assert_equal_on_joint_validity,
     coeff,
     equal_on_joint_validity,
     exp_series,
@@ -517,6 +519,59 @@ def test_unknown_coefficient_is_not_zero():
     assert coeff(f, {"q": 0}) == GaussRat(0)  # known zero
     with pytest.raises(UnknownCoefficient):
         coeff(f, {"q": 2})  # unknown, despite nothing stored
+    # a name the series lacks, misspelt or from the other form, is no zero
+    d = delta10(3, 3)
+    with pytest.raises(DomainError):
+        coeff(d.fourier_u, {"q": 1, "S": 1, "u": 1})
+    with pytest.raises(DomainError):
+        coeff(d.fourier, {"q": 1, "s": 1, "u": 1})
+
+
+def test_prefseries_coeff_reads_prefactor_variables_the_body_lacks():
+    # body constant in t: only t^(1/2), the prefactor itself, is nonzero
+    f = PrefSeries(S([V("q", valid=2)], {(1,): 3}), {"t": F(1, 2)})
+    assert f.coeff({"q": 1, "t": F(1, 2)}) == GaussRat(3)
+    assert f.coeff({"q": 1, "t": 1}) == GaussRat(0)
+    with pytest.raises(UnknownCoefficient):
+        f.coeff({"q": 2, "t": 1})  # beyond validity in q, whatever t reads
+    with pytest.raises(DomainError):
+        f.coeff({"q": 1, "s": 0})
+
+
+@pytest.mark.parametrize("zero_first", [True, False], ids=["zero+one", "one+zero"])
+def test_prefseries_add_keeps_a_zero_operands_validity(zero_first):
+    # a zero known only below q^2 says nothing at q^2, so neither does the sum
+    zero = PrefSeries(MultiSeries.zero((VarSpec("q", valid=2),)))
+    one = PrefSeries(MultiSeries.constant(1, (VarSpec("q"),)))
+    out = zero.add(one) if zero_first else one.add(zero)
+    assert out.body.vars == (VarSpec("q", valid=2),)
+    assert out.coeff({"q": 0}) == GaussRat(1)
+    with pytest.raises(UnknownCoefficient):
+        out.coeff({"q": 2})
+
+
+def test_q_log_deriv_without_the_variable_is_zero():
+    f = PrefSeries(S([V("s", valid=3)], {(0,): 2, (1,): 5}), {"q": F(1, 24)})
+    out = f.q_log_deriv("q")
+    assert out.prefactor == {"q": F(1, 24)}
+    assert out.body.vars == f.body.vars
+    assert out.coeff({"q": F(1, 24), "s": 1}) == GaussRat(F(5, 24))
+    assert q_log_deriv(f.body, "q").is_zero()
+
+
+def test_mismatch_report_names_the_first_differing_coefficient():
+    # both valid below q^3 under a q^(1/24) prefactor; the q^1 body
+    # coefficients differ, the q^3 ones lie beyond the joint validity
+    vars = (VarSpec("q", valid=3),)
+    a = PrefSeries(MultiSeries(vars, {(0,): 1, (1,): 2}), {"q": F(1, 24)})
+    b = PrefSeries(MultiSeries(vars, {(0,): 1, (1,): 3}), {"q": F(1, 24)})
+    assert equal_on_joint_validity(a, b) == (False, "q^25/24: 2 != 3")
+    wide = (VarSpec("q", valid=4),)
+    c = PrefSeries(MultiSeries(wide, {(0,): 1, (1,): 2, (3,): 7}), {"q": F(1, 24)})
+    assert equal_on_joint_validity(a, c) == (True, None)
+    # the library's self-checks raise it as one of its own errors
+    with pytest.raises(InternalError, match=r"routes at q\^25/24: 2 != 3"):
+        assert_equal_on_joint_validity(a, b, "routes")
 
 
 def test_pow_and_negate(rng):
