@@ -101,6 +101,20 @@ def test_sew_output_is_pinned(capsys):
         "28708a4936ec0bbf08d1c98f497c276469ffd1ebda3747b02d51f01cafbb8468")
 
 
+@pytest.mark.parametrize("fmt, size, digest", [
+    ("csv", 11_760, "1614f1ff696470f0f9f1fb6863125c9c572afc3e7f2642fdfba8841ff85eee0c"),
+    ("table", 18_949, "c9b0333c0c715a0e5284719c00cbbb374faf76d54986c66e79e6849e2b5ece42"),
+])
+def test_sew_text_output_is_pinned(capsys, fmt, size, digest):
+    # the same sewing dump through the csv and table writers; 339 of the 472
+    # products period_matrix forms here land beyond eps^6 and end early
+    code, out = run(capsys, "sew", "--q-order", "8", "--eps-order", "6", "--format", fmt)
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, size, digest", [
     pytest.param("expand theta --char 0,0,1/2,0", 1822,
                  "d6d3dd8dd299b046af3a337baaba09d980998daf1d1352b3e19a5565be6288e6",

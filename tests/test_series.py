@@ -322,6 +322,10 @@ def kernel_case(id, vars_a, vars_b=None, floor={}, max_terms=5, square=False):
     kernel_case("unbounded", [V("q", order=4), V("r", min_exp=-2)]),
     # every stored q-exponent is 2, every product lands at q^4 > kmax = 2
     kernel_case("no-pair-in-box", [V("q", order=3), V("s", den=2, order=3)], floor={"q": 2}),
+    # the period_matrix shape: q1 and q2 fit, but every eps-exponent is 3
+    # and every product lands at eps^6 > kmax = 4
+    kernel_case("one-var-beyond-box", [V("q1", order=4), V("eps", order=5)],
+                [V("q2", order=4), V("eps", order=5)], floor={"eps": 3}),
     # up to 12 terms a side, so that many left terms share a rounded room
     kernel_case("shared-rooms", [V("q1", order=4), V("eps", order=5)],
                 [V("q2", order=4), V("eps", order=5)], max_terms=12),
@@ -350,6 +354,20 @@ def test_mul_packed_kernel_matches_naive(vars_a, vars_b, floor, max_terms, squar
     assert fast.terms == _naive_product(a, b, fast.vars).terms
     assert list(fast.terms.items()) == _ordered_product(a, b, fast.vars)
     assert not (floor and fast.terms)
+
+
+def test_mul_beyond_the_box_packs_nothing():
+    # lowest exponents that sum past kmax in one variable (eps: 2 + 3 > 4)
+    # end the product before either operand's terms are packed or indexed
+    a = S([V("q1", order=4), V("eps", order=5)], {(0, 2): 1, (1, 3): 2})
+    b = S([V("q2", order=4), V("eps", order=5)], {(0, 3): 3, (2, 4): 1})
+    out = mul(a, b)
+    assert not out.terms
+    assert out.vars == _reference_merge(a.vars, b.vars, mul)
+    layout = tuple((v.name, v.den) for v in out.vars)
+    for s in (a, b):
+        view = s._views[layout]
+        assert not view._left and not view._right
 
 
 @kernel_properties
@@ -882,6 +900,35 @@ def test_unbounded_bound_is_exact():
     f = S([V("r", min_exp=-3)], {(-3,): 1, (2,): 1})
     assert mul(f, f).spec("r").valid == UNBOUNDED
     assert shift_var(f, "r", -5).spec("r").valid == UNBOUNDED
+
+
+@kernel_properties
+@given(data=st.data())
+def test_adding_a_variable_matches_the_product_route(data):
+    # shift_var and cap_absolute_valid give a series a variable it lacks by
+    # zero-extending its keys: the same variables and terms, in the same
+    # order (term order feeds the float sums of verify.eval_series), as
+    # multiplying by the constant 1 on that variable
+    q, r = V("q", den=2, min_exp=-1, order=3), V("r", den=3, min_exp=-2, valid=F(5, 3))
+    vars = data.draw(st.sampled_from([(), (q,), (q, r)]))
+    a = (MultiSeries.zero(vars) if data.draw(st.booleans())
+         else data.draw(box_series(vars, {}, max_terms=8)))
+    den = data.draw(st.sampled_from([1, 2, 3]))
+    amount = F(data.draw(st.integers(-4, 4).filter(bool)), den)
+
+    def via_product(s, den):
+        return mul(s, MultiSeries.constant(1, (VarSpec("eps", den),)))
+
+    direct = shift_var(a, "eps", amount)
+    reference = shift_var(via_product(a, amount.denominator), "eps", amount)
+    assert direct.vars == reference.vars
+    assert list(direct.terms.items()) == list(reference.terms.items())
+    bound, pref = F(data.draw(st.integers(-3, 8)), den), {"eps": amount, "q": F(1, 2)}
+    direct = PrefSeries(a, pref).cap_absolute_valid("eps", bound)
+    reference = PrefSeries(via_product(a, 1), pref).cap_absolute_valid("eps", bound)
+    assert direct.prefactor == reference.prefactor
+    assert direct.body.vars == reference.body.vars
+    assert list(direct.body.terms.items()) == list(reference.body.terms.items())
 
 
 def test_json_valid_above_order_is_refused():
