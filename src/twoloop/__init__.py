@@ -1,7 +1,7 @@
 """twoloop: exact truncated expansions of genus-two Siegel modular forms,
 the torus-sewing map, and two-loop chiral partition functions.
 
-All series arithmetic is exact (Gaussian rational coefficients) and carries
+All series arithmetic is exact (rational coefficients) and carries
 per-variable validity bounds, so no operation can fabricate a coefficient
 its inputs do not determine.  Numeric evaluation and modular transformation
 checks live in :mod:`twoloop.verify`; the full acceptance suite is
@@ -9,7 +9,6 @@ checks live in :mod:`twoloop.verify`; the full acceptance suite is
 """
 
 from .series import (
-    GaussRat,
     MultiSeries,
     PrefSeries,
     UNBOUNDED,
@@ -17,7 +16,6 @@ from .series import (
 )
 
 __all__ = [
-    "GaussRat",
     "MultiSeries",
     "PrefSeries",
     "UNBOUNDED",

@@ -70,8 +70,7 @@ def _series_payload(s, fmt: str):
         mono = "*".join(
             f"{v['name']}^{e}" for v, e in zip(d["vars"], t["exp"]) if e != "0"
         ) or "1"
-        val = t["re"] if t["im"] == "0" else f"{t['re']}+{t['im']}i"
-        rows.append((mono, val))
+        rows.append((mono, t["re"]))
     width = max((len(m) for m, _ in rows), default=1)
     header = ""
     if d["prefactor"]:

@@ -7,6 +7,10 @@ D = q d/dq + k*Ehat_2, the three Jacobi theta series, the weight-12 theta
 combination f12, and the normalized modular invariant
 J = q^-1 + 0 + 196884 q + ...
 
+Every coefficient is rational.  A theta series with an even characteristic
+carries only the phases +1 and -1, and the odd one vanishes, so no series
+here has an imaginary part.
+
 Every form here is a plain :class:`~twoloop.series.PrefSeries` built once,
 in the variable ``q``; a modular weight is not stored with it but passed
 where it is used (:func:`covariant_derivative`).  Genus-two code gets its
@@ -20,13 +24,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .errors import DomainError, ValidationFailed
+from .errors import DomainError, InternalError, ValidationFailed
 from .series import (
-    GaussRat,
     MultiSeries,
     PrefSeries,
     VarSpec,
     add,
+    fmt_rat,
     is_unbounded,
     pow_int,
     scalar_mul,
@@ -76,9 +80,9 @@ def eisenstein(k2: int, q_order: int) -> PrefSeries:
     if k2 < 2 or k2 % 2:
         raise DomainError(f"Eisenstein weight must be even and >= 2, got {k2}")
     b = bernoulli(k2)
-    terms = {(F(0),): GaussRat(1)}
+    terms = {(F(0),): 1}
     for n in range(1, q_order):
-        terms[(F(n),)] = GaussRat(-F(2 * k2, 1) / b * sigma(k2 - 1, n))
+        terms[(F(n),)] = -F(2 * k2, 1) / b * sigma(k2 - 1, n)
     body = MultiSeries((VarSpec("q", valid=q_order),), terms)
     return PrefSeries(body)
 
@@ -92,10 +96,10 @@ def eisenstein_hat(k2: int, q_order: int) -> PrefSeries:
 def euler_product(q_order: int) -> MultiSeries:
     """prod_{n>=1} (1 - q^n) below q^q_order, by Euler's pentagonal number
     theorem: the sum over k in Z of (-1)^k q^(k(3k-1)/2)."""
-    terms = {(0,): GaussRat(1)}
+    terms = {(0,): 1}
     k = 1
     while (e := k * (3 * k - 1) // 2) < q_order:
-        sign = GaussRat(-1 if k % 2 else 1)
+        sign = -1 if k % 2 else 1
         terms[(e,)] = sign
         if e + k < q_order:  # -k gives k(3k+1)/2
             terms[(e + k,)] = sign
@@ -128,10 +132,10 @@ def j_function(q_order: int) -> PrefSeries:
     num = eisenstein(4, inner).pow_int(3)
     j = num.mul(delta_cusp(inner).invert())
     j = j.add(PrefSeries.coerce(-744))
-    if j.coeff({"q": 0}) != GaussRat(0) or j.coeff({"q": 1}) != GaussRat(196884):
+    if j.coeff({"q": 0}) != 0 or j.coeff({"q": 1}) != 196884:
         raise ValidationFailed(
             "J construction failed its expansion check: "
-            f"const={j.coeff({'q': 0})!r}, q={j.coeff({'q': 1})!r}"
+            f"const={fmt_rat(j.coeff({'q': 0}))}, q={fmt_rat(j.coeff({'q': 1}))}"
         )
     return j
 
@@ -148,16 +152,13 @@ def covariant_derivative(f: PrefSeries, weight: int) -> PrefSeries:
     return out
 
 
-#: exp(2*pi*i*k/4) for k = 0, 1, 2, 3: the only phases theta series carry.
-_QUARTER_PHASES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
-
-
-def _phase(x: Fraction) -> GaussRat:
-    """exp(2*pi*i*x) for x a multiple of 1/4."""
-    k = 4 * x
+def _phase(x: Fraction) -> int:
+    """exp(2*pi*i*x) for x a multiple of 1/2, the only phases a theta series
+    with an even characteristic carries: a sign."""
+    k = 2 * x
     if k.denominator != 1:
-        raise DomainError(f"phase exponent {x} is not a multiple of 1/4")
-    return _QUARTER_PHASES[k.numerator % 4]
+        raise InternalError(f"phase exponent {x} is not a multiple of 1/2")
+    return -1 if k.numerator % 2 else 1
 
 
 def _theta_exponents(a: Fraction, order: int) -> list[Fraction]:
@@ -173,17 +174,20 @@ def _theta_exponents(a: Fraction, order: int) -> list[Fraction]:
 def theta_jacobi(a, b, q_order: int) -> PrefSeries:
     """theta[a;b](q) = sum_n q^((n+a)^2/2) exp(2*pi*i*(n+a)*b).
 
-    The odd characteristic a = b = 1/2 cancels in pairs and yields the zero
-    series.
+    The odd characteristic a = b = 1/2 cancels in pairs: it is the zero
+    series, returned up front, so every phase summed is a sign.
     """
     a, b = Fraction(a), Fraction(b)
     if a not in (F(0), HALF) or b not in (F(0), HALF):
         raise DomainError("characteristics must lie in {0, 1/2}")
-    terms: dict[tuple[Fraction, ...], GaussRat] = {}
+    vars = (VarSpec("q", 8, F(0), q_order),)
+    if a == b == HALF:
+        return PrefSeries(MultiSeries.zero(vars))
+    terms: dict[tuple[Fraction, ...], int] = {}
     for x in _theta_exponents(a, q_order):
         key = (x * x / 2,)
-        terms[key] = terms.get(key, GaussRat(0)) + _phase(x * b)
-    return PrefSeries(MultiSeries((VarSpec("q", 8, F(0), q_order),), terms))
+        terms[key] = terms.get(key, 0) + _phase(x * b)
+    return PrefSeries(MultiSeries(vars, terms))
 
 
 EVEN_JACOBI_CHARS = ((F(0), F(0)), (F(0), HALF), (HALF, F(0)))

@@ -30,7 +30,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
-from .series import GaussRat, MultiSeries, VarSpec
+from .series import MultiSeries, VarSpec
 
 F = Fraction
 
@@ -197,7 +197,7 @@ def theta_g1(lattice: Lattice, q_order: int) -> MultiSeries:
     terms = {}
     for norm, vecs in table.shells.items():
         if norm % 2 == 0 and norm // 2 < q_order:
-            terms[(F(norm, 2),)] = GaussRat(len(vecs))
+            terms[(F(norm, 2),)] = len(vecs)
     return MultiSeries((spec,), terms)
 
 
@@ -260,6 +260,15 @@ def _signed_histogram(gram_np, ra, rc) -> dict[int, int]:
             for b in sorted({b for v in h for b in (v, -v)})}
 
 
+class _PairCount(int):
+    """A pair count as :func:`theta_g2` stores it: an int that also reads as
+    ``.re``, the name the pair counter of ``perfbench/tracer.py`` reads
+    from each coefficient of a ``theta_g2`` result."""
+
+    __slots__ = ()
+    re = property(int)
+
+
 def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     """Genus-two lattice theta series.
 
@@ -290,7 +299,7 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
                               if key[0] else {0: size[key[0]] * size[key[1]]})
             a, c = F(na, 2), F(nc, 2)
             for b, count in hists[key].items():
-                terms[(a, F(b), c)] = GaussRat(count)
+                terms[(a, F(b), c)] = _PairCount(count)
                 bmin = min(bmin, F(b))
     qs = VarSpec("q", valid=q_order)
     rs = VarSpec("r", 1, bmin)

@@ -1,8 +1,10 @@
 """Exact sparse arithmetic for truncated multivariate Laurent series.
 
-Coefficients are Gaussian rationals ``(x + y*i)/d``, each stored as one
-reduced integer triple (:class:`GaussRat`).  A series carries an ordered
-list of variables and, per variable:
+Coefficients are exact rationals, each an ``int`` or a ``Fraction``: every
+series the library builds (period matrix with 2*pi*i stripped, genus-one
+and Siegel forms, lattice thetas, partition functions) has rational
+coefficients, and a float or complex one is refused.  A series carries an
+ordered list of variables and, per variable:
 
 * ``den``     -- exponents are integer multiples of ``1/den``,
 * ``min_exp`` -- a guaranteed Laurent floor,
@@ -65,7 +67,7 @@ def is_unbounded(x: Fraction) -> bool:
 _ZERO = Fraction(0)
 
 
-def fmt_rat(x: Fraction) -> str:
+def fmt_rat(x: int | Fraction) -> str:
     """Format a rational as ``"p"`` or ``"p/q"``."""
     if x.denominator == 1:
         return str(x.numerator)
@@ -83,128 +85,17 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
-_new_tuple = tuple.__new__
+def _exact(c):
+    """``c`` itself if it is an exact coefficient, an ``int`` or a
+    ``Fraction``; anything else (a float, a complex, a string) is refused."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"a coefficient is an int or a Fraction, not {type(c).__name__}")
 
 
-class GaussRat(tuple):
-    """An immutable Gaussian rational ``(x + y*i)/d``, stored as the canonical
-    integer triple ``(x, y, d)``: ``d > 0`` and ``gcd(x, y, d) == 1``.
-
-    ``GaussRat(re, im)`` takes ints or ``Fraction``s and ``.re``/``.im`` give
-    ``Fraction``s back; arithmetic stays in integers, one gcd per result.
-    Iteration only unpacks the triple (``x, y, d = c``); ordering and
-    ``len()`` raise ``TypeError`` and no plain tuple compares equal.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            return _new_tuple(cls, (re, im, 1))
-        (a, b), (c, e) = Fraction(re).as_integer_ratio(), Fraction(im).as_integer_ratio()
-        return _gauss(a * e, c * b, b * e)
-
-    def __getnewargs__(self):
-        return self.re, self.im
-
-    re = property(lambda self: Fraction(self[0], self[2]))
-    im = property(lambda self: Fraction(self[1], self[2]))
-
-    @staticmethod
-    def coerce(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def __bool__(self) -> bool:
-        x, y, _ = self
-        return bool(x or y)
-
-    def __complex__(self) -> complex:
-        x, y, d = self
-        return complex(x / d, y / d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussRat):
-            if not isinstance(other, (int, Fraction)):
-                return False if isinstance(other, tuple) else NotImplemented
-            other = GaussRat(other)
-        return tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        x, y, d = self
-        # a real value hashes like the equal int or Fraction
-        return tuple.__hash__(self) if y else hash(Fraction(x, d))
-
-    def _not_a_sequence(self, *_):
-        raise TypeError("a Gaussian rational has no ordering and no length")
-
-    __lt__ = __le__ = __gt__ = __ge__ = __len__ = _not_a_sequence
-
-    def __add__(self, other):
-        x, y, d = self
-        u, v, e = other if type(other) is GaussRat else GaussRat.coerce(other)
-        if d == e:
-            return _gauss(x + u, y + v, d)
-        return _gauss(x * e + u * d, y * e + v * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -GaussRat.coerce(other)
-
-    def __rsub__(self, other):
-        return GaussRat.coerce(other) - self
-
-    def __neg__(self):
-        x, y, d = self
-        return _new_tuple(GaussRat, (-x, -y, d))
-
-    def __mul__(self, other):
-        x, y, d = self
-        u, v, e = other if type(other) is GaussRat else GaussRat.coerce(other)
-        return _gauss(x * u - y * v, x * v + y * u, d * e)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GaussRat":
-        x, y, d = self
-        n = x * x + y * y
-        if not n:
-            raise ZeroDivisionError("inverse of zero GaussRat")
-        return _gauss(d * x, -d * y, n)
-
-    def __truediv__(self, other):
-        return self * GaussRat.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return GaussRat.coerce(other) * self.inverse()
-
-    def __repr__(self):
-        if not self.im:
-            return fmt_rat(self.re)
-        if not self.re:
-            return f"{fmt_rat(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({fmt_rat(self.re)}{sign}{fmt_rat(abs(self.im))}*i)"
-
-
-def _gauss(x: int, y: int, d: int) -> GaussRat:
-    """``(x + y*i)/d`` for ``d > 0``, reduced to the canonical triple."""
-    g = gcd(x, y, d)
-    return _new_tuple(GaussRat, (x // g, y // g, d // g))
-
-
-GR_ZERO = GaussRat(0)
+def _ratio(x: int, d: int):
+    """``x/d`` for ``d > 0``: an int when ``d`` divides ``x``, else a Fraction."""
+    return Fraction(x, d) if x % d else x // d
 
 
 def _read_only(self, name, *value):
@@ -300,7 +191,7 @@ class MultiSeries:
 
     ``terms`` is a read-only mapping from tuples of scaled integer exponents
     (one per variable, in ``vars`` order, scaled by each variable's ``den``)
-    to nonzero :class:`GaussRat` coefficients.  ``MultiSeries(vars, terms)``
+    to nonzero ``int`` or ``Fraction`` coefficients.  ``MultiSeries(vars, terms)``
     takes unscaled exponents and validates them; :meth:`_of` is the internal
     constructor for terms that are already scaled.
     """
@@ -309,15 +200,15 @@ class MultiSeries:
 
     def __init__(self, vars: tuple[VarSpec, ...], terms: dict | None = None):
         vars = _distinct(tuple(vars))
-        store: dict[tuple[int, ...], GaussRat] = {}
+        store: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, c in terms.items():
                 if len(exps) != len(vars):
                     raise DomainError(
                         f"exponent key {exps} does not match {len(vars)} variables"
                     )
-                c = GaussRat.coerce(c)
-                if c.is_zero():
+                c = _exact(c)
+                if not c:
                     continue
                 key = tuple(_scale_exp(e, v.den) for e, v in zip(exps, vars))
                 for k, v in zip(key, vars):
@@ -359,7 +250,7 @@ class MultiSeries:
     @staticmethod
     def constant(c, vars: tuple[VarSpec, ...] = ()) -> "MultiSeries":
         zero_key = (Fraction(0),) * len(vars)
-        return MultiSeries(vars, {zero_key: GaussRat.coerce(c)})
+        return MultiSeries(vars, {zero_key: c})
 
     def spec(self, name: str) -> VarSpec:
         for v in self.vars:
@@ -388,9 +279,9 @@ class MultiSeries:
         for key, c in self.terms.items():
             yield tuple(Fraction(k, d) for k, d in zip(key, dens)), c
 
-    def constant_term(self) -> GaussRat:
+    def constant_term(self) -> int | Fraction:
         key = (0,) * len(self.vars)
-        return self.terms.get(key, GR_ZERO)
+        return self.terms.get(key, 0)
 
     # -- metadata manipulation ------------------------------------------
 
@@ -474,7 +365,7 @@ class MultiSeries:
 
     # -- alignment -------------------------------------------------------
 
-    def _aligned_to(self, merged: tuple[VarSpec, ...]) -> dict[tuple[int, ...], GaussRat]:
+    def _aligned_to(self, merged: tuple[VarSpec, ...]) -> dict[tuple[int, ...], int | Fraction]:
         """Re-key terms onto a merged variable list (missing vars -> 0).
 
         When the keys already fit ``merged``, returns ``self.terms`` itself:
@@ -503,7 +394,7 @@ class MultiSeries:
             mono = "*".join(
                 f"{v.name}^{fmt_rat(e)}" for v, e in zip(self.vars, exps) if e
             )
-            parts.append(f"{c!r}" + (f"*{mono}" if mono else ""))
+            parts.append(fmt_rat(c) + (f"*{mono}" if mono else ""))
         more = "" if len(self.terms) <= 6 else f" + ... ({len(self.terms)} terms)"
         body = " + ".join(parts) if parts else "0"
         return f"<MultiSeries {body}{more}>"
@@ -519,7 +410,7 @@ def _alignment(vars: tuple[VarSpec, ...], merged: tuple[VarSpec, ...]):
     return len(merged), tuple((pos[v.name], merged[pos[v.name]].den // v.den) for v in vars)
 
 
-def _realign(terms, align) -> dict[tuple[int, ...], GaussRat]:
+def _realign(terms, align) -> dict[tuple[int, ...], int | Fraction]:
     """``terms`` re-keyed by an :func:`_alignment` (``terms`` itself for
     ``None``)."""
     if align is None:
@@ -609,15 +500,13 @@ def negate(a: MultiSeries) -> MultiSeries:
 
 
 def scalar_mul(c, a: MultiSeries) -> MultiSeries:
-    c = GaussRat.coerce(c)
+    c = _exact(c)
     return MultiSeries._of(a.vars, {k: c * v for k, v in a.terms.items()} if c else {})
 
 
-def _scaled(c: GaussRat, l: int) -> tuple[int, int]:
-    """``l*c`` as a Gaussian integer, for ``l`` a multiple of its denominator."""
-    x, y, d = c
-    f = l // d
-    return x * f, y * f
+def _scaled(c: int | Fraction, l: int) -> int:
+    """``l*c`` as an int, for ``l`` a multiple of its denominator."""
+    return c.numerator * (l // c.denominator)
 
 
 class _KernelView:
@@ -631,25 +520,25 @@ class _KernelView:
 
     def __init__(self, terms):
         self.terms = terms
-        self.lcm = lcm(*{d for _, _, d in terms.values()})
+        self.lcm = lcm(*{c.denominator for c in terms.values()})
         self.held = [sorted(set(col)) for col in zip(*terms)]
         self._left: dict[tuple[int, ...], list] = {}
         self._right: dict[tuple[int, ...], tuple] = {}
 
     def left(self, strides: tuple[int, ...]) -> list:
-        """``(key, packed key, re, im)`` per term, in term order, the
-        coefficient scaled to a Gaussian integer by ``lcm``."""
+        """``(key, packed key, a)`` per term, in term order, the coefficient
+        ``a`` scaled to an int by ``lcm``."""
         left = self._left.get(strides)
         if left is None:
             l = self.lcm
-            left = self._left[strides] = [(k, sum(map(times, k, strides)), *_scaled(c, l))
+            left = self._left[strides] = [(k, sum(map(times, k, strides)), _scaled(c, l))
                                           for k, c in self.terms.items()]
         return left
 
     def right(self, strides: tuple[int, ...]) -> tuple[tuple, dict]:
         """``(trie, rooms)``: the terms as a trie, a ``(sorted exponents,
         children)`` pair per level whose last level's children are the packed
-        Gaussian-integer terms, and a dict from rounded room to the flat
+        ``(packed key, a)`` terms, and a dict from rounded room to the flat
         list of terms it selects, filled by :func:`mul`."""
         right = self._right.get(strides)
         if right is None:
@@ -663,7 +552,7 @@ class _KernelView:
                         kids.append(([], []))
                     keys, kids = kids[-1]
                 keys.append(k[-1])
-                kids.append((sum(map(times, k, strides)), *_scaled(terms[k], l)))
+                kids.append((sum(map(times, k, strides)), _scaled(terms[k], l)))
             right = self._right[strides] = (trie, {})
         return right
 
@@ -672,23 +561,24 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     """Truncated Cauchy product with validity propagation.
 
     Each operand is scaled by the lcm of its denominators first, so the inner
-    loop works on Gaussian integers with exponent tuples packed into single
-    ints (one radix field per variable); each result term is reduced by one
-    gcd.  A bounded variable's field spans the result's validity box, from
-    its Laurent floor to ``kmax``; an unbounded one spans the sums of the
-    operands' exponent ranges.  Pairs are pruned against the result's
-    validity box before any product is formed, and a product whose lowest
-    exponents already sum past ``kmax`` in some variable returns empty before
-    anything is packed: in the Neumann series of ``period_matrix`` most
-    products land wholly above the ``eps`` truncation (339 of 472 at
-    (12, 6)), and this exit takes its time there from about 0.18 to 0.13 s
-    (2-vCPU VM, Python 3.11).  The right operand is indexed
-    as a trie with one sorted level per variable, so a left term's room
-    (``kmax - k``) selects a bisected prefix at every level and its right
-    terms come out in key order.  Rooms are rounded down, per variable, to
-    an exponent the right operand holds (so none exceeds its maximum); left
-    terms with equal rounded rooms select the same right terms, so each
-    rounded room's candidates are collected into one flat list.
+    loop works on ints with exponent tuples packed into single ints (one
+    radix field per variable); a result term comes out an int when the scale
+    divides it, else a reduced ``Fraction``.  A bounded variable's field
+    spans the result's validity box, from its Laurent floor to ``kmax``; an
+    unbounded one spans the sums of the operands' exponent ranges.  Pairs
+    are pruned against the result's validity box before any product is
+    formed, and a product whose lowest exponents already sum past ``kmax``
+    in some variable returns empty before anything is packed: in the
+    Neumann series of ``period_matrix`` most products land wholly above the
+    ``eps`` truncation (339 of 472 at (12, 6)), and this exit takes its time
+    there from about 0.18 to 0.13 s (2-vCPU VM, Python 3.11).  The right
+    operand is indexed as a trie with one sorted level per variable, so a
+    left term's room (``kmax - k``) selects a bisected prefix at every level
+    and its right terms come out in key order.  Rooms are rounded down, per
+    variable, to an exponent the right operand holds (so none exceeds its
+    maximum); left terms with equal rounded rooms select the same right
+    terms, so each rounded room's candidates are collected into one flat
+    list.
 
     The aligned, scaled and packed terms, the trie and the room lists are
     kept on each operand, per merged layout and strides
@@ -731,9 +621,9 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     for m, held_a, held_b in zip(kmaxes, va.held, vb.held):
         held = [held_b[0] - 1, *held_b]
         rounded.append({ka: held[max(bisect_right(held, m - ka), 1) - 1] for ka in held_a})
-    acc: dict[int, list] = {}
+    acc: dict[int, int] = {}
     get = acc.get
-    for k, p1, a1, b1 in left:
+    for k, p1, a1 in left:
         room = tuple(map(getitem, rounded, k))
         items = rooms.get(room)
         if items is None:
@@ -744,28 +634,13 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
         if not items:
             continue
         p1 -= off
-        if b1:
-            for p2, a2, b2 in items:
-                p = p1 + p2
-                cur = get(p)
-                if cur is None:
-                    acc[p] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    cur[0] += a1 * a2 - b1 * b2
-                    cur[1] += a1 * b2 + b1 * a2
-        else:
-            for p2, a2, b2 in items:
-                p = p1 + p2
-                cur = get(p)
-                if cur is None:
-                    acc[p] = [a1 * a2, a1 * b2]
-                else:
-                    cur[0] += a1 * a2
-                    cur[1] += a1 * b2
+        for p2, a2 in items:
+            p = p1 + p2
+            acc[p] = get(p, 0) + a1 * a2
     scale = va.lcm * vb.lcm
     res = {}
-    for p, (re, im) in acc.items():
-        if not re and not im:
+    for p, x in acc.items():
+        if not x:
             continue
         key = []
         rem = p
@@ -775,7 +650,7 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             else:
                 ki, rem = rem, 0
             key.append(ki + lo[i])
-        res[tuple(key)] = _gauss(re, im, scale)
+        res[tuple(key)] = _ratio(x, scale)
     return MultiSeries._of(merged, res)
 
 
@@ -831,7 +706,7 @@ def exp_series(a: MultiSeries) -> MultiSeries:
     return _power_sum(a, factorial=True)
 
 
-def coeff(a: MultiSeries, exps: dict) -> GaussRat:
+def coeff(a: MultiSeries, exps: dict) -> int | Fraction:
     """Coefficient at the given exponents (a variable left out of ``exps``
     is read at exponent 0).
 
@@ -852,8 +727,8 @@ def coeff(a: MultiSeries, exps: dict) -> GaussRat:
         k = e * v.den
         key.append(k.numerator if k.denominator == 1 else None)
     if None in key:
-        return GR_ZERO  # off-grid exponent inside the validity region
-    return a.terms.get(tuple(key), GR_ZERO)
+        return 0  # off-grid exponent inside the validity region
+    return a.terms.get(tuple(key), 0)
 
 
 def limit_var_zero(a: MultiSeries, name: str) -> MultiSeries:
@@ -879,12 +754,12 @@ def set_var_one(a: MultiSeries, name: str) -> MultiSeries:
             f"setting {name}=1 needs every {name}-coefficient; validity is "
             f"only {fmt_rat(v.valid)}"
         )
-    res: dict[tuple[int, ...], GaussRat] = {}
+    res: dict[tuple[int, ...], int | Fraction] = {}
     for k, c in a.terms.items():
         key = k[:i] + k[i + 1:]
         cur = res.get(key)
         s = c if cur is None else cur + c
-        if s.is_zero():
+        if not s:
             res.pop(key, None)
         else:
             res[key] = s
@@ -914,7 +789,7 @@ def r_to_u(a: MultiSeries) -> MultiSeries:
     v = a.vars[i]
     if not is_unbounded(v.valid):
         raise UnknownCoefficient("r->u rewriting needs every r-coefficient")
-    groups: dict[tuple[int, ...], dict[int, GaussRat]] = {}
+    groups: dict[tuple[int, ...], dict[int, int | Fraction]] = {}
     for k, c in a.terms.items():
         if k[i] % v.den:
             raise FractionalExponentUnsupported(
@@ -925,15 +800,15 @@ def r_to_u(a: MultiSeries) -> MultiSeries:
     bmax = 0
     for rest, slots in groups.items():
         for b, c in slots.items():
-            if slots.get(-b, GR_ZERO) != c:
+            if slots.get(-b, 0) != c:
                 raise AsymmetryError(
                     f"coefficient mismatch between r^{b} and r^{-b}"
                 )
             bmax = max(bmax, abs(b))
     polys = _symmetric_power_polys(bmax)
-    res: dict[tuple[int, ...], GaussRat] = {}
+    res: dict[tuple[int, ...], int | Fraction] = {}
     for rest, slots in groups.items():
-        ucoeffs: dict[int, GaussRat] = {}
+        ucoeffs: dict[int, int | Fraction] = {}
         for b, c in slots.items():
             if b < 0:
                 continue
@@ -941,10 +816,10 @@ def r_to_u(a: MultiSeries) -> MultiSeries:
             scale = c if b else c * Fraction(1, 2)
             for j, pc in enumerate(poly):
                 if pc:
-                    cur = ucoeffs.get(j, GR_ZERO) + scale * pc
+                    cur = ucoeffs.get(j, 0) + scale * pc
                     ucoeffs[j] = cur
         for j, c in ucoeffs.items():
-            if not c.is_zero():
+            if c:
                 res[rest + (j,)] = c
     return MultiSeries._of(_distinct(a.vars[:i] + a.vars[i + 1:] + (VarSpec("u"),)), res)
 
@@ -1020,7 +895,7 @@ class PrefSeries:
             return x
         if isinstance(x, MultiSeries):
             return PrefSeries(x)
-        return PrefSeries(MultiSeries.constant(GaussRat.coerce(x)))
+        return PrefSeries(MultiSeries.constant(x))
 
     def __repr__(self):
         pref = "*".join(f"{n}^{fmt_rat(e)}" for n, e in sorted(self.prefactor.items()))
@@ -1067,10 +942,11 @@ class PrefSeries:
     def invert(self) -> "PrefSeries":
         """Geometric-series inversion; the prefactor is negated."""
         c0 = self.body.constant_term()
-        if c0.is_zero() or any(k < 0 for key in self.body.terms for k in key):
+        if not c0 or any(k < 0 for key in self.body.terms for k in key):
             raise NotAUnit("body has no invertible constant term")
-        x = add(MultiSeries.constant(1, self.body.vars), scalar_mul(-c0.inverse(), self.body))
-        result = scalar_mul(c0.inverse(), _power_sum(x, factorial=False))
+        inverse = Fraction(1, c0)
+        x = add(MultiSeries.constant(1, self.body.vars), scalar_mul(-inverse, self.body))
+        result = scalar_mul(inverse, _power_sum(x, factorial=False))
         return PrefSeries(result, {n: -e for n, e in self.prefactor.items()})
 
     def pow_int(self, n: int) -> "PrefSeries":
@@ -1081,7 +957,7 @@ class PrefSeries:
 
     # -- queries ---------------------------------------------------------
 
-    def coeff(self, exps: dict) -> GaussRat:
+    def coeff(self, exps: dict) -> int | Fraction:
         """Coefficient at absolute exponents (prefactor included).  The body
         is exact and constant in a prefactor variable it lacks, so there only
         the prefactor's own exponent reads nonzero."""
@@ -1094,7 +970,7 @@ class PrefSeries:
             else:
                 off |= e != 0
         c = coeff(self.body, rel)
-        return GR_ZERO if off else c
+        return 0 if off else c
 
     def leading_exponents(self) -> dict[str, Fraction]:
         """Sound per-variable lower bounds on the exponents this series can
@@ -1245,14 +1121,14 @@ def equal_on_joint_validity(a, b) -> tuple[bool, str | None]:
     for key in sorted(set(ta) | set(tb)):
         if any(k > m for k, m in zip(key, kmaxes)):
             continue
-        ca = ta.get(key, GR_ZERO)
-        cb = tb.get(key, GR_ZERO)
+        ca = ta.get(key, 0)
+        cb = tb.get(key, 0)
         if ca != cb:
             mono = "*".join(
                 f"{v.name}^{fmt_rat(Fraction(k, v.den) + common.get(v.name, _ZERO))}"
                 for v, k in zip(merged, key)
             )
-            return False, f"{mono or '1'}: {ca!r} != {cb!r}"
+            return False, f"{mono or '1'}: {fmt_rat(ca)} != {fmt_rat(cb)}"
     return True, None
 
 
@@ -1302,10 +1178,11 @@ def to_json_dict(s) -> dict:
     terms = []
     for key in sorted(body.terms):
         c = body.terms[key]
+        # the format keeps the retired imaginary part "im", always "0"
         terms.append({
             "exp": [fmt_rat(Fraction(k, v.den)) for k, v in zip(key, body.vars)],
-            "re": fmt_rat(c.re),
-            "im": fmt_rat(c.im),
+            "re": fmt_rat(c),
+            "im": "0",
         })
     return {
         "vars": [_var_to_json(v) for v in body.vars],
@@ -1324,6 +1201,9 @@ def from_json_dict(d: dict) -> PrefSeries:
         key = tuple(map(parse_rat, exps))
         if key in terms:
             raise DomainError(f"series JSON: exponent {exps} is given twice")
-        terms[key] = GaussRat(parse_rat(_field(t, "re")), parse_rat(_field(t, "im")))
+        c, im = parse_rat(_field(t, "re")), parse_rat(_field(t, "im"))
+        if im:
+            raise DomainError(f"series JSON: coefficient at {exps} is not real")
+        terms[key] = c
     pref = {n: parse_rat(e) for n, e in _field(d, "prefactor", dict).items()}
     return PrefSeries(MultiSeries(vars, terms), pref)

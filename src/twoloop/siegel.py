@@ -15,6 +15,12 @@ powers is an exact coefficientwise translate, checked against the ten theta
 series themselves.  One finishing step then checks each form's
 coefficients and Fourier support and rewrites it in u.
 
+Every coefficient is rational.  These level-one forms have integer Fourier
+coefficients (Igusa, Amer. J. Math. 84, 1962), and the finishing step
+checks that.  A theta series with an even characteristic carries only the
+phases +1 and -1, and an odd one vanishes.  The translate by B multiplies
+each coefficient of an even theta power by a sign.
+
 The genus-two Eisenstein series of weights 4 and 6 are ingested from their
 reference Fourier data, which is only known on the box of q- and
 s-exponents <= 1; the validity machinery of :mod:`twoloop.series` keeps that
@@ -36,7 +42,6 @@ from math import gcd, isqrt, lcm
 from operator import mul as times
 
 from .elliptic import (
-    _QUARTER_PHASES,
     _phase,
     _theta_exponents,
     covariant_derivative,
@@ -46,8 +51,6 @@ from .elliptic import (
 )
 from .errors import DomainError, InternalError, NotAUnit, ValidationFailed
 from .series import (
-    GR_ZERO,
-    GaussRat,
     MultiSeries,
     PrefSeries,
     VarSpec,
@@ -122,23 +125,22 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> MultiSeries:
         q^((n1+a1)^2/2) * r^((n1+a1)(n2+a2)) * s^((n2+a2)^2/2)
           * exp(2*pi*i*((n1+a1)b1 + (n2+a2)b2)).
 
-    Odd characteristics cancel in pairs and return the zero series.
+    Odd characteristics cancel in pairs: they are the zero series (r floor
+    0), returned up front, so every phase summed is a sign.
     """
+    qs, ss = VarSpec(QVAR, 8, F(0), q_order), VarSpec(SVAR, 8, F(0), s_order)
+    if not char.is_even:
+        return MultiSeries.zero((qs, VarSpec(RVAR, 4), ss))
     a1, a2 = char.a
     b1, b2 = char.b
     ys = _theta_exponents(a2, s_order)
-    terms: dict[tuple[Fraction, ...], GaussRat] = {}
+    terms: dict[tuple[Fraction, ...], int] = {}
     for x in _theta_exponents(a1, q_order):
         for y in ys:
             key = (x * x / 2, x * y, y * y / 2)
-            terms[key] = terms.get(key, GaussRat(0)) + _phase(x * b1 + y * b2)
+            terms[key] = terms.get(key, 0) + _phase(x * b1 + y * b2)
     rmin = min((k[1] for k, c in terms.items() if c), default=F(0))
-    vars = (
-        VarSpec(QVAR, 8, F(0), q_order),
-        VarSpec(RVAR, 4, min(rmin, F(0))),
-        VarSpec(SVAR, 8, F(0), s_order),
-    )
-    return MultiSeries(vars, terms)
+    return MultiSeries((qs, VarSpec(RVAR, 4, min(rmin, F(0))), ss), terms)
 
 
 def assert_support_condition(ms: MultiSeries) -> None:
@@ -163,11 +165,13 @@ def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
     matrix B = [[2 b1, 4 b1 b2], [4 b1 b2, 2 b2]] of a characteristic's b.
 
     The coefficient of q^eq r^er s^es is multiplied by
-    exp(2*pi*i*(B11 eq + B12 er + B22 es)), which must be a power of i.
-    The map keeps every exponent and is a ring homomorphism, so it takes
-    Theta[a; 0]^n to Theta[a; b]^n for every even characteristic [a; b].
-    On the scaled keys, with L the lcm of the dens, four times the phase
-    exponent is (weights . key) / L for integer weights.
+    exp(2*pi*i*(B11 eq + B12 er + B22 es)), which must be a power of i and,
+    for a series with rational coefficients, real: a sign (an imaginary one
+    raises :class:`InternalError`).  The map keeps every exponent and is a
+    ring homomorphism, so it takes Theta[a; 0]^n to Theta[a; b]^n for every
+    even characteristic [a; b].  On the scaled keys, with L the lcm of the
+    dens, four times the phase exponent is (weights . key) / L for integer
+    weights.
     """
     b1, b2 = b
     shift = {QVAR: 2 * b1, RVAR: 4 * b1 * b2, SVAR: 2 * b2}
@@ -178,7 +182,9 @@ def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
         quarters, rest = divmod(sum(map(times, weights, key)), big)
         if rest:
             raise DomainError(f"translate phase at {key} is not a multiple of 1/4")
-        terms[key] = c * _QUARTER_PHASES[quarters % 4]
+        if quarters % 2:
+            raise InternalError(f"translate phase at {key} is imaginary")
+        terms[key] = -c if quarters % 4 else c
     return MultiSeries._of(ms.vars, terms)
 
 
@@ -207,13 +213,14 @@ def _even_theta_powers(n: int, q_order: int, s_order: int):
 
 def _theta_form(label: str, scale: Fraction, series: MultiSeries) -> SiegelForm:
     """The form ``scale * series``, exposed only once its coefficients are
-    real integers and its r-form and u-form both meet the support
-    condition."""
+    integers on integer exponents and its r-form and u-form both meet the
+    support condition."""
     rform = scalar_mul(scale, series)
     dens = [v.den for v in rform.vars]
-    for key, (_, y, _) in rform.terms.items():
-        if y or any(k % d for k, d in zip(key, dens)):
-            what = "residual imaginary part" if y else "fractional exponent"
+    for key, c in rform.terms.items():
+        fractional = any(k % d for k, d in zip(key, dens))
+        if fractional or c.denominator != 1:
+            what = "fractional exponent" if fractional else "non-integral coefficient"
             raise InternalError(f"{label}: {what} at {_exponents(rform, key)}")
     rform = rform.simplify_dens()
     assert_support_condition(rform)
@@ -264,7 +271,7 @@ def _maass_lift(c: MultiSeries, weight: int, q_order: int, s_order: int) -> Mult
     for n in range(1, top + 1):
         reach = isqrt(4 * n - 1)
         for r in range(-reach, reach + 1):
-            got = terms.get((n, r), GR_ZERO)
+            got = terms.get((n, r), 0)
             if cd.setdefault(4 * n - r * r, got) != got:
                 raise InternalError(f"c({n}, {r}) is not a function of 4n - r^2")
     out = {}
@@ -273,8 +280,8 @@ def _maass_lift(c: MultiSeries, weight: int, q_order: int, s_order: int) -> Mult
             reach = isqrt(4 * n * m)
             for r in range(-reach, reach + 1):
                 g, disc = gcd(n, r, m), 4 * n * m - r * r
-                a = sum((d ** (weight - 1) * cd.get(disc // (d * d), GR_ZERO)
-                         for d in range(1, g + 1) if not g % d), GR_ZERO)
+                a = sum(d ** (weight - 1) * cd.get(disc // (d * d), 0)
+                        for d in range(1, g + 1) if not g % d)
                 if a:
                     out[(n, r, m)] = a
     rmin = min((r for _, r, _ in out), default=0)
@@ -386,12 +393,12 @@ def fk_fourier_pattern(a, weight: int) -> MultiSeries:
     a = F(a)
     vars = (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR))
     terms = {
-        (F(0), F(0), F(0)): GaussRat(1),
-        (F(1), F(0), F(0)): GaussRat(a),
-        (F(0), F(1), F(0)): GaussRat(a),
-        (F(1), F(1), F(0)): GaussRat(a * a),
-        (F(1), F(1), F(1)): GaussRat(a * a / weight),
-        (F(1), F(1), F(2)): GaussRat(a),
+        (F(0), F(0), F(0)): 1,
+        (F(1), F(0), F(0)): a,
+        (F(0), F(1), F(0)): a,
+        (F(1), F(1), F(0)): a * a,
+        (F(1), F(1), F(1)): a * a / weight,
+        (F(1), F(1), F(2)): a,
     }
     return MultiSeries(vars, terms)
 
@@ -408,7 +415,7 @@ def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:
     eps^3."""
     if weight <= 0:
         raise DomainError("weight must be positive")
-    if f.body.constant_term().is_zero() or f.prefactor:
+    if not f.body.constant_term() or f.prefactor:
         raise NotAUnit("f_k must be a unit q-series")
     order = int(min(v.valid for v in f.body.vars))
     lf = covariant_derivative(f, weight).mul(f.invert())

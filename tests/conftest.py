@@ -5,7 +5,6 @@ import pytest
 
 from twoloop.series import (
     UNBOUNDED,
-    GaussRat,
     MultiSeries,
     PrefSeries,
     VarSpec,
@@ -18,10 +17,8 @@ def V(name, den=1, min_exp=0, order=UNBOUNDED, valid=None):
     return VarSpec(name, den, Fraction(min_exp), Fraction(order if valid is None else valid))
 
 
-def random_coeff(rng, gaussian=True):
-    re = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-    im = Fraction(rng.randint(-2, 2)) if gaussian and rng.random() < 0.3 else Fraction(0)
-    return GaussRat(re, im)
+def random_coeff(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
 
 
 def random_series(rng, vars, max_terms=5, max_exp=3):
@@ -43,7 +40,7 @@ def random_unit(rng, vars, max_terms=4, max_exp=2):
     zero_key = (Fraction(0),) * len(vars)
     terms = dict(zip([e for e, _ in s.iter_terms()], [c for _, c in s.iter_terms()]))
     terms = {e: c for e, c in terms.items() if any(x > 0 for x in e) or all(x == 0 for x in e)}
-    terms[zero_key] = GaussRat(Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2])))
+    terms[zero_key] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
     return MultiSeries(tuple(vars), terms)
 
 

@@ -145,6 +145,51 @@ def test_siegel_expand_output_is_pinned(capsys, argv, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+#: The dump of an odd characteristic: the zero series, on the variables of an
+#: even one with r floor 0, so all six odd ones print the same bytes.
+_ODD_THETA = (386, "5cd119d9198e1f2ce97644bb621b29e720f0d51fec8966178062a4c073767b20")
+
+
+@pytest.mark.parametrize("argv, size, digest", [
+    pytest.param(f"expand theta --char {char} --q-order 4 --s-order 4", *pin, id=f"theta-{char}")
+    for char, pin in {
+        "0,0,0,0": (1817, "b1e3733f5c865d39692079f305b348c96d573ef2df5fdd81b97561a52c5183e6"),
+        "0,0,0,1/2": (1822, "28cb50fb4a1e31532631855413fd325d8d0c63eb9cac36bb385cf0dcce1c6130"),
+        "0,0,1/2,0": (1822, "420d90ec4ddf4e13a5bdb329c9967f577bfc412bb13c04ad7d54bad1fc521c9f"),
+        "0,0,1/2,1/2": (1823, "8148c64c866861f809f4d536cb6eabf59c70089839c6ed4f97bae2c44c713558"),
+        "0,1/2,0,0": (2074, "576eceaaf055c965713af5ee216aee7eac3d850c3ab6c32d38b7ad2c3dd1abcd"),
+        "0,1/2,0,1/2": _ODD_THETA,
+        "0,1/2,1/2,0": (2080, "32c556fd254e3f288c2b70a54713918bdf448c3f5a3900120444bba30f8aebca"),
+        "0,1/2,1/2,1/2": _ODD_THETA,
+        "1/2,0,0,0": (2074, "4cbe2a44d801b4ee66c22c2defdce6c131de280980b7a780c7fc394d05a81c6c"),
+        "1/2,0,0,1/2": (2080, "d1b45f536ab3547da551f2e822b967a04a12ad508d16ae03c1f504eb8e53c97b"),
+        "1/2,0,1/2,0": _ODD_THETA,
+        "1/2,0,1/2,1/2": _ODD_THETA,
+        "1/2,1/2,0,0": (2471, "28d73d9f840c3b5fb09640f4eeee60b24005437bc443aee6da7687b2f91a4f85"),
+        "1/2,1/2,0,1/2": _ODD_THETA,
+        "1/2,1/2,1/2,0": _ODD_THETA,
+        "1/2,1/2,1/2,1/2": (2480, "d7fb7462c636ceb502e95dc3d82e94a63b2a3772e570450e5a271fc38744b256"),
+    }.items()
+] + [
+    pytest.param(f"expand theta-jacobi --char {char} --q-order 6", *pin, id=f"theta-jacobi-{char}")
+    for char, pin in {
+        "0,0": (492, "721f15ae70e0a7343ea06256e4704e7fbd8b9aa00908d106cd4a7a281f6566cc"),
+        "0,1/2": (494, "0822bc8de2e7038d765b4e57cec72ecc4b84e82660befdb7a3f506f0a3265b6b"),
+        "1/2,0": (413, "6dfd9295ffe6a83ddc18d90513c086da19973f168bacf4168a3468ee8ad2103f"),
+        "1/2,1/2": (158, "bf2696ed79a8600da541a7fd62e15d76eca472357dfffde01167feee591305b6"),
+    }.items()
+])
+def test_theta_expand_output_is_pinned(capsys, argv, size, digest):
+    # every characteristic of both theta builders: the signs of the even
+    # ones, and the variables of the odd ones, which are returned as the
+    # zero series before any phase is summed
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_expand_psi4_candidate_r_form(capsys):
     from twoloop.series import to_json_dict
     from twoloop.siegel import psi4_theta_candidate

@@ -18,7 +18,6 @@ from twoloop.elliptic import (
 )
 from twoloop.errors import DomainError
 from twoloop.series import (
-    GaussRat,
     MultiSeries,
     PrefSeries,
     VarSpec,
@@ -71,24 +70,24 @@ def test_sigma():
 
 def test_eisenstein_low_coefficients():
     e4 = eisenstein(4, 3)
-    assert e4.coeff({"q": 0}) == GaussRat(1)
-    assert e4.coeff({"q": 1}) == GaussRat(240)
-    assert e4.coeff({"q": 2}) == GaussRat(2160)
+    assert e4.coeff({"q": 0}) == 1
+    assert e4.coeff({"q": 1}) == 240
+    assert e4.coeff({"q": 2}) == 2160
     e6 = eisenstein(6, 2)
-    assert e6.coeff({"q": 1}) == GaussRat(-504)
+    assert e6.coeff({"q": 1}) == -504
     s = e4.add(e6)
-    assert s.coeff({"q": 0}) == GaussRat(2)
-    assert s.coeff({"q": 1}) == GaussRat(-264)
+    assert s.coeff({"q": 0}) == 2
+    assert s.coeff({"q": 1}) == -264
 
 
 def test_eisenstein_hat_normalization():
     e2 = eisenstein_hat(2, 3)
-    assert e2.coeff({"q": 0}) == GaussRat(F(-1, 12))
-    assert e2.coeff({"q": 1}) == GaussRat(2)
+    assert e2.coeff({"q": 0}) == F(-1, 12)
+    assert e2.coeff({"q": 1}) == 2
     for k2 in range(2, 18, 2):
         eh = eisenstein_hat(k2, 2)
-        assert eh.coeff({"q": 0}) == GaussRat(-bernoulli(k2) / factorial(k2))
-        assert eh.coeff({"q": 1}) == GaussRat(F(2 * k2, factorial(k2)))
+        assert eh.coeff({"q": 0}) == -bernoulli(k2) / factorial(k2)
+        assert eh.coeff({"q": 1}) == F(2 * k2, factorial(k2))
 
 
 def test_eta_matches_pentagonal_oracle():
@@ -96,7 +95,7 @@ def test_eta_matches_pentagonal_oracle():
     body = euler_product(order)
     oracle = pentagonal_euler(order)
     for n in range(order):
-        assert coeff(body, {"q": n}) == GaussRat(oracle.get(n, 0)), n
+        assert coeff(body, {"q": n}) == oracle.get(n, 0), n
 
 
 @pytest.mark.parametrize("order", [2, 3, 10, 81])
@@ -114,10 +113,10 @@ def test_euler_product_equals_the_product_form(order):
 def test_delta_expansion():
     d = delta_cusp(5)
     assert d.prefactor == {"q": 1}
-    assert d.coeff({"q": 1}) == GaussRat(1)
-    assert d.coeff({"q": 2}) == GaussRat(-24)
-    assert d.coeff({"q": 3}) == GaussRat(252)
-    assert d.coeff({"q": 4}) == GaussRat(-1472)
+    assert d.coeff({"q": 1}) == 1
+    assert d.coeff({"q": 2}) == -24
+    assert d.coeff({"q": 3}) == 252
+    assert d.coeff({"q": 4}) == -1472
 
 
 def test_invert_delta_long_division_oracle():
@@ -125,14 +124,14 @@ def test_invert_delta_long_division_oracle():
     order = 6
     d = delta_cusp(order)
     inv = d.invert()
-    dvals = [d.coeff({"q": n}).re for n in range(1, order + 1)]
+    dvals = [d.coeff({"q": n}) for n in range(1, order + 1)]
     c = [F(1)]
     for n in range(1, order - 1):
         c.append(-sum(dvals[j] * c[n - j] for j in range(1, n + 1)))
     for n, cn in enumerate(c):
-        assert inv.coeff({"q": n - 1}) == GaussRat(cn)
-    assert inv.coeff({"q": 0}) == GaussRat(24)
-    assert inv.coeff({"q": 1}) == GaussRat(324)
+        assert inv.coeff({"q": n - 1}) == cn
+    assert inv.coeff({"q": 0}) == 24
+    assert inv.coeff({"q": 1}) == 324
 
 
 def test_eta_log_derivative_identity():
@@ -173,14 +172,14 @@ def test_covariant_derivative_refuses_shifted_exact_series():
 
 def test_theta_jacobi_even_series():
     th = theta_jacobi(0, 0, 5)
-    assert th.coeff({"q": 0}) == GaussRat(1)
-    assert th.coeff({"q": HALF}) == GaussRat(2)
-    assert th.coeff({"q": 2}) == GaussRat(2)
-    assert th.coeff({"q": 1}) == GaussRat(0)
+    assert th.coeff({"q": 0}) == 1
+    assert th.coeff({"q": HALF}) == 2
+    assert th.coeff({"q": 2}) == 2
+    assert th.coeff({"q": 1}) == 0
     th4 = theta_jacobi(0, HALF, 5)
-    assert th4.coeff({"q": HALF}) == GaussRat(-2)
+    assert th4.coeff({"q": HALF}) == -2
     th2 = theta_jacobi(HALF, 0, 5)
-    assert th2.coeff({"q": F(1, 8)}) == GaussRat(2)
+    assert th2.coeff({"q": F(1, 8)}) == 2
 
 
 def test_theta_jacobi_odd_cancels():
@@ -190,24 +189,24 @@ def test_theta_jacobi_odd_cancels():
 
 def test_f12_expansion():
     f = f12_elliptic(2)
-    assert coeff(f, {"q": 0}) == GaussRat(1)
-    assert coeff(f, {"q": 1}) == GaussRat(1104)
+    assert coeff(f, {"q": 0}) == 1
+    assert coeff(f, {"q": 1}) == 1104
     assert f.spec("q").den == 1
 
 
 def test_j_function_validated():
     j = j_function(2)
-    assert j.coeff({"q": -1}) == GaussRat(1)
-    assert j.coeff({"q": 0}) == GaussRat(0)
-    assert j.coeff({"q": 1}) == GaussRat(196884)
+    assert j.coeff({"q": -1}) == 1
+    assert j.coeff({"q": 0}) == 0
+    assert j.coeff({"q": 1}) == 196884
 
 
 @pytest.mark.parametrize("n1", [0, 24, 168])
 def test_delta_times_j_plus_n1(n1):
     order = 4
     t = delta_cusp(order).mul(j_function(order).add(PrefSeries.coerce(n1)))
-    assert t.coeff({"q": 0}) == GaussRat(1)
-    assert t.coeff({"q": 1}) == GaussRat(n1 - 24)
+    assert t.coeff({"q": 0}) == 1
+    assert t.coeff({"q": 1}) == n1 - 24
 
 
 def test_j_function_refines_with_order():
