@@ -136,7 +136,7 @@ def cmd_expand(args) -> int:
     elif target == "delta":
         series = delta_cusp(qo)
     elif target == "j":
-        series = j_function(max(qo, 2))
+        series = j_function(qo)
     elif target == "f12-elliptic":
         series = f12_elliptic(qo)
     elif target == "theta-jacobi":

@@ -4,7 +4,7 @@ Bernoulli numbers, the Eisenstein series E_2k and their rescalings
 Ehat_2k = -(B_2k/(2k)!) E_2k, the Dedekind eta product and the cusp form
 Delta = eta^24, the weight-raising covariant derivative
 D = q d/dq + k*Ehat_2, the three Jacobi theta series, the weight-12 theta
-combination f12, and the normalized modular invariant
+combination f12 = E4^3 + 384 Delta, and the normalized modular invariant
 J = q^-1 + 0 + 196884 q + ...
 
 Every coefficient is rational.  A theta series with an even characteristic
@@ -29,11 +29,8 @@ from .series import (
     MultiSeries,
     PrefSeries,
     VarSpec,
-    add,
     fmt_rat,
     is_unbounded,
-    pow_int,
-    scalar_mul,
 )
 
 F = Fraction
@@ -190,16 +187,8 @@ def theta_jacobi(a, b, q_order: int) -> PrefSeries:
     return PrefSeries(MultiSeries(vars, terms))
 
 
-EVEN_JACOBI_CHARS = ((F(0), F(0)), (F(0), HALF), (HALF, F(0)))
-
-
 def f12_elliptic(q_order: int) -> MultiSeries:
     """f12 = (1/2) * sum of the 24th powers of the three even theta series
-    = 1 + 1104 q + ..."""
-    total = None
-    for a, b in EVEN_JACOBI_CHARS:
-        th = theta_jacobi(a, b, q_order)
-        p = pow_int(th.body, 24)
-        total = p if total is None else add(total, p)
-    half = scalar_mul(F(1, 2), total)
-    return half.simplify_dens()
+    = 1 + 1104 q + ..., built as E4^3 + 384 Delta: dim M12 = 2, and the q^0
+    and q^1 coefficients of this level-one weight-12 form fix it."""
+    return eisenstein(4, q_order).pow_int(3).add(delta_cusp(q_order).scalar(384)).body

@@ -253,10 +253,7 @@ class MultiSeries:
         return MultiSeries(vars, {zero_key: c})
 
     def spec(self, name: str) -> VarSpec:
-        for v in self.vars:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        return self.vars[self.var_index(name)]
 
     def has_var(self, name: str) -> bool:
         return any(v.name == name for v in self.vars)
@@ -958,19 +955,14 @@ class PrefSeries:
     # -- queries ---------------------------------------------------------
 
     def coeff(self, exps: dict) -> int | Fraction:
-        """Coefficient at absolute exponents (prefactor included).  The body
-        is exact and constant in a prefactor variable it lacks, so there only
-        the prefactor's own exponent reads nonzero."""
+        """Coefficient at absolute exponents (prefactor included)."""
+        body = self.body
         rel = dict(exps)
-        off = False
         for n, e in self.prefactor.items():
-            e = Fraction(rel.pop(n, 0)) - e
-            if self.body.has_var(n):
-                rel[n] = e
-            else:
-                off |= e != 0
-        c = coeff(self.body, rel)
-        return 0 if off else c
+            if not body.has_var(n):
+                body = _with_var(body, n, 1)
+            rel[n] = Fraction(rel.get(n, 0)) - e
+        return coeff(body, rel)
 
     def leading_exponents(self) -> dict[str, Fraction]:
         """Sound per-variable lower bounds on the exponents this series can
@@ -1052,22 +1044,19 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
         return f
     g = PrefSeries.coerce(g)
     lead = g.leading_exponents()
+    if not body.has_var(var):
+        body = _with_var(body, var, 1)
+    i = body.var_index(var)
+    v = body.vars[i]
+    rest_vars = body.vars[:i] + body.vars[i + 1:]
     groups: dict[int, dict] = {}
-    if body.has_var(var):
-        i = body.var_index(var)
-        v = body.vars[i]
-        rest_vars = body.vars[:i] + body.vars[i + 1:]
-        for k, c in body.terms.items():
-            if k[i] % v.den:
-                raise FractionalExponentUnsupported(
-                    f"{var}-exponent {Fraction(k[i], v.den)} is not an integer"
-                )
-            groups.setdefault(k[i] // v.den + p, {})[k[:i] + k[i + 1:]] = c
-        valid = v.valid + p
-    else:
-        rest_vars = body.vars
-        groups[p] = body.terms
-        valid = UNBOUNDED
+    for k, c in body.terms.items():
+        if k[i] % v.den:
+            raise FractionalExponentUnsupported(
+                f"{var}-exponent {Fraction(k[i], v.den)} is not an integer"
+            )
+        groups.setdefault(k[i] // v.den + p, {})[k[:i] + k[i + 1:]] = c
+    valid = v.valid + p
     finite_tail = not is_unbounded(valid)
     if finite_tail:
         if any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values()):

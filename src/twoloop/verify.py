@@ -289,7 +289,8 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
     """Transformation law of a genus-two object under one generator.
 
     S1 uses the conjectured/derived laws through Omega11; T1, T2 and V are
-    exact invariances of the pinching-parameter series.
+    exact invariances of the pinching-parameter series.  An S1 check whose
+    reported bound reaches 1 cannot fail and raises :class:`DomainError`.
     """
     series = _weight_target(target, q_order, eps_order)
     logs = ctx.valuation()
@@ -307,6 +308,9 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
         qmag = max(abs(cmath.exp(lg)) for lg in
                    (ctx2.valuation()["q1"], logs["q1"], logs["q2"]))
         bound = 4.0 * epsmax ** ev + 24.0 * qmag ** qv + 1e-12
+        if 10 * bound >= 1:
+            raise DomainError(f"weight check of {target!r} cannot fail at q-order "
+                              f"{q_order}, eps-order {eps_order}: bound {10 * bound:.3g}")
     elif gamma in _INVARIANCES:
         lhs = eval_series(series, _INVARIANCES[gamma](ctx).valuation())
         residual = _relative_residual(lhs, base)

@@ -359,6 +359,23 @@ def test_weight_where_the_target_vanishes_exits_2(capsys, gamma):
     assert err.startswith("error: target vanishes") and "Traceback" not in err
 
 
+def test_weight_check_that_cannot_fail_exits_2(capsys):
+    code = main(["check", "weight", "--target", "delta10-sewing",
+                 "--q-order", "2", "--eps-order", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cannot fail" in captured.err and "Traceback" not in captured.err
+
+
+def test_expand_j_honours_its_q_order(capsys):
+    # J is validated through its q coefficient, so q-order 1 is refused
+    # rather than printed to q^2
+    code = main(["expand", "j", "--q-order", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: J needs q_order >= 2 for its validation\n"
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])

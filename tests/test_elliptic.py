@@ -21,10 +21,14 @@ from twoloop.series import (
     MultiSeries,
     PrefSeries,
     VarSpec,
+    add,
     coeff,
     equal_on_joint_validity,
     mul,
+    pow_int,
+    scalar_mul,
     shift_var,
+    to_json_dict,
 )
 
 from conftest import assert_refines
@@ -192,6 +196,16 @@ def test_f12_expansion():
     assert coeff(f, {"q": 0}) == 1
     assert coeff(f, {"q": 1}) == 1104
     assert f.spec("q").den == 1
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_f12_is_the_theta_power_sum(order):
+    # f12 is defined as (1/2) * the sum of the 24th powers of the three even
+    # theta series; the library builds it as E4^3 + 384 Delta
+    powers = [pow_int(theta_jacobi(a, b, order).body, 24)
+              for a, b in ((0, 0), (0, HALF), (HALF, 0))]
+    theta_sum = scalar_mul(HALF, add(add(*powers[:2]), powers[2])).simplify_dens()
+    assert to_json_dict(theta_sum) == to_json_dict(f12_elliptic(order))
 
 
 def test_j_function_validated():

@@ -85,6 +85,31 @@ def test_z1_is_built_once_per_theory_and_order():
     assert z1(theory, 4) is z1(theory, 4)
 
 
+def test_eta_power_is_built_once(monkeypatch):
+    # eta^-C is built only by the C-boson's z1 (one PrefSeries.invert): once
+    # it and z1_omega are cached, neither z2's closed-form check nor a
+    # lattice theory of the same rank builds it again
+    z1.cache_clear()
+    z1_omega.cache_clear()
+    z1(CBoson(24), 6)
+    z1_omega(CBoson(24), 6)
+    z1(CBoson(8), 4)
+    calls = []
+    invert = PrefSeries.invert
+
+    def counted(self):
+        calls.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(PrefSeries, "invert", counted)
+    z2(CBoson(24), 6)
+    assert not calls
+    e8 = LatticeTheory(builtin_lattice("E8"))
+    z1(e8, 4)
+    z1_omega(e8, 4)
+    assert not calls
+
+
 REFINING_THEORIES = ("boson:24", "selfdual:0", "lattice:E8")
 
 

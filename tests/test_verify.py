@@ -264,6 +264,14 @@ def test_weight_delta10_s1():
     assert res.passed, (res.residual, res.bound)
 
 
+def test_weight_check_that_cannot_fail_is_refused():
+    # at q-order 2 the q-tail term alone lifts the bound on a relative
+    # residual past 1
+    ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.03)
+    with pytest.raises(DomainError, match="cannot fail"):
+        check_weight("delta10-sewing", "S1", ctx, q_order=2, eps_order=2)
+
+
 @pytest.mark.parametrize("gamma", ["S1", "T1"])
 def test_weight_where_the_target_vanishes_is_a_domain_error(gamma):
     # sewn Delta10 starts at eps^2: at eps = 0 both sides are 0
