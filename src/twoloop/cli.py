@@ -229,7 +229,7 @@ def cmd_lattice_info(args) -> int:
         "even": lat.is_even,
         "unimodular": lat.is_unimodular,
         "determinant": lat.determinant(),
-        "shell_counts": {str(n): len(v) for n, v in shells.shells.items()},
+        "shell_counts": {str(n): shells.count(n) for n in shells.shells},
     }
     _emit(payload)
     return 0

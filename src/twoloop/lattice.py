@@ -11,9 +11,9 @@ pairs rather than raw vector pairs: the products are taken in blocks of rows
 ``np.bincount``, which keeps memory flat.
 
 Both use the symmetry x -> -x of every shell of positive norm.  The search
-visits one vector of each pair {x, -x} and adds the other at the leaf, and
-a pair of shells is histogrammed on one representative of each pair only,
-since <sa, tb> = st <a, b> for signs s, t: a quarter of the inner products.
+visits, and a :class:`ShellTable` stores, one vector of each pair {x, -x};
+a pair of shells is histogrammed on those stored rows only, since
+<sa, tb> = st <a, b> for signs s, t: a quarter of the inner products.
 
 Only the histogram path of :func:`theta_g2` needs numpy, and imports it
 where it runs.
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
+from .errors import DomainError, NotPositiveDefinite, OddLattice
 from .series import MultiSeries, VarSpec
 
 F = Fraction
@@ -130,6 +130,9 @@ def _elimination(gram) -> tuple[tuple[int, ...], tuple]:
 class ShellTable:
     """Vectors of a lattice grouped by norm, up to ``max_norm`` inclusive.
 
+    ``shells[n]`` holds one vector of each pair {x, -x} of norm n, the one
+    whose last nonzero coordinate is positive; ``shells[0]`` holds the zero
+    vector alone.  :meth:`count` gives the size of the full shell.
     ``shells`` is read-only: tables are cached and shared between callers.
     """
 
@@ -139,20 +142,22 @@ class ShellTable:
     def count(self, norm: int) -> int:
         if norm > self.max_norm:
             raise DomainError(f"shells only enumerated to norm {self.max_norm}")
-        return len(self.shells.get(norm, ()))
+        rows = len(self.shells.get(norm, ()))
+        return 2 * rows if norm else rows
 
 
 @lru_cache(maxsize=None)
 def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
-    """All vectors with <x,x> <= max_norm, by depth-first search with exact
-    integer bounds from the lattice's :func:`_elimination`.
+    """The vectors with <x,x> <= max_norm, one of each pair {x, -x}, by
+    depth-first search with exact integer bounds from the lattice's
+    :func:`_elimination`.
 
     With ``scale`` the lcm of the M_i M_{i+1}, ``scale <x,x>`` is the sum of
     ``w_i (M_{i+1} x_i + c_i)^2`` for the integer weights
     ``w_i = scale / (M_i M_{i+1})``, so every bound and every remaining
     budget in the search is an integer.  Shells are closed under
-    x -> -x, so the search keeps the last nonzero coordinate positive and
-    adds each vector's negation at the leaf: half the search tree.
+    x -> -x, so the search keeps the last nonzero coordinate positive: half
+    the search tree, and half of each shell stored.
     """
     n, (minors, below) = lattice.rank, lattice._elim
     scale = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
@@ -165,12 +170,9 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
 
     def descend(i: int, budget: int, lead: bool):
         # lead: every coordinate above i is 0, so c = 0, the range of x_i is
-        # symmetric and only x_i >= 0 is searched; a leaf adds -x as well
+        # symmetric and only x_i >= 0 is searched
         if i < 0:
-            shell = shells.setdefault((top - budget) // scale, [])
-            shell.append(tuple(x))
-            if not lead:
-                shell.append(tuple([-xi for xi in x]))
+            shells.setdefault((top - budget) // scale, []).append(tuple(x))
             return
         mult, weight, col = levels[i]
         c = sum(a * x[j] for j, a in col)
@@ -195,9 +197,9 @@ def theta_g1(lattice: Lattice, q_order: int) -> MultiSeries:
     table = enumerate_shells(lattice, 2 * (q_order - 1))
     spec = VarSpec("q", valid=q_order)
     terms = {}
-    for norm, vecs in table.shells.items():
+    for norm in table.shells:
         if norm % 2 == 0 and norm // 2 < q_order:
-            terms[(F(norm, 2),)] = len(vecs)
+            terms[(F(norm, 2),)] = table.count(norm)
     return MultiSeries((spec,), terms)
 
 
@@ -229,31 +231,13 @@ def _pair_histogram(gram_np, va, vb) -> dict[int, int]:
     return {int(v) - reach: int(counts[v]) for v in np.flatnonzero(counts)}
 
 
-def _representatives(rows):
-    """One row of each pair {x, -x} of a shell of positive norm: the rows
-    whose first nonzero entry is positive.
-
-    ``rows`` come sorted, as in a :class:`ShellTable`.  A shell is closed
-    under x -> -x and holds no zero row, so negation reverses its sorted
-    order and exactly half its rows are representatives; anything else
-    raises :class:`InternalError`.
-    """
-    import numpy as np
-
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    reps = rows[lead > 0]
-    if 2 * len(reps) != len(rows) or not np.array_equal(rows, -rows[::-1]):
-        raise InternalError("shell rows are not closed under x -> -x")
-    return reps
-
-
 def _signed_histogram(gram_np, ra, rc) -> dict[int, int]:
     """Inner-product histogram of two full shells of positive norm, from
-    representatives ``ra``, ``rc`` of their pairs {x, -x}, in ascending
+    their stored rows ``ra``, ``rc``, one of each pair {x, -x}, in ascending
     order of the inner product.
 
-    Each representative pair (a, c) stands for (sa, tc) over signs s, t,
-    and <sa, tc> = st <a, c>, so ``H[b] = 2 (h[b] + h[-b])``.
+    Each pair of rows (a, c) stands for (sa, tc) over signs s, t, and
+    <sa, tc> = st <a, c>, so ``H[b] = 2 (h[b] + h[-b])``.
     """
     h = _pair_histogram(gram_np, ra, rc)
     return {b: 2 * (h.get(b, 0) + h.get(-b, 0))
@@ -282,11 +266,9 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
 
     table = enumerate_shells(lattice, 2 * (max(q_order, s_order) - 1))
     gram_np = np.array(lattice.gram, dtype=np.int64)
-    size = {norm: len(vecs) for norm, vecs in table.shells.items()}
-    reps = {norm: _representatives(np.array(vecs, dtype=np.int64))
-            for norm, vecs in table.shells.items() if norm}
-    norms_q = [nm for nm in size if nm % 2 == 0 and nm // 2 < q_order]
-    norms_s = [nm for nm in size if nm % 2 == 0 and nm // 2 < s_order]
+    rows = {norm: np.array(vecs, dtype=np.int64) for norm, vecs in table.shells.items()}
+    norms_q = [nm for nm in rows if nm % 2 == 0 and nm // 2 < q_order]
+    norms_s = [nm for nm in rows if nm % 2 == 0 and nm // 2 < s_order]
     # <a,c> = <c,a>: the histogram of (na, nc) is that of (nc, na)
     hists: dict[tuple[int, int], dict[int, int]] = {}
     terms = {}
@@ -294,9 +276,9 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     for na in norms_q:
         for nc in norms_s:
             key = (min(na, nc), max(na, nc))
-            if key not in hists:  # with the zero shell, every <a, c> is 0
-                hists[key] = (_signed_histogram(gram_np, reps[key[0]], reps[key[1]])
-                              if key[0] else {0: size[key[0]] * size[key[1]]})
+            if key not in hists:  # the zero shell is one vector, and <0, c> = 0
+                hists[key] = (_signed_histogram(gram_np, rows[key[0]], rows[key[1]])
+                              if key[0] else {0: table.count(key[1])})
             a, c = F(na, 2), F(nc, 2)
             for b, count in hists[key].items():
                 terms[(a, F(b), c)] = _PairCount(count)

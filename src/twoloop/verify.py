@@ -226,7 +226,9 @@ def omega_at(sewing: SewingExpansion, ctx: EvalContext) -> Mat2:
 def check_period_s1(ctx: EvalContext, q_order: int, eps_order: int) -> CheckResult:
     """The S1 rule on pinching parameters must induce the action of the
     generator S1 on the period matrix: Omega11 -> -1/Omega11,
-    Omega12 -> -Omega12/Omega11, Omega22 -> Omega22 - Omega12^2/Omega11."""
+    Omega12 -> -Omega12/Omega11, Omega22 -> Omega22 - Omega12^2/Omega11.
+    A check whose reported bound reaches 1 cannot fail and raises
+    :class:`DomainError`."""
     sew = period_matrix(q_order, eps_order)
     omega = omega_at(sew, ctx)
     ctx2 = ctx.transformed_s1()
@@ -241,6 +243,9 @@ def check_period_s1(ctx: EvalContext, q_order: int, eps_order: int) -> CheckResu
         (logs1["q1"], logs1["q2"], logs2["q1"])
     )
     bound = 4.0 * epsmax ** (eps_order + 1) + 8.0 * qtail + 1e-13
+    if 10 * bound >= 1:
+        raise DomainError(f"period-s1 check cannot fail at q-order {q_order}, "
+                          f"eps-order {eps_order}: bound {10 * bound:.3g}")
     return CheckResult(
         "period-s1", residual < 10 * bound, residual, 10 * bound,
         {"tau1": ctx.tau1, "tau2": ctx.tau2, "eps": ctx.eps},

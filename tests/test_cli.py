@@ -367,6 +367,14 @@ def test_weight_check_that_cannot_fail_exits_2(capsys):
     assert "cannot fail" in captured.err and "Traceback" not in captured.err
 
 
+def test_period_s1_check_that_cannot_fail_exits_2(capsys):
+    code = main(["check", "period-s1", "--point=0.3+1.2j,1.7j,0.5",
+                 "--q-order", "2", "--eps-order", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cannot fail" in captured.err and "Traceback" not in captured.err
+
+
 def test_expand_j_honours_its_q_order(capsys):
     # J is validated through its q coefficient, so q-order 1 is refused
     # rather than printed to q^2

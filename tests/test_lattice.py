@@ -7,12 +7,11 @@ import pytest
 import sympy
 
 from twoloop.elliptic import eisenstein
-from twoloop.errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
+from twoloop.errors import DomainError, NotPositiveDefinite, OddLattice
 from twoloop.lattice import (
     _BLOCK_ROWS,
     Lattice,
     _pair_histogram,
-    _representatives,
     builtin_lattice,
     enumerate_shells,
     theta_g1,
@@ -41,15 +40,16 @@ def test_e8_gram_is_valid():
 
 
 def test_e8_shell_counts():
-    table = enumerate_shells(builtin_lattice("E8"), 6)
+    table = enumerate_shells(builtin_lattice("E8"), 8)
     assert table.count(0) == 1
     assert table.count(2) == 240
     assert table.count(4) == 2160
     assert table.count(6) == 6720
-    # counts for positive norms are even (alpha -> -alpha symmetry)
+    assert table.count(8) == 17520
+    # a shell of positive norm stores one vector of each pair {x, -x}
     for norm, vecs in table.shells.items():
         if norm:
-            assert len(vecs) % 2 == 0
+            assert table.count(norm) == 2 * len(vecs)
 
 
 def test_enumerate_rejects_indefinite():
@@ -140,13 +140,14 @@ def _unique_histogram(gram, va, vb):
 
 def test_pair_histogram_matches_unique():
     e8 = builtin_lattice("E8")
-    table = enumerate_shells(e8, 4)
+    table = enumerate_shells(e8, 6)
     gram = np.array(e8.gram, dtype=np.int64)
     rows = {n: np.array(v, dtype=np.int64) for n, v in table.shells.items()}
-    # 240 and 2160 rows: more than one block, and not a whole number of blocks
-    assert len(rows[2]) > _BLOCK_ROWS and len(rows[4]) > _BLOCK_ROWS
-    assert len(rows[2]) % _BLOCK_ROWS and len(rows[4]) % _BLOCK_ROWS
-    for na, nc in [(0, 4), (2, 2), (2, 4), (4, 2), (4, 4)]:
+    # 1080 and 3360 stored rows: more than one block, and not a whole number
+    # of blocks
+    assert len(rows[4]) > _BLOCK_ROWS and len(rows[6]) > _BLOCK_ROWS
+    assert len(rows[4]) % _BLOCK_ROWS and len(rows[6]) % _BLOCK_ROWS
+    for na, nc in [(0, 6), (4, 4), (4, 6), (6, 4)]:
         va, vb = rows[na], rows[nc]
         assert _pair_histogram(gram, va, vb) == _unique_histogram(gram, va, vb), (na, nc)
 
@@ -171,11 +172,14 @@ _EVEN_GRAMS = {
 @pytest.mark.parametrize("q_order,s_order", [(3, 2), (2, 3)])
 @pytest.mark.parametrize("name", list(_EVEN_GRAMS))
 def test_theta_g2_unequal_orders(name, q_order, s_order):
-    # oracle: histograms of every full pair of shells, no x -> -x reduction
+    # oracle: histograms of every full pair of shells, no x -> -x reduction;
+    # a full shell of positive norm is its stored rows and their negations
     lat = Lattice(name, len(_EVEN_GRAMS[name]), _EVEN_GRAMS[name])
     gram = np.array(lat.gram, dtype=np.int64)
-    rows = {n: np.array(v, dtype=np.int64)
-            for n, v in enumerate_shells(lat, 4).shells.items()}
+    rows = {}
+    for n, v in enumerate_shells(lat, 4).shells.items():
+        half = np.array(v, dtype=np.int64)
+        rows[n] = np.concatenate([half, -half]) if n else half
     expected = {}
     for na in range(0, 2 * q_order, 2):
         for nc in range(0, 2 * s_order, 2):
@@ -186,27 +190,26 @@ def test_theta_g2_unequal_orders(name, q_order, s_order):
     assert dict(th.iter_terms()) == expected
 
 
-@pytest.mark.parametrize("rows", [
-    [(0, 1), (1, 0)],    # two representatives of two rows
-    [(-1, 0), (0, 1)],   # half are representatives, but not closed under x -> -x
-    [(-1, 0), (0, 0), (1, 0)],  # closed, but with a zero row
-], ids=["no-negatives", "half-not-closed", "zero-row"])
-def test_representatives_refuse_rows_not_closed_under_negation(rows):
-    with pytest.raises(InternalError):
-        _representatives(np.array(rows, dtype=np.int64))
-
-
 def _box_shells(gram, max_norm):
     """Brute-force shells: every x in the box |x_i| <= sqrt(N (G^-1)_ii) + 1."""
     g = np.array(gram, dtype=np.int64)
     inv = np.linalg.inv(g.astype(float))
-    radii = [math.isqrt(int(max_norm * inv[i][i])) + 1 for i in range(len(gram))]
+    radii = [math.isqrt(int(max(max_norm, 0) * inv[i][i])) + 1 for i in range(len(gram))]
     shells = {}
     for x in itertools.product(*(range(-r, r + 1) for r in radii)):
         norm = int(np.array(x) @ g @ np.array(x))
         if norm <= max_norm:
             shells.setdefault(norm, []).append(x)
     return {k: tuple(sorted(v)) for k, v in sorted(shells.items())}
+
+
+def _stored_half(shells):
+    """The rows a ShellTable keeps of full shells: the vectors whose last
+    nonzero coordinate is positive, and the zero vector alone."""
+    def kept(x):
+        nonzero = [xi for xi in x if xi]
+        return not nonzero or nonzero[-1] > 0
+    return {k: tuple(filter(kept, v)) for k, v in shells.items()}
 
 
 _ORACLE_GRAMS = {
@@ -227,13 +230,19 @@ def test_enumerate_shells_matches_box_search(name, where):
     gram = _ORACLE_GRAMS[name]
     on, between = _ORACLE_NORMS[name]
     max_norm = {"zero": 0, "on-shell": on, "between-shells": between}[where]
-    expected = _box_shells(gram, max_norm)
+    full = _box_shells(gram, max_norm)
     if where == "on-shell":
-        assert max_norm in expected  # vectors on the boundary of the ellipsoid
+        assert max_norm in full  # vectors on the boundary of the ellipsoid
     if where == "between-shells":
-        assert max_norm not in expected and max(expected) < max_norm
+        assert max_norm not in full and max(full) < max_norm
     table = enumerate_shells(Lattice(name, len(gram), gram), max_norm)
-    assert dict(table.shells) == expected
+    assert dict(table.shells) == _stored_half(full)
+    # the stored rows and their negations make up each full shell, no overlap
+    for norm, vecs in table.shells.items():
+        negated = {tuple(-xi for xi in x) for x in vecs} if norm else set()
+        assert not negated & set(vecs)
+        assert sorted(negated | set(vecs)) == list(full[norm])
+        assert table.count(norm) == len(full[norm])
 
 
 _DET_GRAMS = {
@@ -252,7 +261,8 @@ def test_determinant_matches_exact_reference(name):
 
 def test_negative_max_norm_has_no_vectors():
     for gram in _ORACLE_GRAMS.values():
-        assert dict(enumerate_shells(Lattice("x", len(gram), gram), -1).shells) == {}
+        expected = _stored_half(_box_shells(gram, -1))
+        assert dict(enumerate_shells(Lattice("x", len(gram), gram), -1).shells) == expected == {}
 
 
 def test_cached_shells_are_read_only():

@@ -218,6 +218,13 @@ def test_period_s1_covariance():
     assert res.residual < 1e-6
 
 
+def test_period_s1_check_that_cannot_fail_is_refused():
+    # at eps = 0.5 and eps-order 1 the eps term alone lifts the bound past 1
+    ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.5)
+    with pytest.raises(DomainError, match="cannot fail"):
+        check_period_s1(ctx, q_order=2, eps_order=1)
+
+
 def test_period_s1_eps_zero_diagonal():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.0)
     sew = period_matrix(8, 4)
