@@ -5,31 +5,28 @@ built: the leading principal minors give the determinant and positive
 definiteness, and with the integers below the diagonal they bound every
 coordinate of the search in integer arithmetic, so no boundary vector is
 ever missed.
-Genus-two theta series are assembled from inner-product histograms of shell
-pairs rather than raw vector pairs: the products are taken in blocks of rows
-(exact float64 BLAS products of integer matrices) and counted with an offset
-``np.bincount``, which keeps memory flat.
+Genus-two theta series count pairs of shells over Weyl orbits, in exact
+integers: the reflections in the roots (norm-2 vectors) of an even lattice
+are automorphisms, so each orbit of one shell needs the inner products of
+one vector only, against the stored rows of the other.
 
-Both use the symmetry x -> -x of every shell of positive norm.  The search
-visits, and a :class:`ShellTable` stores, one vector of each pair {x, -x};
-a pair of shells is histogrammed on those stored rows only, since
-<sa, tb> = st <a, b> for signs s, t: a quarter of the inner products.
-
-Only the histogram path of :func:`theta_g2` needs numpy, and imports it
-where it runs.
+Both use the symmetry x -> -x of every shell of positive norm: the search
+visits, and a :class:`ShellTable` stores, one vector of each pair {x, -x}.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 from types import MappingProxyType
 
-from .errors import DomainError, NotPositiveDefinite, OddLattice
+from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
 from .series import MultiSeries, VarSpec
 
 F = Fraction
@@ -203,45 +200,53 @@ def theta_g1(lattice: Lattice, q_order: int) -> MultiSeries:
     return MultiSeries((spec,), terms)
 
 
-#: Rows of ``va`` per block of inner products in ``_pair_histogram``.
-_BLOCK_ROWS = 128
+#: |W| of type E by rank and number of positive roots (A, D: by formula)
+_E_ORDERS = {6: {36: 51840}, 7: {63: 2903040}, 8: {120: 696729600}}
 
 
-def _pair_histogram(gram_np, va, vb) -> dict[int, int]:
-    """Counts of the inner products <a, b> over rows a of ``va``, b of ``vb``.
-
-    Float64 (BLAS) products of blocks of rows are exact: every partial sum is
-    an integer of size at most ``bound`` = max_a |aG|_1 * max|vb| < 2**53.  By
-    Cauchy-Schwarz, |<a, b>| <= ``reach``, the offset of the ``np.bincount``.
-    """
-    import numpy as np
-
-    ag = va @ gram_np
-    bound = int(np.abs(ag).sum(axis=1).max(initial=0)) * int(np.abs(vb).max(initial=0))
-    if bound >= 2**53:
-        raise DomainError("lattice inner products too large for exact float64 products")
-    reach = math.isqrt(int((ag * va).sum(axis=1).max(initial=0))
-                       * int(((vb @ gram_np) * vb).sum(axis=1).max(initial=0)))
-    width = 2 * reach + 1
-    counts = np.zeros(width, dtype=np.int64)
-    agf, bt = ag.astype(np.float64), vb.T.astype(np.float64)
-    for i in range(0, len(agf), _BLOCK_ROWS):
-        block = (agf[i:i + _BLOCK_ROWS] @ bt + reach).astype(np.intp)
-        counts += np.bincount(block.ravel(), minlength=width)
-    return {int(v) - reach: int(counts[v]) for v in np.flatnonzero(counts)}
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
 
 
-def _signed_histogram(gram_np, ra, rc) -> dict[int, int]:
-    """Inner-product histogram of two full shells of positive norm, from
-    their stored rows ``ra``, ``rc``, one of each pair {x, -x}, in ascending
-    order of the inner product.
+def _weyl_orbits(gram, table: ShellTable) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """Per positive norm of ``table``, the Weyl orbits of the full shell as
+    pairs (dominant y, |W| / |W_J|), the stored roots taken as positive.  W_J,
+    the stabiliser of y, is generated by the simple roots J orthogonal to y
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1990, §1.12); each
+    component of J is typed A, D or E by its rank and positive roots."""
+    rg = {r: tuple(_dot(row, r) for row in gram) for r in table.shells.get(2, ())}
+    simple = []
+    for r in sorted(rg, key=lambda x: x[::-1]):
+        if not any(tuple(map(sub, r, a)) in rg for a in simple):
+            simple.append(r)
+    sg = [rg[a] for a in simple]
+    touch = {r: {i for i, a in enumerate(sg) if _dot(r, a)} for r in rg}
 
-    Each pair of rows (a, c) stands for (sa, tc) over signs s, t, and
-    <sa, tc> = st <a, c>, so ``H[b] = 2 (h[b] + h[-b])``.
-    """
-    h = _pair_histogram(gram_np, ra, rc)
-    return {b: 2 * (h.get(b, 0) + h.get(-b, 0))
-            for b in sorted({b for v in h for b in (v, -v)})}
+    def stabiliser(y) -> int:
+        left = {i for i, a in enumerate(sg) if not _dot(y, a)}
+        fixed = [touch[r] for r, g in rg.items() if not _dot(y, g)]
+        order = 1
+        while left:
+            comp, grow = set(), {left.pop()}
+            while grow:
+                comp |= grow
+                grow = {j for j in left if touch[simple[j]] & grow}
+                left -= grow
+            n, pos = len(comp), sum(1 for t in fixed if t & comp)
+            types = {n * (n + 1) // 2: math.factorial(n + 1),
+                     n * (n - 1): 2 ** (n - 1) * math.factorial(n), **_E_ORDERS.get(n, {})}
+            if pos not in types:
+                raise InternalError(f"no root system of rank {n} has {pos} positive roots")
+            order *= types[pos]
+        return order
+
+    group = stabiliser((0,) * len(gram))
+    orbits = {norm: [(y, group // stabiliser(y)) for x in rows for y in (x, tuple(-v for v in x))
+                     if all(_dot(y, a) >= 0 for a in sg)]
+              for norm, rows in table.shells.items() if norm}
+    if any(sum(size for _, size in orbits[n]) != table.count(n) for n in orbits):
+        raise InternalError("the Weyl orbits of a shell do not fill it")
+    return orbits
 
 
 class _PairCount(int):
@@ -262,13 +267,10 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     """
     if not lattice.is_even:
         raise OddLattice(f"{lattice.name} is not even")
-    import numpy as np
-
     table = enumerate_shells(lattice, 2 * (max(q_order, s_order) - 1))
-    gram_np = np.array(lattice.gram, dtype=np.int64)
-    rows = {norm: np.array(vecs, dtype=np.int64) for norm, vecs in table.shells.items()}
-    norms_q = [nm for nm in rows if nm % 2 == 0 and nm // 2 < q_order]
-    norms_s = [nm for nm in rows if nm % 2 == 0 and nm // 2 < s_order]
+    orbits = _weyl_orbits(lattice.gram, table)
+    norms_q = [nm for nm in table.shells if nm % 2 == 0 and nm // 2 < q_order]
+    norms_s = [nm for nm in table.shells if nm % 2 == 0 and nm // 2 < s_order]
     # <a,c> = <c,a>: the histogram of (na, nc) is that of (nc, na)
     hists: dict[tuple[int, int], dict[int, int]] = {}
     terms = {}
@@ -276,9 +278,17 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     for na in norms_q:
         for nc in norms_s:
             key = (min(na, nc), max(na, nc))
-            if key not in hists:  # the zero shell is one vector, and <0, c> = 0
-                hists[key] = (_signed_histogram(gram_np, rows[key[0]], rows[key[1]])
-                              if key[0] else {0: table.count(key[1])})
+            if key not in hists and not key[0]:  # the zero shell is one vector, and <0, c> = 0
+                hists[key] = {0: table.count(key[1])}
+            elif key not in hists:
+                # W preserves both shells: H[b] = sum_y |O_y| #{stored x : <x, y> = +-b}
+                h = Counter()
+                for y, size in orbits[key[1]]:
+                    yg = tuple(_dot(row, y) for row in lattice.gram)
+                    for v, k in Counter(_dot(x, yg) for x in table.shells[key[0]]).items():
+                        h[v] += size * k
+                        h[-v] += size * k
+                hists[key] = dict(sorted(h.items()))
             a, c = F(na, 2), F(nc, 2)
             for b, count in hists[key].items():
                 terms[(a, F(b), c)] = _PairCount(count)

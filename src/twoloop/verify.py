@@ -198,7 +198,9 @@ class CheckResult:
 
 
 def check_ehat_anomaly(tau: complex, q_order: int) -> CheckResult:
-    """Ehat_2 at -1/tau against tau^2 (Ehat_2(q) - 1/(2*pi*i*tau))."""
+    """Ehat_2 at -1/tau against tau^2 (Ehat_2(q) - 1/(2*pi*i*tau)).  A check
+    whose reported bound reaches max(|lhs|, |rhs|) cannot fail and raises
+    :class:`DomainError`."""
     if tau.imag <= 0:
         raise DomainError("need Im(tau) > 0")
     e2 = eisenstein_hat(2, q_order)
@@ -208,6 +210,9 @@ def check_ehat_anomaly(tau: complex, q_order: int) -> CheckResult:
     bound = (truncation_bound(e2, tau_valuation(-1 / tau))
              + abs(tau) ** 2 * truncation_bound(e2, tau_valuation(tau))
              + 1e-13 * max(1.0, abs(lhs)))
+    if 10 * bound >= max(abs(lhs), abs(rhs)):
+        raise DomainError(f"ehat-anomaly check cannot fail at q-order {q_order}: "
+                          f"bound {10 * bound:.3g}")
     return CheckResult(
         "ehat-anomaly", residual < 10 * bound, residual, 10 * bound,
         {"tau": tau}, {"lhs": lhs, "rhs": rhs},

@@ -375,6 +375,26 @@ def test_period_s1_check_that_cannot_fail_exits_2(capsys):
     assert "cannot fail" in captured.err and "Traceback" not in captured.err
 
 
+def test_ehat_anomaly_check_that_cannot_fail_exits_2(capsys):
+    code = main(["check", "ehat-anomaly", "--q-order", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cannot fail" in captured.err and "Traceback" not in captured.err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes 1 byte of about 107 KB and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(twoloop.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "twoloop.cli", "sew", "--q-order", "8",
+                             "--eps-order", "6"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_expand_j_honours_its_q_order(capsys):
     # J is validated through its q coefficient, so q-order 1 is refused
     # rather than printed to q^2
@@ -455,13 +475,16 @@ NUMPY_FREE_COMMANDS = [
     ["partition", "--theory", "lattice:E8", "--q-order", "3"],
     ["lattice-info", "--max-norm", "4"],
     ["expand", "delta10"],
+    ["expand", "theta-g2", "--lattice", "E8", "--q-order", "4", "--s-order", "4"],
+    # the table format: the JSON of verify-all carries timings
+    ["verify-all"],
 ]
 
 
 def test_commands_without_lattice_histograms_need_no_numpy(capsys):
-    # only theta_g2's inner-product histograms use numpy: importing the CLI
-    # must not load it, and with every import of it refused these commands
-    # must run and print what they print with numpy present
+    # the library uses only the standard library: importing the CLI must not
+    # load numpy, and with every import of it refused these commands must run
+    # and print what they print with numpy present
     probe = textwrap.dedent("""
         import contextlib, io, json, sys
         from twoloop import cli

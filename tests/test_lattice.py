@@ -7,11 +7,11 @@ import pytest
 import sympy
 
 from twoloop.elliptic import eisenstein
-from twoloop.errors import DomainError, NotPositiveDefinite, OddLattice
+from twoloop import lattice as lattice_module
+from twoloop.errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
 from twoloop.lattice import (
-    _BLOCK_ROWS,
     Lattice,
-    _pair_histogram,
+    _weyl_orbits,
     builtin_lattice,
     enumerate_shells,
     theta_g1,
@@ -138,26 +138,46 @@ def _unique_histogram(gram, va, vb):
     return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def test_pair_histogram_matches_unique():
+def _reflection_closure(gram, y, roots, w):
+    """The orbit of y under the reflections x -> x - <x, r> r in ``roots``,
+    by breadth-first search, as the keys x @ w of its vectors."""
+    n = len(gram)
+    g, r = np.array(gram, dtype=np.int64), np.array(roots, dtype=np.int64).reshape(-1, n)
+    frontier = np.array([y], dtype=np.int64)
+    seen = frontier @ w
+    while len(frontier):
+        ip = frontier @ g @ r.T
+        images = (frontier[:, None, :] - ip[:, :, None] * r[None, :, :]).reshape(-1, n)
+        keys, first = np.unique(images @ w, return_index=True)
+        fresh = ~np.isin(keys, seen)
+        frontier, seen = images[first[fresh]], np.concatenate([seen, keys[fresh]])
+    return seen
+
+
+def test_theta_g2_matches_stored_row_histograms():
+    # H[b] = m (h[b] + h[-b]) over the stored rows of each shell: m = 2 for
+    # two shells of positive norm (x -> -x on both sides), 1 with the zero
+    # shell, which is its own negation
     e8 = builtin_lattice("E8")
     table = enumerate_shells(e8, 6)
     gram = np.array(e8.gram, dtype=np.int64)
     rows = {n: np.array(v, dtype=np.int64) for n, v in table.shells.items()}
-    # 1080 and 3360 stored rows: more than one block, and not a whole number
-    # of blocks
-    assert len(rows[4]) > _BLOCK_ROWS and len(rows[6]) > _BLOCK_ROWS
-    assert len(rows[4]) % _BLOCK_ROWS and len(rows[6]) % _BLOCK_ROWS
-    for na, nc in [(0, 6), (4, 4), (4, 6), (6, 4)]:
-        va, vb = rows[na], rows[nc]
-        assert _pair_histogram(gram, va, vb) == _unique_histogram(gram, va, vb), (na, nc)
+    th = theta_g2(e8, 4, 4)
+    for na, nc in [(0, 6), (2, 6), (4, 4), (4, 6)]:
+        h = _unique_histogram(gram, rows[na], rows[nc])
+        m = 2 if na and nc else 1
+        expected = {b: m * (h.get(b, 0) + h.get(-b, 0)) for b in {b for v in h for b in (v, -v)}}
+        got = {int(k[1]): c for k, c in th.terms.items() if k[0] == F(na, 2) and k[2] == F(nc, 2)}
+        assert got == expected, (na, nc)
 
 
-def test_pair_histogram_refuses_inexact_products():
-    # bound = 2**31 * 2**30: float64 could round the products
-    gram = np.array([[2]], dtype=np.int64)
-    big = np.array([[2**30]], dtype=np.int64)
-    with pytest.raises(DomainError):
-        _pair_histogram(gram, big, big)
+@pytest.mark.parametrize("e8_orders", [{120: 2 * 696729600}, {}], ids=["wrong-order", "no-type"])
+def test_weyl_orbit_guard_raises(monkeypatch, e8_orders):
+    # a wrong |W(E8)| makes the orbits overfill their shells; with no E8
+    # entry, (rank 8, 120 positive roots) has no type
+    monkeypatch.setitem(lattice_module._E_ORDERS, 8, e8_orders)
+    with pytest.raises(InternalError):
+        theta_g2(builtin_lattice("E8"), 3, 3)
 
 
 _EVEN_GRAMS = {
@@ -166,7 +186,43 @@ _EVEN_GRAMS = {
     "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
     # even and not unimodular (determinant 7), with no vector of norm 6
     "det7": ((2, 1), (1, 4)),
+    # no roots: W is trivial, and each orbit is one vector
+    "rootless": ((4, 2), (2, 4)),
+    # W = (Z/2)^4 is abelian
+    "A1x4": tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4)),
 }
+
+
+# (Gram matrix, max_norm): every _EVEN_GRAMS entry to norm 8, E8x3 to its roots
+_ORBIT_CASES = {**{name: (gram, 8) for name, gram in _EVEN_GRAMS.items()},
+                "E8x3": (builtin_lattice("E8x3").gram, 2)}
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_CASES))
+def test_weyl_orbits_match_reflection_closure(name):
+    gram, max_norm = _ORBIT_CASES[name]
+    table = enumerate_shells(Lattice(name, len(gram), gram), max_norm)
+    orbits = _weyl_orbits(gram, table)
+    roots = table.shells.get(2, ())
+    # reflections keep each shell, on which the key x @ w is checked to be
+    # one-to-one, so keys tell the vectors of an orbit apart exactly
+    w = np.random.default_rng(0).integers(-2**62, 2**62, len(gram))
+    for norm, vecs in table.shells.items():
+        if not norm:
+            continue
+        half = np.array(vecs, dtype=np.int64)
+        full = np.concatenate([half, -half]) @ w
+        assert len(np.unique(full)) == len(full)
+        found = [_reflection_closure(gram, y, roots, w) for y, _ in orbits[norm]]
+        assert [len(o) for o in found] == [size for _, size in orbits[norm]], norm
+        assert np.array_equal(np.sort(np.concatenate(found)), np.sort(full)), norm
+    sizes = {norm: sorted(size for _, size in orbs) for norm, orbs in orbits.items()}
+    if name == "E8":
+        assert sizes[8] == [240, 17280]
+    if name == "D4":
+        assert sizes[4] == [8, 8, 8]
+    if name == "E8x3":
+        assert sizes[2] == [240, 240, 240]
 
 
 @pytest.mark.parametrize("q_order,s_order", [(3, 2), (2, 3)])

@@ -225,6 +225,13 @@ def test_period_s1_check_that_cannot_fail_is_refused():
         check_period_s1(ctx, q_order=2, eps_order=1)
 
 
+def test_ehat_anomaly_check_that_cannot_fail_is_refused():
+    # at q-order 1 Ehat_2 is its constant term, and the bound exceeds |lhs|
+    with pytest.raises(DomainError, match="cannot fail"):
+        check_ehat_anomaly(0.2 + 1.1j, 1)
+    assert check_ehat_anomaly(0.2 + 1.1j, 2).passed
+
+
 def test_period_s1_eps_zero_diagonal():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.0)
     sew = period_matrix(8, 4)
