@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from math import gcd, lcm
-from operator import getitem, gt, mul as times
+from operator import floordiv, getitem, gt, mul as times, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -461,17 +463,12 @@ def _merge_vars_mul(a_vars: tuple[VarSpec, ...], b_vars: tuple[VarSpec, ...]) ->
     """The plan of a product of series on ``a_vars`` and ``b_vars``: the
     :func:`_merged_vars` (floors add; each bound is the lower of one
     operand's bound plus the other's floor), their ``(name, den)`` layout
-    (the key of the kernel views), each operand's :func:`_alignment`, the
-    merged ``kmax``, packing floor and radix per variable (floor and radix
-    ``None`` where unbounded) and the positions of the unbounded ones."""
+    (the key of the kernel views), each operand's :func:`_alignment` and
+    the merged ``kmax`` per variable."""
     merged = _merged_vars(a_vars, b_vars, lambda u, v: (
         u.min_exp + v.min_exp, min(u.valid + v.min_exp, v.valid + u.min_exp)))
-    kmaxes = tuple(v.kmax() for v in merged)
-    unbounded = tuple(i for i, v in enumerate(merged) if v.valid is UNBOUNDED)
-    lo = tuple(None if i in unbounded else v.kmin() for i, v in enumerate(merged))
-    radix = tuple(None if low is None else m - low + 1 for low, m in zip(lo, kmaxes))
     return (merged, tuple((v.name, v.den) for v in merged), _alignment(a_vars, merged),
-            _alignment(b_vars, merged), kmaxes, lo, radix, unbounded)
+            _alignment(b_vars, merged), tuple(v.kmax() for v in merged))
 
 
 def add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
@@ -508,38 +505,44 @@ def _scaled(c: int | Fraction, l: int) -> int:
 
 class _KernelView:
     """A series' terms as :func:`mul` reads them on one merged variable
-    layout: the aligned terms, the lcm of their denominators and the sorted
-    exponents held per variable (so also the minima and maxima).  Per
-    packing strides it keeps, built on first use, the packed left-term list
-    and, for the right operand, the trie and its collected rooms."""
+    layout: the aligned terms, the lcm of their denominators, the sorted
+    exponents held per variable (so also the minima and maxima) and, per
+    variable, the gcd of the gaps between them (0 where one is held).  Per
+    packing (grid steps and strides) it keeps, built on first use, the
+    packed left-term list and, for the right operand, the trie and its
+    collected rooms."""
 
-    __slots__ = ("terms", "lcm", "held", "_left", "_right")
+    __slots__ = ("terms", "lcm", "held", "gaps", "_left", "_right")
 
     def __init__(self, terms):
         self.terms = terms
         self.lcm = lcm(*{c.denominator for c in terms.values()})
         self.held = [sorted(set(col)) for col in zip(*terms)]
-        self._left: dict[tuple[int, ...], list] = {}
-        self._right: dict[tuple[int, ...], tuple] = {}
+        self.gaps = [gcd(*map(sub, h[1:], h[:-1])) for h in self.held]
+        self._left: dict[tuple, list] = {}
+        self._right: dict[tuple, tuple] = {}
 
-    def left(self, strides: tuple[int, ...]) -> list:
+    def left(self, packing: tuple) -> list:
         """``(key, packed key, a)`` per term, in term order, the coefficient
-        ``a`` scaled to an int by ``lcm``."""
-        left = self._left.get(strides)
+        ``a`` scaled to an int by ``lcm``; ``packing`` is ``(steps,
+        strides)``, and a key packs as the sum of ``(k // step) * stride``."""
+        left = self._left.get(packing)
         if left is None:
-            l = self.lcm
-            left = self._left[strides] = [(k, sum(map(times, k, strides)), _scaled(c, l))
-                                          for k, c in self.terms.items()]
+            l, (steps, strides) = self.lcm, packing
+            left = self._left[packing] = [
+                (k, sum(map(times, map(floordiv, k, steps), strides)), _scaled(c, l))
+                for k, c in self.terms.items()]
         return left
 
-    def right(self, strides: tuple[int, ...]) -> tuple[tuple, dict]:
+    def right(self, packing: tuple) -> tuple[tuple, dict]:
         """``(trie, rooms)``: the terms as a trie, a ``(sorted exponents,
         children)`` pair per level whose last level's children are the packed
-        ``(packed key, a)`` terms, and a dict from rounded room to the flat
-        list of terms it selects, filled by :func:`mul`."""
-        right = self._right.get(strides)
+        ``(packed key, a)`` terms (packed as in :meth:`left`), and a dict
+        from rounded room to the flat list of terms it selects, filled by
+        :func:`mul`."""
+        right = self._right.get(packing)
         if right is None:
-            l, terms = self.lcm, self.terms
+            l, terms, (steps, strides) = self.lcm, self.terms, packing
             trie = ([], [])
             for k in sorted(terms):
                 keys, kids = trie
@@ -549,44 +552,50 @@ class _KernelView:
                         kids.append(([], []))
                     keys, kids = kids[-1]
                 keys.append(k[-1])
-                kids.append((sum(map(times, k, strides)), _scaled(terms[k], l)))
-            right = self._right[strides] = (trie, {})
+                kids.append((sum(map(times, map(floordiv, k, steps), strides)),
+                             _scaled(terms[k], l)))
+            right = self._right[packing] = (trie, {})
         return right
 
 
 def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    """Truncated Cauchy product with validity propagation.
+    """Truncated Cauchy product with validity propagation; the terms come
+    out in ascending key order.
 
     Each operand is scaled by the lcm of its denominators first, so the inner
-    loop works on ints with exponent tuples packed into single ints (one
-    radix field per variable); a result term comes out an int when the scale
-    divides it, else a reduced ``Fraction``.  A bounded variable's field
-    spans the result's validity box, from its Laurent floor to ``kmax``; an
-    unbounded one spans the sums of the operands' exponent ranges.  Pairs
-    are pruned against the result's validity box before any product is
-    formed, and a product whose lowest exponents already sum past ``kmax``
-    in some variable returns empty before anything is packed: in the
-    Neumann series of ``period_matrix`` most products land wholly above the
-    ``eps`` truncation (339 of 472 at (12, 6)), and this exit takes its time
-    there from about 0.18 to 0.13 s (2-vCPU VM, Python 3.11).  The right
-    operand is indexed as a trie with one sorted level per variable, so a
-    left term's room (``kmax - k``) selects a bisected prefix at every level
-    and its right terms come out in key order.  Rooms are rounded down, per
-    variable, to an exponent the right operand holds (so none exceeds its
-    maximum); left terms with equal rounded rooms select the same right
-    terms, so each rounded room's candidates are collected into one flat
-    list.
+    loop works on ints with exponent tuples packed into single ints; a
+    result term comes out an int when the scale divides it, else a reduced
+    ``Fraction``.  Each variable packs onto a grid that spans the sums of
+    held exponents: it starts at the sum of the operands' lowest held
+    exponents, steps by the gcd of both operands' gaps between held
+    exponents (theta series step by 4 or 8 in q and s) and ends at the
+    lower of ``kmax`` and the sum of the highest.  When the grid's volume is
+    at most the pair count, the pairs accumulate into a dense list read
+    back in grid order; otherwise (a gapped operand such as ``1 + x +
+    x^(10^6)``) into a dict read back in sorted packed order.  Both orders
+    are ascending key order.
+
+    Pairs are pruned against the result's validity box before any product
+    is formed, and a product whose lowest exponents already sum past
+    ``kmax`` in some variable returns empty before anything is packed: in
+    the Neumann series of ``period_matrix`` most products land wholly above
+    the ``eps`` truncation (339 of 472 at (12, 6)).  The right operand is
+    indexed as a trie with one sorted level per variable, so a left term's
+    room (``kmax - k``) selects a bisected prefix at every level.  Rooms are
+    rounded down, per variable, to an exponent the right operand holds (so
+    none exceeds its maximum); left terms with equal rounded rooms select
+    the same right terms, so each rounded room's candidates are collected
+    into one flat list.
 
     The aligned, scaled and packed terms, the trie and the room lists are
-    kept on each operand, per merged layout and strides
+    kept on each operand, per merged layout and packing
     (:class:`_KernelView`), and reused by every later product that packs
-    the same way.  The strides come from the box, so every product into
-    the same box does; terms are immutable, so a kept view never goes
-    stale.  The merged variables and the packing of the bounded ones come
-    from the cached plan of the two operand layouts (:func:`_merge_vars_mul`).
+    the same way, as the repeated products of the Neumann series do; terms
+    are immutable, so a kept view never goes stale.  The merged variables
+    come from the cached plan of the two operand layouts
+    (:func:`_merge_vars_mul`).
     """
-    (merged, layout, align_a, align_b, kmaxes, lo, radix,
-     unbounded) = _merge_vars_mul(a.vars, b.vars)
+    merged, layout, align_a, align_b, kmaxes = _merge_vars_mul(a.vars, b.vars)
     if a.is_zero() or b.is_zero():
         return MultiSeries._of(merged, {})
     if not merged:
@@ -596,20 +605,20 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     va, vb = a._kernel_view(layout, align_a), b._kernel_view(layout, align_b)
     if any(ha[0] + hb[0] > m for m, ha, hb in zip(kmaxes, va.held, vb.held)):
         return MultiSeries._of(merged, {})
-    nvars = len(merged)
-    if unbounded:
-        lo, radix = list(lo), list(radix)
-        for i in unbounded:
-            held_a, held_b = va.held[i], vb.held[i]
-            lo[i] = held_a[0] + held_b[0]
-            radix[i] = held_a[-1] + held_b[-1] - lo[i] + 1
-    strides = [1] * nvars
-    for i in range(nvars - 2, -1, -1):
-        strides[i] = strides[i + 1] * radix[i + 1]
-    strides = tuple(strides)
-    off = sum(map(times, lo, strides))
-    left = va.left(strides)
-    trie, rooms = vb.right(strides)
+    steps = tuple(gcd(ga, gb) or 1 for ga, gb in zip(va.gaps, vb.gaps))
+    ranges = [range(ha[0] + hb[0], min(m, ha[-1] + hb[-1]) + 1, g)
+              for m, ha, hb, g in zip(kmaxes, va.held, vb.held, steps)]
+    strides = [1] * len(ranges)
+    for i in range(len(ranges) - 1, 0, -1):
+        strides[i - 1] = strides[i] * len(ranges[i])
+    volume = strides[0] * len(ranges[0])
+    packing = steps, tuple(strides)
+    # a's exponents and b's are each one residue mod g, so a pair's packed
+    # keys sum to its grid cell plus this origin
+    off = sum((ha[0] // g + hb[0] // g) * st
+              for ha, hb, g, st in zip(va.held, vb.held, steps, strides))
+    left = va.left(packing)
+    trie, rooms = vb.right(packing)
 
     # a left exponent's room in each variable, rounded down to the nearest
     # exponent the right operand holds there (or to one below them all):
@@ -618,8 +627,8 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     for m, held_a, held_b in zip(kmaxes, va.held, vb.held):
         held = [held_b[0] - 1, *held_b]
         rounded.append({ka: held[max(bisect_right(held, m - ka), 1) - 1] for ka in held_a})
-    acc: dict[int, int] = {}
-    get = acc.get
+    dense = volume <= len(a.terms) * len(b.terms)
+    acc = [0] * volume if dense else defaultdict(int)
     for k, p1, a1 in left:
         room = tuple(map(getitem, rounded, k))
         items = rooms.get(room)
@@ -628,27 +637,16 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             for r in room:
                 items = [kid for keys, kids in items for kid in kids[:bisect_right(keys, r)]]
             rooms[room] = items
-        if not items:
-            continue
         p1 -= off
         for p2, a2 in items:
-            p = p1 + p2
-            acc[p] = get(p, 0) + a1 * a2
+            acc[p1 + p2] += a1 * a2
+    if dense:
+        cells = zip(product(*ranges), acc)
+    else:
+        cells = ((tuple(r[p // st % len(r)] for r, st in zip(ranges, strides)), acc[p])
+                 for p in sorted(acc))
     scale = va.lcm * vb.lcm
-    res = {}
-    for p, x in acc.items():
-        if not x:
-            continue
-        key = []
-        rem = p
-        for i in range(nvars):
-            if strides[i] != 1:
-                ki, rem = divmod(rem, strides[i])
-            else:
-                ki, rem = rem, 0
-            key.append(ki + lo[i])
-        res[tuple(key)] = _ratio(x, scale)
-    return MultiSeries._of(merged, res)
+    return MultiSeries._of(merged, {key: _ratio(x, scale) for key, x in cells if x})
 
 
 def pow_int(a: MultiSeries, n: int) -> MultiSeries:
@@ -682,25 +680,18 @@ def _check_nilpotent(a: MultiSeries) -> None:
             )
 
 
-def _power_sum(x: MultiSeries, factorial: bool) -> MultiSeries:
-    """``sum x^k`` (``sum x^k / k!`` with ``factorial``) over ``k >= 0`` for
-    a nilpotent ``x``, term by term until a power truncates to zero."""
-    _check_nilpotent(x)
-    result = term = MultiSeries.constant(1, x.vars)
+def exp_series(a: MultiSeries) -> MultiSeries:
+    """``sum a^k / k!`` for a series with vanishing constant term, term by
+    term until a power truncates to zero."""
+    _check_nilpotent(a)
+    result = term = MultiSeries.constant(1, a.vars)
     k = 0
     while True:
         k += 1
-        term = mul(term, x)
-        if factorial:
-            term = scalar_mul(Fraction(1, k), term)
+        term = scalar_mul(Fraction(1, k), mul(term, a))
         if term.is_zero():
             return result
         result = add(result, term)
-
-
-def exp_series(a: MultiSeries) -> MultiSeries:
-    """``sum a^k / k!`` for a series with vanishing constant term."""
-    return _power_sum(a, factorial=True)
 
 
 def coeff(a: MultiSeries, exps: dict) -> int | Fraction:
@@ -740,27 +731,6 @@ def limit_var_zero(a: MultiSeries, name: str) -> MultiSeries:
         a.vars[:i] + a.vars[i + 1:],
         {k[:i] + k[i + 1:]: c for k, c in a.terms.items() if k[i] == 0},
     )
-
-
-def set_var_one(a: MultiSeries, name: str) -> MultiSeries:
-    """Evaluate one variable at 1 (requires full validity in it)."""
-    i = a.var_index(name)
-    v = a.vars[i]
-    if not is_unbounded(v.valid):
-        raise UnknownCoefficient(
-            f"setting {name}=1 needs every {name}-coefficient; validity is "
-            f"only {fmt_rat(v.valid)}"
-        )
-    res: dict[tuple[int, ...], int | Fraction] = {}
-    for k, c in a.terms.items():
-        key = k[:i] + k[i + 1:]
-        cur = res.get(key)
-        s = c if cur is None else cur + c
-        if not s:
-            res.pop(key, None)
-        else:
-            res[key] = s
-    return MultiSeries._of(a.vars[:i] + a.vars[i + 1:], res)
 
 
 def _symmetric_power_polys(bmax: int) -> list[list[int]]:
@@ -937,14 +907,27 @@ class PrefSeries:
         return PrefSeries(add(a, b), common)
 
     def invert(self) -> "PrefSeries":
-        """Geometric-series inversion; the prefactor is negated."""
+        """Geometric-series inversion; the prefactor is negated.
+
+        With ``x = 1 - body/c0`` the inverse is ``sum x^k / c0``, summed as
+        the product of ``1 + x^(2^i)``: ``x`` is squared until the square
+        truncates to zero, so ``Delta^-1`` to ``q^81`` takes 13 products
+        instead of 81.
+        """
         c0 = self.body.constant_term()
         if not c0 or any(k < 0 for key in self.body.terms for k in key):
             raise NotAUnit("body has no invertible constant term")
         inverse = Fraction(1, c0)
         x = add(MultiSeries.constant(1, self.body.vars), scalar_mul(-inverse, self.body))
-        result = scalar_mul(inverse, _power_sum(x, factorial=False))
-        return PrefSeries(result, {n: -e for n, e in self.prefactor.items()})
+        _check_nilpotent(x)
+        result = add(MultiSeries.constant(1, x.vars), x)
+        while True:
+            x = mul(x, x)
+            if x.is_zero():
+                break
+            result = mul(result, add(MultiSeries.constant(1, x.vars), x))
+        return PrefSeries(scalar_mul(inverse, result),
+                          {n: -e for n, e in self.prefactor.items()})
 
     def pow_int(self, n: int) -> "PrefSeries":
         if n < 0:

@@ -28,8 +28,7 @@ limitation attached to every derived quantity.
 
 V-symmetric forms are canonically stored as polynomials in u = r + 1/r - 2.
 A builder returns the series its callers read: a theta series its r-form,
-the reference data, the weight-12 combination and the Fourier template their
-u-forms, and the forms that one finishing step checks in both (Delta10, F12
+the reference data and the weight-12 combination their u-forms, and the forms that one finishing step checks in both (Delta10, F12
 and the weight-4 candidate) a :class:`SiegelForm` holding the pair.
 """
 
@@ -377,30 +376,6 @@ def t2_selfdual(k: int) -> MultiSeries:
             scalar_mul(c2, pow_int(psi_reference(6), 2))),
         scalar_mul(1 - c1 - c2, f12_siegel(2, 2).fourier_u),
     )
-
-
-ALLOWED_PATTERN_WEIGHTS = (4, 6, 8, 12)
-
-
-def fk_fourier_pattern(a, weight: int) -> MultiSeries:
-    """The observed Fourier template, as a u-form, for a weight-k Siegel form
-    that factorizes into f_k(q1) f_k(q2) with f_k = 1 + a q + O(q^2):
-
-        (1 + a q)(1 + a s) + (a^2/k) q s u + a q s u^2 + O(q^2, s^2).
-    """
-    if weight not in ALLOWED_PATTERN_WEIGHTS:
-        raise DomainError(f"pattern stated for weights {ALLOWED_PATTERN_WEIGHTS}")
-    a = F(a)
-    vars = (VarSpec(QVAR, valid=2), VarSpec(SVAR, valid=2), VarSpec(UVAR))
-    terms = {
-        (F(0), F(0), F(0)): 1,
-        (F(1), F(0), F(0)): a,
-        (F(0), F(1), F(0)): a,
-        (F(1), F(1), F(0)): a * a,
-        (F(1), F(1), F(1)): a * a / weight,
-        (F(1), F(1), F(2)): a,
-    }
-    return MultiSeries(vars, terms)
 
 
 def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoloop.errors import UnknownCoefficient
 from twoloop.series import (
     UNBOUNDED,
     MultiSeries,
@@ -42,6 +43,19 @@ def random_unit(rng, vars, max_terms=4, max_exp=2):
     terms = {e: c for e, c in terms.items() if any(x > 0 for x in e) or all(x == 0 for x in e)}
     terms[zero_key] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
     return MultiSeries(tuple(vars), terms)
+
+
+def set_var_one(a, name):
+    """``a`` with one variable evaluated at 1, which needs every
+    coefficient in it: an unbounded validity bound."""
+    i = a.var_index(name)
+    if a.vars[i].valid != UNBOUNDED:
+        raise UnknownCoefficient(f"setting {name}=1 needs every {name}-coefficient")
+    terms = {}
+    for k, c in a.iter_terms():
+        rest = k[:i] + k[i + 1:]
+        terms[rest] = terms.get(rest, 0) + c
+    return MultiSeries(a.vars[:i] + a.vars[i + 1:], terms)
 
 
 def assert_refines(lo, hi):

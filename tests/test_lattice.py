@@ -24,10 +24,9 @@ from twoloop.series import (
     limit_var_zero,
     mul,
     r_to_u,
-    set_var_one,
 )
 
-from conftest import assert_refines
+from conftest import assert_refines, set_var_one
 
 F = Fraction
 

@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import json
 import pickle
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -35,7 +37,7 @@ from twoloop.series import (
     pow_int,
     q_log_deriv,
     r_to_u,
-    set_var_one,
+    scalar_mul,
     shift_var,
     substitute,
     to_json_dict,
@@ -46,7 +48,7 @@ from twoloop.elliptic import delta_cusp
 from twoloop.sewing import period_matrix
 from twoloop.siegel import delta10, psi4_theta_candidate
 
-from conftest import V, random_series, random_unit
+from conftest import V, random_series, random_unit, set_var_one
 
 
 F = Fraction
@@ -178,10 +180,9 @@ def _naive_sum(a, b, vars):
 
 
 def _ordered_product(a, b, vars):
-    # the kernel's term order: left terms as stored, each against the right
-    # terms in sorted key order (up to the first that overflows the first
-    # variable), pairs outside the validity box skipped, each result key at
-    # its first occurrence
+    # the kernel's terms in its order, ascending key order: every left term
+    # against the right terms in sorted key order (up to the first that
+    # overflows the first variable), pairs outside the validity box skipped
     ta, tb = a._aligned_to(vars), sorted(b._aligned_to(vars).items())
     kmaxes = [v.kmax() for v in vars]
     terms = {}
@@ -192,7 +193,7 @@ def _ordered_product(a, b, vars):
                 break
             if all(map(int.__le__, key, kmaxes)):
                 terms[key] = terms.get(key, 0) + c1 * c2
-    return [(k, c) for k, c in terms.items() if c]
+    return sorted((k, c) for k, c in terms.items() if c)
 
 
 # no shrink phase: a failing kernel case is reported as generated, in
@@ -324,6 +325,84 @@ def test_mul_keeps_term_order_on_library_products(build, monkeypatch):
     assert len(products) > 10
     for a, b, out in products:
         assert list(out.terms.items()) == _ordered_product(a, b, out.vars)
+
+
+def _grid_series(draw, vars, far):
+    """A nonempty series whose exponents in each variable lie on one grid
+    ``offset + step*t``: steps 1, 2, 4 or 8, offsets below 0 where the floor
+    allows, and sometimes one exponent only (no gap, gcd 0).  With ``far``,
+    two more terms lie 1000 steps and one out in the last (unbounded)
+    variable, so that its grid steps by 1 over some thousand exponents."""
+    grids = []
+    for v in vars:
+        step = draw(st.sampled_from([1, 2, 4, 8]))
+        offset = draw(st.integers(v.kmin(), v.kmin() + 4))
+        grids.append((offset, step, draw(st.sampled_from([0, 3]))))
+    key = st.tuples(*(st.integers(0, tmax).map(lambda t, o=o, s=s: o + s * t)
+                      for o, s, tmax in grids))
+    terms = draw(st.dictionaries(key, coeffs.filter(bool), min_size=1, max_size=6))
+    if far:
+        offset, step, _ = grids[-1]
+        for k in (offset + 1000 * step, offset + 1000 * step + 1):
+            terms[tuple(o for o, _, _ in grids[:-1]) + (k,)] = 1
+    return MultiSeries(vars, {tuple(F(k, v.den) for k, v in zip(key, vars)): c
+                              for key, c in terms.items()})
+
+
+def _dense_by_rule(a, b, vars):
+    # the grid of a product, as its rule is stated: per variable from the
+    # sum of the lowest held exponents, by the gcd of both operands' gaps,
+    # to the lower of kmax and the sum of the highest; the dense list is
+    # used when the grid's volume is at most the pair count
+    ta, tb = a._aligned_to(vars), b._aligned_to(vars)
+    volume = 1
+    for i, v in enumerate(vars):
+        ha, hb = {k[i] for k in ta}, {k[i] for k in tb}
+        step = gcd(*(k - min(ha) for k in ha), *(k - min(hb) for k in hb)) or 1
+        volume *= (min(v.kmax(), max(ha) + max(hb)) - min(ha) - min(hb)) // step + 1
+    return volume <= len(a.terms) * len(b.terms)
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["grid", "far-term"])
+@kernel_properties
+@given(data=st.data())
+def test_mul_on_exponent_grids_matches_naive_in_ascending_order(far, data):
+    # both accumulators give the naive product in ascending key order: the
+    # dense list where the grid is small next to the pair count, else the
+    # dict (always with the far terms)
+    # q keeps every drawn exponent (at most 4 + 8*3 < 32) and cuts their sums
+    q, r = V("q", den=2, order=16), V("r", min_exp=-8)
+    a = _grid_series(data.draw, (q, r), far)
+    b = a if data.draw(st.booleans()) else _grid_series(data.draw, (q, r), False)
+    dense = []
+    product = series.product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "product", lambda *ranges: dense.append(1) or product(*ranges))
+        out = mul(a, b)
+    assert list(out.terms.items()) == sorted(_naive_product(a, b, out.vars).terms.items())
+    if out.terms:
+        assert bool(dense) == _dense_by_rule(a, b, out.vars)
+        assert not (far and dense)
+
+
+def test_mul_of_a_gapped_square_keeps_to_the_dict():
+    # (1 + x + x^(10^6))^2 spans two million grid steps for 9 pairs
+    x = V("x")
+    a = S([x], {(0,): 1, (1,): 1, (10**6,): 1})
+    dense = []
+    product = series.product
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "product", lambda *ranges: dense.append(1) or product(*ranges))
+            out = mul(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not dense and peak < 1 << 20
+    assert dict(out.terms) == {(0,): 1, (1,): 2, (2,): 1, (10**6,): 2,
+                               (10**6 + 1,): 2, (2 * 10**6,): 1}
+    assert list(out.terms) == sorted(out.terms)
 
 
 _SIBLINGS = [
@@ -554,6 +633,62 @@ def test_invert_unit_roundtrip(rng):
         back = inv.invert()
         ok, why = equal_on_joint_validity(back, u)
         assert ok, why
+
+
+def _geometric_inverse(f):
+    # sum x^k / c0 with x = 1 - body/c0, one power at a time until a power
+    # truncates to zero; its terms in ascending key order
+    body = f.body
+    c0 = body.constant_term()
+    x = add(MultiSeries.constant(1, body.vars), scalar_mul(-F(1, c0), body))
+    total = power = MultiSeries.constant(1, body.vars)
+    while not (power := mul(power, x)).is_zero():
+        total = add(total, power)
+    total = scalar_mul(F(1, c0), total)
+    return (PrefSeries(total, {n: -e for n, e in f.prefactor.items()}),
+            sorted(total.terms.items()))
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda n=n: elliptic.dedekind_eta(n), id=f"eta-{n}") for n in (8, 40, 81)),
+    *(pytest.param(lambda n=n: elliptic.delta_cusp(n), id=f"delta-{n}") for n in (8, 40, 81)),
+    pytest.param(lambda: sewing.fourier_params(period_matrix(4, 5)).rhat, id="rhat-4-5"),
+])
+def test_invert_matches_the_geometric_series(build):
+    # the product of 1 + x^(2^i) is the sum of x^k: the same variables and
+    # terms, in ascending key order, and a unit times its inverse is 1
+    f = build()
+    inv = f.invert()
+    ref, ordered = _geometric_inverse(f)
+    assert inv.prefactor == ref.prefactor
+    assert inv.body.vars == ref.body.vars
+    assert list(inv.body.terms.items()) == ordered
+    one = PrefSeries(MultiSeries.constant(1, f.body.vars))
+    ok, why = equal_on_joint_validity(f.mul(inv), one)
+    assert ok, why
+
+
+def test_invert_squares_instead_of_summing_powers(monkeypatch):
+    # Delta^-1 to q^81: x is squared 7 times, the last square truncating
+    # to zero, and 6 of the partial products need forming
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    delta = elliptic.delta_cusp(81)
+    monkeypatch.setattr(series, "mul", counted)
+    delta.invert()
+    assert len(calls) == 13
+
+
+def test_fourier_params_keep_their_canonical_json():
+    params = sewing.fourier_params(period_matrix(12, 6))
+    data = json.dumps({name: to_json_dict(getattr(params, name))
+                       for name in ("qhat", "shat", "rhat", "uhat")}, sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == (
+        "16ef1d1608015e837a48955b919fc043889076ba782dfcab9c7dd72b55e175d2")
 
 
 def test_invert_non_unit():
@@ -848,9 +983,10 @@ def test_unbounded_bound_is_exact():
 @given(data=st.data())
 def test_adding_a_variable_matches_the_product_route(data):
     # shift_var and cap_absolute_valid give a series a variable it lacks by
-    # zero-extending its keys: the same variables and terms, in the same
-    # order (term order feeds the float sums of verify.eval_series), as
-    # multiplying by the constant 1 on that variable
+    # zero-extending its keys: the same variables and terms as multiplying
+    # by the constant 1 on that variable.  Each route keeps its own term
+    # order (term order feeds the float sums of verify.eval_series):
+    # zero-extension the input's, the product route ascending key order
     q, r = V("q", den=2, min_exp=-1, order=3), V("r", den=3, min_exp=-2, valid=F(5, 3))
     vars = data.draw(st.sampled_from([(), (q,), (q, r)]))
     a = (MultiSeries.zero(vars) if data.draw(st.booleans())
@@ -861,16 +997,20 @@ def test_adding_a_variable_matches_the_product_route(data):
     def via_product(s, den):
         return mul(s, MultiSeries.constant(1, (VarSpec("eps", den),)))
 
-    direct = shift_var(a, "eps", amount)
-    reference = shift_var(via_product(a, amount.denominator), "eps", amount)
-    assert direct.vars == reference.vars
-    assert list(direct.terms.items()) == list(reference.terms.items())
+    def assert_same_terms(direct, reference):
+        assert direct.vars == reference.vars
+        assert direct.terms == reference.terms
+        # eps is the new last variable; either every term survives or none
+        assert [k[:-1] for k in direct.terms] == (list(a.terms) if direct.terms else [])
+        assert list(reference.terms) == sorted(reference.terms)
+
+    assert_same_terms(shift_var(a, "eps", amount),
+                      shift_var(via_product(a, amount.denominator), "eps", amount))
     bound, pref = F(data.draw(st.integers(-3, 8)), den), {"eps": amount, "q": F(1, 2)}
     direct = PrefSeries(a, pref).cap_absolute_valid("eps", bound)
     reference = PrefSeries(via_product(a, 1), pref).cap_absolute_valid("eps", bound)
     assert direct.prefactor == reference.prefactor
-    assert direct.body.vars == reference.body.vars
-    assert list(direct.body.terms.items()) == list(reference.body.terms.items())
+    assert_same_terms(direct.body, reference.body)
 
 
 def test_json_valid_above_order_is_refused():

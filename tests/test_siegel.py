@@ -20,7 +20,6 @@ from twoloop.series import (
     pow_int,
     r_to_u,
     scalar_mul,
-    set_var_one,
     to_json_dict,
 )
 from twoloop.siegel import (
@@ -35,7 +34,6 @@ from twoloop.siegel import (
     delta10,
     even_characteristics,
     f12_siegel,
-    fk_fourier_pattern,
     psi4_theta_candidate,
     psi_reference,
     t2_coefficients,
@@ -43,10 +41,33 @@ from twoloop.siegel import (
     theta_char,
 )
 
-from conftest import assert_refines
+from conftest import assert_refines, set_var_one
 
 F = Fraction
 HALF = F(1, 2)
+
+PATTERN_WEIGHTS = (4, 6, 8, 12)
+
+
+def fk_fourier_pattern(a, weight):
+    """The observed Fourier template, as a u-form, for a weight-k Siegel form
+    that factorizes into f_k(q1) f_k(q2) with f_k = 1 + a q + O(q^2):
+
+        (1 + a q)(1 + a s) + (a^2/k) q s u + a q s u^2 + O(q^2, s^2).
+    """
+    if weight not in PATTERN_WEIGHTS:
+        raise DomainError(f"pattern stated for weights {PATTERN_WEIGHTS}")
+    a = F(a)
+    vars = (VarSpec("q", valid=2), VarSpec("s", valid=2), VarSpec("u"))
+    terms = {
+        (0, 0, 0): 1,
+        (1, 0, 0): a,
+        (0, 1, 0): a,
+        (1, 1, 0): a * a,
+        (1, 1, 1): a * a / weight,
+        (1, 1, 2): a,
+    }
+    return MultiSeries(vars, terms)
 
 
 def qsu(a, c, j):
