@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .errors import DomainError, InternalError, ValidationFailed
+from .errors import DomainError, ValidationFailed
 from .series import (
     MultiSeries,
     PrefSeries,
@@ -149,30 +149,23 @@ def covariant_derivative(f: PrefSeries, weight: int) -> PrefSeries:
     return out
 
 
-def _phase(x: Fraction) -> int:
-    """exp(2*pi*i*x) for x a multiple of 1/2, the only phases a theta series
-    with an even characteristic carries: a sign."""
-    k = 2 * x
-    if k.denominator != 1:
-        raise InternalError(f"phase exponent {x} is not a multiple of 1/2")
-    return -1 if k.numerator % 2 else 1
-
-
-def _theta_exponents(a: Fraction, order: int) -> list[Fraction]:
-    """x = n + a over the integers n with x^2/2 < order, in the order
-    n = 0, -1, 1, -2, ...: the exponents of a theta series truncated below
-    q^order.  For a in [0, 1), |x| < sqrt(2*order) keeps n within
+def _theta_exponents(a: Fraction, order: int) -> list[int]:
+    """2x for x = n + a over the integers n with x^2/2 < order, in the order
+    n = 0, -1, 1, -2, ...: twice the exponents of a theta series truncated
+    below q^order.  For a in [0, 1), |x| < sqrt(2*order) keeps n within
     -isqrt(2*order) - 1 <= n <= isqrt(2*order)."""
-    reach = isqrt(2 * order)
-    xs = (m + a for n in range(reach + 1) for m in (n, -n - 1))
-    return [x for x in xs if x * x < 2 * order]
+    reach, shift = isqrt(2 * order), int(2 * a)
+    xs = (2 * m + shift for n in range(reach + 1) for m in (n, -n - 1))
+    return [x for x in xs if x * x < 8 * order]
 
 
 def theta_jacobi(a, b, q_order: int) -> PrefSeries:
     """theta[a;b](q) = sum_n q^((n+a)^2/2) exp(2*pi*i*(n+a)*b).
 
     The odd characteristic a = b = 1/2 cancels in pairs: it is the zero
-    series, returned up front, so every phase summed is a sign.
+    series, returned up front, so every phase summed is a sign: with
+    X = 2(n+a), the scaled key is X^2 and the phase (-1)^(X*2b/2), the
+    same for -X, so no sum cancels.
     """
     a, b = Fraction(a), Fraction(b)
     if a not in (F(0), HALF) or b not in (F(0), HALF):
@@ -180,11 +173,12 @@ def theta_jacobi(a, b, q_order: int) -> PrefSeries:
     vars = (VarSpec("q", 8, F(0), q_order),)
     if a == b == HALF:
         return PrefSeries(MultiSeries.zero(vars))
-    terms: dict[tuple[Fraction, ...], int] = {}
+    b2 = int(2 * b)
+    terms: dict[tuple[int], int] = {}
     for x in _theta_exponents(a, q_order):
-        key = (x * x / 2,)
-        terms[key] = terms.get(key, 0) + _phase(x * b)
-    return PrefSeries(MultiSeries(vars, terms))
+        key = (x * x,)
+        terms[key] = terms.get(key, 0) + (-1 if x * b2 % 4 else 1)
+    return PrefSeries(MultiSeries._of(vars, terms))
 
 
 def f12_elliptic(q_order: int) -> MultiSeries:

@@ -8,11 +8,13 @@ series generate the weight-12 form (a quarter of the sum of their 24th
 powers) and a validated weight-4 candidate (a quarter of the sum of their
 8th powers), and, as 2^-12 times the product of their squares, the
 independent route to the weight-10 form that the acceptance suite checks
-the lift against.  The theta powers come from one generator that raises
-only the four Theta[a; 0] to the n-th power: Theta[a; b] is Theta[a; 0]
-under Omega -> Omega + B (see :func:`_translate`), so each of the other six
-powers is an exact coefficientwise translate, checked against the ten theta
-series themselves.  One finishing step then checks each form's
+the lift against.  The ten n-th powers come from three Theta[a; 0]^n,
+raised along one cached squaring ladder that n = 2, 8 and 24 share (see
+:func:`_theta_rung`): Theta[1/2, 0; 0]^n is the q <-> s mirror of
+Theta[0, 1/2; 0]^n (see :func:`_mirror`), and Theta[a; b] is Theta[a; 0]
+under Omega -> Omega + B (see :func:`_translate`), so each of the other
+six powers is an exact coefficientwise translate, checked against the ten
+theta series themselves.  One finishing step then checks each form's
 coefficients and Fourier support and rewrites it in u.
 
 Every coefficient is rational.  These level-one forms have integer Fourier
@@ -34,14 +36,13 @@ and the weight-4 candidate) a :class:`SiegelForm` holding the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 from operator import mul as times
 
 from .elliptic import (
-    _phase,
     _theta_exponents,
     covariant_derivative,
     dedekind_eta,
@@ -125,21 +126,24 @@ def theta_char(char: Characteristic, q_order: int, s_order: int) -> MultiSeries:
           * exp(2*pi*i*((n1+a1)b1 + (n2+a2)b2)).
 
     Odd characteristics cancel in pairs: they are the zero series (r floor
-    0), returned up front, so every phase summed is a sign.
+    0), returned up front, so every phase summed is a sign.  With X =
+    2(n1+a1) and Y = 2(n2+a2) the integer key on the dens (8, 4, 8) is
+    (X^2, XY, Y^2) and the phase (-1)^((X*2b1 + Y*2b2)/2); only (X, Y) and
+    (-X, -Y) share a key, with one phase, so no sum cancels.
     """
     qs, ss = VarSpec(QVAR, 8, F(0), q_order), VarSpec(SVAR, 8, F(0), s_order)
     if not char.is_even:
         return MultiSeries.zero((qs, VarSpec(RVAR, 4), ss))
     a1, a2 = char.a
-    b1, b2 = char.b
+    b1, b2 = (int(2 * b) for b in char.b)
     ys = _theta_exponents(a2, s_order)
-    terms: dict[tuple[Fraction, ...], int] = {}
+    terms: dict[tuple[int, int, int], int] = {}
     for x in _theta_exponents(a1, q_order):
         for y in ys:
-            key = (x * x / 2, x * y, y * y / 2)
-            terms[key] = terms.get(key, 0) + _phase(x * b1 + y * b2)
-    rmin = min((k[1] for k, c in terms.items() if c), default=F(0))
-    return MultiSeries((qs, VarSpec(RVAR, 4, min(rmin, F(0))), ss), terms)
+            key = (x * x, x * y, y * y)
+            terms[key] = terms.get(key, 0) + (-1 if (x * b1 + y * b2) % 4 else 1)
+    rmin = min((k[1] for k in terms), default=0)
+    return MultiSeries._of((qs, VarSpec(RVAR, 4, F(min(rmin, 0), 4)), ss), terms)
 
 
 def assert_support_condition(ms: MultiSeries) -> None:
@@ -187,27 +191,78 @@ def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
     return MultiSeries._of(ms.vars, terms)
 
 
+def _fresh(ms: MultiSeries) -> MultiSeries:
+    """A new series over the same frozen terms, with no kernel views."""
+    return MultiSeries._of(ms.vars, ms.terms)
+
+
+@lru_cache(maxsize=None)
+def _theta_rung(a: tuple[Fraction, Fraction], i: int, q_order: int, s_order: int) -> MultiSeries:
+    """Theta[a; 0]^(2^i) for 2^i <= 8, the squaring ladder that Delta10's
+    theta route (n = 2), psi4 (n = 8) and F12 (n = 24) share.  The 8th
+    power squares the square twice: no form reads the 4th, which would hold
+    nearly half the ladder's terms.  A rung holds terms only; products read
+    it through :func:`_fresh`, so their kernel views never reach the cache.
+    """
+    if not i:
+        return _fresh(theta_char(Characteristic(a, (F(0), F(0))), q_order, s_order))
+    power = _fresh(_theta_rung(a, i // 2, q_order, s_order))
+    for _ in range(i - i // 2):
+        power = mul(power, power)
+    return power
+
+
+def _mirror(ms: MultiSeries) -> MultiSeries:
+    """The series in (q, r, s) under q <-> s, keys re-sorted ascending as a
+    product's are.  It takes Theta[a1, a2; b1, b2] at (q_order, s_order) to
+    Theta[a2, a1; b2, b1] at (s_order, q_order), and powers to powers."""
+    q, r, s = ms.vars
+    return MultiSeries._of((replace(s, name=QVAR), r, replace(q, name=SVAR)),
+                           dict(sorted((k[::-1], c) for k, c in ms.terms.items())))
+
+
 def _even_theta_powers(n: int, q_order: int, s_order: int):
-    """Yield Theta[a; b]^n for the ten even characteristics, in
+    """Yield Theta[a; b]^n, n >= 2, for the ten even characteristics, in
     :func:`even_characteristics` order.
 
-    That order groups the characteristics by a, with b = 0 first, so only
-    the four Theta[a; 0] are raised to the n-th power; every other power is
-    the translate of its Theta[a; 0]^n by the b of its characteristic.
-    That the same translate takes Theta[a; 0] exactly to Theta[a; b] is
-    checked for each of the six b != 0.
+    That order groups the characteristics by a, with b = 0 first.  Three
+    Theta[a; 0]^n are products of :func:`_theta_rung` rungs, the (n // 8)-th
+    power of the 8th formed per call (for n = 24, Theta^8 Theta^16), and
+    Theta[1/2, 0; 0]^n is the :func:`_mirror` of Theta[0, 1/2; 0]^n at
+    (s_order, q_order), at equal orders the power already raised.  Every
+    other power is the translate of its Theta[a; 0]^n by its b.  The mirror
+    and the six translates are checked on the theta series themselves.
     """
+    powers = {}
+
+    def power(a, q, s):
+        if (a, q, s) not in powers:
+            if a == (HALF, F(0)):
+                p = _mirror(power(a[::-1], s, q))
+            else:
+                rungs = [_fresh(_theta_rung(a, i, q, s)) for i in range(3) if n >> i & 1]
+                if n >= 8:
+                    rungs.append(pow_int(_fresh(_theta_rung(a, 3, q, s)), n // 8))
+                p = reduce(mul, rungs)
+            powers[a, q, s] = p
+        return powers[a, q, s]
+
+    def check(char, what, source, got):
+        want = theta_char(char, q_order, s_order)
+        if got.vars != want.vars or got.terms != want.terms:
+            raise InternalError(f"Theta{char.label()} is not the {what} of Theta{source.label()}")
+
     for char in even_characteristics():
-        theta = theta_char(char, q_order, s_order)
-        if not any(char.b):
-            top, base, power = char, theta, pow_int(theta, n)
-            yield power
+        a = char.a
+        if any(char.b):
+            source = Characteristic(a, (F(0), F(0)))
+            check(char, "translate", source, _translate(theta_char(source, q_order, s_order), char.b))
+            yield _translate(power(a, q_order, s_order), char.b)
             continue
-        got = _translate(base, char.b)
-        if got.vars != theta.vars or got.terms != theta.terms:
-            raise InternalError(
-                f"Theta{char.label()} is not the translate of Theta{top.label()}")
-        yield _translate(power, char.b)
+        if a == (HALF, F(0)):
+            source = Characteristic(a[::-1], char.b)
+            check(char, "mirror", source, _mirror(theta_char(source, s_order, q_order)))
+        yield power(a, q_order, s_order)
 
 
 def _theta_form(label: str, scale: Fraction, series: MultiSeries) -> SiegelForm:
@@ -234,12 +289,14 @@ def _phi10_1(q_valid: int) -> MultiSeries:
     q^(q_valid + 3/4): q (r - 2 + 1/r) + O(q^2).
 
     theta_1(tau, z) is taken as the sum over x in Z + 1/2 of
-    (-1)^(x - 1/2) q^(x^2/2) r^x = q^(1/8) (r^(1/2) - r^(-1/2)) + ...
+    (-1)^(x - 1/2) q^(x^2/2) r^x = q^(1/8) (r^(1/2) - r^(-1/2)) + ...:
+    with X = 2x, the scaled key (X^2, X) and the sign (-1)^((X - 1)/2).
     """
-    theta = {(x * x / 2, x): -1 if (x - HALF) % 2 else 1
+    theta = {(x * x, x): -1 if (x - 1) % 4 else 1
              for x in _theta_exponents(HALF, q_valid)}
     rmin = min(x for _, x in theta)
-    theta = MultiSeries((VarSpec(QVAR, 8, F(0), q_valid), VarSpec(RVAR, 2, rmin)), theta)
+    theta = MultiSeries._of((VarSpec(QVAR, 8, F(0), q_valid), VarSpec(RVAR, 2, F(rmin, 2))),
+                            theta)
     eta18 = dedekind_eta(q_valid).pow_int(18)
     phi = mul(mul(theta, theta), eta18.body)
     return shift_var(phi, QVAR, eta18.prefactor[QVAR]).simplify_dens()

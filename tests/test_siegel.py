@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoloop import series, siegel
 from twoloop.elliptic import eisenstein, f12_elliptic
 from twoloop.errors import DomainError, InternalError, UnknownCoefficient
 from twoloop.lattice import builtin_lattice, theta_g2
@@ -28,6 +29,7 @@ from twoloop.siegel import (
     _maass_lift,
     _phi10_1,
     _theta_form,
+    _theta_rung,
     _translate,
     all_characteristics,
     assert_support_condition,
@@ -381,6 +383,99 @@ def test_translate_is_a_ring_homomorphism(b, data):
     ):
         assert lhs.vars == rhs.vars
         assert lhs.terms == rhs.terms
+
+
+# -- integer lattice sums, the squaring ladder and the mirror ------------------
+
+def _fraction_theta_char(char, q_order, s_order):
+    """The lattice sum of :func:`theta_char` in Fraction arithmetic: x = n +
+    a over n = 0, -1, 1, -2, ..., the key (x^2/2, xy, y^2/2) and the phase
+    exp(2*pi*i*(x b1 + y b2)) read as a sign."""
+    qs, ss = VarSpec("q", 8, F(0), q_order), VarSpec("s", 8, F(0), s_order)
+    if not char.is_even:
+        return MultiSeries.zero((qs, VarSpec("r", 4), ss))
+
+    def exponents(a, order):
+        reach = isqrt(2 * order)
+        xs = (m + a for n in range(reach + 1) for m in (n, -n - 1))
+        return [x for x in xs if x * x < 2 * order]
+
+    def phase(x):
+        assert (2 * x).denominator == 1
+        return -1 if (2 * x).numerator % 2 else 1
+
+    (a1, a2), (b1, b2) = char.a, char.b
+    terms = {}
+    for x in exponents(a1, q_order):
+        for y in exponents(a2, s_order):
+            key = (x * x / 2, x * y, y * y / 2)
+            terms[key] = terms.get(key, 0) + phase(x * b1 + y * b2)
+    rmin = min((k[1] for k, c in terms.items() if c), default=F(0))
+    return MultiSeries((qs, VarSpec("r", 4, min(rmin, F(0))), ss), terms)
+
+
+@pytest.mark.parametrize("q_order, s_order", [(1, 1), (2, 3), (3, 2), (5, 5), (6, 4)])
+def test_theta_char_matches_the_fraction_lattice_sum(q_order, s_order):
+    for char in all_characteristics():
+        got = theta_char(char, q_order, s_order)
+        want = _fraction_theta_char(char, q_order, s_order)
+        assert got.vars == want.vars, char.label()
+        assert list(got.terms.items()) == list(want.terms.items()), char.label()
+
+
+@pytest.mark.parametrize("q_order, s_order", [(3, 3), (2, 5), (5, 2)])
+@pytest.mark.parametrize("n", [2, 8, 24])
+def test_even_theta_powers_match_pow_int(n, q_order, s_order):
+    # ladder rungs, the mirror at unequal orders and the translates, all in
+    # pow_int's term order
+    got = list(_even_theta_powers(n, q_order, s_order))
+    assert len(got) == 10
+    for char, power in zip(even_characteristics(), got):
+        want = pow_int(theta_char(char, q_order, s_order), n)
+        assert power.vars == want.vars, char.label()
+        assert list(power.terms.items()) == list(want.terms.items()), char.label()
+
+
+def test_psi4_after_f12_reads_the_ladder(monkeypatch):
+    for f in vars(siegel).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    f12_siegel(5, 5)
+    psi_reference(4)
+    products = []
+
+    def spy(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    # series.mul too: pow_int multiplies through it
+    for module in (siegel, series):
+        monkeypatch.setattr(module, "mul", spy)
+    psi4_theta_candidate(5, 5)
+    assert products == []
+    # every rung the forms read is cached, and holds terms only: no
+    # product's kernel views
+    misses = _theta_rung.cache_info().misses
+    for a in ((F(0), F(0)), (F(0), HALF), (HALF, HALF)):
+        for i in (0, 1, 3):
+            assert not hasattr(_theta_rung(a, i, 5, 5), "_views"), (a, i)
+    assert _theta_rung.cache_info().misses == misses
+
+
+def test_mirror_guard_refuses_a_changed_theta(monkeypatch):
+    mirrored = Characteristic((HALF, F(0)), (F(0), F(0)))
+    exact = siegel.theta_char
+
+    def mutant(char, q_order, s_order):
+        theta = exact(char, q_order, s_order)
+        if char != mirrored:
+            return theta
+        (key, c), *rest = theta.terms.items()
+        return MultiSeries._of(theta.vars, {key: c + 1, **dict(rest)})
+
+    monkeypatch.setattr(siegel, "theta_char", mutant)
+    with pytest.raises(InternalError, match="mirror"):
+        list(_even_theta_powers(2, 3, 3))
 
 
 def _ten_power_reference(n, q_order, s_order):
