@@ -51,7 +51,8 @@ from .siegel import (
     t2_selfdual,
     theta_char,
 )
-from .verify import EvalContext, check_ehat_anomaly, check_period_s1, check_weight
+from .verify import (INVARIANCES, WEIGHT_TARGETS, EvalContext, check_ehat_anomaly,
+                     check_period_s1, check_weight)
 
 F = Fraction
 
@@ -197,25 +198,25 @@ def cmd_partition(args) -> int:
     return 0
 
 
+#: check kind -> what --point names, and the point used without it
+_CHECK_POINTS = {
+    "ehat-anomaly": ("tau", (0.2 + 1.1j,)),
+    "period-s1": ("tau1,tau2,eps", (0.3 + 1.2j, 1.7j, 0.05)),
+    "weight": ("tau1,tau2,eps", (0.3 + 1.2j, 1.7j, 0.03)),
+}
+
+
 def cmd_check(args) -> int:
-    point = [_parse_complex(p) for p in args.point.split(",")] if args.point else []
+    names, default = _CHECK_POINTS[args.kind]
+    point = [_parse_complex(p) for p in args.point.split(",")] if args.point else default
+    if len(point) != len(default):
+        raise ValueError(f"--point needs {names}")
     if args.kind == "ehat-anomaly":
-        if point and len(point) != 1:
-            raise ValueError("--point needs tau")
-        tau = point[0] if point else 0.2 + 1.1j
-        res = check_ehat_anomaly(tau, args.q_order or 40)
+        res = check_ehat_anomaly(*point, args.q_order or 40)
     elif args.kind == "period-s1":
-        if point and len(point) != 3:
-            raise ValueError("--point needs tau1,tau2,eps")
-        tau1, tau2, eps = point or [0.3 + 1.2j, 1.7j, 0.05]
-        res = check_period_s1(EvalContext(tau1, tau2, eps),
-                              args.q_order or 12, args.eps_order or 6)
+        res = check_period_s1(EvalContext(*point), args.q_order or 12, args.eps_order or 6)
     else:  # "weight": argparse refuses any other kind
-        if point and len(point) != 3:
-            raise ValueError("--point needs tau1,tau2,eps")
-        tau1, tau2, eps = point or [0.3 + 1.2j, 1.7j, 0.03]
-        res = check_weight(args.target, args.gamma,
-                           EvalContext(tau1, tau2, eps),
+        res = check_weight(args.target, args.gamma, EvalContext(*point),
                            args.q_order or 12, args.eps_order or 6)
     _emit(res.as_json_dict())
     return 0 if res.passed else 1
@@ -290,13 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_partition)
 
     sp = sub.add_parser("check", help="numeric modular checks")
-    sp.add_argument("kind", choices=("ehat-anomaly", "period-s1", "weight"))
+    sp.add_argument("kind", choices=tuple(_CHECK_POINTS))
     sp.add_argument("--point", help="tau1,tau2,eps (or tau for ehat-anomaly)")
     sp.add_argument("--q-order", type=_order)
     sp.add_argument("--eps-order", type=_order)
-    sp.add_argument("--target", default="z24",
-                    choices=("z24", "g2", "delta10-sewing"))
-    sp.add_argument("--gamma", default="S1", choices=("S1", "T1", "T2", "V"))
+    sp.add_argument("--target", default="z24", choices=tuple(WEIGHT_TARGETS))
+    sp.add_argument("--gamma", default="S1", choices=("S1", *INVARIANCES))
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("lattice-info", help="validate and describe a lattice")

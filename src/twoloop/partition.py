@@ -53,8 +53,6 @@ from .siegel import delta10
 
 F = Fraction
 
-EPS_TRUNCATION = 2  # hard bound on the eps expansion of genus-two data
-
 
 @dataclass(frozen=True)
 class CBoson:
@@ -196,16 +194,11 @@ class GenusTwoZ:
     conjectural: bool
 
 
-def z2(theory: TheoryDescriptor, q_order: int, eps_order: int = EPS_TRUNCATION) -> GenusTwoZ:
-    """Genus-two partition function of the theory, exact through eps^2.
-
-    Requests beyond eps^2 are refused: the state sum would need one-point
-    functions of weight-four states that are not available here.
+def z2(theory: TheoryDescriptor, q_order: int) -> GenusTwoZ:
+    """Genus-two partition function of the theory, exact through eps^2:
+    beyond it the state sum would need one-point functions of weight-four
+    states that are not available here.
     """
-    if eps_order != EPS_TRUNCATION:
-        raise Unsupported(
-            f"genus-two data is defined through eps^{EPS_TRUNCATION} only"
-        )
     if isinstance(theory, Ghost):
         raise Unsupported("use z2_ghost for the (conjectural) ghost system")
     c = theory.central_charge
@@ -256,7 +249,6 @@ class F2Report:
 
     ok: bool
     conjectural: bool
-    q_valid: Fraction
     eps_valid: Fraction
     detail: str | None
 
@@ -275,13 +267,12 @@ def verify_f2(q_order: int, eps_order: int) -> F2Report:
     z24 = z2(CBoson(24), q_order)
     product = d10_sew.mul(PrefSeries(g2)).mul(z24.pref)
     if product.prefactor:
-        return F2Report(False, True, F(0), F(0),
+        return F2Report(False, True, F(0),
                         f"vacuum exponents did not cancel: {dict(product.prefactor)}")
     ok, why = equal_on_joint_validity(product, PrefSeries.coerce(1))
-    q_valid = min(v.valid for v in product.body.vars if v.name in ("q1", "q2"))
     eps_valid = min((v.valid for v in product.body.vars if v.name == "eps"),
                     default=F(0))
-    return F2Report(ok, True, q_valid, eps_valid, why)
+    return F2Report(ok, True, eps_valid, why)
 
 
 def t2_ratio(theory: TheoryDescriptor, q_order: int) -> PrefSeries:

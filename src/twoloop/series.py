@@ -508,38 +508,25 @@ class _KernelView:
     layout: the aligned terms, the lcm of their denominators, the sorted
     exponents held per variable (so also the minima and maxima) and, per
     variable, the gcd of the gaps between them (0 where one is held).  Per
-    packing (grid steps and strides) it keeps, built on first use, the
-    packed left-term list and, for the right operand, the trie and its
-    collected rooms."""
+    packing (grid steps and strides) it keeps, built on first use, the trie
+    of the series as a right operand and its collected rooms."""
 
-    __slots__ = ("terms", "lcm", "held", "gaps", "_left", "_right")
+    __slots__ = ("terms", "lcm", "held", "gaps", "_right")
 
     def __init__(self, terms):
         self.terms = terms
         self.lcm = lcm(*{c.denominator for c in terms.values()})
         self.held = [sorted(set(col)) for col in zip(*terms)]
         self.gaps = [gcd(*map(sub, h[1:], h[:-1])) for h in self.held]
-        self._left: dict[tuple, list] = {}
         self._right: dict[tuple, tuple] = {}
-
-    def left(self, packing: tuple) -> list:
-        """``(key, packed key, a)`` per term, in term order, the coefficient
-        ``a`` scaled to an int by ``lcm``; ``packing`` is ``(steps,
-        strides)``, and a key packs as the sum of ``(k // step) * stride``."""
-        left = self._left.get(packing)
-        if left is None:
-            l, (steps, strides) = self.lcm, packing
-            left = self._left[packing] = [
-                (k, sum(map(times, map(floordiv, k, steps), strides)), _scaled(c, l))
-                for k, c in self.terms.items()]
-        return left
 
     def right(self, packing: tuple) -> tuple[tuple, dict]:
         """``(trie, rooms)``: the terms as a trie, a ``(sorted exponents,
         children)`` pair per level whose last level's children are the packed
-        ``(packed key, a)`` terms (packed as in :meth:`left`), and a dict
-        from rounded room to the flat list of terms it selects, filled by
-        :func:`mul`."""
+        ``(packed key, a)`` terms, and a dict from rounded room to the flat
+        list of terms it selects, filled by :func:`mul`.  ``packing`` is
+        ``(steps, strides)``: a key packs as the sum of ``(k // step) *
+        stride``, and the coefficient ``a`` is scaled to an int by ``lcm``."""
         right = self._right.get(packing)
         if right is None:
             l, terms, (steps, strides) = self.lcm, self.terms, packing
@@ -587,13 +574,13 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     the same right terms, so each rounded room's candidates are collected
     into one flat list.
 
-    The aligned, scaled and packed terms, the trie and the room lists are
-    kept on each operand, per merged layout and packing
-    (:class:`_KernelView`), and reused by every later product that packs
-    the same way, as the repeated products of the Neumann series do; terms
-    are immutable, so a kept view never goes stale.  The merged variables
-    come from the cached plan of the two operand layouts
-    (:func:`_merge_vars_mul`).
+    Each operand keeps its aligned terms per merged layout, and a right
+    operand its trie and room lists per packing (:class:`_KernelView`),
+    reused by every later product that packs the same way, as the repeated
+    products of the Neumann series do; terms are immutable, so a kept view
+    never goes stale.  The left operand is packed afresh in each product.
+    The merged variables come from the cached plan of the two operand
+    layouts (:func:`_merge_vars_mul`).
     """
     merged, layout, align_a, align_b, kmaxes = _merge_vars_mul(a.vars, b.vars)
     if a.is_zero() or b.is_zero():
@@ -617,7 +604,6 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     # keys sum to its grid cell plus this origin
     off = sum((ha[0] // g + hb[0] // g) * st
               for ha, hb, g, st in zip(va.held, vb.held, steps, strides))
-    left = va.left(packing)
     trie, rooms = vb.right(packing)
 
     # a left exponent's room in each variable, rounded down to the nearest
@@ -629,7 +615,8 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
         rounded.append({ka: held[max(bisect_right(held, m - ka), 1) - 1] for ka in held_a})
     dense = volume <= len(a.terms) * len(b.terms)
     acc = [0] * volume if dense else defaultdict(int)
-    for k, p1, a1 in left:
+    la = va.lcm
+    for k, c in va.terms.items():
         room = tuple(map(getitem, rounded, k))
         items = rooms.get(room)
         if items is None:
@@ -637,7 +624,8 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
             for r in room:
                 items = [kid for keys, kids in items for kid in kids[:bisect_right(keys, r)]]
             rooms[room] = items
-        p1 -= off
+        p1 = sum(map(times, map(floordiv, k, steps), strides)) - off
+        a1 = _scaled(c, la)
         for p2, a2 in items:
             acc[p1 + p2] += a1 * a2
     if dense:

@@ -116,8 +116,7 @@ class SewingExpansion:
 
 
 @lru_cache(maxsize=None)
-def period_matrix(q_order: int, eps_order: int,
-                  m_max: int | None = None) -> SewingExpansion:
+def period_matrix(q_order: int, eps_order: int) -> SewingExpansion:
     """Exact expansion of the period matrix from the sewing construction.
 
     w11 = eps*(A(q2)(1 - A(q1)A(q2))^-1)_11, w12 = -eps*((1-A(q1)A(q2))^-1)_11,
@@ -125,8 +124,7 @@ def period_matrix(q_order: int, eps_order: int,
     """
     if eps_order < 1:
         raise DomainError("eps_order must be at least 1")
-    if m_max is None:
-        m_max = required_m_max(eps_order)
+    m_max = required_m_max(eps_order)
     A1 = a_matrix(q_order, eps_order, QVAR1, m_max)
     A2 = a_matrix(q_order, eps_order, QVAR2, m_max)
 

