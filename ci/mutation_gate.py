@@ -73,6 +73,22 @@ MUTANTS = (
     Mutant("a residual equal to the bound passes", "verify.py",
            "return self.residual < self.bound", "return self.residual <= self.bound",
            ("tests/test_verify.py::test_a_bound_that_reaches_the_scale_is_refused",)),
+    Mutant("the dense grid reads back over reversed ranges", "series.py",
+           "cells = zip(product(*ranges), acc)",
+           "cells = zip(product(*(r[::-1] for r in ranges)), acc)",
+           ("tests/test_series.py::test_mul_on_exponent_grids_matches_naive_in_ascending_order",)),
+    Mutant("the mirror keeps the reversed keys unsorted", "siegel.py",
+           "dict(sorted((k[::-1], c) for k, c in ms.terms.items()))",
+           "{k[::-1]: c for k, c in ms.terms.items()}",
+           ("tests/test_siegel.py::test_even_theta_powers_match_pow_int",)),
+    Mutant("the eps scale exponent is off by one", "sewing.py",
+           "F(c) ** e.numerator", "F(c) ** (e.numerator + 1)",
+           ("tests/test_sewing.py::test_scale_eps_commutes_with_mul_and_add",
+            "tests/test_sewing.py::test_period_matrix_printed_orders")),
+    Mutant("fourier_to_sewing's unscale ignores the eps prefactor", "sewing.py",
+           "return _scale_eps(out, F(1, c))",
+           "return PrefSeries(_scale_eps(out.body, F(1, c)), out.prefactor)",
+           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",)),
 )
 
 

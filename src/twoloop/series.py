@@ -631,8 +631,8 @@ def mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     if dense:
         cells = zip(product(*ranges), acc)
     else:
-        cells = ((tuple(r[p // st % len(r)] for r, st in zip(ranges, strides)), acc[p])
-                 for p in sorted(acc))
+        decode = [(r, st, len(r)) for r, st in zip(ranges, strides)]
+        cells = [(tuple([r[p // st % n] for r, st, n in decode]), acc[p]) for p in sorted(acc)]
     scale = va.lcm * vb.lcm
     return MultiSeries._of(merged, {key: _ratio(x, scale) for key, x in cells if x})
 
@@ -1140,7 +1140,8 @@ def to_json_dict(s) -> dict:
         c = body.terms[key]
         # the format keeps the retired imaginary part "im", always "0"
         terms.append({
-            "exp": [fmt_rat(Fraction(k, v.den)) for k, v in zip(key, body.vars)],
+            "exp": [str(k) if v.den == 1 else fmt_rat(Fraction(k, v.den))
+                    for k, v in zip(key, body.vars)],
             "re": fmt_rat(c),
             "im": "0",
         })

@@ -124,6 +124,75 @@ def test_period_matrix_requires_eps_order():
         period_matrix(2, 0)
 
 
+# -- the sewing layer at eps -> c*eps ----------------------------------------
+
+def _in_q1_eps(terms, valid=6):
+    return MultiSeries((VarSpec("q1", valid=4), VarSpec("eps", valid=valid)),
+                       {(F(q), F(e)): c for (q, e), c in terms.items()})
+
+
+_A = _in_q1_eps({(0, 0): F(1, 3), (1, 1): -2, (0, 2): F(5, 7), (2, 3): 4})
+_B = _in_q1_eps({(0, 1): F(-1, 12), (1, 0): 3, (3, 2): F(1, 2)})
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, PrefSeries):
+        assert got.prefactor == want.prefactor
+        got, want = got.body, want.body
+    assert got.vars == want.vars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+@pytest.mark.parametrize("c", [6, F(2, 3), F(-5, 4)])
+def test_scale_eps_commutes_with_mul_and_add(c):
+    scaled = sewing._scale_eps
+    _same(scaled(mul(_A, _B), c), mul(scaled(_A, c), scaled(_B, c)))
+    _same(scaled(add(_A, _B), c), add(scaled(_A, c), scaled(_B, c)))
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(_A, id="series"),
+    pytest.param(PrefSeries(_B, {"eps": F(2), "q1": F(1, 24)}), id="eps2-prefactor"),
+    pytest.param(PrefSeries(_in_q1_eps({(0, 0): F(1, 720)}), {"eps": F(-1)}), id="eps-pole"),
+    pytest.param(PrefSeries(MultiSeries.constant(F(3, 4), (VarSpec("q1"),)), {"eps": F(2)}),
+                 id="prefactor-only"),
+])
+@pytest.mark.parametrize("c", [360360, F(1, 60)])
+def test_scale_eps_round_trip_returns_the_input(s, c):
+    _same(sewing._scale_eps(sewing._scale_eps(s, c), 1 / F(c)), s)
+
+
+def test_scale_eps_multiplies_each_term_by_c_to_its_absolute_eps_power():
+    assert coeff(sewing._scale_eps(_A, 6), {"q1": 2, "eps": 3}) == 4 * 6 ** 3
+    # the eps^2 prefactor counts too
+    scaled = sewing._scale_eps(PrefSeries(_B, {"eps": F(2)}), 10)
+    assert scaled.coeff({"q1": 0, "eps": 3}) == F(-1, 12) * 10 ** 3
+    assert scaled.coeff({"q1": 1, "eps": 2}) == 3 * 10 ** 2
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(MultiSeries((VarSpec("eps", 2, F(0), F(4)),), {(F(1, 2),): 1}), id="key"),
+    pytest.param(PrefSeries(_A, {"eps": F(1, 2)}), id="prefactor"),
+])
+def test_scale_eps_refuses_a_fractional_eps_exponent(s):
+    with pytest.raises(InternalError, match="not an integer"):
+        sewing._scale_eps(s, 6)
+
+
+@pytest.mark.parametrize("q_order, eps_order", [(8, 6), (12, 6), (12, 10)])
+def test_scaled_sewing_matrix_is_integral(q_order, eps_order):
+    # the Neumann series runs on ints only while every scaled entry is one;
+    # a Fraction here would keep the outputs but lose the speed quietly
+    c = sewing._eps_scale(eps_order)
+    for row in a_matrix(q_order, eps_order, "q1", required_m_max(eps_order)):
+        for entry in row:
+            scaled = sewing._scale_eps(entry, c)
+            assert {type(x) for x in scaled.terms.values()} <= {int}
+            assert len(scaled) == len(entry)
+
+
 def test_fourier_params_printed_orders():
     params = fourier_params(period_matrix(3, 5))
     qhat = params.qhat
