@@ -40,6 +40,14 @@ MUTANTS = (
     Mutant("the Weyl group of D_n has order 2^(n-2) n!", "lattice.py",
            "2 ** (n - 1) * math.factorial(n)", "2 ** (n - 2) * math.factorial(n)",
            ("tests/test_lattice.py::test_weyl_orbits_match_reflection_closure",)),
+    Mutant("a vector orthogonal to every simple root loses its negation", "lattice.py",
+           "                if sign <= 0:\n", "                if sign < 0:\n",
+           ("tests/test_lattice.py::test_weyl_orbits_match_reflection_closure",
+            "tests/test_lattice.py::test_theta_g2_unequal_orders")),
+    Mutant("the product of blocks keeps the summed r floor", "lattice.py",
+           'return ordered.with_min_floor("r", min((k[1] for k in keys), default=0))',
+           "return ordered",
+           ("tests/test_lattice.py::test_theta_g2_is_pinned",)),
     Mutant("product grids step by the larger gap, not the gcd", "series.py",
            "steps = tuple(gcd(ga, gb) or 1", "steps = tuple(max(ga, gb) or 1",
            ("tests/test_series.py::test_mul_on_exponent_grids_matches_naive_in_ascending_order",)),

@@ -28,7 +28,7 @@ from .elliptic import (
     theta_jacobi,
 )
 from .errors import TwoLoopError
-from .lattice import Lattice, builtin_lattice, enumerate_shells, theta_g2
+from .lattice import Lattice, builtin_lattice, shell_counts, theta_g2
 from .partition import (
     Ghost,
     GenusTwoZ,
@@ -224,14 +224,13 @@ def cmd_check(args) -> int:
 
 def cmd_lattice_info(args) -> int:
     lat = _load_lattice(args)
-    shells = enumerate_shells(lat, args.max_norm)
     payload = {
         "name": lat.name,
         "rank": lat.rank,
         "even": lat.is_even,
         "unimodular": lat.is_unimodular,
         "determinant": lat.determinant(),
-        "shell_counts": {str(n): shells.count(n) for n in shells.shells},
+        "shell_counts": {str(n): c for n, c in shell_counts(lat, args.max_norm).items()},
     }
     _emit(payload)
     return 0

@@ -5,10 +5,16 @@ built: the leading principal minors give the determinant and positive
 definiteness, and with the integers below the diagonal they bound every
 coordinate of the search in integer arithmetic, so no boundary vector is
 ever missed.
-Genus-two theta series count pairs of shells over Weyl orbits, in exact
-integers: the reflections in the roots (norm-2 vectors) of an even lattice
-are automorphisms, so each orbit of one shell needs the inner products of
-one vector only, against the stored rows of the other.
+A Gram matrix splits into the connected components of its nonzero
+off-diagonal entries, and the lattice is the orthogonal sum of these
+blocks: its shell sizes are the convolution of theirs, and its theta
+series, at genus one and two, the product of theirs (Conway and Sloane,
+*Sphere Packings, Lattices and Groups*, ch. 4).  Only the blocks are
+enumerated, each distinct block Gram once.
+Genus-two theta series of a block count pairs of shells over Weyl orbits,
+in exact integers: the reflections in the roots (norm-2 vectors) of an
+even lattice are automorphisms, so each orbit of one shell needs the inner
+products of one vector only, against the stored rows of the other.
 
 Both use the symmetry x -> -x of every shell of positive norm: the search
 visits, and a :class:`ShellTable` stores, one vector of each pair {x, -x}.
@@ -22,12 +28,12 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul, sub
+from functools import lru_cache, reduce
+from operator import mul as times, sub
 from types import MappingProxyType
 
 from .errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
-from .series import MultiSeries, VarSpec
+from .series import MultiSeries, VarSpec, mul
 
 F = Fraction
 
@@ -187,17 +193,49 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
         {k: tuple(sorted(v)) for k, v in sorted(shells.items())}))
 
 
+def _factors(lattice: Lattice) -> list[Lattice]:
+    """The orthogonal blocks of ``lattice``, one per connected component of
+    its nonzero off-diagonal Gram entries, in the order of their first basis
+    vectors.  Blocks with equal Grams are equal lattices, so the caches
+    enumerate each distinct block once; a lattice of one block is its own
+    factor."""
+    g, left, blocks = lattice.gram, set(range(lattice.rank)), []
+    while left:
+        block, grow = set(), {min(left)}
+        while grow:
+            block |= grow
+            left -= grow
+            grow = {j for i in grow for j in left if g[i][j]}
+        blocks.append(sorted(block))
+    if len(blocks) < 2:
+        return [lattice]
+    return [Lattice(f"{lattice.name} block", len(b), tuple(tuple(g[i][j] for j in b) for i in b))
+            for b in blocks]
+
+
+@lru_cache(maxsize=None)
+def shell_counts(lattice: Lattice, max_norm: int) -> Mapping[int, int]:
+    """The size of every nonempty full shell of norm <= ``max_norm``, in
+    ascending norm: the convolution of the shell sizes of the lattice's
+    :func:`_factors`.  Read-only: counts are cached and shared."""
+    counts = {0: 1}
+    for factor in _factors(lattice):
+        table, sums = enumerate_shells(factor, max_norm), Counter()
+        for n, c in counts.items():
+            for m in table.shells:
+                if n + m <= max_norm:
+                    sums[n + m] += c * table.count(m)
+        counts = sums
+    return MappingProxyType(dict(sorted(counts.items())))
+
+
 def theta_g1(lattice: Lattice, q_order: int) -> MultiSeries:
     """Genus-one lattice theta series sum_alpha q^(<a,a>/2)."""
     if not lattice.is_even:
         raise OddLattice(f"{lattice.name} is not even")
-    table = enumerate_shells(lattice, 2 * (q_order - 1))
-    spec = VarSpec("q", valid=q_order)
-    terms = {}
-    for norm in table.shells:
-        if norm % 2 == 0 and norm // 2 < q_order:
-            terms[(F(norm, 2),)] = table.count(norm)
-    return MultiSeries((spec,), terms)
+    counts = shell_counts(lattice, 2 * (q_order - 1))
+    return MultiSeries((VarSpec("q", valid=q_order),),
+                       {(F(norm, 2),): c for norm, c in counts.items()})
 
 
 #: |W| of type E by rank and number of positive roots (A, D: by formula)
@@ -205,7 +243,7 @@ _E_ORDERS = {6: {36: 51840}, 7: {63: 2903040}, 8: {120: 696729600}}
 
 
 def _dot(x, y) -> int:
-    return sum(map(mul, x, y))
+    return sum(map(times, x, y))
 
 
 def _weyl_orbits(gram, table: ShellTable) -> dict[int, list[tuple[tuple[int, ...], int]]]:
@@ -241,9 +279,26 @@ def _weyl_orbits(gram, table: ShellTable) -> dict[int, list[tuple[tuple[int, ...
         return order
 
     group = stabiliser((0,) * len(gram))
-    orbits = {norm: [(y, group // stabiliser(y)) for x in rows for y in (x, tuple(-v for v in x))
-                     if all(_dot(y, a) >= 0 for a in sg)]
-              for norm, rows in table.shells.items() if norm}
+    orbits = {}
+    for norm, rows in table.shells.items():
+        if not norm:
+            continue
+        orbits[norm] = kept = []
+        for x in rows:
+            # x is dominant when no <x, a> is negative and -x when none is
+            # positive: stop at the first sign against the first nonzero one
+            sign = 0
+            for a in sg:
+                d = _dot(x, a)
+                if d * sign < 0:
+                    break
+                sign = sign or d
+            else:
+                size = group // stabiliser(x)  # W_{-x} = W_x
+                if sign >= 0:
+                    kept.append((x, size))
+                if sign <= 0:
+                    kept.append((tuple(-v for v in x), size))
     if any(sum(size for _, size in orbits[n]) != table.count(n) for n in orbits):
         raise InternalError("the Weyl orbits of a shell do not fill it")
     return orbits
@@ -263,10 +318,24 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
 
     Coefficient of q^a s^c r^b counts pairs (alpha, beta) with norms 2a, 2c
     and inner product b.  Laurent in r; the support automatically satisfies
-    b^2 <= 4ac.
+    b^2 <= 4ac.  The series is the product of its :func:`_factors`' series,
+    each distinct block's counted once; the r floor is the lowest r exponent
+    held, not the sum of the blocks' floors, and the terms come in
+    ascending (q, s, r) order.
     """
     if not lattice.is_even:
         raise OddLattice(f"{lattice.name} is not even")
+    factors = _factors(lattice)
+    blocks = {f: _block_theta_g2(f, q_order, s_order) for f in set(factors)}
+    product = reduce(mul, [blocks[f] for f in factors])
+    keys = sorted(product.terms, key=lambda k: (k[0], k[2], k[1]))
+    ordered = MultiSeries._of(product.vars, {k: _PairCount(product.terms[k]) for k in keys})
+    return ordered.with_min_floor("r", min((k[1] for k in keys), default=0))
+
+
+def _block_theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
+    """:func:`theta_g2` of one block, counted over the Weyl orbits of its
+    roots; the r floor is the lowest r exponent held."""
     table = enumerate_shells(lattice, 2 * (max(q_order, s_order) - 1))
     orbits = _weyl_orbits(lattice.gram, table)
     norms_q = [nm for nm in table.shells if nm % 2 == 0 and nm // 2 < q_order]
@@ -274,7 +343,6 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
     # <a,c> = <c,a>: the histogram of (na, nc) is that of (nc, na)
     hists: dict[tuple[int, int], dict[int, int]] = {}
     terms = {}
-    bmin = F(0)
     for na in norms_q:
         for nc in norms_s:
             key = (min(na, nc), max(na, nc))
@@ -289,14 +357,10 @@ def theta_g2(lattice: Lattice, q_order: int, s_order: int) -> MultiSeries:
                         h[v] += size * k
                         h[-v] += size * k
                 hists[key] = dict(sorted(h.items()))
-            a, c = F(na, 2), F(nc, 2)
             for b, count in hists[key].items():
-                terms[(a, F(b), c)] = _PairCount(count)
-                bmin = min(bmin, F(b))
-    qs = VarSpec("q", valid=q_order)
-    rs = VarSpec("r", 1, bmin)
-    ss = VarSpec("s", valid=s_order)
-    return MultiSeries((qs, rs, ss), terms)
+                terms[(na // 2, b, nc // 2)] = count
+    rs = VarSpec("r", 1, min((k[1] for k in terms), default=0))
+    return MultiSeries._of((VarSpec("q", valid=q_order), rs, VarSpec("s", valid=s_order)), terms)
 
 
 # -- built-in Gram matrices -------------------------------------------------
@@ -335,7 +399,7 @@ def _validate_even_unimodular(lat: Lattice, expected_roots: int) -> None:
         raise DomainError(f"built-in {lat.name} failed the evenness check")
     if not lat.is_unimodular:
         raise DomainError(f"built-in {lat.name} failed the unimodularity check")
-    roots = enumerate_shells(lat, 2).count(2)
+    roots = shell_counts(lat, 2).get(2, 0)
     if roots != expected_roots:
         raise DomainError(
             f"built-in {lat.name} has {roots} roots, expected {expected_roots}"

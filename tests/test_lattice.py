@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from twoloop import cli
 from twoloop.elliptic import eisenstein
 from twoloop import lattice as lattice_module
 from twoloop.errors import DomainError, InternalError, NotPositiveDefinite, OddLattice
@@ -14,15 +15,18 @@ from twoloop.lattice import (
     _weyl_orbits,
     builtin_lattice,
     enumerate_shells,
+    shell_counts,
     theta_g1,
     theta_g2,
 )
 from twoloop.partition import t1_selfdual
 from twoloop.series import (
+    VarSpec,
     coeff,
     equal_on_joint_validity,
     limit_var_zero,
     mul,
+    pow_int,
     r_to_u,
 )
 
@@ -318,6 +322,105 @@ def test_negative_max_norm_has_no_vectors():
     for gram in _ORACLE_GRAMS.values():
         expected = _stored_half(_box_shells(gram, -1))
         assert dict(enumerate_shells(Lattice("x", len(gram), gram), -1).shells) == expected == {}
+
+
+def _interleaved(order, *blocks):
+    """The Gram matrix of the orthogonal sum of ``blocks`` in the basis
+    permuted by ``order``: basis vector k is the sum's vector order[k]."""
+    n = sum(map(len, blocks))
+    full, at = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            full[at + i][at:at + len(row)] = row
+        at += len(block)
+    return tuple(tuple(full[i][j] for j in order) for i in order)
+
+
+# orthogonal sums with their blocks interleaved in the basis; Z+A2 is odd
+_SUM_GRAMS = {
+    "A2+A2": _interleaved((0, 2, 1, 3), _ORACLE_GRAMS["A2"], _ORACLE_GRAMS["A2"]),
+    "A2+D4": _interleaved((2, 0, 3, 4, 1, 5), _ORACLE_GRAMS["A2"], _ORACLE_GRAMS["D4"]),
+    "Z+A2": _interleaved((1, 0, 2), ((1,),), _ORACLE_GRAMS["A2"]),
+}
+# (largest max_norm checked, ranks of the blocks in the order of their first
+# basis vectors)
+_SUM_CASES = {"A2+A2": (6, [2, 2]), "A2+D4": (4, [4, 2]), "Z+A2": (7, [2, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(_SUM_GRAMS))
+def test_shell_counts_of_an_orthogonal_sum_match_box_search(name):
+    gram = _SUM_GRAMS[name]
+    lat = Lattice(name, len(gram), gram)
+    top, ranks = _SUM_CASES[name]
+    assert [f.rank for f in lattice_module._factors(lat)] == ranks
+    for max_norm in range(-1, top + 1):
+        expected = {n: len(v) for n, v in _box_shells(gram, max_norm).items()}
+        assert list(shell_counts(lat, max_norm).items()) == list(expected.items()), max_norm
+    assert dict(shell_counts(lat, -1)) == {}
+    if name == "Z+A2":
+        assert {1, 3, 7} <= set(shell_counts(lat, 7))
+
+
+@pytest.mark.parametrize("q_order,s_order", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("name", ["A2+A2", "A2+D4"])
+def test_theta_of_an_orthogonal_sum_matches_full_pairs(name, q_order, s_order):
+    # the product of the blocks' series against every pair of full shells
+    # of the whole lattice, found by box search
+    gram = _SUM_GRAMS[name]
+    lat = Lattice(name, len(gram), gram)
+    rows = {n: np.array(v, dtype=np.int64) for n, v in _box_shells(gram, 4).items()}
+    g = np.array(gram, dtype=np.int64)
+    expected = {}
+    for na in range(0, 2 * q_order, 2):
+        for nc in range(0, 2 * s_order, 2):
+            if na in rows and nc in rows:
+                for b, count in _unique_histogram(g, rows[na], rows[nc]).items():
+                    expected[(F(na, 2), F(b), F(nc, 2))] = count
+    th = theta_g2(lat, q_order, s_order)
+    assert dict(th.iter_terms()) == expected
+    assert th.spec("r").min_exp == min(k[1] for k in expected)
+    g1 = {(F(n, 2),): len(v) for n, v in rows.items() if n < 2 * q_order}
+    assert dict(theta_g1(lat, q_order).iter_terms()) == g1
+
+
+_E8_G2_TERMS = [((0, 0, 0), 1), ((0, 0, 1), 240), ((1, 0, 0), 240), ((1, -2, 1), 240),
+                ((1, -1, 1), 13440), ((1, 0, 1), 30240), ((1, 1, 1), 13440), ((1, 2, 1), 240)]
+_E8X3_G2_TERMS = [((0, 0, 0), 1), ((0, 0, 1), 720), ((1, 0, 0), 720), ((1, -2, 1), 720),
+                  ((1, -1, 1), 40320), ((1, 0, 1), 436320), ((1, 1, 1), 40320),
+                  ((1, 2, 1), 720)]
+
+
+@pytest.mark.parametrize("name, terms", [("E8", _E8_G2_TERMS), ("E8x3", _E8X3_G2_TERMS)])
+def test_theta_g2_is_pinned(name, terms):
+    # the product of E8x3's three blocks keeps the variables, the r floor
+    # held by the data (not the summed floor -6), the (q, s, r) term order
+    # and the coefficient type of the single-block series
+    th = theta_g2(builtin_lattice(name), 2, 2)
+    assert th.vars == (VarSpec("q", valid=2), VarSpec("r", 1, -2), VarSpec("s", valid=2))
+    assert list(th.terms.items()) == terms
+    assert all(type(c) is lattice_module._PairCount for c in th.terms.values())
+
+
+def test_sums_of_e8_enumerate_only_their_blocks(monkeypatch, capsys):
+    # shell sizes of E8x3 come from one rank-8 table: no rank-24 vector is
+    # stored (to norm 6, E8x3 has about 17 million)
+    ranks = []
+    real = lattice_module.enumerate_shells
+
+    def spy(lattice, max_norm):
+        ranks.append(lattice.rank)
+        return real(lattice, max_norm)
+
+    monkeypatch.setattr(lattice_module, "enumerate_shells", spy)
+    shell_counts.cache_clear()
+    builtin_lattice.cache_clear()
+    e8x3 = builtin_lattice("E8x3")
+    th = theta_g1(e8x3, 4)
+    assert cli.main(["lattice-info", "--lattice", "E8x3", "--max-norm", "4"]) == 0
+    assert '"4": 179280' in capsys.readouterr().out
+    assert ranks and set(ranks) == {8}
+    cube = pow_int(theta_g1(builtin_lattice("E8"), 4), 3)
+    assert th.vars == cube.vars and list(th.terms.items()) == list(cube.terms.items())
 
 
 def test_cached_shells_are_read_only():
