@@ -97,6 +97,17 @@ MUTANTS = (
            "return _scale_eps(out, F(1, c))",
            "return PrefSeries(_scale_eps(out.body, F(1, c)), out.prefactor)",
            ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",)),
+    Mutant("the dead-u threshold leaves out the least u-power", "sewing.py",
+           "v = valid.pop() + lead * max(min(powers) - 1, 0)", "v = valid.pop()",
+           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain[u2-u6-at-3-4]",)),
+    Mutant("the dead-u cap skips the least-power guard", "sewing.py",
+           'if any(_least(capped, x) != _least(f, x) for x in ("q", "s", "u")):',
+           "if False:",
+           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain[qu9-q2u-at-4-4]",)),
+    Mutant("the dead-u cap skips the hats' q1 and q2 bounds", "sewing.py",
+           "if top >= min(_abs_valid(h, y) for h in hats):", "if False:",
+           ("tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[vanishing-q9u-at-3-4]",)),
 )
 
 

@@ -19,7 +19,9 @@ modular forms are then
 
 and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
 (q1, q2, eps) by substitution.  It caps the hats to the validity box of the
-result before substituting, so no step expands orders that a later step
+result before substituting, and it drops each term of a u-form whose
+u-power lands wholly past the result's eps bound (uhat starts at eps^2, so
+u^k starts at eps^(2k)), so no step expands orders that a later step
 throws away.  Two symmetries of the sewn period matrix
 halve the work of building these parameters: swapping the tori (q1 <-> q2)
 maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
@@ -45,6 +47,7 @@ from math import comb, lcm
 from .elliptic import eisenstein_hat
 from .errors import DomainError, InternalError
 from .series import (
+    UNBOUNDED,
     MultiSeries,
     PrefSeries,
     VarSpec,
@@ -233,13 +236,15 @@ class FourierParams:
     uhat: PrefSeries
 
 
+@lru_cache(maxsize=None)
 def fourier_params(sewing: SewingExpansion) -> FourierParams:
     """q = q1 exp(w11), s = q2 exp(w22), r = exp(w12), u = r + 1/r - 2.
 
     s is q with the tori swapped (q1 <-> q2), and exp(-w12) is exp(w12)
     under the reflection eps -> -eps, which negates w12 (checked here:
     every term of w12 has an odd eps power).  Only w11 and w12 are
-    exponentiated.
+    exponentiated.  Cached per sewing expansion (series compare by
+    identity), so the hats of one ``period_matrix`` are built once.
     """
     qhat = PrefSeries(exp_series(sewing.w11), {QVAR1: F(1)})
     shat = qhat.rename_vars({QVAR1: QVAR2, QVAR2: QVAR1})
@@ -261,6 +266,65 @@ def fourier_params(sewing: SewingExpansion) -> FourierParams:
     return FourierParams(qhat, shat, rhat, uhat)
 
 
+def _abs_valid(hat: PrefSeries, name: str) -> Fraction:
+    """The absolute (prefactor-included) bound of ``name`` in a hat."""
+    if not hat.body.has_var(name):
+        return UNBOUNDED
+    return hat.body.spec(name).valid + hat.prefactor.get(name, F(0))
+
+
+def _least(f: MultiSeries, name: str) -> tuple:
+    """The least stored exponent of ``name`` in ``f`` and its least positive
+    one (None where there is none)."""
+    if not f.has_var(name):
+        return None, None
+    i = f.var_index(name)
+    return (min((k[i] for k in f.terms), default=None),
+            min((k[i] for k in f.terms if k[i] > 0), default=None))
+
+
+def _drop_dead_u(f: MultiSeries, params: FourierParams) -> MultiSeries:
+    """``f`` without the terms whose u-power lands wholly past the eps
+    validity of the substituted result, where dropping them moves nothing.
+
+    uhat carries eps^L (L its eps lead), so u^k enters at eps^(L*k).  With
+    N the hats' absolute eps validity and k_min the least u-power of a
+    non-constant term of f, the result is known below eps^V,
+    V = N + L*max(k_min - 1, 0), whatever is dropped.  Capping u at
+    ceil(V/L) drops every u^k with k >= ceil(V/L), and substitute's
+    finite-tail rule then caps eps at L*ceil(V/L) >= V.
+
+    Each substitution takes its prefactor and bounds from the least power
+    and the least positive power of the variable it groups by.  So the cap
+    is applied to a form without r only when it drops a term and keeps
+    both for q, s and u, and when every q- and s-power of f lies below the
+    hats' q1 and q2 bounds, so that no term of f vanishes before the
+    u-step.
+    """
+    if not f.has_var("u") or f.has_var("r") or f.spec("u").den != 1:
+        return f
+    hats = (params.qhat, params.shat, params.uhat, params.rhat)
+    for x, y in (("q", QVAR1), ("s", QVAR2)):
+        if f.has_var(x):
+            i, den = f.var_index(x), f.spec(x).den
+            top = max((F(k[i], den) for k in f.terms), default=0)
+            if top >= min(_abs_valid(h, y) for h in hats):
+                return f
+    lead = params.uhat.leading_exponents().get(EPSVAR, 0)
+    valid = {_abs_valid(h, EPSVAR) for h in hats}
+    i = f.var_index("u")
+    powers = [k[i] for k in f.terms if any(k)]
+    if lead <= 0 or len(valid) != 1 or not powers:
+        return f
+    v = valid.pop() + lead * max(min(powers) - 1, 0)
+    if max(powers) < v / lead:
+        return f
+    capped = f.with_validity(u=-(-v // lead))
+    if any(_least(capped, x) != _least(f, x) for x in ("q", "s", "u")):
+        return f
+    return capped
+
+
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     """Rewrite a Fourier expansion in (q, s, r) or (q, s, u) as a series in
     the pinching parameters (q1, q2, eps).
@@ -271,10 +335,12 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     is the leading y-exponent of x's hat.  The hats are capped to that box
     before any substitution, so no step builds powers of a hat beyond the
     orders the last step keeps; the result is the same, term for term, as
-    substituting the uncapped hats.
+    substituting the uncapped hats.  Terms of a u-form that land wholly
+    past the result's eps validity are dropped first (:func:`_drop_dead_u`).
     """
     steps = (("q", params.qhat), ("s", params.shat),
              ("u", params.uhat), ("r", params.rhat))
+    f = _drop_dead_u(f, params)
     box: dict[str, Fraction] = {}
     for var, hat in steps:
         if not f.has_var(var) or is_unbounded(f.spec(var).valid):

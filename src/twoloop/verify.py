@@ -299,10 +299,21 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
     Omega11; the generators of :data:`INVARIANCES` are exact invariances of
     the pinching-parameter series.
     """
+    series = _weight_target(target, q_order, eps_order)
+    return _weight_residual(target, series, gamma, ctx, q_order, eps_order)
+
+
+def _weight_target(target: str, q_order: int, eps_order: int) -> PrefSeries:
+    """The series of a :data:`WEIGHT_TARGETS` entry at these orders."""
     if target not in WEIGHT_TARGETS:
         raise DomainError(f"unknown weight-check target {target!r}")
-    build, s1_law = WEIGHT_TARGETS[target]
-    series = build(q_order, eps_order)
+    return WEIGHT_TARGETS[target][0](q_order, eps_order)
+
+
+def _weight_residual(target: str, series: PrefSeries, gamma: str, ctx: EvalContext,
+                     q_order: int, eps_order: int) -> CheckResult:
+    """:func:`check_weight` on the target's series, built once by the caller."""
+    s1_law = WEIGHT_TARGETS[target][1]
     logs = ctx.valuation()
     base = eval_series(series, logs)
     if gamma == "S1":
@@ -334,9 +345,11 @@ def check_weight(target: str, gamma: str, ctx: EvalContext,
 def residual_scaling(target: str, ctx: EvalContext, q_order: int,
                      eps_order: int) -> tuple[float, CheckResult, CheckResult]:
     """Halving eps must reduce the S1 residual by roughly 2^4 = 16: the
-    residual is dominated by the first missing eps order of the data."""
-    big = check_weight(target, "S1", ctx, q_order, eps_order)
+    residual is dominated by the first missing eps order of the data.  The
+    target's series is built once and evaluated at both points."""
+    series = _weight_target(target, q_order, eps_order)
+    big = _weight_residual(target, series, "S1", ctx, q_order, eps_order)
     half_ctx = EvalContext(ctx.tau1, ctx.tau2, ctx.eps / 2)
-    small = check_weight(target, "S1", half_ctx, q_order, eps_order)
+    small = _weight_residual(target, series, "S1", half_ctx, q_order, eps_order)
     ratio = big.residual / small.residual if small.residual else float("inf")
     return ratio, big, small

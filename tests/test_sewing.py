@@ -30,7 +30,7 @@ from twoloop.sewing import (
     required_m_max,
     torus_pair,
 )
-from twoloop.siegel import delta10, psi4_theta_candidate
+from twoloop.siegel import delta10, psi4_theta_candidate, t2_selfdual
 
 from conftest import assert_refines
 
@@ -333,21 +333,70 @@ def _q_unbounded_form():
                                    (F(5), F(2), F(0)): -2})
 
 
+def _qsu(*terms):
+    """A form in (q, s, u), exact in each, from (q, s, u, coefficient) rows."""
+    return MultiSeries((VarSpec("q"), VarSpec("s"), VarSpec("u")),
+                       {(F(a), F(b), F(k)): c for a, b, k, c in terms})
+
+
 @pytest.mark.parametrize("form, sewing_orders", [
     pytest.param(lambda: delta10(6, 6).fourier_u, (12, 6), id="delta10-u-6-at-12-6"),
     pytest.param(lambda: delta10(4, 4).fourier, (4, 5), id="delta10-r-4-at-4-5"),
     pytest.param(lambda: psi4_theta_candidate(3, 3).fourier_u, (3, 2), id="psi4-u-3-at-3-2"),
     pytest.param(lambda: delta10(6, 6).fourier_u, (4, 3), id="delta10-u-6-at-4-3"),
     pytest.param(_q_unbounded_form, (4, 4), id="q-unbounded-at-4-4"),
+    # a constant alone: no u-term to drop, and no eps variable to add
+    pytest.param(lambda: t2_selfdual(1), (2, 2), id="t2-selfdual-1-at-2-2"),
+    # u^2 is known below eps^7: a cap from the hats' eps^5 alone would
+    # lower that, with or without a dead term beside it
+    pytest.param(lambda: _qsu((0, 0, 2, 1)), (3, 4), id="u2-at-3-4"),
+    pytest.param(lambda: _qsu((0, 0, 2, 1), (0, 0, 6, -2)), (3, 4), id="u2-u6-at-3-4"),
+    # the dead q*u^9 holds the least q-power, which sets the q1 prefactor
+    pytest.param(lambda: _qsu((1, 0, 9, 1), (2, 0, 1, 1)), (4, 4), id="qu9-q2u-at-4-4"),
+    pytest.param(lambda: _qsu((0, 0, 0, 3), (1, 1, 1, 1), (1, 1, 9, 1)), (4, 4),
+                 id="3-qsu-qsu9-at-4-4"),
+    # q^9*u lies past the hats' q1 bound and vanishes, so the least u-power
+    # that reaches the u-step is 2 and the result is known below eps^7
+    pytest.param(lambda: _qsu((9, 0, 1, 1), (1, 0, 2, -3), (1, 0, 5, 1)), (3, 4),
+                 id="vanishing-q9u-at-3-4"),
 ])
 def test_fourier_to_sewing_matches_uncapped_chain(form, sewing_orders):
-    # capping the hats to the result's box changes no term, bound or order
+    # capping the hats to the result's box, and dropping the u-terms past
+    # its eps bound, changes no term, bound or order
     f = form()
     params = fourier_params(period_matrix(*sewing_orders))
     got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
     assert got.body.vars == want.body.vars
     assert got.prefactor == want.prefactor
     assert list(got.body.terms.items()) == list(want.body.terms.items())
+
+
+def test_fourier_to_sewing_drops_the_dead_u_terms_before_the_q_step(monkeypatch):
+    # uhat carries eps^2 and the result is known below eps^7, so u^4 and up
+    # never reach the q-step; u^3 still does
+    seen = []
+    substitute = sewing.substitute
+    monkeypatch.setattr(sewing, "substitute",
+                        lambda f, var, g: seen.append((var, f)) or substitute(f, var, g))
+    fourier_to_sewing(delta10(6, 6).fourier_u, fourier_params(period_matrix(12, 6)))
+    var, f = seen[0]
+    assert var == "q"
+    i = f.body.var_index("u")
+    assert max(k[i] for k in f.body.terms) == 3
+
+
+def test_fourier_params_is_cached_and_read_only():
+    sew = period_matrix(3, 3)
+    params = fourier_params(sew)
+    assert fourier_params(sew) is params
+    with pytest.raises(AttributeError):
+        params.qhat = params.shat
+    with pytest.raises(AttributeError):
+        params.uhat.body = params.qhat.body
+    with pytest.raises(TypeError):
+        params.qhat.prefactor["q1"] = 2
+    with pytest.raises(TypeError):
+        params.rhat.body.terms[(0, 0, 0)] = 2
 
 
 def test_fourier_to_sewing_validity_caps():

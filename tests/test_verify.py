@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twoloop import verify
 from twoloop.cli import main
 from twoloop.errors import DomainError, SingularDenominator
 from twoloop.verify import (
@@ -339,6 +340,23 @@ def test_residual_scaling_is_eps4():
     ratio, big, small = residual_scaling("z24", ctx, q_order=16, eps_order=6)
     assert big.passed and small.passed
     assert 10 < ratio < 24, ratio
+
+
+@pytest.mark.parametrize("target, builder", [("z24", "z2"),
+                                              ("delta10-sewing", "fourier_to_sewing")])
+def test_residual_scaling_builds_its_target_once(target, builder, monkeypatch):
+    # one series serves both points, and each result is bit for bit the
+    # one check_weight gives at that point
+    ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.03)
+    half = EvalContext(ctx.tau1, ctx.tau2, ctx.eps / 2)
+    want = [check_weight(target, "S1", c, q_order=12, eps_order=6) for c in (ctx, half)]
+    calls = []
+    build = getattr(verify, builder)
+    monkeypatch.setattr(verify, builder, lambda *a: calls.append(1) or build(*a))
+    ratio, big, small = residual_scaling(target, ctx, q_order=12, eps_order=6)
+    assert len(calls) == 1
+    assert [big, small] == want
+    assert ratio == want[0].residual / want[1].residual
 
 
 @pytest.mark.parametrize("form,weight", [("E4", 4), ("E6", 6), ("Delta", 12), ("DE4", 6)])
