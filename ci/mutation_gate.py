@@ -97,17 +97,30 @@ MUTANTS = (
            "return _scale_eps(out, F(1, c))",
            "return PrefSeries(_scale_eps(out.body, F(1, c)), out.prefactor)",
            ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",)),
-    Mutant("the dead-u threshold leaves out the least u-power", "sewing.py",
+    Mutant("the eps bound of the u-budgets leaves out the least u-power", "sewing.py",
            "v = valid.pop() + lead * max(min(powers) - 1, 0)", "v = valid.pop()",
-           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain[u2-u6-at-3-4]",)),
-    Mutant("the dead-u cap skips the least-power guard", "sewing.py",
-           'if any(_least(capped, x) != _least(f, x) for x in ("q", "s", "u")):',
+           ("tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[qsu2-qsu6-at-3-4]",
+            "tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain_on_random_forms")),
+    Mutant("a u-power without budget is left out even where it holds a least power",
+           "sewing.py",
+           "and lows.intersection(enumerate(key))", "and False",
+           ("tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[qu9-q2u-at-4-4]",)),
+    Mutant("the u-budgets skip the hats' q1 and q2 bounds", "sewing.py",
+           "if max(cols.get(x, [0])) >= min(_abs_valid(h, y) for h in hats.values()):",
            "if False:",
-           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain[qu9-q2u-at-4-4]",)),
-    Mutant("the dead-u cap skips the hats' q1 and q2 bounds", "sewing.py",
-           "if top >= min(_abs_valid(h, y) for h in hats):", "if False:",
            ("tests/test_sewing.py::"
             "test_fourier_to_sewing_matches_uncapped_chain[vanishing-q9u-at-3-4]",)),
+    Mutant("each u-power's eps budget is one uhat lead too tight", "sewing.py",
+           "{k: v - lead * k for k in set(cols[\"u\"]) if v > lead * k}",
+           "{k: v - lead * (k + 1) for k in set(cols[\"u\"]) if v > lead * (k + 1)}",
+           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",
+            "tests/test_golden.py::test_golden_digest")),
+    Mutant("the q- and s-steps ignore the eps budgets", "sewing.py",
+           "if b is None or b >= _abs_valid(hat, EPSVAR):", "if True:",
+           ("tests/test_sewing.py::test_fourier_to_sewing_forms_no_term_past_its_eps_budget",)),
 )
 
 

@@ -19,10 +19,10 @@ modular forms are then
 
 and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
 (q1, q2, eps) by substitution.  It caps the hats to the validity box of the
-result before substituting, and it drops each term of a u-form whose
-u-power lands wholly past the result's eps bound (uhat starts at eps^2, so
-u^k starts at eps^(2k)), so no step expands orders that a later step
-throws away.  Two symmetries of the sewn period matrix
+result before substituting, and it substitutes q and s into each u-power of
+a u-form within its own eps budget (uhat starts at eps^2, so u^k needs them
+only to eps^(2k) less than the result), so no step expands orders that a
+later step throws away.  Two symmetries of the sewn period matrix
 halve the work of building these parameters: swapping the tori (q1 <-> q2)
 maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
 eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, lcm
 
 from .elliptic import eisenstein_hat
@@ -273,56 +273,76 @@ def _abs_valid(hat: PrefSeries, name: str) -> Fraction:
     return hat.body.spec(name).valid + hat.prefactor.get(name, F(0))
 
 
-def _least(f: MultiSeries, name: str) -> tuple:
-    """The least stored exponent of ``name`` in ``f`` and its least positive
-    one (None where there is none)."""
-    if not f.has_var(name):
-        return None, None
-    i = f.var_index(name)
-    return (min((k[i] for k in f.terms), default=None),
-            min((k[i] for k in f.terms if k[i] > 0), default=None))
-
-
-def _drop_dead_u(f: MultiSeries, params: FourierParams) -> MultiSeries:
-    """``f`` without the terms whose u-power lands wholly past the eps
-    validity of the substituted result, where dropping them moves nothing.
-
-    uhat carries eps^L (L its eps lead), so u^k enters at eps^(L*k).  With
-    N the hats' absolute eps validity and k_min the least u-power of a
-    non-constant term of f, the result is known below eps^V,
-    V = N + L*max(k_min - 1, 0), whatever is dropped.  Capping u at
-    ceil(V/L) drops every u^k with k >= ceil(V/L), and substitute's
-    finite-tail rule then caps eps at L*ceil(V/L) >= V.
-
-    Each substitution takes its prefactor and bounds from the least power
-    and the least positive power of the variable it groups by.  So the cap
-    is applied to a form without r only when it drops a term and keeps
-    both for q, s and u, and when every q- and s-power of f lies below the
-    hats' q1 and q2 bounds, so that no term of f vanishes before the
-    u-step.
+def _eps_budgets(f: MultiSeries, hats: dict[str, PrefSeries]) -> dict | None:
+    """Per u-power k of ``f``, the absolute eps bound below which its q- and
+    s-steps are needed (None: the box cap alone; a u-power left out is not
+    substituted at all), or None where no budget applies.  uhat carries
+    eps^L (L its eps lead), so u^k needs its q- and s-images only below
+    eps^(V - L*k), V the result's eps bound.  With N the hats' one absolute
+    eps bound and k_min the least u-power of a non-constant term, V = N +
+    L*max(k_min - 1, 0) bounds it when the k_min term reaches the u-step:
+    so every q- and s-power of f must lie below the hats' q1 and q2 bounds,
+    and then no term vanishes before it.  A u-power whose budget is not
+    positive is left out unless it holds one of the two least q-, s- or
+    u-powers of f that no budgeted term holds: each substitution takes its
+    prefactor, bounds and variable order from those.
     """
-    if not f.has_var("u") or f.has_var("r") or f.spec("u").den != 1:
-        return f
-    hats = (params.qhat, params.shat, params.uhat, params.rhat)
+    if (not f.has_var("u") or any(v.den != 1 for v in f.vars)
+            or {v.name for v in f.vars} - {"q", "s", "u"}):
+        return None
+    cols = {v.name: col for v, col in zip(f.vars, zip(*f.terms))}
     for x, y in (("q", QVAR1), ("s", QVAR2)):
-        if f.has_var(x):
-            i, den = f.var_index(x), f.spec(x).den
-            top = max((F(k[i], den) for k in f.terms), default=0)
-            if top >= min(_abs_valid(h, y) for h in hats):
-                return f
-    lead = params.uhat.leading_exponents().get(EPSVAR, 0)
-    valid = {_abs_valid(h, EPSVAR) for h in hats}
+        if max(cols.get(x, [0])) >= min(_abs_valid(h, y) for h in hats.values()):
+            return None
+    lead = hats["u"].leading_exponents().get(EPSVAR, 0)
+    valid = {_abs_valid(h, EPSVAR) for h in hats.values()}
     i = f.var_index("u")
     powers = [k[i] for k in f.terms if any(k)]
     if lead <= 0 or len(valid) != 1 or not powers:
-        return f
+        return None
     v = valid.pop() + lead * max(min(powers) - 1, 0)
-    if max(powers) < v / lead:
-        return f
-    capped = f.with_validity(u=-(-v // lead))
-    if any(_least(capped, x) != _least(f, x) for x in ("q", "s", "u")):
-        return f
-    return capped
+    budgets = {k: v - lead * k for k in set(cols["u"]) if v > lead * k}
+    lows = {(j, e) for j, col in enumerate(cols.values()) for e in sorted(set(col))[:2]}
+    lows -= {(j, e) for key in f.terms if key[i] in budgets for j, e in enumerate(key)}
+    budgets.update({key[i]: None for key in f.terms
+                    if key[i] not in budgets and lows.intersection(enumerate(key))})
+    return budgets
+
+
+def _substitute_by_u(s: PrefSeries, var: str, hat: PrefSeries, budgets) -> PrefSeries:
+    """``substitute(s, var, hat)`` one u-power k at a time, with the hat's
+    eps capped at ``budgets[k]`` (see :func:`_eps_budgets`).  The parts add
+    up in the order of their least ``var``-power, as substitute adds up its
+    groups, and the terms free of ``var`` join the first (whose budget is
+    then the loosest of theirs), so the variables come in substitute's
+    order.  A part substituted under a budget gets the hat's eps bound
+    back, since what the budget left out lands past the result's: the sum
+    has the variables, bounds and prefactor of ``substitute(s, var, hat)``.
+    """
+    if budgets is None or not s.body.has_var(var):
+        return substitute(s, var, hat)
+    body, eps = s.body, hat.body.spec(EPSVAR)
+    i, j = body.var_index("u"), body.var_index(var)
+    parts: dict = {}
+    for key, c in body.terms.items():
+        if key[i] in budgets:
+            parts.setdefault(key[i] if key[j] else None, {})[key] = c
+    order = sorted(parts.keys() - {None}, key=lambda k: min(key[j] for key in parts[k])) or [None]
+    parts[order[0]] = {**parts.get(order[0], {}), **parts.pop(None, {})}
+    loose = {budgets[key[i]] for key in parts[order[0]]}
+    outs = []
+    for k in order:
+        b = budgets[k] if outs else (None if None in loose else max(loose))
+        part = PrefSeries(MultiSeries._of(body.vars, parts[k]), s.prefactor)
+        if b is None or b >= _abs_valid(hat, EPSVAR):
+            outs.append(substitute(part, var, hat))
+        else:
+            out = substitute(part, var, hat.cap_absolute_valid(EPSVAR, b))
+            vars = tuple(eps if v.name == EPSVAR else v for v in out.body.vars)
+            outs.append(PrefSeries(MultiSeries._of(vars, out.body.terms), out.prefactor))
+    total = reduce(PrefSeries.add, outs)
+    # PrefSeries.add orders a prefactor through a set; substitute's order is the first part's
+    return PrefSeries(total.body, {n: total.prefactor[n] for n in outs[0].prefactor})
 
 
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
@@ -334,32 +354,42 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     :func:`~twoloop.series.substituted_validity`), where ``lead_x(y) > 0``
     is the leading y-exponent of x's hat.  The hats are capped to that box
     before any substitution, so no step builds powers of a hat beyond the
-    orders the last step keeps; the result is the same, term for term, as
-    substituting the uncapped hats.  Terms of a u-form that land wholly
-    past the result's eps validity are dropped first (:func:`_drop_dead_u`).
+    orders the last step keeps, but not where a cap would move the hat's
+    leading exponents, which substitute reads for its own bounds.  The q-
+    and s-steps run one u-power at a time (a form without u is one), each
+    within its eps budget (:func:`_eps_budgets`), forming no term past the
+    result's eps bound.  The result is, term for term, the uncapped hats'.
     """
     steps = (("q", params.qhat), ("s", params.shat),
              ("u", params.uhat), ("r", params.rhat))
-    f = _drop_dead_u(f, params)
+    leads = {var: hat.leading_exponents() for var, hat in steps}
     box: dict[str, Fraction] = {}
-    for var, hat in steps:
+    for var, _ in steps:
         if not f.has_var(var) or is_unbounded(f.spec(var).valid):
             continue
-        for y, lead in hat.leading_exponents().items():
+        for y, lead in leads[var].items():
             if lead > 0:
                 floor = f.spec(y).min_exp if f.has_var(y) else 0
                 bound = substituted_validity(f.spec(var).valid, lead, floor)
                 box[y] = min(box.get(y, bound), bound)
+    hats = {}
+    for var, hat in steps:
+        # a body without y is exact in y; adding y would reorder its vars
+        rel = {y: b - hat.prefactor.get(y, 0) for y, b in box.items() if hat.body.has_var(y)}
+        rel = {y: b for y, b in rel.items() if b < hat.body.spec(y).valid}
+        capped = PrefSeries(hat.body.with_validity(**rel), hat.prefactor) if rel else hat
+        hats[var] = capped if capped.leading_exponents() == leads[var] else hat
+    budgets = _eps_budgets(f, hats)
     # substitution commutes with eps -> c*eps: substitute the scaled hats
     # into the scaled f, mostly on ints, and unscale the result once
     c = _eps_scale(max(_eps_degree(hat) for _, hat in steps))
     out = _scale_eps(PrefSeries(f), c)
-    for var, hat in steps:
-        for y, bound in box.items():
-            # a body without y is exact in y; adding y would reorder its vars
-            if hat.body.has_var(y):
-                hat = hat.cap_absolute_valid(y, bound)
-        out = substitute(out, var, _scale_eps(hat, c))
+    for var, hat in hats.items():
+        hat = _scale_eps(hat, c)
+        if var in ("q", "s"):
+            out = _substitute_by_u(out, var, hat, budgets)
+        else:
+            out = substitute(out, var, hat)
     return _scale_eps(out, F(1, c))
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -138,7 +139,7 @@ _B = _in_q1_eps({(0, 1): F(-1, 12), (1, 0): 3, (3, 2): F(1, 2)})
 def _same(got, want):
     assert type(got) is type(want)
     if isinstance(want, PrefSeries):
-        assert got.prefactor == want.prefactor
+        assert list(got.prefactor.items()) == list(want.prefactor.items())
         got, want = got.body, want.body
     assert got.vars == want.vars
     assert list(got.terms.items()) == list(want.terms.items())
@@ -351,6 +352,8 @@ def _qsu(*terms):
     # lower that, with or without a dead term beside it
     pytest.param(lambda: _qsu((0, 0, 2, 1)), (3, 4), id="u2-at-3-4"),
     pytest.param(lambda: _qsu((0, 0, 2, 1), (0, 0, 6, -2)), (3, 4), id="u2-u6-at-3-4"),
+    # the same with q*s: the q- and s-images of u^2 are needed below eps^3
+    pytest.param(lambda: _qsu((1, 1, 2, 1), (1, 1, 6, -2)), (3, 4), id="qsu2-qsu6-at-3-4"),
     # the dead q*u^9 holds the least q-power, which sets the q1 prefactor
     pytest.param(lambda: _qsu((1, 0, 9, 1), (2, 0, 1, 1)), (4, 4), id="qu9-q2u-at-4-4"),
     pytest.param(lambda: _qsu((0, 0, 0, 3), (1, 1, 1, 1), (1, 1, 9, 1)), (4, 4),
@@ -359,30 +362,59 @@ def _qsu(*terms):
     # that reaches the u-step is 2 and the result is known below eps^7
     pytest.param(lambda: _qsu((9, 0, 1, 1), (1, 0, 2, -3), (1, 0, 5, 1)), (3, 4),
                  id="vanishing-q9u-at-3-4"),
+    # known below q^1 only: a box cap in q1 would empty qhat and move the
+    # leading exponents that the q-step reads for its q2 bound
+    pytest.param(lambda: MultiSeries((VarSpec("q", valid=F(1)), VarSpec("s")),
+                                     {(F(0), F(0)): 1, (F(0), F(2)): -3}),
+                 (3, 4), id="1-3s2-below-q1-at-3-4"),
 ])
 def test_fourier_to_sewing_matches_uncapped_chain(form, sewing_orders):
-    # capping the hats to the result's box, and dropping the u-terms past
-    # its eps bound, changes no term, bound or order
+    # capping the hats to the result's box, and giving each u-power its own
+    # eps budget, changes no term, bound or order
     f = form()
     params = fourier_params(period_matrix(*sewing_orders))
     got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
     assert got.body.vars == want.body.vars
-    assert got.prefactor == want.prefactor
+    assert list(got.prefactor.items()) == list(want.prefactor.items())
     assert list(got.body.terms.items()) == list(want.body.terms.items())
 
 
-def test_fourier_to_sewing_drops_the_dead_u_terms_before_the_q_step(monkeypatch):
-    # uhat carries eps^2 and the result is known below eps^7, so u^4 and up
-    # never reach the q-step; u^3 still does
+def _random_form(rng):
+    """Up to six terms in (q, s, u) with u-powers up to 9, each of q and s
+    known to a random order or exact."""
+    vars = (*(VarSpec(x) if rng.random() < 0.5 else VarSpec(x, valid=F(rng.randint(1, 7)))
+              for x in ("q", "s")), VarSpec("u"))
+    terms = {(F(rng.randint(0, 6)), F(rng.randint(0, 6)), F(rng.randint(0, 9))):
+             F(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 6))}
+    return MultiSeries(vars, terms)
+
+
+def test_fourier_to_sewing_matches_uncapped_chain_on_random_forms():
+    rng = random.Random(20071)
+    for _ in range(200):
+        f = _random_form(rng)
+        params = fourier_params(period_matrix(*rng.choice([(3, 4), (4, 4), (5, 5)])))
+        got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
+        assert got.body.vars == want.body.vars, f
+        assert list(got.prefactor.items()) == list(want.prefactor.items()), f
+        assert list(got.body.terms.items()) == list(want.body.terms.items()), f
+
+
+def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
+    # uhat carries eps^2 and the result is known below eps^7, so no
+    # substitution may return a term with eps-exponent + 2*(u-power) >= 7
     seen = []
     substitute = sewing.substitute
     monkeypatch.setattr(sewing, "substitute",
-                        lambda f, var, g: seen.append((var, f)) or substitute(f, var, g))
+                        lambda f, var, g: seen.append(substitute(f, var, g)) or seen[-1])
     fourier_to_sewing(delta10(6, 6).fourier_u, fourier_params(period_matrix(12, 6)))
-    var, f = seen[0]
-    assert var == "q"
-    i = f.body.var_index("u")
-    assert max(k[i] for k in f.body.terms) == 3
+    assert len(seen) > 3
+    for out in seen:
+        body = out.body
+        e, u = (body.var_index(x) if body.has_var(x) else None for x in ("eps", "u"))
+        pref = out.prefactor.get("eps", 0)
+        for k in body.terms:
+            assert pref + (k[e] if e is not None else 0) + 2 * (k[u] if u is not None else 0) < 7
 
 
 def test_fourier_params_is_cached_and_read_only():
