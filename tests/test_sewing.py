@@ -139,7 +139,7 @@ _B = _in_q1_eps({(0, 1): F(-1, 12), (1, 0): 3, (3, 2): F(1, 2)})
 def _same(got, want):
     assert type(got) is type(want)
     if isinstance(want, PrefSeries):
-        assert list(got.prefactor.items()) == list(want.prefactor.items())
+        assert got.prefactor == want.prefactor
         got, want = got.body, want.body
     assert got.vars == want.vars
     assert list(got.terms.items()) == list(want.terms.items())
