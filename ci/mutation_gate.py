@@ -118,6 +118,12 @@ MUTANTS = (
            "{k: v - lead * (k + 1) for k in set(cols[\"u\"]) if v > lead * (k + 1)}",
            ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",
             "tests/test_golden.py::test_golden_digest")),
+    Mutant("the part that takes the terms free of the variable keeps its own budget",
+           "sewing.py",
+           "b = budgets[k] if outs else (None if None in loose else max(loose))",
+           "b = budgets.get(k)",
+           ("tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[qu-qsu2-at-3-4]",)),
     Mutant("the q- and s-steps ignore the eps budgets", "sewing.py",
            "if b is None or b >= _abs_valid(hat, EPSVAR):", "if True:",
            ("tests/test_sewing.py::test_fourier_to_sewing_forms_no_term_past_its_eps_budget",)),
