@@ -40,6 +40,12 @@ MUTANTS = (
     Mutant("the Weyl group of D_n has order 2^(n-2) n!", "lattice.py",
            "2 ** (n - 1) * math.factorial(n)", "2 ** (n - 2) * math.factorial(n)",
            ("tests/test_lattice.py::test_weyl_orbits_match_reflection_closure",)),
+    Mutant("the shell counts keep only even norms, as if every lattice were even",
+           "lattice.py",
+           "counts = {n: 2 * c if n else c for n, c in rows.items()}",
+           "counts = {n: 2 * c if n else c for n, c in rows.items() if n % 2 == 0}",
+           ("tests/test_lattice.py::test_enumerate_shells_matches_box_search",
+            "tests/test_lattice.py::test_shell_counts_of_an_orthogonal_sum_match_box_search")),
     Mutant("a vector orthogonal to every simple root loses its negation", "lattice.py",
            "                if sign <= 0:\n", "                if sign < 0:\n",
            ("tests/test_lattice.py::test_weyl_orbits_match_reflection_closure",

@@ -149,18 +149,19 @@ class ShellTable:
         return 2 * rows if norm else rows
 
 
-@lru_cache(maxsize=None)
-def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
-    """The vectors with <x,x> <= max_norm, one of each pair {x, -x}, by
-    depth-first search with exact integer bounds from the lattice's
-    :func:`_elimination`.
+def _search(lattice: Lattice, max_norm: int, leaf) -> None:
+    """Call ``leaf(norm, x)`` once for each vector x with <x,x> <= max_norm,
+    one of each pair {x, -x}: the one whose last nonzero coordinate is
+    positive, and the zero vector.  ``x`` is the search's own list, so a leaf
+    that keeps it copies it.
 
-    With ``scale`` the lcm of the M_i M_{i+1}, ``scale <x,x>`` is the sum of
-    ``w_i (M_{i+1} x_i + c_i)^2`` for the integer weights
-    ``w_i = scale / (M_i M_{i+1})``, so every bound and every remaining
-    budget in the search is an integer.  Shells are closed under
+    Depth-first search with exact integer bounds from the lattice's
+    :func:`_elimination`.  With ``scale`` the lcm of the M_i M_{i+1},
+    ``scale <x,x>`` is the sum of ``w_i (M_{i+1} x_i + c_i)^2`` for the
+    integer weights ``w_i = scale / (M_i M_{i+1})``, so every bound and every
+    remaining budget in the search is an integer.  Shells are closed under
     x -> -x, so the search keeps the last nonzero coordinate positive: half
-    the search tree, and half of each shell stored.
+    the search tree.
     """
     n, (minors, below) = lattice.rank, lattice._elim
     scale = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
@@ -168,14 +169,13 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
     levels = [(minors[i + 1], scale // (minors[i] * minors[i + 1]), below[i])
               for i in range(n)]
     top = scale * max_norm
-    shells: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
 
     def descend(i: int, budget: int, lead: bool):
         # lead: every coordinate above i is 0, so c = 0, the range of x_i is
         # symmetric and only x_i >= 0 is searched
         if i < 0:
-            shells.setdefault((top - budget) // scale, []).append(tuple(x))
+            leaf((top - budget) // scale, x)
             return
         mult, weight, col = levels[i]
         c = sum(a * x[j] for j, a in col)
@@ -189,6 +189,18 @@ def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
 
     if max_norm >= 0:
         descend(n - 1, top, True)
+
+
+@lru_cache(maxsize=None)
+def enumerate_shells(lattice: Lattice, max_norm: int) -> ShellTable:
+    """The vectors with <x,x> <= max_norm, one of each pair {x, -x}, as
+    :func:`_search` finds them, each shell sorted."""
+    shells: dict[int, list[tuple[int, ...]]] = {}
+
+    def keep(norm: int, x: list[int]):
+        shells.setdefault(norm, []).append(tuple(x))
+
+    _search(lattice, max_norm, keep)
     return ShellTable(max_norm, MappingProxyType(
         {k: tuple(sorted(v)) for k, v in sorted(shells.items())}))
 
@@ -216,16 +228,29 @@ def _factors(lattice: Lattice) -> list[Lattice]:
 @lru_cache(maxsize=None)
 def shell_counts(lattice: Lattice, max_norm: int) -> Mapping[int, int]:
     """The size of every nonempty full shell of norm <= ``max_norm``, in
-    ascending norm: the convolution of the shell sizes of the lattice's
-    :func:`_factors`.  Read-only: counts are cached and shared."""
-    counts = {0: 1}
-    for factor in _factors(lattice):
-        table, sums = enumerate_shells(factor, max_norm), Counter()
-        for n, c in counts.items():
-            for m in table.shells:
-                if n + m <= max_norm:
-                    sums[n + m] += c * table.count(m)
-        counts = sums
+    ascending norm.  A lattice of one block counts the vectors
+    :func:`_search` visits, storing none; a lattice of several convolves the
+    cached counts of its :func:`_factors`.  Read-only: counts are cached and
+    shared."""
+    factors = _factors(lattice)
+    if len(factors) == 1:
+        rows = Counter()
+
+        def tally(norm: int, x: list[int]):
+            rows[norm] += 1
+
+        _search(lattice, max_norm, tally)
+        # the search visits one vector of each pair {x, -x}
+        counts = {n: 2 * c if n else c for n, c in rows.items()}
+    else:
+        counts = {0: 1}
+        for factor in factors:
+            block, sums = shell_counts(factor, max_norm), Counter()
+            for n, c in counts.items():
+                for m, d in block.items():
+                    if n + m <= max_norm:
+                        sums[n + m] += c * d
+            counts = sums
     return MappingProxyType(dict(sorted(counts.items())))
 
 

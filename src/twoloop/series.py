@@ -878,8 +878,9 @@ class PrefSeries:
     def _aligned_bodies(self, other: "PrefSeries") -> tuple[dict, MultiSeries, MultiSeries]:
         """``(common, body_a, body_b)``: the two series over one common
         prefactor (the per-variable minimum), the excess of each pushed into
-        its body."""
-        names = set(self.prefactor) | set(other.prefactor)
+        its body.  The names come in ``self``'s order, then ``other``'s new
+        ones, so neither order depends on string hashing."""
+        names = [*self.prefactor, *(n for n in other.prefactor if n not in self.prefactor)]
         common = {n: min(self.prefactor.get(n, _ZERO), other.prefactor.get(n, _ZERO))
                   for n in names}
         bodies = []

@@ -340,9 +340,7 @@ def _substitute_by_u(s: PrefSeries, var: str, hat: PrefSeries, budgets) -> PrefS
             out = substitute(part, var, hat.cap_absolute_valid(EPSVAR, b))
             vars = tuple(eps if v.name == EPSVAR else v for v in out.body.vars)
             outs.append(PrefSeries(MultiSeries._of(vars, out.body.terms), out.prefactor))
-    total = reduce(PrefSeries.add, outs)
-    # PrefSeries.add orders a prefactor through a set; substitute's order is the first part's
-    return PrefSeries(total.body, {n: total.prefactor[n] for n in outs[0].prefactor})
+    return reduce(PrefSeries.add, outs)
 
 
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:

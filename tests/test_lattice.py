@@ -283,19 +283,25 @@ _ORACLE_GRAMS = {
 _ORACLE_NORMS = {"A2": (6, 4), "D4": (4, 5), "odd3": (9, 7), "sheared": (5, 3)}
 
 
-@pytest.mark.parametrize("where", ["zero", "on-shell", "between-shells"])
+@pytest.mark.parametrize("where", ["negative", "zero", "on-shell", "between-shells"])
 @pytest.mark.parametrize("name", sorted(_ORACLE_GRAMS))
 def test_enumerate_shells_matches_box_search(name, where):
     gram = _ORACLE_GRAMS[name]
     on, between = _ORACLE_NORMS[name]
-    max_norm = {"zero": 0, "on-shell": on, "between-shells": between}[where]
+    max_norm = {"negative": -1, "zero": 0, "on-shell": on, "between-shells": between}[where]
     full = _box_shells(gram, max_norm)
     if where == "on-shell":
         assert max_norm in full  # vectors on the boundary of the ellipsoid
     if where == "between-shells":
         assert max_norm not in full and max(full) < max_norm
-    table = enumerate_shells(Lattice(name, len(gram), gram), max_norm)
+    lat = Lattice(name, len(gram), gram)
+    table = enumerate_shells(lat, max_norm)
     assert dict(table.shells) == _stored_half(full)
+    # each lattice here is one block, so shell_counts counts in the search
+    # itself, storing no vector
+    assert [f.rank for f in lattice_module._factors(lat)] == [len(gram)]
+    counts = [(norm, table.count(norm)) for norm in table.shells]
+    assert list(shell_counts(lat, max_norm).items()) == counts
     # the stored rows and their negations make up each full shell, no overlap
     for norm, vecs in table.shells.items():
         negated = {tuple(-xi for xi in x) for x in vecs} if norm else set()
@@ -402,16 +408,16 @@ def test_theta_g2_is_pinned(name, terms):
 
 
 def test_sums_of_e8_enumerate_only_their_blocks(monkeypatch, capsys):
-    # shell sizes of E8x3 come from one rank-8 table: no rank-24 vector is
-    # stored (to norm 6, E8x3 has about 17 million)
+    # shell sizes of E8x3 come from searches of its rank-8 blocks: no
+    # rank-24 vector is visited (to norm 6, E8x3 has about 17 million)
     ranks = []
-    real = lattice_module.enumerate_shells
+    real = lattice_module._search
 
-    def spy(lattice, max_norm):
+    def spy(lattice, max_norm, leaf):
         ranks.append(lattice.rank)
-        return real(lattice, max_norm)
+        return real(lattice, max_norm, leaf)
 
-    monkeypatch.setattr(lattice_module, "enumerate_shells", spy)
+    monkeypatch.setattr(lattice_module, "_search", spy)
     shell_counts.cache_clear()
     builtin_lattice.cache_clear()
     e8x3 = builtin_lattice("E8x3")

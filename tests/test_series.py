@@ -1,15 +1,20 @@
 import copy
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import twoloop
 from twoloop.errors import (
     AsymmetryError,
     DomainError,
@@ -925,6 +930,34 @@ def test_prefseries_add_aligns_prefactors():
     out = a.add(b)
     assert out.coeff({"q": -1}) == 1
     assert out.coeff({"q": 0}) == 744
+
+
+_HASHSEED_PROBE = """
+import json
+from twoloop.series import MultiSeries, PrefSeries
+out = []
+for pa, pb in (({"q1": 1, "q2": 2, "eps": 1}, {"eps": 3, "q2": 1, "q1": 2}),
+               ({"q1": 1, "q2": 2, "eps": 1}, {})):
+    s = PrefSeries(MultiSeries.constant(2), pa).add(PrefSeries(MultiSeries.constant(3), pb))
+    out.append([list(s.prefactor), [v.name for v in s.body.vars]])
+print(json.dumps(out))
+"""
+
+
+def test_prefseries_add_orders_names_without_string_hashing():
+    # the common prefactor takes the first operand's names in order, then
+    # the second's new ones, and the excess goes into each body in that
+    # order: the same under every PYTHONHASHSEED
+    src = str(Path(twoloop.__file__).parents[1])
+    seen = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _HASHSEED_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        seen.add(proc.stdout)
+    assert len(seen) == 1, seen
+    assert json.loads(seen.pop()) == [[["q1", "q2", "eps"], ["q2", "q1", "eps"]],
+                                      [[], ["q1", "q2", "eps"]]]
 
 
 def test_prefseries_fractional_prefactor():
