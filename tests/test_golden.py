@@ -1,4 +1,4 @@
-"""Golden digests of the sewing layer.
+"""Golden digests of the public builders.
 
 Each entry of ``golden.json`` maps one builder call to the sha256 of its
 canonical record: the ``to_json_dict`` JSON of each series it returns,
@@ -17,9 +17,20 @@ from pathlib import Path
 
 import pytest
 
+from twoloop.elliptic import eisenstein_hat, j_function
+from twoloop.lattice import builtin_lattice, theta_g1, theta_g2
+from twoloop.partition import Ghost, parse_theory, z1, z2, z2_ghost
 from twoloop.series import PrefSeries, to_json_dict
 from twoloop.sewing import fourier_params, fourier_to_sewing, period_matrix
-from twoloop.siegel import delta10, psi4_theta_candidate, t2_selfdual
+from twoloop.siegel import (
+    all_characteristics,
+    delta10,
+    f12_siegel,
+    psi4_theta_candidate,
+    psi_reference,
+    t2_selfdual,
+    theta_char,
+)
 
 TABLE = Path(__file__).with_name("golden.json")
 
@@ -38,6 +49,19 @@ def _hats(q_order, eps_order):
     return [p.qhat, p.shat, p.rhat, p.uhat]
 
 
+def _form(name, builder, q_order, s_order):
+    """The r-form and u-form entries of a Siegel form."""
+    return {f"{name}({q_order}, {s_order}).{part}":
+            (lambda part=part: [getattr(builder(q_order, s_order), part)])
+            for part in ("fourier", "fourier_u")}
+
+
+def _partition(label, q_order):
+    theory = parse_theory(label)
+    two = z2_ghost if isinstance(theory, Ghost) else lambda q: z2(theory, q)
+    return lambda: [z1(theory, q_order), two(q_order).pref]
+
+
 CASES = {
     "period_matrix(4, 5)": lambda: _periods(4, 5),
     "period_matrix(12, 6)": lambda: _periods(12, 6),
@@ -54,7 +78,31 @@ CASES = {
     "fourier_to_sewing(psi4_theta_candidate(3, 3).fourier_u) at (3, 2)":
         _sewn(lambda: psi4_theta_candidate(3, 3).fourier_u, 3, 2),
     "fourier_to_sewing(t2_selfdual(1)) at (2, 2)": _sewn(lambda: t2_selfdual(1), 2, 2),
+    "psi_reference(4)": lambda: [psi_reference(4)],
+    "psi_reference(6)": lambda: [psi_reference(6)],
+    "t2_selfdual(0)": lambda: [t2_selfdual(0)],
+    "t2_selfdual(1)": lambda: [t2_selfdual(1)],
 }
+for _orders in ((4, 4), (3, 5)):
+    for _name, _builder in (("delta10", delta10), ("f12_siegel", f12_siegel),
+                            ("psi4_theta_candidate", psi4_theta_candidate)):
+        CASES.update(_form(_name, _builder, *_orders))
+    for _char in all_characteristics():
+        CASES[f"theta_char({_char.label()}, {_orders[0]}, {_orders[1]})"] = \
+            lambda c=_char, o=_orders: [theta_char(c, *o)]
+    CASES[f"theta_g2(E8, {_orders[0]}, {_orders[1]})"] = \
+        lambda o=_orders: [theta_g2(builtin_lattice("E8"), *o)]
+for _orders in ((2, 2), (2, 3)):
+    CASES[f"theta_g2(E8x3, {_orders[0]}, {_orders[1]})"] = \
+        lambda o=_orders: [theta_g2(builtin_lattice("E8x3"), *o)]
+for _q in (3, 5):
+    for _lattice in ("E8", "E8x3"):
+        CASES[f"theta_g1({_lattice}, {_q})"] = lambda n=_lattice, q=_q: [theta_g1(builtin_lattice(n), q)]
+    # keyed by theory: z1 and the pref of z2, one entry per theory and order
+    for _label in ("boson:24", "lattice:E8", "selfdual:0", "ghost"):
+        CASES[f"z1/z2({_label}, {_q})"] = _partition(_label, _q)
+    CASES[f"eisenstein_hat(2, 4, 6; {_q})"] = lambda q=_q: [eisenstein_hat(k, q) for k in (2, 4, 6)]
+    CASES[f"j_function({_q})"] = lambda q=_q: [j_function(q)]
 
 
 def _record(series) -> dict:
