@@ -62,18 +62,28 @@ MUTANTS = (
            "        result = add(MultiSeries.constant(1, x.vars), x)\n        for _ in range(3):\n",
            ("tests/test_series.py::test_invert_matches_the_geometric_series",
             "tests/test_series.py::test_invert_squares_instead_of_summing_powers")),
-    Mutant("the ladder squares a cached rung without _fresh", "siegel.py",
-           "power = _fresh(_theta_rung(a, i // 2, q_order, s_order))",
-           "power = _theta_rung(a, i // 2, q_order, s_order)",
-           ("tests/test_siegel.py::test_psi4_after_f12_reads_the_ladder",)),
-    Mutant("Delta10's theta route reads rung 1 without _fresh", "siegel.py",
-           "rungs = [_fresh(_theta_rung(a, i, q, s)) for i in range(3) if n >> i & 1]",
-           "rungs = [_theta_rung(a, i, q, s) for i in range(3) if n >> i & 1]",
+    Mutant("a rung read hands out one cached series, which products fill with kernel views",
+           "siegel.py",
+           "\ndef _rung(", "\n@lru_cache(maxsize=None)\ndef _rung(",
+           ("tests/test_siegel.py::test_psi4_after_f12_reads_the_ladder",
+            "tests/test_siegel.py::test_the_theta_route_of_delta10_leaves_the_rungs_bare")),
+    Mutant("Delta10's theta route squares rung 0 instead of reading rung 1", "siegel.py",
+           "rungs = [_rung(a, i, q, s) for i in range(3) if n >> i & 1]",
+           "rungs = [pow_int(_rung(a, 0, q, s), 2 ** i) for i in range(3) if n >> i & 1]",
            ("tests/test_siegel.py::test_the_theta_route_of_delta10_leaves_the_rungs_bare",)),
-    Mutant("F12 and psi4 read rung 3 without _fresh", "siegel.py",
-           "pow_int(_fresh(_theta_rung(a, 3, q, s)), n // 8)",
-           "pow_int(_theta_rung(a, 3, q, s), n // 8)",
+    Mutant("F12 and psi4 raise rung 0 instead of reading rung 3", "siegel.py",
+           "pow_int(_rung(a, 3, q, s), n // 8)",
+           "pow_int(_rung(a, 0, q, s), n - n % 8)",
            ("tests/test_siegel.py::test_psi4_after_f12_reads_the_ladder",)),
+    Mutant("the csv writer ignores the prefactor", "cli.py",
+           "fmt_rat(parse_rat(e) + pref.get(n, 0))", "fmt_rat(parse_rat(e))",
+           ("tests/test_cli.py::test_expand_csv_writes_absolute_exponents",
+            "tests/test_cli.py::test_sew_csv_writes_absolute_exponents")),
+    Mutant("the Gram symmetry check is removed", "lattice.py",
+           "if any(g[i][j] != g[j][i] for i in range(self.rank) for j in range(i)):",
+           "if False:",
+           ("tests/test_lattice.py::"
+            "test_lattice_construction_refuses_a_gram_that_is_not_symmetric",)),
     Mutant("the mirror guard is removed", "siegel.py",
            'check(char, "mirror", source, _mirror(theta_char(source, s_order, q_order)))',
            "pass",

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .elliptic import (
-    delta_cusp,
-    eisenstein,
-    eisenstein_hat,
-    j_function,
-)
+from .elliptic import delta_cusp, eisenstein, j_function
 from .errors import TwoLoopError
 from .lattice import builtin_lattice, enumerate_shells, theta_g1, theta_g2
 from .partition import CBoson, t1_selfdual, verify_f2, z2
 from .sewing import (
-    eps2_bracket,
+    ehat2_bracket,
+    fk_eps_expansion,
     fourier_params,
     fourier_to_sewing,
     period_matrix,
@@ -44,7 +40,6 @@ from .siegel import (
     assert_support_condition,
     delta10,
     f12_siegel,
-    fk_eps_expansion,
     psi4_theta_candidate,
     psi_reference,
     t2_selfdual,
@@ -139,9 +134,7 @@ def c05_sewing_factorization() -> str | None:
     d = delta10(4, 4)
     params = fourier_params(period_matrix(4, 5))
     lhs = fourier_to_sewing(d.fourier_u, params)
-    ee = torus_pair(eisenstein_hat(2, 4))
-    bracket = eps2_bracket(1, ee.scalar(-10))
-    rhs = torus_pair(delta_cusp(4)).mul(bracket).shift("eps", 2)
+    rhs = torus_pair(delta_cusp(4)).mul(ehat2_bracket(-10, 4)).shift("eps", 2)
     ok, why = equal_on_joint_validity(lhs, rhs)
     return None if ok else why
 

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import acceptance
 from .elliptic import (
@@ -29,18 +30,8 @@ from .elliptic import (
 )
 from .errors import TwoLoopError
 from .lattice import Lattice, builtin_lattice, shell_counts, theta_g2
-from .partition import (
-    Ghost,
-    GenusTwoZ,
-    g2_correction,
-    parse_theory,
-    t2_ratio,
-    z1,
-    z1_omega,
-    z2,
-    z2_ghost,
-)
-from .series import PrefSeries, to_json_dict
+from .partition import Ghost, g2_correction, parse_theory, t2_ratio, z1, z1_omega, z2
+from .series import PrefSeries, fmt_rat, parse_rat, to_json_dict
 from .sewing import fourier_params, period_matrix
 from .siegel import (
     Characteristic,
@@ -62,10 +53,15 @@ def _series_payload(s, fmt: str):
     if fmt == "json":
         return d
     if fmt == "csv":
+        # absolute exponents: each term's body exponent plus the prefactor's
+        pref = {n: parse_rat(e) for n, e in d["prefactor"].items()}
         names = [v["name"] for v in d["vars"]]
+        names += [n for n in pref if n not in names]
         lines = [",".join(names + ["re", "im"])]
         for t in d["terms"]:
-            lines.append(",".join(list(t["exp"]) + [t["re"], t["im"]]))
+            exps = zip_longest(names, t["exp"], fillvalue="0")
+            lines.append(",".join([fmt_rat(parse_rat(e) + pref.get(n, 0)) for n, e in exps]
+                                  + [t["re"], t["im"]]))
         return "\n".join(lines)
     rows = []
     for t in d["terms"]:
@@ -175,18 +171,14 @@ def cmd_sew(args) -> int:
 def cmd_partition(args) -> int:
     theory = parse_theory(args.theory)
     qo = args.q_order
-    if isinstance(theory, Ghost):
-        ztwo: GenusTwoZ = z2_ghost(qo)
-        omega_point = None
-    else:
-        ztwo = z2(theory, qo)
-        omega_point = to_json_dict(z1_omega(theory, qo))
+    ztwo = z2(theory, qo)
     payload = {
         "theory": theory.label(),
         "central_charge": theory.central_charge,
         "conjectural": ztwo.conjectural,
         "z1": to_json_dict(z1(theory, qo)),
-        "z1_omega": omega_point,
+        # the ghost has no one-point data
+        "z1_omega": None if isinstance(theory, Ghost) else to_json_dict(z1_omega(theory, qo)),
         "z2": to_json_dict(ztwo.pref),
     }
     if args.with_ratio:

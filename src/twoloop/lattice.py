@@ -82,10 +82,6 @@ class Lattice:
         gram += [(0,) * n + row for row in other.gram]
         return Lattice(name or f"{self.name}+{other.name}", n + m, gram)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "rank": self.rank,
-                "gram": [list(row) for row in self.gram]}
-
     @staticmethod
     def from_json_dict(d: dict) -> "Lattice":
         """Refuses JSON that is not an object with a ``gram`` list of rows;

@@ -19,6 +19,8 @@ expression is available for, so eps_order = 2 is a hard API bound.
 eta^-C is built once, by the C-boson's cached ``z1``, and lattice theories
 reuse it.  For the C-boson, ``z2`` checks its state sum against the closed
 form Z(q1) Z(q2) (1 + (C/2) Ehat2(q1) Ehat2(q2) eps^2) on its own Z(q1) Z(q2).
+The ghost has no one-point data; ``z2`` returns its conjectural form
+eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2(q1) Ehat2(q2) eps^2), flagged.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .series import (
     equal_on_joint_validity,
 )
 from .sewing import (
+    ehat2_bracket,
     eps2_bracket,
     fourier_params,
     fourier_to_sewing,
@@ -197,29 +200,22 @@ class GenusTwoZ:
 def z2(theory: TheoryDescriptor, q_order: int) -> GenusTwoZ:
     """Genus-two partition function of the theory, exact through eps^2:
     beyond it the state sum would need one-point functions of weight-four
-    states that are not available here.
+    states that are not available here.  For the ghost it is the
+    conjectural eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2 Ehat2 eps^2 +
+    O(eps^4)), flagged ``conjectural``.
     """
-    if isinstance(theory, Ghost):
-        raise Unsupported("use z2_ghost for the (conjectural) ghost system")
-    c = theory.central_charge
     zz = torus_pair(z1(theory, q_order))
+    if isinstance(theory, Ghost):
+        return GenusTwoZ(zz.mul(ehat2_bracket(-3, q_order)).shift("eps", F(1, 6)),
+                         conjectural=True)
+    c = theory.central_charge
     ww = torus_pair(z1_omega(theory, q_order))
     body = eps2_bracket(zz, ww.scalar(F(2, c)))
     if isinstance(theory, CBoson):
-        ee = torus_pair(eisenstein_hat(2, q_order))
-        closed = zz.mul(eps2_bracket(1, ee.scalar(F(c, 2))))
+        closed = zz.mul(ehat2_bracket(F(c, 2), q_order))
         assert_equal_on_joint_validity(body, closed,
                                        "boson state sum disagrees with closed form")
     return GenusTwoZ(body.shift("eps", F(-c, 12)), conjectural=False)
-
-
-def z2_ghost(q_order: int) -> GenusTwoZ:
-    """Conjectural genus-two ghost partition function:
-    eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2 Ehat2 eps^2 + O(eps^4))."""
-    ee = torus_pair(eisenstein_hat(2, q_order))
-    bracket = eps2_bracket(1, ee.scalar(-3))
-    pref = torus_pair(z1(Ghost(), q_order)).mul(bracket).shift("eps", F(1, 6))
-    return GenusTwoZ(pref, conjectural=True)
 
 
 def g2_correction(q_order: int) -> MultiSeries:
@@ -230,12 +226,10 @@ def g2_correction(q_order: int) -> MultiSeries:
     product collapses to 1 - 2 Ehat2(q1) Ehat2(q2) eps^2 + O(eps^4); that
     cancellation is asserted here.
     """
-    prod = z2_ghost(q_order).pref.mul(z2(CBoson(2), q_order).pref)
+    prod = z2(Ghost(), q_order).pref.mul(z2(CBoson(2), q_order).pref)
     if prod.prefactor:
         raise InternalError(f"vacuum exponents did not cancel: {dict(prod.prefactor)}")
-    ee = torus_pair(eisenstein_hat(2, q_order))
-    expected = eps2_bracket(1, ee.scalar(-2))
-    ok, why = equal_on_joint_validity(prod, expected)
+    ok, why = equal_on_joint_validity(prod, ehat2_bracket(-2, q_order))
     if not ok:
         raise ValidationFailed(f"ghost-boson product has wrong eps^2 term at {why}")
     return prod.body

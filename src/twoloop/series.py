@@ -707,20 +707,6 @@ def coeff(a: MultiSeries, exps: dict) -> int | Fraction:
     return a.terms.get(tuple(key), 0)
 
 
-def limit_var_zero(a: MultiSeries, name: str) -> MultiSeries:
-    """The limit of the series as one variable goes to zero."""
-    i = a.var_index(name)
-    v = a.vars[i]
-    if v.valid <= 0:
-        raise UnknownCoefficient(f"{name}^0 is outside the validity region")
-    if any(k[i] < 0 for k in a.terms):
-        raise DomainError(f"limit {name}->0 across a pole")
-    return MultiSeries._of(
-        a.vars[:i] + a.vars[i + 1:],
-        {k[:i] + k[i + 1:]: c for k, c in a.terms.items() if k[i] == 0},
-    )
-
-
 def _symmetric_power_polys(bmax: int) -> list[list[int]]:
     """Coefficient lists (in u) of r^b + r^-b, via the three-term recursion
     p_{b+1} = (u+2) p_b - p_{b-1} with p_0 = 2, p_1 = u + 2."""

@@ -28,6 +28,12 @@ maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
 eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
 its odd eps powers negated.
 
+The pinching expansions built from torus data live here too: f(q1) f(q2)
+(:func:`torus_pair`), an eps^2 bracket (:func:`eps2_bracket`), the
+1 + c Ehat_2(q1) Ehat_2(q2) eps^2 that each of them carries
+(:func:`ehat2_bracket`) and the weight-k Siegel form's
+(:func:`fk_eps_expansion`).
+
 Every A_mn is homogeneous in eps, so eps -> c*eps is an exact ring
 automorphism of the whole construction.  :func:`period_matrix` and
 :func:`fourier_to_sewing` work at c*eps, with c = lcm(1, ..., 2N + 1) for
@@ -44,8 +50,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
 
-from .elliptic import eisenstein_hat
-from .errors import DomainError, InternalError
+from .elliptic import covariant_derivative, eisenstein_hat
+from .errors import DomainError, InternalError, NotAUnit
 from .series import (
     UNBOUNDED,
     MultiSeries,
@@ -405,3 +411,33 @@ def eps2_bracket(lead: PrefSeries | int, term: PrefSeries) -> PrefSeries:
     even in eps (eps -> -eps), to its first two orders."""
     eps2 = MultiSeries((_eps_spec(3),), {(F(2),): 1})
     return PrefSeries.coerce(lead).add(term.mul(PrefSeries(eps2)))
+
+
+def ehat2_bracket(c: int | Fraction, q_order: int) -> PrefSeries:
+    """``1 + c*Ehat_2(q1)*Ehat_2(q2)*eps^2``, exact below eps^4: the eps^2
+    term of a pinching expansion built from torus data, with c = C/2 for
+    the C-boson, -3 for the ghost, -2 for the holomorphic correction and
+    -10 for the sewn weight-10 cusp form."""
+    return eps2_bracket(1, torus_pair(eisenstein_hat(2, q_order)).scalar(c))
+
+
+def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:
+    """The pinching-parameter expansion of the weight-k Siegel form that
+    degenerates to f_k(q1) f_k(q2), for f = f_k of weight k:
+
+        f(q1) f(q2) (1 + ((1/k)(Df/f)(q1)(Df/f)(q2)
+                          - k Ehat_2(q1) Ehat_2(q2)) eps^2 + O(eps^4)),
+
+    with D the weight-raising covariant derivative.  Odd eps powers vanish
+    by the eps -> -eps reflection, so the series is returned valid through
+    eps^3."""
+    if weight <= 0:
+        raise DomainError("weight must be positive")
+    if not f.body.constant_term() or f.prefactor:
+        raise NotAUnit("f_k must be a unit q-series")
+    order = int(min(v.valid for v in f.body.vars))
+    lf = covariant_derivative(f, weight).mul(f.invert())
+    ee = torus_pair(eisenstein_hat(2, order))
+    term = torus_pair(lf).scalar(F(1, weight)).add(ee.scalar(-weight))
+    bracket = eps2_bracket(1, term)
+    return torus_pair(f).mul(bracket)

@@ -42,17 +42,10 @@ from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 from operator import mul as times
 
-from .elliptic import (
-    _theta_exponents,
-    covariant_derivative,
-    dedekind_eta,
-    eisenstein,
-    eisenstein_hat,
-)
-from .errors import DomainError, InternalError, NotAUnit, ValidationFailed
+from .elliptic import _theta_exponents, dedekind_eta, eisenstein
+from .errors import DomainError, InternalError, ValidationFailed
 from .series import (
     MultiSeries,
-    PrefSeries,
     VarSpec,
     add,
     equal_on_joint_validity,
@@ -63,7 +56,6 @@ from .series import (
     scalar_mul,
     shift_var,
 )
-from .sewing import eps2_bracket, torus_pair
 
 F = Fraction
 HALF = F(1, 2)
@@ -191,25 +183,27 @@ def _translate(ms: MultiSeries, b: tuple[Fraction, Fraction]) -> MultiSeries:
     return MultiSeries._of(ms.vars, terms)
 
 
-def _fresh(ms: MultiSeries) -> MultiSeries:
-    """A new series over the same frozen terms, with no kernel views."""
-    return MultiSeries._of(ms.vars, ms.terms)
-
-
 @lru_cache(maxsize=None)
-def _theta_rung(a: tuple[Fraction, Fraction], i: int, q_order: int, s_order: int) -> MultiSeries:
-    """Theta[a; 0]^(2^i) for 2^i <= 8, the squaring ladder that Delta10's
-    theta route (n = 2), psi4 (n = 8) and F12 (n = 24) share.  The 8th
-    power squares the square twice: no form reads the 4th, which would hold
-    nearly half the ladder's terms.  A rung holds terms only; products read
-    it through :func:`_fresh`, so their kernel views never reach the cache.
+def _theta_rung(a: tuple[Fraction, Fraction], i: int, q_order: int, s_order: int):
+    """The vars and terms of Theta[a; 0]^(2^i) for 2^i <= 8, the squaring
+    ladder that Delta10's theta route (n = 2), psi4 (n = 8) and F12 (n = 24)
+    share.  The 8th power squares the square twice: no form reads the 4th,
+    which would hold nearly half the ladder's terms.  The cache holds a
+    rung's terms, never a series, so the kernel views of the products that
+    read a rung (through :func:`_rung`) never reach it.
     """
     if not i:
-        return _fresh(theta_char(Characteristic(a, (F(0), F(0))), q_order, s_order))
-    power = _fresh(_theta_rung(a, i // 2, q_order, s_order))
+        theta = theta_char(Characteristic(a, (F(0), F(0))), q_order, s_order)
+        return theta.vars, theta.terms
+    power = _rung(a, i // 2, q_order, s_order)
     for _ in range(i - i // 2):
         power = mul(power, power)
-    return power
+    return power.vars, power.terms
+
+
+def _rung(a: tuple[Fraction, Fraction], i: int, q_order: int, s_order: int) -> MultiSeries:
+    """Rung i of :func:`_theta_rung`'s ladder, a new series over its cached terms."""
+    return MultiSeries._of(*_theta_rung(a, i, q_order, s_order))
 
 
 def _mirror(ms: MultiSeries) -> MultiSeries:
@@ -226,7 +220,7 @@ def _even_theta_powers(n: int, q_order: int, s_order: int):
     :func:`even_characteristics` order.
 
     That order groups the characteristics by a, with b = 0 first.  Three
-    Theta[a; 0]^n are products of :func:`_theta_rung` rungs, the (n // 8)-th
+    Theta[a; 0]^n are products of :func:`_rung` rungs, the (n // 8)-th
     power of the 8th formed per call (for n = 24, Theta^8 Theta^16), and
     Theta[1/2, 0; 0]^n is the :func:`_mirror` of Theta[0, 1/2; 0]^n at
     (s_order, q_order), at equal orders the power already raised.  Every
@@ -240,9 +234,9 @@ def _even_theta_powers(n: int, q_order: int, s_order: int):
             if a == (HALF, F(0)):
                 p = _mirror(power(a[::-1], s, q))
             else:
-                rungs = [_fresh(_theta_rung(a, i, q, s)) for i in range(3) if n >> i & 1]
+                rungs = [_rung(a, i, q, s) for i in range(3) if n >> i & 1]
                 if n >= 8:
-                    rungs.append(pow_int(_fresh(_theta_rung(a, 3, q, s)), n // 8))
+                    rungs.append(pow_int(_rung(a, 3, q, s), n // 8))
                 p = reduce(mul, rungs)
             powers[a, q, s] = p
         return powers[a, q, s]
@@ -433,25 +427,3 @@ def t2_selfdual(k: int) -> MultiSeries:
             scalar_mul(c2, pow_int(psi_reference(6), 2))),
         scalar_mul(1 - c1 - c2, f12_siegel(2, 2).fourier_u),
     )
-
-
-def fk_eps_expansion(f: PrefSeries, weight: int) -> PrefSeries:
-    """The pinching-parameter expansion of the weight-k Siegel form that
-    degenerates to f_k(q1) f_k(q2), for f = f_k of weight k:
-
-        f(q1) f(q2) (1 + ((1/k)(Df/f)(q1)(Df/f)(q2)
-                          - k Ehat_2(q1) Ehat_2(q2)) eps^2 + O(eps^4)),
-
-    with D the weight-raising covariant derivative.  Odd eps powers vanish
-    by the eps -> -eps reflection, so the series is returned valid through
-    eps^3."""
-    if weight <= 0:
-        raise DomainError("weight must be positive")
-    if not f.body.constant_term() or f.prefactor:
-        raise NotAUnit("f_k must be a unit q-series")
-    order = int(min(v.valid for v in f.body.vars))
-    lf = covariant_derivative(f, weight).mul(f.invert())
-    ee = torus_pair(eisenstein_hat(2, order))
-    term = torus_pair(lf).scalar(F(1, weight)).add(ee.scalar(-weight))
-    bracket = eps2_bracket(1, term)
-    return torus_pair(f).mul(bracket)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoloop.errors import UnknownCoefficient
+from twoloop.errors import DomainError, UnknownCoefficient
 from twoloop.series import (
     UNBOUNDED,
     MultiSeries,
@@ -43,6 +43,26 @@ def random_unit(rng, vars, max_terms=4, max_exp=2):
     terms = {e: c for e, c in terms.items() if any(x > 0 for x in e) or all(x == 0 for x in e)}
     terms[zero_key] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
     return MultiSeries(tuple(vars), terms)
+
+
+def limit_var_zero(a, name):
+    """The limit of the series as one variable goes to zero."""
+    i = a.var_index(name)
+    v = a.vars[i]
+    if v.valid <= 0:
+        raise UnknownCoefficient(f"{name}^0 is outside the validity region")
+    if any(k[i] < 0 for k in a.terms):
+        raise DomainError(f"limit {name}->0 across a pole")
+    return MultiSeries._of(
+        a.vars[:i] + a.vars[i + 1:],
+        {k[:i] + k[i + 1:]: c for k, c in a.terms.items() if k[i] == 0},
+    )
+
+
+def lattice_json(lattice):
+    """The JSON object that ``Lattice.from_json_dict`` reads back."""
+    return {"name": lattice.name, "rank": lattice.rank,
+            "gram": [list(row) for row in lattice.gram]}
 
 
 def set_var_one(a, name):

@@ -4,12 +4,17 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twoloop
 from twoloop.cli import main
+from twoloop.elliptic import eisenstein_hat, f12_elliptic
+from twoloop.series import to_json_dict
+
+from conftest import lattice_json
 
 
 def run(capsys, *argv):
@@ -63,6 +68,60 @@ def test_expand_formats(capsys):
     assert "prefactor: q^1" in out
 
 
+def _csv_matches_json(text, d):
+    """Each csv row is a JSON term: its exponents plus the prefactor, in
+    the columns of the body's variables and then the prefactor's others."""
+    header, *rows = text.splitlines()
+    names = header.split(",")[:-2]
+    body = [v["name"] for v in d["vars"]]
+    assert names[:len(body)] == body and set(names) == set(body) | set(d["prefactor"])
+    assert len(rows) == len(d["terms"])
+    for row, term in zip(rows, d["terms"]):
+        *exps, re, im = row.split(",")
+        assert [re, im] == [term["re"], term["im"]]
+        want = dict(zip(body, map(Fraction, term["exp"])))
+        for name, e in zip(names, exps):
+            assert Fraction(e) == want.get(name, 0) + Fraction(d["prefactor"].get(name, "0"))
+
+
+def test_expand_csv_writes_absolute_exponents(capsys):
+    # eta = q^(1/24) (1 - q - q^2 + ...)
+    code, out = run(capsys, "expand", "eta", "--q-order", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["q,re,im", "1/24,1,0", "25/24,-1,0", "49/24,-1,0"]
+    code, js = run(capsys, "expand", "eta", "--q-order", "3")
+    _csv_matches_json(out, json.loads(js))
+
+
+def test_sew_csv_writes_absolute_exponents(capsys):
+    # qhat = q1 exp(w11) keeps q1 in its prefactor only, uhat eps^2
+    code, out = run(capsys, "sew", "--q-order", "3", "--eps-order", "4", "--format", "csv")
+    assert code == 0
+    code, js = run(capsys, "sew", "--q-order", "3", "--eps-order", "4")
+    d = json.loads(js)
+    sections = out.split("-- ")[1:]
+    assert [s.split("\n", 1)[0] for s in sections] == ["w11", "w12", "w22", "qhat", "shat", "uhat"]
+    for section in sections:
+        name, text = section.rstrip("\n").split("\n", 1)
+        _csv_matches_json(text, d[name])
+
+
+def test_expand_theta_needs_a_four_entry_char(capsys):
+    code = main(["expand", "theta", "--char", "0,0,1/2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: characteristic needs four entries a1,a2,b1,b2\n"
+
+
+@pytest.mark.parametrize("target, build", [
+    ("f12-elliptic", f12_elliptic),
+    ("ehat4", lambda q: eisenstein_hat(4, q)),
+])
+def test_expand_genus_one_targets(capsys, target, build):
+    code, out = run(capsys, "expand", target, "--q-order", "4")
+    assert code == 0
+    assert json.loads(out) == to_json_dict(build(4))
+
+
 def test_expand_elliptic_targets(capsys):
     code, out = run(capsys, "expand", "e4", "--q-order", "3")
     assert code == 0
@@ -102,7 +161,7 @@ def test_sew_output_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("fmt, size, digest", [
-    ("csv", 11_760, "1614f1ff696470f0f9f1fb6863125c9c572afc3e7f2642fdfba8841ff85eee0c"),
+    ("csv", 11_760, "7610a9fda3e709a72a76ef3fc6186b7fbda5b0224037c1d4097a281765d44b36"),
     ("table", 18_949, "c9b0333c0c715a0e5284719c00cbbb374faf76d54986c66e79e6849e2b5ece42"),
 ])
 def test_sew_text_output_is_pinned(capsys, fmt, size, digest):
@@ -204,7 +263,7 @@ def test_partition_lattice_from_gram_file(tmp_path, capsys):
     from twoloop.lattice import builtin_lattice
 
     p = tmp_path / "e8.json"
-    p.write_text(json.dumps(builtin_lattice("E8").to_json_dict()))
+    p.write_text(json.dumps(lattice_json(builtin_lattice("E8"))))
     code, out = run(capsys, "partition", "--theory", f"lattice:{p}", "--q-order", "3")
     assert code == 0
     code, want = run(capsys, "partition", "--theory", "lattice:E8", "--q-order", "3")
@@ -282,7 +341,7 @@ def test_expand_theta_g2_from_gram_file(tmp_path, capsys):
     from twoloop.lattice import builtin_lattice
 
     p = tmp_path / "e8.json"
-    p.write_text(json.dumps(builtin_lattice("E8").to_json_dict()))
+    p.write_text(json.dumps(lattice_json(builtin_lattice("E8"))))
     code, out = run(capsys, "expand", "theta-g2", "--gram", str(p),
                     "--q-order", "2", "--s-order", "2")
     assert code == 0
@@ -295,7 +354,7 @@ def test_lattice_info_from_file(tmp_path, capsys):
     from twoloop.lattice import builtin_lattice
 
     p = tmp_path / "lat.json"
-    p.write_text(json.dumps(builtin_lattice("E8").to_json_dict()))
+    p.write_text(json.dumps(lattice_json(builtin_lattice("E8"))))
     code, out = run(capsys, "lattice-info", "--gram", str(p), "--max-norm", "2")
     assert code == 0
     assert json.loads(out)["shell_counts"]["2"] == 240
@@ -312,6 +371,7 @@ _NON_INTEGER_LATTICES = {
     "rank-bool": ({"rank": True, "gram": [[2]]}, "must be integers"),
     # once a KeyError traceback
     "gram-missing": ({"rank": 2}, "list of rows"),
+    "not-an-object": ([[2, -1], [-1, 2]], "must be an object"),
 }
 
 

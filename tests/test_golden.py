@@ -19,7 +19,7 @@ import pytest
 
 from twoloop.elliptic import eisenstein_hat, j_function
 from twoloop.lattice import builtin_lattice, theta_g1, theta_g2
-from twoloop.partition import Ghost, parse_theory, z1, z2, z2_ghost
+from twoloop.partition import parse_theory, z1, z2
 from twoloop.series import PrefSeries, to_json_dict
 from twoloop.sewing import fourier_params, fourier_to_sewing, period_matrix
 from twoloop.siegel import (
@@ -58,8 +58,7 @@ def _form(name, builder, q_order, s_order):
 
 def _partition(label, q_order):
     theory = parse_theory(label)
-    two = z2_ghost if isinstance(theory, Ghost) else lambda q: z2(theory, q)
-    return lambda: [z1(theory, q_order), two(q_order).pref]
+    return lambda: [z1(theory, q_order), z2(theory, q_order).pref]
 
 
 CASES = {

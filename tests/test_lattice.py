@@ -24,13 +24,12 @@ from twoloop.series import (
     VarSpec,
     coeff,
     equal_on_joint_validity,
-    limit_var_zero,
     mul,
     pow_int,
     r_to_u,
 )
 
-from conftest import assert_refines, set_var_one
+from conftest import assert_refines, lattice_json, limit_var_zero, set_var_one
 
 F = Fraction
 
@@ -74,6 +73,21 @@ def test_lattice_construction_refuses_non_integers(rank, gram):
     # under norm 2
     with pytest.raises(DomainError, match="must be integers"):
         Lattice("bad", rank, gram)
+
+
+@pytest.mark.parametrize("rank, gram", [
+    pytest.param(2, ((2, -1), (-1,)), id="short-row"),
+    pytest.param(3, ((2, -1), (-1, 2)), id="rank-above-rows"),
+])
+def test_lattice_construction_refuses_a_gram_that_is_not_square(rank, gram):
+    with pytest.raises(DomainError, match=f"is not {rank}x{rank}"):
+        Lattice("bad", rank, gram)
+
+
+def test_lattice_construction_refuses_a_gram_that_is_not_symmetric():
+    # positive definite, so only the symmetry check refuses it
+    with pytest.raises(DomainError, match="not symmetric"):
+        Lattice("bad", 2, ((2, -1), (0, 2)))
 
 
 def test_lattice_from_list_rows_is_the_tuple_lattice():
@@ -468,7 +482,7 @@ def test_even_non_unimodular_lattice():
 def test_lattice_json_roundtrip(tmp_path):
     e8 = builtin_lattice("E8")
     p = tmp_path / "e8.json"
-    p.write_text(__import__("json").dumps(e8.to_json_dict()))
+    p.write_text(__import__("json").dumps(lattice_json(e8)))
     back = Lattice.from_file(str(p))
     assert back == e8
 

@@ -23,17 +23,22 @@ from twoloop.partition import (
     z1,
     z1_omega,
     z2,
-    z2_ghost,
 )
 from twoloop.series import (
     PrefSeries,
     coeff,
     equal_on_joint_validity,
 )
-from twoloop.siegel import fk_eps_expansion, t2_selfdual
-from twoloop.sewing import fourier_params, fourier_to_sewing, period_matrix
+from twoloop.siegel import t2_selfdual
+from twoloop.sewing import (
+    fk_eps_expansion,
+    fourier_params,
+    fourier_to_sewing,
+    period_matrix,
+    torus_pair,
+)
 
-from conftest import assert_refines
+from conftest import assert_refines, limit_var_zero
 
 F = Fraction
 
@@ -175,8 +180,6 @@ def test_z2_swap_symmetry_and_parity():
 
 def test_z2_eps0_is_z1_product():
     zg = z2(SelfDual(0), 3)
-    from twoloop.series import limit_var_zero
-
     eps0 = limit_var_zero(zg.pref.body, "eps")
     z = z1(SelfDual(0), 3)
     prod = z.rename_vars({"q": "q1"}).mul(z.rename_vars({"q": "q2"}))
@@ -185,9 +188,13 @@ def test_z2_eps0_is_z1_product():
     assert ok, why
 
 
-def test_z2_refuses_the_ghost():
-    with pytest.raises(Unsupported):
-        z2(Ghost(), 3)
+def test_z2_of_the_ghost_is_its_conjectural_form():
+    # eps^(1/6) eta^2(q1) eta^2(q2) (1 - 3 Ehat2(q1) Ehat2(q2) eps^2), built by hand
+    eta2 = torus_pair(dedekind_eta(3).pow_int(2))
+    ee = torus_pair(eisenstein_hat(2, 3))
+    want = eta2.add(eta2.mul(ee).scalar(-3).shift("eps", 2)).shift("eps", F(1, 6))
+    ok, why = equal_on_joint_validity(z2(Ghost(), 3).pref, want)
+    assert ok, why
 
 
 @pytest.mark.parametrize("c", [1, 2, 8, 24, 26])
@@ -213,7 +220,7 @@ def test_z2_tensor_power_law():
 
 
 def test_z2_ghost_prefactor_and_flag():
-    zg = z2_ghost(3)
+    zg = z2(Ghost(), 3)
     assert zg.conjectural
     assert zg.pref.prefactor["eps"] == F(1, 6)
 

@@ -36,7 +36,6 @@ from twoloop.series import (
     equal_on_joint_validity,
     exp_series,
     from_json_dict,
-    limit_var_zero,
     mul,
     negate,
     pow_int,
@@ -49,11 +48,11 @@ from twoloop.series import (
 )
 
 from twoloop import elliptic, series, sewing, siegel
-from twoloop.elliptic import delta_cusp
+from twoloop.elliptic import dedekind_eta, delta_cusp
 from twoloop.sewing import period_matrix
 from twoloop.siegel import delta10, psi4_theta_candidate
 
-from conftest import V, random_series, random_unit, set_var_one
+from conftest import V, limit_var_zero, random_series, random_unit, set_var_one
 
 
 F = Fraction
@@ -869,6 +868,25 @@ def test_substitute_rejects_unorderable():
     g = PrefSeries(S([V("t", min_exp=-1, order=3)], {(-1,): 1}))
     with pytest.raises(TruncationUnderflow):
         substitute(f, "q", g)
+
+
+def test_add_moves_a_body_onto_the_finer_grid_of_its_prefactor():
+    # eta + eta^2: the common prefactor is q^(1/24), so eta^2's body moves
+    # up by q^(1/24), which shift_var puts on the grid of q^(1/24)
+    eta = dedekind_eta(4)
+    total = eta.add(eta.pow_int(2))
+
+    def absolute(s):
+        shift = s.prefactor.get("q", 0)
+        return {e + shift: c for (e,), c in s.body.iter_terms()}
+
+    want = absolute(eta)
+    for e, c in absolute(eta.pow_int(2)).items():
+        want[e] = want.get(e, 0) + c
+    bound = total.body.spec("q").valid + total.prefactor["q"]
+    assert bound == 4 + F(1, 24)
+    assert absolute(total) == {e: c for e, c in want.items() if c and e < bound}
+    assert total.body.spec("q").den == 24
 
 
 def test_limit_and_set_one():

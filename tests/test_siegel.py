@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from twoloop.series import (
     add,
     coeff,
     equal_on_joint_validity,
-    limit_var_zero,
     mul,
     pow_int,
     r_to_u,
@@ -29,6 +29,7 @@ from twoloop.siegel import (
     _maass_lift,
     _phi10_1,
     _theta_form,
+    _rung,
     _theta_rung,
     _translate,
     all_characteristics,
@@ -43,7 +44,7 @@ from twoloop.siegel import (
     theta_char,
 )
 
-from conftest import assert_refines, set_var_one
+from conftest import assert_refines, limit_var_zero, set_var_one
 
 F = Fraction
 HALF = F(1, 2)
@@ -453,12 +454,14 @@ def test_psi4_after_f12_reads_the_ladder(monkeypatch):
         monkeypatch.setattr(module, "mul", spy)
     psi4_theta_candidate(5, 5)
     assert products == []
-    # every rung the forms read is cached, and holds terms only: no
-    # product's kernel views
+    # every rung the forms read is cached as its vars and terms, never a
+    # series, and each read is a new series without kernel views
     misses = _theta_rung.cache_info().misses
     for a in ((F(0), F(0)), (F(0), HALF), (HALF, HALF)):
         for i in (0, 1, 3):
-            assert not hasattr(_theta_rung(a, i, 5, 5), "_views"), (a, i)
+            _, terms = _theta_rung(a, i, 5, 5)
+            assert type(terms) is MappingProxyType, (a, i)
+            assert not hasattr(_rung(a, i, 5, 5), "_views"), (a, i)
     assert _theta_rung.cache_info().misses == misses
 
 
@@ -529,12 +532,18 @@ def _theta_delta10(q_order, s_order):
     return scalar_mul(F(1, 2**12), prod).simplify_dens()
 
 
-def test_the_theta_route_of_delta10_leaves_the_rungs_bare():
+def test_the_theta_route_of_delta10_leaves_the_rungs_bare(monkeypatch):
     # Theta[a; 0]^2 is rung 1 itself; multiplying the ten squares must not
-    # leave kernel views on the cached rung
+    # leave kernel views on what a rung read hands out
     _theta_delta10(3, 3)
     for a in ((F(0), F(0)), (F(0), HALF), (HALF, HALF)):
-        assert not hasattr(_theta_rung(a, 1, 3, 3), "_views"), a
+        assert not hasattr(_rung(a, 1, 3, 3), "_views"), a
+    # and the squares are read from the cached rung 1, not formed again
+    products = []
+    monkeypatch.setattr(siegel, "mul", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(series, "mul", siegel.mul)
+    list(_even_theta_powers(2, 3, 3))
+    assert products == []
 
 
 @pytest.mark.parametrize("q_order, s_order", [(2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (5, 2)])
