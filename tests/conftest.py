@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from twoloop.series import (
     PrefSeries,
     VarSpec,
     equal_on_joint_validity,
+    is_unbounded,
 )
 
 
@@ -91,6 +93,30 @@ def assert_refines(lo, hi):
     assert ok, why
     for v in lo.vars:
         assert v.valid <= hi.spec(v.name).valid, v.name
+
+
+def perturb_tail(s, rng, by=2, count=4):
+    """``s`` as one of the series it stands for: each finite validity bound
+    raised by ``by`` and up to ``count`` random terms added where ``s`` knew
+    nothing, at or past its old bound in some variable and inside the new
+    box, on each variable's grid and above its floor.  A result computed
+    from ``s`` must agree with the same result from the perturbed ``s`` on
+    every coefficient it claims."""
+    if isinstance(s, PrefSeries):
+        return PrefSeries(perturb_tail(s.body, rng, by, count), s.prefactor)
+    finite = [i for i, v in enumerate(s.vars) if not is_unbounded(v.valid)]
+    if not finite:
+        return s
+    vars = tuple(v if is_unbounded(v.valid) else replace(v, valid=v.valid + by) for v in s.vars)
+    terms = dict(s.terms)
+    for _ in range(rng.randint(1, count)):
+        past = rng.choice(finite)
+        key = []
+        for j, (old, new) in enumerate(zip(s.vars, vars)):
+            top = new.kmax() if j in finite else max([old.kmin(), *(k[j] for k in s.terms)]) + 2
+            key.append(rng.randint(old.kmax() + 1 if j == past else old.kmin(), top))
+        terms[tuple(key)] = random_coeff(rng) or 1
+    return MultiSeries._of(vars, terms)
 
 
 @pytest.fixture

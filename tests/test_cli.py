@@ -161,8 +161,10 @@ def test_sew_output_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("fmt, size, digest", [
-    ("csv", 11_760, "7610a9fda3e709a72a76ef3fc6186b7fbda5b0224037c1d4097a281765d44b36"),
-    ("table", 18_949, "c9b0333c0c715a0e5284719c00cbbb374faf76d54986c66e79e6849e2b5ece42"),
+    pytest.param("csv", 11_760,
+                 "7610a9fda3e709a72a76ef3fc6186b7fbda5b0224037c1d4097a281765d44b36", id="csv"),
+    pytest.param("table", 18_949,
+                 "c9b0333c0c715a0e5284719c00cbbb374faf76d54986c66e79e6849e2b5ece42", id="table"),
 ])
 def test_sew_text_output_is_pinned(capsys, fmt, size, digest):
     # the same sewing dump through the csv and table writers; 339 of the 472

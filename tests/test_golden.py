@@ -77,6 +77,15 @@ CASES = {
     "fourier_to_sewing(psi4_theta_candidate(3, 3).fourier_u) at (3, 2)":
         _sewn(lambda: psi4_theta_candidate(3, 3).fourier_u, 3, 2),
     "fourier_to_sewing(t2_selfdual(1)) at (2, 2)": _sewn(lambda: t2_selfdual(1), 2, 2),
+    # unequal orders: the form's box and the hats' box differ in q and in eps
+    "fourier_to_sewing(f12_siegel(3, 3).fourier_u) at (6, 4)":
+        _sewn(lambda: f12_siegel(3, 3).fourier_u, 6, 4),
+    "fourier_to_sewing(psi4_theta_candidate(4, 4).fourier_u) at (4, 6)":
+        _sewn(lambda: psi4_theta_candidate(4, 4).fourier_u, 4, 6),
+    "fourier_to_sewing(delta10(6, 6).fourier_u) at (8, 3)":
+        _sewn(lambda: delta10(6, 6).fourier_u, 8, 3),
+    "fourier_to_sewing(delta10(4, 4).fourier) at (6, 3)":
+        _sewn(lambda: delta10(4, 4).fourier, 6, 3),
     "psi_reference(4)": lambda: [psi_reference(4)],
     "psi_reference(6)": lambda: [psi_reference(6)],
     "t2_selfdual(0)": lambda: [t2_selfdual(0)],
