@@ -365,6 +365,15 @@ def _qsu(*terms):
     # that reaches the u-step is 2 and the result is known below eps^7
     pytest.param(lambda: _qsu((9, 0, 1, 1), (1, 0, 2, -3), (1, 0, 5, 1)), (3, 4),
                  id="vanishing-q9u-at-3-4"),
+    # the s-free q^2*u^7 lands past eps^V, yet it holds the least s-power,
+    # which sets the variable order and q2 prefactor of the s-step: its
+    # leading monomial stays
+    pytest.param(lambda: _qsu((2, 0, 7, 2), (2, 2, 0, 3)), (3, 4), id="q2u7-q2s2-at-3-4"),
+    # q^3*u^2 lies inside qhat's q1 bound but not inside shat's, so it
+    # vanishes at the s-step, and the least u-power that reaches the u-step
+    # is 3: the eps bound there is eps^9, not eps^7
+    pytest.param(lambda: _qsu((0, 4, 6, 3), (2, 0, 3, 3), (3, 0, 2, 2)), (3, 4),
+                 id="s4u6-q2u3-q3u2-at-3-4"),
     # known below q^1 only: a box cap in q1 would empty qhat and move the
     # leading exponents that the q-step reads for its q2 bound
     pytest.param(lambda: MultiSeries((VarSpec("q", valid=F(1)), VarSpec("s")),
@@ -403,19 +412,45 @@ def test_fourier_to_sewing_matches_uncapped_chain_on_random_forms():
         assert list(got.body.terms.items()) == list(want.body.terms.items()), f
 
 
-def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
-    # uhat carries eps^2 and the result is known below eps^7, so no
-    # substitution may return a term with eps-exponent + 2*(u-power) >= 7
+def _spy_substitute(monkeypatch):
+    """The (var, result) of each substitute call that sewing makes."""
     seen = []
     substitute = sewing.substitute
-    monkeypatch.setattr(sewing, "substitute",
-                        lambda f, var, g: seen.append(substitute(f, var, g)) or seen[-1])
+
+    def spy(f, var, g, *ahead):
+        seen.append((var, substitute(f, var, g, *ahead)))
+        return seen[-1][1]
+    monkeypatch.setattr(sewing, "substitute", spy)
+    return seen
+
+
+def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
+    # uhat carries eps^2 and the result is known below eps^7, so no
+    # substitution may return a term with eps-exponent + 2*(u-power) >= 7;
+    # shat carries q2 and the result is known below q2^6, so none may
+    # return one with q2-exponent + s-power >= 6
+    seen = _spy_substitute(monkeypatch)
     fourier_to_sewing(delta10(6, 6).fourier_u, fourier_params(period_matrix(12, 6)))
-    assert len(seen) > 3
-    for out in seen:
+    for _, out in seen:
         for key in out.body.terms:
             exps = {v.name: F(k, v.den) for v, k in zip(out.body.vars, key)}
             assert out.prefactor.get("eps", 0) + exps.get("eps", 0) + 2 * exps.get("u", 0) < 7
+            assert out.prefactor.get("q2", 0) + exps.get("q2", 0) + exps.get("s", 0) < 6
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("form, steps", [
+    pytest.param(lambda: delta10(4, 4).fourier_u, ["q", "s", "u"], id="u-form"),
+    pytest.param(lambda: delta10(4, 4).fourier, ["q", "r", "s"], id="r-form"),
+    pytest.param(lambda: _qsu((0, 0, 2, 1)), ["q", "s", "u"], id="u2"),
+    pytest.param(lambda: MultiSeries((VarSpec("u"),), {(F(2),): 1}), ["u"], id="u-only"),
+])
+def test_fourier_to_sewing_substitutes_once_per_fourier_variable(monkeypatch, form, steps):
+    f = form()
+    assert sorted(v.name for v in f.vars) == sorted(steps)
+    seen = _spy_substitute(monkeypatch)
+    fourier_to_sewing(f, fourier_params(period_matrix(4, 4)))
+    assert [var for var, _ in seen] == [x for x in ("q", "s", "u", "r") if x in steps]
 
 
 def test_fourier_params_is_cached_and_read_only():
