@@ -1000,27 +1000,32 @@ def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
     0``) needs ``g**e`` only below the absolute y-bound ``caps[t]``, ``t``
     its scaled powers of the later variables ``xs`` that add to y.
 
-    Each later call substitutes ``ahead[x]``, which adds at least ``a_x(y)``
-    (its leading y-exponent) per unit of x's power, so a term reaches the
-    final result only below ``V_y - sum a_x(y) t_x``, with ``V_y`` an upper
-    bound of the final result's.  ``V_y`` starts at this result's bound.  The
-    least power m of x among the terms whose leading monomial surely reaches
-    the end raises it, where m > 0, to ``a m + min(V_y, Vh_x(y) - a + F_y)``:
-    the bound of ``ahead[x]**m``, known below ``Vh_x(y)``, times a
-    coefficient of floor ``F_y``.  A finite x-bound ``v_x`` caps it at ``v_x
-    a``.  Every series here must hold the monomial of its leading exponents.
-
-    A later call takes its variables, floors and prefactor from its least
-    power of x, and its bounds from its powers 0, least positive and
-    negative.  Where the caps would leave no term of such a power, or of one
-    that may become such a power, its terms keep their leading monomials.
+    A later call substitutes ``ahead[x]``, which adds at least its leading
+    y-exponent ``a`` per unit of x's power, so a term counts only below
+    ``V_y - sum a t_x``, ``V_y`` an upper bound of the final y-bound: this
+    result's, raised to ``a m + min(V_y, Vh - a + F_y)`` by the least power
+    ``m > 0`` of x whose terms' leading monomials surely reach the end (the
+    bound of ``ahead[x]**m``, known below ``Vh``, times a coefficient of
+    floor ``F_y``), and capped at ``v a`` by a finite x-bound ``v``.  A
+    later call takes its variables, floors and prefactor from its least
+    power of x and its bounds from its powers 0, least positive and
+    negative: where the caps would leave no term of such a power, or of one
+    that may become one, its terms keep their leading monomials.  All this
+    reads the leading monomials of g and of ``ahead``'s series, so there are
+    no caps where one of them lacks the monomial of its leading exponents.
     """
+    def holds_lead(s):
+        lead = s.leading_exponents()
+        return tuple(_num((lead.get(v.name, 0) - s.prefactor.get(v.name, 0)) * v.den)
+                     for v in s.body.vars) in s.body.terms
+    if not all(map(holds_lead, [*bases.values(), *(ahead or {}).values()])):
+        return {}  # the leading monomials would not tell which terms reach the end
     specs = _abs_specs(whole)
     bound = {y: b for y, (_, b) in specs.items() if not is_unbounded(b)}
     pos = {v.name: j for j, v in enumerate(rest_vars)}
     leads = {s: {y: _num(a) for y, a in b.leading_exponents().items()} for s, b in bases.items()}
-    later = [(x, pos[x], {y: _num(a) for y, a in h.leading_exponents().items()}, _abs_specs(h))
-             for x, h in (ahead or {}).items() if x in pos]
+    later = [(x, pos[x], {y: _num(a) for y, a in h.leading_exponents().items()}, _abs_specs(h),
+              h.prefactor) for x, h in (ahead or {}).items() if x in pos]
     f_pref = {y: _num(e) for y, e in f_pref.items()}
 
     def exp(key, y):
@@ -1033,23 +1038,23 @@ def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
         """The absolute y-exponent of the leading monomial of the term's image."""
         return exp(key, y) + (abs(e) * leads[1 if e > 0 else -1].get(y, 0) if e else 0)
 
-    reach = dict(bound)  # below every bound that this or a later call gives
-    for x, _, a, hs in later:
-        for z, (_, b) in hs.items():
-            reach[z] = min(reach.get(z, UNBOUNDED), b + min(0, specs.get(z, (0,))[0]))
-        for z, az in a.items():
-            if az > 0 and not is_unbounded(specs[x][1]):
-                reach[z] = min(reach.get(z, UNBOUNDED), specs[x][1] * az)
+    # below every bound that this or a later call gives (the later series
+    # have floors and prefactors of at least 0, which only raise the floors)
+    reach = dict(bound)
+    low = {z: min(0, fl, whole.prefactor.get(z, 0)) for z, (fl, _) in specs.items()}
+    for x, _, a, hs, _ in later:
+        for z, b in [(z, b + low.get(z, 0)) for z, (_, b) in hs.items()] + [
+                (z, specs[x][1] * az + low.get(z, 0)) for z, az in a.items() if az > 0]:
+            reach[z] = min(reach.get(z, UNBOUNDED), b)
 
     def reaches(e, key):
-        return all(land(e, key, z) + sum(a.get(z, 0) * exp(key, x) for x, _, a, _ in later) < r
+        return all(land(e, key, z) + sum(a.get(z, 0) * exp(key, x) for x, _, a, _, _ in later) < r
                    for z, r in reach.items())
 
     by_power = [{} for _ in later]
-    for e, terms in groups.items():
+    for (e, terms), (powers, (x, *_)) in product(groups.items(), zip(by_power, later)):
         for key in terms:
-            for powers, (x, _, _, _) in zip(by_power, later):
-                powers.setdefault(exp(key, x), []).append((e, key))
+            powers.setdefault(exp(key, x), []).append((e, key))
     least = []  # per later x: its least power that surely reaches the end, and least positive
     for powers in by_power:
         order = sorted(powers)
@@ -1057,26 +1062,27 @@ def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
                       for ks in (order, [k for k in order if k > 0])])
     top = {}
     for y, v in bound.items():
-        if not all(y in s and s[y][0] >= 0 for s in map(_abs_specs, bases.values())):
-            continue  # a power is capped only where it holds y, and only above y^0
-        fl = specs[y][0]
-        for (x, _, a, hs), (m, _) in zip(later, least):
-            ay = a.get(y, 0)
-            if ay > 0 and m is None:
-                v = UNBOUNDED
-            elif ay > 0 and m > 0:
-                v, fl = ay * m + min(v, hs.get(y, (0, UNBOUNDED))[1] - ay + fl), fl + ay * m
-            if ay > 0 and not is_unbounded(specs[x][1]):
-                v = min(v, specs[x][1] * ay)
-        if not is_unbounded(v):
+        if all(y in s and s[y][0] >= 0 for s in map(_abs_specs, bases.values())):
+            # a power is capped only where it holds y, above y^0; fl and pf
+            # bound the floor and prefactor of each later call's input
+            fl, pf = specs[y][0], whole.prefactor.get(y, 0)
+            for (x, _, a, hs, hp), (m, _) in zip(later, least):
+                ay = a.get(y, 0)
+                if ay > 0:
+                    if m is None or m > 0:
+                        v = UNBOUNDED if m is None else ay * m + min(
+                            v, hs.get(y, (0, UNBOUNDED))[1] - ay + fl)
+                        fl += ay * (m or 0)
+                    v = min(v, specs[x][1] * ay + pf)  # its cap, set before its prefactor
+                pf = UNBOUNDED if m is None else pf + m * hp.get(y, 0)
             top[y] = v
     # a power is capped at a budget less the coefficient's floor and
     # prefactor, so its product keeps the pairs that land below the budget
     shift = {y: _num((rest_vars[pos[y]].min_exp if y in pos else 0) + f_pref.get(y, 0))
              for y in top}
-    adding = {y: [i for i, (_, _, a, _) in enumerate(later) if a.get(y, 0)] for y in top}
+    adding = {y: [i for i, (_, _, a, *_) in enumerate(later) if a.get(y, 0)] for y in top}
     picks = {y: _pick([later[i][1] for i in ix]) for y, ix in adding.items()}
-    pick = _pick([j for _, j, _, _ in later])
+    pick = _pick([j for _, j, *_ in later])
     firsts = {pick(key): key for e, terms in groups.items() if e for key in terms}
     caps = {y: {} for y in top}
     for key, (y, ix) in product(firsts.values(), adding.items()):
@@ -1154,16 +1160,16 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
                 f"substitution for {var} cannot be ordered away: leading "
                 f"exponents {lead} against validity {fmt_rat(valid)}"
             )
-    bases = {1: g, -1: g.invert() if min(groups, default=0) < 0 else None}
+    bases = {1: g}
+    if min(groups, default=0) < 0:
+        bases[-1] = g.invert()
 
-    def powers(bases):
-        cache = {0: PrefSeries.coerce(1)}
-
-        def power(e: int) -> PrefSeries:
-            if e not in cache:
-                cache[e] = power(e - 1 if e > 0 else e + 1).mul(bases[1 if e > 0 else -1])
-            return cache[e]
-        return power
+    def powers(bases) -> dict[int, PrefSeries]:
+        out = {0: PrefSeries.coerce(1)}
+        for e in (*range(1, max(groups, default=0) + 1),
+                  *range(-1, min(groups, default=0) - 1, -1)):
+            out[e] = out[e - 1 if e > 0 else e + 1].mul(bases[1 if e > 0 else -1])
+        return out
 
     def finish(parts) -> PrefSeries:
         # summed term by term, so only one new term is held at a time
@@ -1179,11 +1185,10 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
                 result = result.shift(name, e)
         return result
 
-    bases = {s: b for s, b in bases.items() if b is not None}
     # each product with its terms left out: what the whole input gives
     empty = powers({s: PrefSeries(MultiSeries.zero(b.body.vars), b.prefactor)
                     for s, b in bases.items()})
-    shapes = {e: empty(e).mul(PrefSeries(MultiSeries.zero(rest_vars))) for e in groups}
+    shapes = {e: empty[e].mul(PrefSeries(MultiSeries.zero(rest_vars))) for e in groups}
     caps = _power_caps(finish(shapes[e] for e in sorted(groups)), groups, rest_vars,
                        f.prefactor, bases, ahead)
     loose = {y: max(table.values()) for y, (_, table) in caps.items() if table}
@@ -1194,7 +1199,7 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
 
     def parts():
         for e in sorted(groups):
-            out = power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
+            out = power[e].mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
             body, terms = out.body, out.body.terms
             # a cap that varies with the later powers is applied per term; the
             # power's own cap bounds the product in every other variable

@@ -18,11 +18,9 @@ modular forms are then
     q = q1*exp(w11),  s = q2*exp(w22),  r = exp(w12),  u = r + 1/r - 2,
 
 and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
-(q1, q2, eps) by substitution.  It caps the hats to the validity box of the
-result before substituting, and it substitutes q and s into each u-power of
-a u-form within its own eps budget (uhat starts at eps^2, so u^k needs them
-only to eps^(2k) less than the result), so no step expands orders that a
-later step throws away.  Two symmetries of the sewn period matrix
+(q1, q2, eps) by one substitution per Fourier variable, each told what the
+later ones add, so that none expands an order that a later one drops.  Two
+symmetries of the sewn period matrix
 halve the work of building these parameters: swapping the tori (q1 <-> q2)
 maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
 eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
@@ -274,21 +272,17 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     the pinching parameters (q1, q2, eps).
 
     One :func:`~twoloop.series.substitute` call per Fourier variable of f,
-    in the order q, s, then u or r.  Each call is told the hats that the
-    later calls substitute, so it forms no term that the last call drops:
+    in the order q, s, then u or r, each told the hats of the later calls:
     a term with s^j needs its q-image only below q2^(B - j), B the result's
     q2 bound, and one with u^k its q- and s-images only below eps^(V - L*k),
     V the result's eps bound and L uhat's eps lead.  The result is, term
     for term, that of the same calls without caps.
     """
-    steps = [(var, hat) for var, hat in (("q", params.qhat), ("s", params.shat),
-                                          ("u", params.uhat), ("r", params.rhat))
-             if f.has_var(var)]
+    hats = (("q", params.qhat), ("s", params.shat), ("u", params.uhat), ("r", params.rhat))
     # substitution commutes with eps -> c*eps: substitute the scaled hats
     # into the scaled f, mostly on ints, and unscale the result once
-    c = _eps_scale(max(_eps_degree(hat) for hat in (params.qhat, params.shat,
-                                                     params.uhat, params.rhat)))
-    hats = [(var, _scale_eps(hat, c)) for var, hat in steps]
+    c = _eps_scale(max(_eps_degree(hat) for _, hat in hats))
+    hats = [(var, _scale_eps(hat, c)) for var, hat in hats if f.has_var(var)]
     out = _scale_eps(PrefSeries(f), c)
     for j, (var, hat) in enumerate(hats):
         out = substitute(out, var, hat, dict(hats[j + 1:]))
