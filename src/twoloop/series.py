@@ -1011,15 +1011,18 @@ def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
     power of x and its bounds from its powers 0, least positive and
     negative: where the caps would leave no term of such a power, or of one
     that may become one, its terms keep their leading monomials.  All this
-    reads the leading monomials of g and of ``ahead``'s series, so there are
-    no caps where one of them lacks the monomial of its leading exponents.
+    reads the leading monomials of g and of ``ahead``'s series, and takes
+    the floors and prefactors of ``ahead``'s series to be at least 0: there
+    are no caps where that does not hold.
     """
     def holds_lead(s):
         lead = s.leading_exponents()
         return tuple(_num((lead.get(v.name, 0) - s.prefactor.get(v.name, 0)) * v.den)
                      for v in s.body.vars) in s.body.terms
-    if not all(map(holds_lead, [*bases.values(), *(ahead or {}).values()])):
-        return {}  # the leading monomials would not tell which terms reach the end
+    if not all(map(holds_lead, [*bases.values(), *(ahead or {}).values()])) or any(
+            min(0, *h.prefactor.values(), *(fl for fl, _ in _abs_specs(h).values())) < 0
+            for h in (ahead or {}).values()):
+        return {}  # what the rule reads of the series below would not hold
     specs = _abs_specs(whole)
     bound = {y: b for y, (_, b) in specs.items() if not is_unbounded(b)}
     pos = {v.name: j for j, v in enumerate(rest_vars)}
@@ -1038,8 +1041,7 @@ def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
         """The absolute y-exponent of the leading monomial of the term's image."""
         return exp(key, y) + (abs(e) * leads[1 if e > 0 else -1].get(y, 0) if e else 0)
 
-    # below every bound that this or a later call gives (the later series
-    # have floors and prefactors of at least 0, which only raise the floors)
+    # below every bound that this or a later call gives
     reach = dict(bound)
     low = {z: min(0, fl, whole.prefactor.get(z, 0)) for z, (fl, _) in specs.items()}
     for x, _, a, hs, _ in later:
@@ -1074,7 +1076,8 @@ def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
                             v, hs.get(y, (0, UNBOUNDED))[1] - ay + fl)
                         fl += ay * (m or 0)
                     v = min(v, specs[x][1] * ay + pf)  # its cap, set before its prefactor
-                pf = UNBOUNDED if m is None else pf + m * hp.get(y, 0)
+                if hp.get(y):
+                    pf = UNBOUNDED if m is None else pf + m * hp[y]
             top[y] = v
     # a power is capped at a budget less the coefficient's floor and
     # prefactor, so its product keeps the pairs that land below the budget
