@@ -1123,9 +1123,9 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
     (:func:`substituted_validity`).
 
     The result's variables, floors, bounds and prefactor come from the
-    whole input, and then no term is formed that the result drops: each
-    power ``g**e`` is capped at the loosest bound its coefficient's terms
-    need, and each term's image at its own.  ``ahead`` names the series that
+    whole input, and then no term is formed that the result drops: the
+    powers of g are capped at the loosest bound any term needs, and each
+    term's image at its own.  ``ahead`` names the series that
     later calls substitute for variables f keeps, in the order of those
     calls; the caps then also leave out what the last call drops
     (:func:`_power_caps`).  The result is, term for term, the uncapped one.

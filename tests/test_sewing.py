@@ -318,8 +318,9 @@ def test_delta10_factorization_beyond_printed_order():
 
 
 def _uncapped_chain(f, params):
-    """fourier_to_sewing without the hat caps: one substitution per Fourier
-    variable, each at the hats' own orders."""
+    """fourier_to_sewing without its look-ahead: one substitution per
+    Fourier variable, each at the hats' own orders and told nothing of the
+    later ones."""
     out = PrefSeries.coerce(f)
     for var, hat in (("q", params.qhat), ("s", params.shat),
                      ("u", params.uhat), ("r", params.rhat)):
@@ -381,8 +382,8 @@ def _qsu(*terms):
                  (3, 4), id="1-3s2-below-q1-at-3-4"),
 ])
 def test_fourier_to_sewing_matches_uncapped_chain(form, sewing_orders):
-    # capping the hats to the result's box, and giving each u-power its own
-    # eps budget, changes no term, bound or order
+    # the caps that look ahead to the later substitutions change no term,
+    # bound or order
     f = form()
     params = fourier_params(period_matrix(*sewing_orders))
     got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
