@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import ceil, gcd, lcm
-from operator import floordiv, getitem, gt, itemgetter, mul as times, sub
+from math import gcd, lcm
+from operator import floordiv, getitem, gt, mul as times, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -978,139 +978,7 @@ def substituted_validity(valid: Fraction, lead: Fraction, floor: Fraction) -> Fr
     return valid * lead + min(_ZERO, floor)
 
 
-def _num(x):
-    """``x`` as an int where it is one, so that sums of exponents stay ints."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _abs_specs(s: PrefSeries) -> dict[str, tuple]:
-    """Per body variable of ``s``, its absolute (prefactor-included) floor
-    and bound."""
-    return {v.name: (_num(v.min_exp + s.prefactor.get(v.name, _ZERO)),
-                     _num(v.valid + s.prefactor.get(v.name, _ZERO))) for v in s.body.vars}
-
-
-def _pick(idx):
-    """The function that takes the entries at positions ``idx`` from a key."""
-    return itemgetter(*idx) if idx else lambda k: ()
-
-
-def _power_caps(whole, groups, rest_vars, f_pref, bases, ahead) -> dict:
-    """``y -> (xs, caps)``: a term of the coefficient of ``var**e`` (``e !=
-    0``) needs ``g**e`` only below the absolute y-bound ``caps[t]``, ``t``
-    its scaled powers of the later variables ``xs`` that add to y.
-
-    A later call substitutes ``ahead[x]``, which adds at least its leading
-    y-exponent ``a`` per unit of x's power, so a term counts only below
-    ``V_y - sum a t_x``, ``V_y`` an upper bound of the final y-bound: this
-    result's, raised to ``a m + min(V_y, Vh - a + F_y)`` by the least power
-    ``m > 0`` of x whose terms' leading monomials surely reach the end (the
-    bound of ``ahead[x]**m``, known below ``Vh``, times a coefficient of
-    floor ``F_y``), and capped at ``v a`` by a finite x-bound ``v``.  A
-    later call takes its variables, floors and prefactor from its least
-    power of x and its bounds from its powers 0, least positive and
-    negative: where the caps would leave no term of such a power, or of one
-    that may become one, its terms keep their leading monomials.  All this
-    reads the leading monomials of g and of ``ahead``'s series, and takes
-    the floors and prefactors of ``ahead``'s series to be at least 0: there
-    are no caps where that does not hold.
-    """
-    def holds_lead(s):
-        lead = s.leading_exponents()
-        return tuple(_num((lead.get(v.name, 0) - s.prefactor.get(v.name, 0)) * v.den)
-                     for v in s.body.vars) in s.body.terms
-    if not all(map(holds_lead, [*bases.values(), *(ahead or {}).values()])) or any(
-            min(0, *h.prefactor.values(), *(fl for fl, _ in _abs_specs(h).values())) < 0
-            for h in (ahead or {}).values()):
-        return {}  # what the rule reads of the series below would not hold
-    specs = _abs_specs(whole)
-    bound = {y: b for y, (_, b) in specs.items() if not is_unbounded(b)}
-    pos = {v.name: j for j, v in enumerate(rest_vars)}
-    leads = {s: {y: _num(a) for y, a in b.leading_exponents().items()} for s, b in bases.items()}
-    later = [(x, pos[x], {y: _num(a) for y, a in h.leading_exponents().items()}, _abs_specs(h),
-              h.prefactor) for x, h in (ahead or {}).items() if x in pos]
-    f_pref = {y: _num(e) for y, e in f_pref.items()}
-
-    def exp(key, y):
-        """The term's absolute y-exponent before ``g**e`` adds its part."""
-        j, own = pos.get(y), f_pref.get(y, 0)
-        return own if j is None else own + (
-            key[j] if rest_vars[j].den == 1 else Fraction(key[j], rest_vars[j].den))
-
-    def land(e, key, y):
-        """The absolute y-exponent of the leading monomial of the term's image."""
-        return exp(key, y) + (abs(e) * leads[1 if e > 0 else -1].get(y, 0) if e else 0)
-
-    # below every bound that this or a later call gives
-    reach = dict(bound)
-    low = {z: min(0, fl, whole.prefactor.get(z, 0)) for z, (fl, _) in specs.items()}
-    for x, _, a, hs, _ in later:
-        for z, b in [(z, b + low.get(z, 0)) for z, (_, b) in hs.items()] + [
-                (z, specs[x][1] * az + low.get(z, 0)) for z, az in a.items() if az > 0]:
-            reach[z] = min(reach.get(z, UNBOUNDED), b)
-
-    def reaches(e, key):
-        return all(land(e, key, z) + sum(a.get(z, 0) * exp(key, x) for x, _, a, _, _ in later) < r
-                   for z, r in reach.items())
-
-    by_power = [{} for _ in later]
-    for (e, terms), (powers, (x, *_)) in product(groups.items(), zip(by_power, later)):
-        for key in terms:
-            powers.setdefault(exp(key, x), []).append((e, key))
-    least = []  # per later x: its least power that surely reaches the end, and least positive
-    for powers in by_power:
-        order = sorted(powers)
-        least.append([next((k for k in ks if any(reaches(*t) for t in powers[k])), None)
-                      for ks in (order, [k for k in order if k > 0])])
-    top = {}
-    for y, v in bound.items():
-        if all(y in s and s[y][0] >= 0 for s in map(_abs_specs, bases.values())):
-            # a power is capped only where it holds y, above y^0; fl and pf
-            # bound the floor and prefactor of each later call's input
-            fl, pf = specs[y][0], whole.prefactor.get(y, 0)
-            for (x, _, a, hs, hp), (m, _) in zip(later, least):
-                ay = a.get(y, 0)
-                if ay > 0:
-                    if m is None or m > 0:
-                        v = UNBOUNDED if m is None else ay * m + min(
-                            v, hs.get(y, (0, UNBOUNDED))[1] - ay + fl)
-                        fl += ay * (m or 0)
-                    v = min(v, specs[x][1] * ay + pf)  # its cap, set before its prefactor
-                if hp.get(y):
-                    pf = UNBOUNDED if m is None else pf + m * hp[y]
-            top[y] = v
-    # a power is capped at a budget less the coefficient's floor and
-    # prefactor, so its product keeps the pairs that land below the budget
-    shift = {y: _num((rest_vars[pos[y]].min_exp if y in pos else 0) + f_pref.get(y, 0))
-             for y in top}
-    adding = {y: [i for i, (_, _, a, *_) in enumerate(later) if a.get(y, 0)] for y in top}
-    picks = {y: _pick([later[i][1] for i in ix]) for y, ix in adding.items()}
-    pick = _pick([j for _, j, *_ in later])
-    firsts = {pick(key): key for e, terms in groups.items() if e for key in terms}
-    caps = {y: {} for y in top}
-    for key, (y, ix) in product(firsts.values(), adding.items()):
-        caps[y].setdefault(picks[y](key), top[y] - shift[y] - sum(
-            later[i][2][y] * exp(key, later[i][0]) for i in ix))
-
-    def stored(e, key):
-        return all(land(e, key, y) < b for y, b in bound.items())
-
-    def kept(e, key):
-        return not e or all(land(e, key, y) < caps[y][picks[y](key)] + shift[y] for y in caps)
-
-    for powers, (_, p) in zip(by_power, least):
-        for k, terms in powers.items():
-            if (k < 0 or p is None or k <= p) and not any(stored(*t) and kept(*t) for t in terms):
-                for (e, key), y in product(terms, caps):
-                    if e and stored(e, key):
-                        t = picks[y](key)
-                        caps[y][t] = max(caps[y][t], land(e, key, y) - shift[y]
-                                         + Fraction(1, whole.body.spec(y).den))
-    return {y: ([later[i][0] for i in adding[y]], caps[y]) for y in caps}
-
-
-def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
-               ahead: dict[str, PrefSeries] | None = None) -> PrefSeries:
+def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeries:
     """Homomorphic substitution of a series for one variable.
 
     ``f`` may carry a prefactor: an integer exponent of ``var`` there is
@@ -1121,14 +989,6 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
     away: every leading exponent of ``g`` must be nonnegative with at least
     one strictly positive, and the result's validity is capped accordingly
     (:func:`substituted_validity`).
-
-    The result's variables, floors, bounds and prefactor come from the
-    whole input, and then no term is formed that the result drops: the
-    powers of g are capped at the loosest bound any term needs, and each
-    term's image at its own.  ``ahead`` names the series that
-    later calls substitute for variables f keeps, in the order of those
-    calls; the caps then also leave out what the last call drops
-    (:func:`_power_caps`).  The result is, term for term, the uncapped one.
     """
     f = PrefSeries.coerce(f)
     body = f.body
@@ -1147,7 +1007,6 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
     i = body.var_index(var)
     v = body.vars[i]
     rest_vars = body.vars[:i] + body.vars[i + 1:]
-    floors = {v.name: v.min_exp for v in rest_vars}
     groups: dict[int, dict] = {}
     for k, c in body.terms.items():
         if k[i] % v.den:
@@ -1163,59 +1022,34 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
                 f"substitution for {var} cannot be ordered away: leading "
                 f"exponents {lead} against validity {fmt_rat(valid)}"
             )
-    bases = {1: g}
-    if min(groups, default=0) < 0:
-        bases[-1] = g.invert()
+    power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
+    g_inverse = g.invert() if min(groups, default=0) < 0 else None
 
-    def powers(bases) -> dict[int, PrefSeries]:
-        out = {0: PrefSeries.coerce(1)}
-        for e in (*range(1, max(groups, default=0) + 1),
-                  *range(-1, min(groups, default=0) - 1, -1)):
-            out[e] = out[e - 1 if e > 0 else e + 1].mul(bases[1 if e > 0 else -1])
-        return out
+    def g_power(e: int) -> PrefSeries:
+        if e in power_cache:
+            return power_cache[e]
+        if e > 0:
+            power = g_power(e - 1).mul(g)
+        else:
+            power = g_power(e + 1).mul(g_inverse)
+        power_cache[e] = power
+        return power
 
-    def finish(parts) -> PrefSeries:
-        # summed term by term, so only one new term is held at a time
-        result = (reduce(PrefSeries.add, parts) if groups
-                  else PrefSeries(MultiSeries.zero(rest_vars)))
-        if finite_tail:
-            for name, le in lead.items():
-                if le > 0:
-                    bound = substituted_validity(valid, le, floors.get(name, _ZERO))
-                    result = result.cap_absolute_valid(name, bound)
-        for name, e in f.prefactor.items():
-            if name != var:
-                result = result.shift(name, e)
-        return result
-
-    # each product with its terms left out: what the whole input gives
-    empty = powers({s: PrefSeries(MultiSeries.zero(b.body.vars), b.prefactor)
-                    for s, b in bases.items()})
-    shapes = {e: empty[e].mul(PrefSeries(MultiSeries.zero(rest_vars))) for e in groups}
-    caps = _power_caps(finish(shapes[e] for e in sorted(groups)), groups, rest_vars,
-                       f.prefactor, bases, ahead)
-    loose = {y: max(table.values()) for y, (_, table) in caps.items() if table}
-    power = powers({s: PrefSeries(b.body.with_validity(**{
-        y: c - b.prefactor.get(y, _ZERO) for y, c in loose.items()
-        if c - b.prefactor.get(y, _ZERO) < b.body.spec(y).valid}), b.prefactor)
-        for s, b in bases.items()})
-
-    def parts():
-        for e in sorted(groups):
-            out = power[e].mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
-            body, terms = out.body, out.body.terms
-            # a cap that varies with the later powers is applied per term; the
-            # power's own cap bounds the product in every other variable
-            for y, (xs, table) in caps.items() if e else ():
-                if xs:
-                    i, den = body.var_index(y), body.spec(y).den
-                    at = _pick([body.var_index(x) for x in xs])
-                    below = {t: ceil((b + floors.get(y, 0) - out.prefactor.get(y, 0)) * den)
-                             for t, b in table.items()}
-                    terms = {k: c for k, c in terms.items() if k[i] < below[at(k)]}
-            yield PrefSeries(MultiSeries._of(shapes[e].body.vars, terms), shapes[e].prefactor)
-
-    return finish(parts())
+    # summed term by term, so only one new term is held at a time
+    terms = (g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
+             for e in sorted(groups))
+    result = (reduce(PrefSeries.add, terms) if groups
+              else PrefSeries(MultiSeries.zero(rest_vars)))
+    if finite_tail:
+        floors = {v.name: v.min_exp for v in rest_vars}
+        for name, le in lead.items():
+            if le > 0:
+                bound = substituted_validity(valid, le, floors.get(name, _ZERO))
+                result = result.cap_absolute_valid(name, bound)
+    for name, e in f.prefactor.items():
+        if name != var:
+            result = result.shift(name, e)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -870,65 +870,6 @@ def test_substitute_rejects_unorderable():
         substitute(f, "q", g)
 
 
-def _later_hat(rng):
-    """A series in (t, w) whose least t-power is at least 1: with or without
-    the monomial of its leading exponents, and with or without a prefactor."""
-    t, w = V("t", min_exp=rng.choice([0, 1]), order=6, valid=rng.randint(2, 6)), \
-        V("w", order=5, valid=rng.randint(1, 5))
-    terms = dict(random_series(rng, [t, w], max_terms=5, max_exp=4).iter_terms())
-    terms[(F(1), F(0))] = 1
-    return PrefSeries(MultiSeries((t, w), terms), {"t": rng.choice([0, 0, 1])})
-
-
-def _assert_ahead_changes_nothing(f, g, h):
-    """q -> g told that s -> h follows, then s -> h, gives the chain's
-    variables, prefactor and terms, in order, as it does without being told."""
-    want = substitute(substitute(f, "q", g), "s", h)
-    got = substitute(substitute(f, "q", g, {"s": h}), "s", h)
-    assert got.body.vars == want.body.vars
-    assert list(got.prefactor.items()) == list(want.prefactor.items())
-    assert list(got.body.terms.items()) == list(want.body.terms.items())
-
-
-@settings(substitute_properties, max_examples=30)
-@given(rng=st.randoms(use_true_random=False))
-def test_substitute_told_what_follows_gives_the_chain_term_for_term(rng):
-    f = random_series(rng, [V("q", order=6, valid=rng.choice([6, rng.randint(1, 5)])),
-                            V("s", order=6, valid=rng.choice([6, rng.randint(1, 5)])),
-                            V("e", min_exp=rng.choice([0, -1]), order=4,
-                              valid=rng.randint(1, 4))], max_terms=7, max_exp=5)
-    if rng.random() < 0.3:
-        f = PrefSeries(f, {"e": rng.choice([1, -1]), "s": rng.choice([0, 1])})
-    try:
-        _assert_ahead_changes_nothing(f, _later_hat(rng), _later_hat(rng))
-    except TruncationUnderflow:
-        pass
-
-
-def _tw(floor, t, w, terms):
-    """t times a series in (t, w) with t-floor ``floor``, known below t^t
-    and w^w."""
-    return PrefSeries(S([V("t", min_exp=floor, valid=t), V("w", valid=w)], terms), {"t": 1})
-
-
-@pytest.mark.parametrize("f, g, h", [
-    # the later cap in t at s^4 counts the t^2 prefactor of q's image,
-    # since substitute sets it before it shifts by that prefactor
-    pytest.param(PrefSeries(S([V("q", order=6), V("s", order=6),
-                               V("e", min_exp=-1, order=4, valid=2)], {(2, 4, 0): 2}),
-                            {"e": 1}),
-                 _tw(1, 6, 2, {(1, 0): 1, (2, 0): F(1, 3), (3, 1): -1, (4, 0): 2}),
-                 _tw(1, 4, 4, {(1, 0): 1, (1, 1): F(-4, 3)}), id="cap-after-prefactor"),
-    # t*(t + w^2) lacks the monomial t^1 of its leading exponents: no caps
-    pytest.param(S([V("q", order=6), V("s", order=6), V("e", order=4, valid=1)],
-                   {(2, 0, 0): F(-4, 3), (2, 4, 0): -3}),
-                 _tw(0, 2, 3, {(1, 0): 1, (0, 2): 1}), _tw(1, 4, 1, {(1, 0): 1}),
-                 id="no-leading-monomial"),
-])
-def test_substitute_told_what_follows_gives_the_chain_on_found_cases(f, g, h):
-    _assert_ahead_changes_nothing(f, g, h)
-
-
 def test_add_moves_a_body_onto_the_finer_grid_of_its_prefactor():
     # eta + eta^2: the common prefactor is q^(1/24), so eta^2's body moves
     # up by q^(1/24), which shift_var puts on the grid of q^(1/24)
