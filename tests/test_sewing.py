@@ -318,13 +318,24 @@ def test_delta10_factorization_beyond_printed_order():
 
 
 def _uncapped_chain(f, params):
-    """fourier_to_sewing without the hat caps: one substitution per Fourier
-    variable, each at the hats' own orders."""
-    out = PrefSeries.coerce(f)
-    for var, hat in (("q", params.qhat), ("s", params.shat),
-                     ("u", params.uhat), ("r", params.rhat)):
-        out = substitute(out, var, hat)
-    return out
+    """fourier_to_sewing without the hat caps or the look-ahead: one plain
+    substitution per Fourier variable, each at the hats' own orders, made at
+    eps -> c*eps as fourier_to_sewing makes them."""
+    steps = (("q", params.qhat), ("s", params.shat), ("u", params.uhat), ("r", params.rhat))
+    c = sewing._eps_scale(max(sewing._eps_degree(hat) for _, hat in steps))
+    out = sewing._scale_eps(PrefSeries.coerce(f), c)
+    for var, hat in steps:
+        out = substitute(out, var, sewing._scale_eps(hat, c))
+    return sewing._scale_eps(out, F(1, c))
+
+
+def _assert_same(got, want, context=None):
+    """The same variables, prefactor and terms, in the same order, with each
+    coefficient of the same type (``Fraction(2, 1) == 2`` would pass)."""
+    assert got.body.vars == want.body.vars, context
+    assert list(got.prefactor.items()) == list(want.prefactor.items()), context
+    typed = [[(k, type(c), c) for k, c in s.body.terms.items()] for s in (got, want)]
+    assert typed[0] == typed[1], context
 
 
 def _q_unbounded_form():
@@ -385,10 +396,7 @@ def test_fourier_to_sewing_matches_uncapped_chain(form, sewing_orders):
     # eps budget, changes no term, bound or order
     f = form()
     params = fourier_params(period_matrix(*sewing_orders))
-    got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
-    assert got.body.vars == want.body.vars
-    assert list(got.prefactor.items()) == list(want.prefactor.items())
-    assert list(got.body.terms.items()) == list(want.body.terms.items())
+    _assert_same(fourier_to_sewing(f, params), _uncapped_chain(f, params))
 
 
 def _random_form(rng):
@@ -406,10 +414,7 @@ def test_fourier_to_sewing_matches_uncapped_chain_on_random_forms():
     for _ in range(200):
         f = _random_form(rng)
         params = fourier_params(period_matrix(*rng.choice([(3, 4), (4, 4), (5, 5)])))
-        got, want = fourier_to_sewing(f, params), _uncapped_chain(f, params)
-        assert got.body.vars == want.body.vars, f
-        assert list(got.prefactor.items()) == list(want.prefactor.items()), f
-        assert list(got.body.terms.items()) == list(want.body.terms.items()), f
+        _assert_same(fourier_to_sewing(f, params), _uncapped_chain(f, params), f)
 
 
 def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
