@@ -113,36 +113,51 @@ MUTANTS = (
            "return _scale_eps(out, F(1, c))",
            "return PrefSeries(_scale_eps(out.body, F(1, c)), out.prefactor)",
            ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",)),
-    Mutant("the eps bound of the u-budgets leaves out the least u-power", "sewing.py",
-           "v = valid.pop() + lead * max(min(powers) - 1, 0)", "v = valid.pop()",
+    Mutant("the eps bound of the look-ahead leaves out the least u-power", "sewing.py",
+           "v = max(top[EPSVAR]) + lead * max(min(powers) - 1, 0)", "v = max(top[EPSVAR])",
            ("tests/test_sewing.py::"
             "test_fourier_to_sewing_matches_uncapped_chain[qsu2-qsu6-at-3-4]",
             "tests/test_sewing.py::"
             "test_fourier_to_sewing_matches_uncapped_chain_on_random_forms")),
-    Mutant("a u-power without budget is left out even where it holds a least power",
-           "sewing.py",
-           "and lows.intersection(enumerate(key))", "and False",
+    Mutant("a group whose terms are all dead is left out, though it holds a least power",
+           "series.py",
+           "for key, x in _realign(dead, align).items():",
+           "for key, x in _realign(dead if live else {}, align).items():",
            ("tests/test_sewing.py::"
-            "test_fourier_to_sewing_matches_uncapped_chain[qu9-q2u-at-4-4]",)),
-    Mutant("the u-budgets skip the hats' q1 and q2 bounds", "sewing.py",
-           "if max(cols.get(x, [0])) >= min(_abs_valid(h, y) for h in hats.values()):",
-           "if False:",
-           ("tests/test_sewing.py::"
-            "test_fourier_to_sewing_matches_uncapped_chain[vanishing-q9u-at-3-4]",)),
-    Mutant("each u-power's eps budget is one uhat lead too tight", "sewing.py",
-           "{k: v - lead * k for k in set(cols[\"u\"]) if v > lead * k}",
-           "{k: v - lead * (k + 1) for k in set(cols[\"u\"]) if v > lead * (k + 1)}",
+            "test_fourier_to_sewing_matches_uncapped_chain[qu7-q2s2-at-3-4]",
+            "tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain_on_random_forms")),
+    Mutant("the look-ahead ignores the hats' q1 and q2 bounds", "sewing.py",
+           "ahead = {x: leads[x] for x, _ in steps[n + 1:]}, box",
+           "ahead = {x: leads[x] for x, _ in steps[n + 1:]}, {EPSVAR: box.get(EPSVAR, UNBOUNDED)}",
+           ("tests/test_sewing.py::test_fourier_to_sewing_forms_no_term_past_its_eps_budget",)),
+    Mutant("each term is raised one step too far", "series.py",
+           "max(floor(sum(map(times, lift, powers), base)), 0)",
+           "max(floor(sum(map(times, lift, powers), base)) + 1, 0)",
            ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",
             "tests/test_golden.py::test_golden_digest")),
-    Mutant("the part that takes the terms free of the variable keeps its own budget",
-           "sewing.py",
-           "b = budgets[k] if outs else (None if None in loose else max(loose))",
-           "b = budgets.get(k)",
-           ("tests/test_sewing.py::"
-            "test_fourier_to_sewing_matches_uncapped_chain[qu-qsu2-at-3-4]",)),
-    Mutant("the q- and s-steps ignore the eps budgets", "sewing.py",
-           "if b is None or b >= _abs_valid(hat, EPSVAR):", "if True:",
+    Mutant("the last step told what follows keeps what lands past the bounds", "series.py",
+           "        result = result.cap_absolute_valid(y, bounds[y])\n",
+           "        pass\n",
+           ("tests/test_validity.py::"
+            "test_substitute_told_what_follows_claims_no_more_than_the_plain_chain",)),
+    Mutant("the raise ignores what the later steps add", "series.py",
+           "[w.get(y, _ZERO) * den / d for _, d, _, w in later]", "[_ZERO for _ in later]",
            ("tests/test_sewing.py::test_fourier_to_sewing_forms_no_term_past_its_eps_budget",)),
+    Mutant("dead terms keep no carrier", "series.py",
+           "                body[key] = x * c0\n", "                pass\n",
+           ("tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[q2u7-q2s2-at-3-4]",
+            "tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[qu7-q2s2-at-3-4]")),
+    Mutant("the product's keys are lowered one step short", "series.py",
+           "key[j] -= r * m", "key[j] -= max(r - 1, 0) * m",
+           ("tests/test_sewing.py::test_fourier_to_sewing_matches_uncapped_chain",
+            "tests/test_golden.py::test_golden_digest")),
+    Mutant("the eps bound of the look-ahead skips the reach guard", "sewing.py",
+           "all(k[at[x]] < min(top[y], default=UNBOUNDED)", "all(k[at[x]] < UNBOUNDED",
+           ("tests/test_sewing.py::"
+            "test_fourier_to_sewing_matches_uncapped_chain[vanishing-q9u-at-3-4]",)),
     Mutant("substituted_validity claims one lead more", "series.py",
            "    return valid * lead + min(_ZERO, floor)",
            "    return (valid + 1) * lead + min(_ZERO, floor)",

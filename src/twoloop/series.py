@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import floordiv, getitem, gt, mul as times, sub
 from types import MappingProxyType
 
@@ -284,14 +284,6 @@ class MultiSeries:
 
     # -- metadata manipulation ------------------------------------------
 
-    def _with_vars(self, new_vars: tuple[VarSpec, ...]) -> "MultiSeries":
-        """Replace the var list (same names/dens), re-pruning terms."""
-        kmaxes = [v.kmax() for v in new_vars]
-        return MultiSeries._of(new_vars, {
-            k: c for k, c in self.terms.items()
-            if all(ki <= m for ki, m in zip(k, kmaxes))
-        })
-
     def with_min_floor(self, name: str, floor) -> "MultiSeries":
         """Raise the declared Laurent floor of one variable.
 
@@ -321,10 +313,11 @@ class MultiSeries:
                 b = Fraction(bounds[v.name])
                 if b > v.valid:
                     raise DomainError(f"cannot raise validity of {v.name}")
-                new_vars.append(replace(v, valid=max(b, v.min_exp)))
-            else:
-                new_vars.append(v)
-        return self._with_vars(tuple(new_vars))
+                v = replace(v, valid=max(b, v.min_exp))
+            new_vars.append(v)
+        kmaxes = [v.kmax() for v in new_vars]
+        return MultiSeries._of(tuple(new_vars), {
+            k: c for k, c in self.terms.items() if all(ki <= m for ki, m in zip(k, kmaxes))})
 
     def rename_vars(self, mapping: dict[str, str]) -> "MultiSeries":
         new_vars = tuple(replace(v, name=mapping.get(v.name, v.name)) for v in self.vars)
@@ -930,13 +923,10 @@ class PrefSeries:
         """
         lead = dict(self.prefactor)
         for i, v in enumerate(self.body.vars):
+            # a stored exponent lies below the validity bound
             stored = [k[i] for k in self.body.terms]
-            floor = None
-            if stored:
-                floor = Fraction(min(stored), v.den)
-            if not is_unbounded(v.valid):
-                floor = v.valid if floor is None else min(floor, v.valid)
-            if floor is not None:
+            floor = Fraction(min(stored), v.den) if stored else v.valid
+            if not is_unbounded(floor):
                 lead[v.name] = lead.get(v.name, _ZERO) + floor
         return lead
 
@@ -978,7 +968,8 @@ def substituted_validity(valid: Fraction, lead: Fraction, floor: Fraction) -> Fr
     return valid * lead + min(_ZERO, floor)
 
 
-def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeries:
+def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
+               ahead: tuple[dict, dict] | None = None) -> PrefSeries:
     """Homomorphic substitution of a series for one variable.
 
     ``f`` may carry a prefactor: an integer exponent of ``var`` there is
@@ -989,6 +980,18 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
     away: every leading exponent of ``g`` must be nonnegative with at least
     one strictly positive, and the result's validity is capped accordingly
     (:func:`substituted_validity`).
+
+    ``ahead = (weights, bounds)`` makes this one step of a chain wanted
+    below the absolute ``bounds[y]`` (no tighter than the plain chain's).
+    ``weights[x][y]`` is the least y-exponent that the later step for x adds
+    per unit of x's power (its hat's leading exponents); g holds no such x.
+    Each term of c_e is raised in y by what the later steps add past the
+    room below ``bounds[y]``, :func:`mul` prunes the pairs past its box
+    (Brent and Kung, J. ACM 25, 1978) and the keys are lowered back.  A term
+    with no pair left keeps one, times c0^e (c0 g's constant term), so that
+    later steps see every power, variable and prefactor of the plain chain;
+    g^e is not formed for such terms alone.  They and the pruned pairs land
+    past the bounds, which the last step (its f holds no x) caps.
     """
     f = PrefSeries.coerce(f)
     body = f.body
@@ -1016,12 +1019,11 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
         groups.setdefault(k[i] // v.den + p, {})[k[:i] + k[i + 1:]] = c
     valid = v.valid + p
     finite_tail = not is_unbounded(valid)
-    if finite_tail:
-        if any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values()):
-            raise TruncationUnderflow(
-                f"substitution for {var} cannot be ordered away: leading "
-                f"exponents {lead} against validity {fmt_rat(valid)}"
-            )
+    if finite_tail and (any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values())):
+        raise TruncationUnderflow(
+            f"substitution for {var} cannot be ordered away: leading "
+            f"exponents {lead} against validity {fmt_rat(valid)}"
+        )
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
     g_inverse = g.invert() if min(groups, default=0) < 0 else None
 
@@ -1035,9 +1037,76 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
         power_cache[e] = power
         return power
 
+    if ahead is not None:
+        weights, bounds = ahead
+        if any(g.body.has_var(x) or x in g.prefactor for x in weights):
+            raise DomainError(f"the series for {var} holds a variable that a later step replaces")
+        names = [v.name for v in rest_vars]
+        # per later variable the coefficients hold: position, den, f's prefactor, weights
+        later = [(names.index(x), rest_vars[names.index(x)].den, f.prefactor.get(x, _ZERO), w)
+                 for x, w in weights.items() if x in names]
+
+    def product(e: int) -> PrefSeries:
+        """g**e * c_e, with the look-ahead of ``ahead`` where g**e has a
+        constant term c0 to keep the dead terms with."""
+        c0 = g.body.constant_term() ** e if e >= 0 else g_power(e).body.constant_term()
+        if ahead is None or not c0:
+            return g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
+        # the variables of g**e, formed or not
+        g_vars = g_power(e).body.vars if e < 0 else reduce(
+            lambda vs, _: _merge_vars_mul(vs, g.body.vars)[0], range(e), ())
+        pref = {n: x * e for n, x in g.prefactor.items()}
+        # c_e also on the bounded variables only g**e holds, at exponent 0:
+        # the product's variables are still the plain product's
+        c_vars = rest_vars + tuple(VarSpec(v.name, v.den) for v in g_vars
+                                   if v.name in bounds and v.name not in names)
+        merged, _, _, align, kmaxes = _merge_vars_mul(g_vars, c_vars)
+        at = {v.name: j for j, v in enumerate(merged)}
+        low = {v.name: v.kmin() * merged[at[v.name]].den // v.den for v in g_vars}
+        # per bounded y: its positions, den ratio, the raise as a linear form in
+        # the later powers (what later steps add past the room the plain
+        # product leaves below bounds[y]) and the top raised key with a pair
+        ys = []
+        for i, v in enumerate(c_vars):
+            if (y := v.name) in bounds:
+                j, den = at[y], merged[at[y]].den
+                room = bounds[y] - f.prefactor.get(y, _ZERO) - pref.get(y, _ZERO)
+                ys.append((i, j, den // v.den, [w.get(y, _ZERO) * den / d for _, d, _, w in later],
+                           sum(w.get(y, _ZERO) * p for _, _, p, w in later) * den
+                           + kmaxes[j] + 1 - ceil(room * den), kmaxes[j] - low.get(y, 0)))
+        ups: dict[tuple, tuple] = {}  # the raise per y, per later powers
+        xs = [i for i, *_ in later]
+        pad = (0,) * (len(c_vars) - len(rest_vars))
+        live, dead = {}, {}
+        for k, x in groups[e].items():
+            powers = tuple(map(k.__getitem__, xs))
+            if powers not in ups:
+                ups[powers] = tuple(max(floor(sum(map(times, lift, powers), base)), 0) // m
+                                    for _, _, m, lift, base, _ in ys)
+            key = [*k, *pad]
+            for r, (i, *_) in zip(ups[powers], ys):
+                key[i] += r
+            if all(key[i] * m <= top for i, _, m, *_, top in ys):
+                live[tuple(key)] = x
+            else:
+                dead[k + pad] = x
+        out = mul(g_power(e).body, MultiSeries._of(c_vars, live)) if live else None
+        if not dead and not any(map(any, ups.values())):
+            return PrefSeries(out, pref)
+        body = {}
+        xs = [at[names[i]] for i in xs]
+        for key, x in out.terms.items() if out else ():
+            key = list(key)
+            for r, (_, j, m, *_) in zip(ups[tuple(map(key.__getitem__, xs))], ys):
+                key[j] -= r * m
+            body[tuple(key)] = x
+        for key, x in _realign(dead, align).items():
+            if all(k <= m for k, m in zip(key, kmaxes)):
+                body[key] = x * c0
+        return PrefSeries(MultiSeries._of(merged, dict(sorted(body.items()))), pref)
+
     # summed term by term, so only one new term is held at a time
-    terms = (g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
-             for e in sorted(groups))
+    terms = (product(e) for e in sorted(groups))
     result = (reduce(PrefSeries.add, terms) if groups
               else PrefSeries(MultiSeries.zero(rest_vars)))
     if finite_tail:
@@ -1049,6 +1118,8 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries) -> PrefSeri
     for name, e in f.prefactor.items():
         if name != var:
             result = result.shift(name, e)
+    for y in [y for y in bounds if result.body.has_var(y)] if ahead and not later else ():
+        result = result.cap_absolute_valid(y, bounds[y])
     return result
 
 

@@ -18,11 +18,10 @@ modular forms are then
     q = q1*exp(w11),  s = q2*exp(w22),  r = exp(w12),  u = r + 1/r - 2,
 
 and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
-(q1, q2, eps) by substitution.  It caps the hats to the validity box of the
-result before substituting, and it substitutes q and s into each u-power of
-a u-form within its own eps budget (uhat starts at eps^2, so u^k needs them
-only to eps^(2k) less than the result), so no step expands orders that a
-later step throws away.  Two symmetries of the sewn period matrix
+(q1, q2, eps) by one substitution per Fourier variable, each told what the
+later ones add (uhat starts at eps^2, so u^k needs its q- and s-images only
+to eps^(2k) less than the result), so no step forms orders that a later
+step throws away.  Two symmetries of the sewn period matrix
 halve the work of building these parameters: swapping the tori (q1 <-> q2)
 maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
 eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, lcm
 
 from .elliptic import covariant_derivative, eisenstein_hat
@@ -272,97 +271,19 @@ def fourier_params(sewing: SewingExpansion) -> FourierParams:
     return FourierParams(qhat, shat, rhat, uhat)
 
 
-def _abs_valid(hat: PrefSeries, name: str) -> Fraction:
-    """The absolute (prefactor-included) bound of ``name`` in a hat."""
-    if not hat.body.has_var(name):
-        return UNBOUNDED
-    return hat.body.spec(name).valid + hat.prefactor.get(name, F(0))
-
-
-def _eps_budgets(f: MultiSeries, hats: dict[str, PrefSeries]) -> dict | None:
-    """Per u-power k of ``f``, the absolute eps bound below which its q- and
-    s-steps are needed (None: the box cap alone; a u-power left out is not
-    substituted at all), or None where no budget applies.  uhat carries
-    eps^L (L its eps lead), so u^k needs its q- and s-images only below
-    eps^(V - L*k), V the result's eps bound.  With N the hats' one absolute
-    eps bound and k_min the least u-power of a non-constant term, V = N +
-    L*max(k_min - 1, 0) bounds it when the k_min term reaches the u-step:
-    so every q- and s-power of f must lie below the hats' q1 and q2 bounds,
-    and then no term vanishes before it.  A u-power whose budget is not
-    positive is left out unless it holds one of the two least q-, s- or
-    u-powers of f that no budgeted term holds: each substitution takes its
-    prefactor, bounds and variable order from those.
-    """
-    if (not f.has_var("u") or any(v.den != 1 for v in f.vars)
-            or {v.name for v in f.vars} - {"q", "s", "u"}):
-        return None
-    cols = {v.name: col for v, col in zip(f.vars, zip(*f.terms))}
-    for x, y in (("q", QVAR1), ("s", QVAR2)):
-        if max(cols.get(x, [0])) >= min(_abs_valid(h, y) for h in hats.values()):
-            return None
-    lead = hats["u"].leading_exponents().get(EPSVAR, 0)
-    valid = {_abs_valid(h, EPSVAR) for h in hats.values()}
-    i = f.var_index("u")
-    powers = [k[i] for k in f.terms if any(k)]
-    if lead <= 0 or len(valid) != 1 or not powers:
-        return None
-    v = valid.pop() + lead * max(min(powers) - 1, 0)
-    budgets = {k: v - lead * k for k in set(cols["u"]) if v > lead * k}
-    lows = {(j, e) for j, col in enumerate(cols.values()) for e in sorted(set(col))[:2]}
-    lows -= {(j, e) for key in f.terms if key[i] in budgets for j, e in enumerate(key)}
-    budgets.update({key[i]: None for key in f.terms
-                    if key[i] not in budgets and lows.intersection(enumerate(key))})
-    return budgets
-
-
-def _substitute_by_u(s: PrefSeries, var: str, hat: PrefSeries, budgets) -> PrefSeries:
-    """``substitute(s, var, hat)`` one u-power k at a time, with the hat's
-    eps capped at ``budgets[k]`` (see :func:`_eps_budgets`).  The parts add
-    up in the order of their least ``var``-power, as substitute adds up its
-    groups, and the terms free of ``var`` join the first (whose budget is
-    then the loosest of theirs), so the variables come in substitute's
-    order.  A part substituted under a budget gets the hat's eps bound
-    back, since what the budget left out lands past the result's: the sum
-    has the variables, bounds and prefactor of ``substitute(s, var, hat)``.
-    """
-    if budgets is None or not s.body.has_var(var):
-        return substitute(s, var, hat)
-    body, eps = s.body, hat.body.spec(EPSVAR)
-    i, j = body.var_index("u"), body.var_index(var)
-    parts: dict = {}
-    for key, c in body.terms.items():
-        if key[i] in budgets:
-            parts.setdefault(key[i] if key[j] else None, {})[key] = c
-    order = sorted(parts.keys() - {None}, key=lambda k: min(key[j] for key in parts[k])) or [None]
-    parts[order[0]] = {**parts.get(order[0], {}), **parts.pop(None, {})}
-    loose = {budgets[key[i]] for key in parts[order[0]]}
-    outs = []
-    for k in order:
-        b = budgets[k] if outs else (None if None in loose else max(loose))
-        part = PrefSeries(MultiSeries._of(body.vars, parts[k]), s.prefactor)
-        if b is None or b >= _abs_valid(hat, EPSVAR):
-            outs.append(substitute(part, var, hat))
-        else:
-            out = substitute(part, var, hat.cap_absolute_valid(EPSVAR, b))
-            vars = tuple(eps if v.name == EPSVAR else v for v in out.body.vars)
-            outs.append(PrefSeries(MultiSeries._of(vars, out.body.terms), out.prefactor))
-    return reduce(PrefSeries.add, outs)
-
-
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     """Rewrite a Fourier expansion in (q, s, r) or (q, s, u) as a series in
-    the pinching parameters (q1, q2, eps).
+    the pinching parameters (q1, q2, eps), one substitution per hat.
 
-    Each Fourier variable x that f knows only below x^V caps the result in
-    every pinching variable y at ``V*lead_x(y)`` (see
-    :func:`~twoloop.series.substituted_validity`), where ``lead_x(y) > 0``
-    is the leading y-exponent of x's hat.  The hats are capped to that box
-    before any substitution, so no step builds powers of a hat beyond the
-    orders the last step keeps, but not where a cap would move the hat's
-    leading exponents, which substitute reads for its own bounds.  The q-
-    and s-steps run one u-power at a time (a form without u is one), each
-    within its eps budget (:func:`_eps_budgets`), forming no term past the
-    result's eps bound.  The result is, term for term, the uncapped hats'.
+    A Fourier variable x known only below x^V caps the result in each y at
+    ``V*lead_x(y)`` (:func:`~twoloop.series.substituted_validity`), lead_x
+    the leading exponents of x's hat.  The hats are capped to that box but
+    where a cap would move their leads, and each substitution is told the
+    box and the leads of the hats still to come (``ahead`` of
+    :func:`~twoloop.series.substitute`).  For a u-form whose q- and
+    s-powers lie below the hats' q1 and q2 bounds, so that its least u-power
+    k of a non-constant term reaches the u-step, the box in eps is the
+    result's bound N + L*max(k - 1, 0), N the hats' eps bound and L uhat's.
     """
     steps = (("q", params.qhat), ("s", params.shat),
              ("u", params.uhat), ("r", params.rhat))
@@ -383,17 +304,22 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
         rel = {y: b for y, b in rel.items() if b < hat.body.spec(y).valid}
         capped = PrefSeries(hat.body.with_validity(**rel), hat.prefactor) if rel else hat
         hats[var] = capped if capped.leading_exponents() == leads[var] else hat
-    budgets = _eps_budgets(f, hats)
+    top = {y: [h.body.spec(y).valid + h.prefactor.get(y, 0) for h in hats.values()
+               if h.body.has_var(y)] for y in (QVAR1, QVAR2, EPSVAR)}
+    at, lead = {v.name: i for i, v in enumerate(f.vars)}, leads["u"].get(EPSVAR, 0)
+    powers = [k[at["u"]] for k in f.terms if any(k)] if "u" in at else []
+    if (lead > 0 and powers and set(at) <= {"q", "s", "u"} and top[EPSVAR]
+            and all(k[at[x]] < min(top[y], default=UNBOUNDED) for k in f.terms
+                    for x, y in (("q", QVAR1), ("s", QVAR2)) if x in at)):
+        v = max(top[EPSVAR]) + lead * max(min(powers) - 1, 0)
+        box[EPSVAR] = min(box.get(EPSVAR, v), v)
     # substitution commutes with eps -> c*eps: substitute the scaled hats
     # into the scaled f, mostly on ints, and unscale the result once
     c = _eps_scale(max(_eps_degree(hat) for _, hat in steps))
     out = _scale_eps(PrefSeries(f), c)
-    for var, hat in hats.items():
-        hat = _scale_eps(hat, c)
-        if var in ("q", "s"):
-            out = _substitute_by_u(out, var, hat, budgets)
-        else:
-            out = substitute(out, var, hat)
+    for n, (var, hat) in enumerate(hats.items()):
+        ahead = {x: leads[x] for x, _ in steps[n + 1:]}, box
+        out = substitute(out, var, _scale_eps(hat, c), ahead)
     return _scale_eps(out, F(1, c))
 
 

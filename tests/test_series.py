@@ -870,6 +870,20 @@ def test_substitute_rejects_unorderable():
         substitute(f, "q", g)
 
 
+@pytest.mark.parametrize("g", [
+    pytest.param(PrefSeries(S([V("t", order=3), V("s")], {(1, 0): 1, (1, 1): 2})), id="body"),
+    pytest.param(PrefSeries(S([V("t", order=3)], {(0,): 1}), {"s": F(1)}), id="prefactor"),
+])
+def test_substitute_refuses_a_series_holding_a_later_variable(g):
+    # the raise reads a product term's s-power as the coefficient's: a g
+    # holding s would move it
+    f = S([V("q", order=3), V("s")], {(1, 1): 1, (2, 0): 3})
+    ahead = {"s": {"t": F(1)}}, {"t": F(4)}
+    with pytest.raises(DomainError, match="later step"):
+        substitute(f, "q", g, ahead)
+    assert substitute(f, "q", PrefSeries(S([V("t", order=3)], {(1,): 1})), ahead).body.terms
+
+
 def test_add_moves_a_body_onto_the_finer_grid_of_its_prefactor():
     # eta + eta^2: the common prefactor is q^(1/24), so eta^2's body moves
     # up by q^(1/24), which shift_var puts on the grid of q^(1/24)

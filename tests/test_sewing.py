@@ -380,6 +380,9 @@ def _qsu(*terms):
     # least s-power, which sets the variable order and q2 prefactor of the
     # s-step
     pytest.param(lambda: _qsu((2, 0, 7, 2), (2, 2, 0, 3)), (3, 4), id="q2u7-q2s2-at-3-4"),
+    # the same with q*u^7 alone in its q-group: the group forms no power of
+    # qhat, and its dead term still holds the s-step's least s-power
+    pytest.param(lambda: _qsu((1, 0, 7, 1), (2, 2, 0, 3)), (3, 4), id="qu7-q2s2-at-3-4"),
     # q^3*u^2 lies inside qhat's q1 bound but not inside shat's, so it
     # vanishes at the s-step, and the least u-power that reaches the u-step
     # is 3: the eps bound there is eps^9, not eps^7
@@ -417,19 +420,49 @@ def test_fourier_to_sewing_matches_uncapped_chain_on_random_forms():
         _assert_same(fourier_to_sewing(f, params), _uncapped_chain(f, params), f)
 
 
-def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
-    # uhat carries eps^2 and the result is known below eps^7, so no
-    # substitution may return a term with eps-exponent + 2*(u-power) >= 7
+def _spy_substitute(monkeypatch):
+    """The (variable, result) of each substitute call fourier_to_sewing makes."""
     seen = []
     substitute = sewing.substitute
-    monkeypatch.setattr(sewing, "substitute",
-                        lambda f, var, g: seen.append(substitute(f, var, g)) or seen[-1])
-    fourier_to_sewing(delta10(6, 6).fourier_u, fourier_params(period_matrix(12, 6)))
-    assert len(seen) > 3
-    for out in seen:
+    monkeypatch.setattr(sewing, "substitute", lambda f, var, g, *ahead: seen.append(
+        (var, substitute(f, var, g, *ahead))) or seen[-1][1])
+    return seen
+
+
+def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
+    # uhat carries eps^2 and the result is known below eps^7, and shat
+    # carries q2 and the result is known below q2^6: no q- or s-step term
+    # may have q2-exponent + s-power >= 6, and the only terms with
+    # eps-exponent + 2*(u-power) >= 7 are the carriers, one per term of
+    # the form whose u-power alone passes the bound, each at eps^0
+    seen = _spy_substitute(monkeypatch)
+    f = delta10(6, 6).fourier_u
+    fourier_to_sewing(f, fourier_params(period_matrix(12, 6)))
+    dead = sum(2 * k[f.var_index("u")] >= 7 for k in f.terms)
+    assert dead == 50
+    assert [var for var, _ in seen[:2]] == ["q", "s"]
+    for _, out in seen[:2]:
+        carriers = 0
         for key in out.body.terms:
-            exps = {v.name: F(k, v.den) for v, k in zip(out.body.vars, key)}
-            assert out.prefactor.get("eps", 0) + exps.get("eps", 0) + 2 * exps.get("u", 0) < 7
+            exps = {v.name: F(k, v.den) + out.prefactor.get(v.name, 0)
+                    for v, k in zip(out.body.vars, key)}
+            assert exps.get("q2", 0) + exps.get("s", 0) < 6
+            if exps.get("eps", 0) + 2 * exps.get("u", 0) >= 7:
+                assert exps.get("eps", 0) == 0 and 2 * exps["u"] >= 7
+                carriers += 1
+        assert carriers == dead
+
+
+@pytest.mark.parametrize("form, orders", [
+    pytest.param(lambda: delta10(6, 6).fourier_u, (12, 6), id="delta10-u-6-at-12-6"),
+    pytest.param(lambda: delta10(6, 6).fourier_u, (8, 8), id="delta10-u-6-at-8-8"),
+    pytest.param(lambda: psi4_theta_candidate(3, 3).fourier_u, (3, 2), id="psi4-u-3-at-3-2"),
+    pytest.param(lambda: delta10(4, 4).fourier, (4, 5), id="delta10-r-4-at-4-5"),
+])
+def test_fourier_to_sewing_substitutes_once_per_hat(monkeypatch, form, orders):
+    seen = _spy_substitute(monkeypatch)
+    fourier_to_sewing(form(), fourier_params(period_matrix(*orders)))
+    assert [var for var, _ in seen] == ["q", "s", "u", "r"]
 
 
 def test_fourier_params_is_cached_and_read_only():
