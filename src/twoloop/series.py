@@ -1066,14 +1066,16 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
         # per bounded y: its positions, den ratio, the raise as a linear form in
         # the later powers (what later steps add past the room the plain
         # product leaves below bounds[y]) and the top raised key with a pair
-        ys = []
+        ys, num = [], lambda x: _ratio(*x.as_integer_ratio())  # noqa: E731
         for i, v in enumerate(c_vars):
             if (y := v.name) in bounds:
                 j, den = at[y], merged[at[y]].den
                 room = bounds[y] - f.prefactor.get(y, _ZERO) - pref.get(y, _ZERO)
-                ys.append((i, j, den // v.den, [w.get(y, _ZERO) * den / d for _, d, _, w in later],
-                           sum(w.get(y, _ZERO) * p for _, _, p, w in later) * den
-                           + kmaxes[j] + 1 - ceil(room * den), kmaxes[j] - low.get(y, 0)))
+                ys.append((i, j, den // v.den, [num(w.get(y, _ZERO) * den / d) for _, d, _, w in later],
+                           num(sum(w.get(y, _ZERO) * p for _, _, p, w in later) * den
+                               + kmaxes[j] + 1 - ceil(room * den)), kmaxes[j] - low.get(y, 0)))
+        if all(base <= 0 and not any(lift) for *_, lift, base, _ in ys):  # nothing to raise
+            return g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
         ups: dict[tuple, tuple] = {}  # the raise per y, per later powers
         xs = [i for i, *_ in later]
         pad = (0,) * (len(c_vars) - len(rest_vars))
@@ -1100,7 +1102,7 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
             for r, (_, j, m, *_) in zip(ups[tuple(map(key.__getitem__, xs))], ys):
                 key[j] -= r * m
             body[tuple(key)] = x
-        for key, x in _realign(dead, align).items():
+        for key, x in _realign(dead, align).items() if later else ():
             if all(k <= m for k, m in zip(key, kmaxes)):
                 body[key] = x * c0
         return PrefSeries(MultiSeries._of(merged, dict(sorted(body.items()))), pref)

@@ -309,7 +309,7 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     at, lead = {v.name: i for i, v in enumerate(f.vars)}, leads["u"].get(EPSVAR, 0)
     powers = [k[at["u"]] for k in f.terms if any(k)] if "u" in at else []
     if (lead > 0 and powers and set(at) <= {"q", "s", "u"} and top[EPSVAR]
-            and all(k[at[x]] < min(top[y], default=UNBOUNDED) for k in f.terms
+            and all(max(k[at[x]] for k in f.terms) < min(top[y], default=UNBOUNDED)
                     for x, y in (("q", QVAR1), ("s", QVAR2)) if x in at)):
         v = max(top[EPSVAR]) + lead * max(min(powers) - 1, 0)
         box[EPSVAR] = min(box.get(EPSVAR, v), v)
