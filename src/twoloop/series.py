@@ -750,8 +750,7 @@ def r_to_u(a: MultiSeries) -> MultiSeries:
             scale = c if b else c * Fraction(1, 2)
             for j, pc in enumerate(poly):
                 if pc:
-                    cur = ucoeffs.get(j, 0) + scale * pc
-                    ucoeffs[j] = cur
+                    ucoeffs[j] = ucoeffs.get(j, 0) + scale * pc
         for j, c in ucoeffs.items():
             if c:
                 res[rest + (j,)] = c
@@ -1019,11 +1018,12 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
         groups.setdefault(k[i] // v.den + p, {})[k[:i] + k[i + 1:]] = c
     valid = v.valid + p
     finite_tail = not is_unbounded(valid)
-    if finite_tail and (any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values())):
-        raise TruncationUnderflow(
-            f"substitution for {var} cannot be ordered away: leading "
-            f"exponents {lead} against validity {fmt_rat(valid)}"
-        )
+    if finite_tail:
+        if any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values()):
+            raise TruncationUnderflow(
+                f"substitution for {var} cannot be ordered away: leading "
+                f"exponents {lead} against validity {fmt_rat(valid)}"
+            )
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
     g_inverse = g.invert() if min(groups, default=0) < 0 else None
 
