@@ -980,17 +980,18 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
     one strictly positive, and the result's validity is capped accordingly
     (:func:`substituted_validity`).
 
-    ``ahead = (weights, bounds)`` makes this one step of a chain wanted
-    below the absolute ``bounds[y]`` (no tighter than the plain chain's).
-    ``weights[x][y]`` is the least y-exponent that the later step for x adds
-    per unit of x's power (its hat's leading exponents); g holds no such x.
-    Each term of c_e is raised in y by what the later steps add past the
-    room below ``bounds[y]``, :func:`mul` prunes the pairs past its box
-    (Brent and Kung, J. ACM 25, 1978) and the keys are lowered back.  A term
-    with no pair left keeps one, times c0^e (c0 g's constant term), so that
-    later steps see every power, variable and prefactor of the plain chain;
-    g^e is not formed for such terms alone.  They and the pruned pairs land
-    past the bounds, which the last step (its f holds no x) caps.
+    ``ahead = (weights, bounds)`` makes this a step of a chain wanted only
+    below the absolute ``bounds[y]``; ``weights[x][y]`` is the least
+    y-exponent that the later step for x adds per unit of x's power (its
+    hat's leads), and g holds no such x.  Each term of c_e is raised in y by
+    what the later steps add past the room below ``bounds[y]``, :func:`mul`
+    prunes the pairs past its box (Brent and Kung, J. ACM 25, 1978) and the
+    keys are lowered back.  A term with no pair left keeps one, times c0^e
+    (c0 g's constant term), so that later steps see every power, variable
+    and prefactor of the plain chain; g^e is not formed for such terms
+    alone.  They and the pruned pairs land past the bounds, where the last
+    step (its f holds no x) caps its result: the chain is the plain chain
+    below the bounds.
     """
     f = PrefSeries.coerce(f)
     body = f.body
@@ -1047,8 +1048,8 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
                  for x, w in weights.items() if x in names]
 
     def product(e: int) -> PrefSeries:
-        """g**e * c_e, with the look-ahead of ``ahead`` where g**e has a
-        constant term c0 to keep the dead terms with."""
+        """g**e * c_e; with the look-ahead of ``ahead`` where g**e has a
+        constant term c0 for the dead terms and some term is raised."""
         c0 = g.body.constant_term() ** e if e >= 0 else g_power(e).body.constant_term()
         if ahead is None or not c0:
             return g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
@@ -1063,9 +1064,8 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
         merged, _, _, align, kmaxes = _merge_vars_mul(g_vars, c_vars)
         at = {v.name: j for j, v in enumerate(merged)}
         low = {v.name: v.kmin() * merged[at[v.name]].den // v.den for v in g_vars}
-        # per bounded y: its positions, den ratio, the raise as a linear form in
-        # the later powers (what later steps add past the room the plain
-        # product leaves below bounds[y]) and the top raised key with a pair
+        # per bounded y: its positions, den ratio, the raise as a linear form
+        # in the later powers, and the top raised key that keeps a pair
         ys, num = [], lambda x: _ratio(*x.as_integer_ratio())  # noqa: E731
         for i, v in enumerate(c_vars):
             if (y := v.name) in bounds:
