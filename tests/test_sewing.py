@@ -365,8 +365,8 @@ def _qsu(*terms):
     pytest.param(lambda: _qsu((0, 0, 2, 1), (0, 0, 6, -2)), (3, 4), id="u2-u6-at-3-4"),
     # the same with q*s: the q- and s-images of u^2 are needed below eps^3
     pytest.param(lambda: _qsu((1, 1, 2, 1), (1, 1, 6, -2)), (3, 4), id="qsu2-qsu6-at-3-4"),
-    # the s-free q*u joins the s-part of u^2, which must then take q*u's
-    # looser budget: the sum with a tighter part would prune q*u's image
+    # the s-free q*u and q*s*u^2 share the q-group of q^1 with different
+    # raises: a raise read off the wrong term would prune q*u's image
     pytest.param(lambda: _qsu((1, 0, 1, 1), (1, 1, 2, 1)), (3, 4), id="qu-qsu2-at-3-4"),
     # the dead q*u^9 holds the least q-power, which sets the q1 prefactor
     pytest.param(lambda: _qsu((1, 0, 9, 1), (2, 0, 1, 1)), (4, 4), id="qu9-q2u-at-4-4"),
@@ -395,8 +395,8 @@ def _qsu(*terms):
                  (3, 4), id="1-3s2-below-q1-at-3-4"),
 ])
 def test_fourier_to_sewing_matches_uncapped_chain(form, sewing_orders):
-    # capping the hats to the result's box, and giving each u-power its own
-    # eps budget, changes no term, bound or order
+    # capping the hats to the result's box, and telling each substitution
+    # what the later ones add, changes no term, bound, order or type
     f = form()
     params = fourier_params(period_matrix(*sewing_orders))
     _assert_same(fourier_to_sewing(f, params), _uncapped_chain(f, params))
