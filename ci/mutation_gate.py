@@ -164,6 +164,13 @@ MUTANTS = (
            ("tests/test_validity.py::test_substitute_claims_nothing_its_tails_decide",
             "tests/test_validity.py::"
             "test_fourier_to_sewing_claims_nothing_the_form_tail_decides")),
+    Mutant("V's period is 1, so an odd power of eps passes", "verify.py",
+           '"V": ("eps", 2)', '"V": ("eps", 1)',
+           ("tests/test_verify.py::"
+            "test_an_invariance_fails_when_the_prefactor_moves_an_exponent",)),
+    Mutant("the closed-form S1 flips the sign of Omega12^2/Omega11", "verify.py",
+           "o22 - o12 * o12 / o11", "o22 + o12 * o12 / o11",
+           ("tests/test_verify.py::test_act_matches_numpy_reference",)),
 )
 
 

@@ -17,7 +17,7 @@ from functools import reduce
 from .elliptic import delta_cusp, eisenstein, j_function
 from .errors import TwoLoopError
 from .lattice import builtin_lattice, enumerate_shells, theta_g1, theta_g2
-from .partition import CBoson, t1_selfdual, verify_f2, z2
+from .partition import CBoson, g2_correction, t1_selfdual, z2
 from .sewing import (
     ehat2_bracket,
     fk_eps_expansion,
@@ -110,10 +110,9 @@ def c02_f12_table() -> str | None:
 
 
 def c03_psi4_candidate() -> str | None:
-    cand = psi4_theta_candidate(3, 3).fourier_u  # raises ValidationFailed on mismatch
-    ok, why = equal_on_joint_validity(cand, psi_reference(4))
-    if not ok:
-        return why
+    # the builder compares the candidate with psi_reference(4) and raises
+    # ValidationFailed on a mismatch
+    cand = psi4_theta_candidate(3, 3).fourier_u
     if coeff(cand, {"q": 1, "s": 1, "u": 2}) != 240:
         return "corrected q*s*u^2 coefficient is wrong"
     return None
@@ -139,15 +138,30 @@ def c05_sewing_factorization() -> str | None:
     return None if ok else why
 
 
-def c06_g2_consistency() -> str | None:
-    report = verify_f2(4, 4)
-    if not report.ok:
-        return report.detail
-    if not report.conjectural:
-        return "result must be flagged conjectural (ghost input)"
-    if report.eps_valid < 4:
-        return f"identity only verified below eps^{report.eps_valid}"
+def _g2_identity(q_order: int, eps_order: int) -> str | None:
+    """Delta10(sewing) * G2 * Z2(24-boson) = 1 + O(eps^4), exactly.  G2 is
+    conjectural (through the ghost), so the identity is too.
+
+    The sewing data is computed one order beyond ``eps_order`` so that the
+    product's propagated validity reaches eps_order itself; eps_order = 4
+    then verifies every coefficient below eps^4 against 1.
+    """
+    params = fourier_params(period_matrix(q_order, eps_order + 1))
+    d10 = fourier_to_sewing(delta10(q_order, q_order).fourier_u, params)
+    product = d10.mul(PrefSeries(g2_correction(q_order))).mul(z2(CBoson(24), q_order).pref)
+    if product.prefactor:
+        return f"vacuum exponents did not cancel: {dict(product.prefactor)}"
+    ok, why = equal_on_joint_validity(product, PrefSeries.coerce(1))
+    if not ok:
+        return why
+    eps_valid = min((v.valid for v in product.body.vars if v.name == "eps"), default=F(0))
+    if eps_valid < eps_order:
+        return f"identity only verified below eps^{eps_valid}"
     return None
+
+
+def c06_g2_consistency() -> str | None:
+    return _g2_identity(4, 4)
 
 
 def c07_t2_moonshine() -> str | None:

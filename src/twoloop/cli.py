@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-order", type=_order)
     sp.add_argument("--eps-order", type=_order)
     sp.add_argument("--target", default="z24", choices=tuple(WEIGHT_TARGETS))
-    sp.add_argument("--gamma", default="S1", choices=("S1", *INVARIANCES))
+    sp.add_argument("--gamma", default="S1", choices=("S1", *INVARIANCES),
+                    help="S1 is evaluated at --point; T1, T2 and V are read off "
+                         "the exact exponents and use no point")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("lattice-info", help="validate and describe a lattice")

@@ -56,9 +56,5 @@ class InternalError(TwoLoopError):
     should cancel exactly did not)."""
 
 
-class SingularDenominator(TwoLoopError):
-    """Modular action at a point where det(C*Omega + D) = 0."""
-
-
 class Unsupported(TwoLoopError):
     """Operation has no defining data for the requested theory or order."""

@@ -44,15 +44,7 @@ from .series import (
     assert_equal_on_joint_validity,
     equal_on_joint_validity,
 )
-from .sewing import (
-    ehat2_bracket,
-    eps2_bracket,
-    fourier_params,
-    fourier_to_sewing,
-    period_matrix,
-    torus_pair,
-)
-from .siegel import delta10
+from .sewing import ehat2_bracket, eps2_bracket, torus_pair
 
 F = Fraction
 
@@ -233,40 +225,6 @@ def g2_correction(q_order: int) -> MultiSeries:
     if not ok:
         raise ValidationFailed(f"ghost-boson product has wrong eps^2 term at {why}")
     return prod.body
-
-
-@dataclass(frozen=True)
-class F2Report:
-    """Outcome of the genus-two consistency identity: the weight-10 cusp
-    form, rewritten in pinching parameters, times the holomorphic correction
-    times the 24-boson partition function must be exactly 1 + O(eps^4)."""
-
-    ok: bool
-    conjectural: bool
-    eps_valid: Fraction
-    detail: str | None
-
-
-def verify_f2(q_order: int, eps_order: int) -> F2Report:
-    """Check Delta10(sewing) * G2 * Z2(24-boson) = 1 + O(eps^4) exactly.
-
-    The sewing data is computed one order beyond ``eps_order`` so that the
-    product's propagated validity reaches eps_order itself; eps_order = 4
-    then verifies every coefficient below eps^4 against 1.
-    """
-    d10 = delta10(q_order, q_order)
-    params = fourier_params(period_matrix(q_order, eps_order + 1))
-    d10_sew = fourier_to_sewing(d10.fourier_u, params)
-    g2 = g2_correction(q_order)
-    z24 = z2(CBoson(24), q_order)
-    product = d10_sew.mul(PrefSeries(g2)).mul(z24.pref)
-    if product.prefactor:
-        return F2Report(False, True, F(0),
-                        f"vacuum exponents did not cancel: {dict(product.prefactor)}")
-    ok, why = equal_on_joint_validity(product, PrefSeries.coerce(1))
-    eps_valid = min((v.valid for v in product.body.vars if v.name == "eps"),
-                    default=F(0))
-    return F2Report(ok, True, eps_valid, why)
 
 
 def t2_ratio(theory: TheoryDescriptor, q_order: int) -> PrefSeries:

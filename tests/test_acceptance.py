@@ -49,10 +49,10 @@ def test_a_wrong_coefficient_fails_its_criterion(monkeypatch):
 
 
 def test_a_library_error_fails_its_criterion(monkeypatch):
-    def broken(q_order, eps_order):
-        raise ValidationFailed("product is not 1")
+    def broken(q_order):
+        raise ValidationFailed("ghost-boson product has wrong eps^2 term")
 
-    monkeypatch.setattr(acceptance, "verify_f2", broken)
+    monkeypatch.setattr(acceptance, "g2_correction", broken)
     result = acceptance.run_criterion("6", "g2 consistency", acceptance.c06_g2_consistency)
     assert result.status == acceptance.FAIL
-    assert result.detail == "ValidationFailed: product is not 1"
+    assert result.detail == "ValidationFailed: ghost-boson product has wrong eps^2 term"

@@ -412,7 +412,7 @@ def test_malformed_point_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("gamma", ["S1", "T1"])
+@pytest.mark.parametrize("gamma", ["S1"])
 def test_weight_where_the_target_vanishes_exits_2(capsys, gamma):
     code = main(["check", "weight", "--target", "delta10-sewing", "--gamma", gamma,
                  "--q-order", "6", "--eps-order", "4", "--point=0.3+1.2i,1.7i,0"])

@@ -8,11 +8,11 @@ import pytest
 
 from twoloop import verify
 from twoloop.cli import main
-from twoloop.errors import DomainError, SingularDenominator
+from twoloop.errors import DomainError
 from twoloop.verify import (
     EvalContext,
+    _s1_image,
     _verdict,
-    act,
     check_ehat_anomaly,
     check_period_s1,
     check_weight,
@@ -32,9 +32,9 @@ XI = np.block([[np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)],
                [-np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)]])
 
 
-#: the generators S1 (the library's), S2, T1, T2, U and the reflection V
+#: the generators S1, S2, T1, T2, U and the reflection V
 GENS = {
-    "S1": verify.S1,
+    "S1": ((0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1)),
     "S2": ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0)),
     "T1": ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
     "T2": ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
@@ -63,15 +63,6 @@ def np_act(gamma, omega) -> np.ndarray:
     return (a @ omega + b) @ np.linalg.inv(c @ omega + d)
 
 
-def cocycle_det(gamma, omega) -> complex:
-    _, _, c, d = blocks(gamma)
-    return complex(np.linalg.det(c @ np.asarray(omega, dtype=complex) + d))
-
-
-def as_rows(m) -> tuple:
-    return tuple(tuple(row) for row in np.asarray(m).tolist())
-
-
 OMEGA = ((0.2 + 1.1j, 0.1 + 0.04j), (0.1 + 0.04j, -0.3 + 1.5j))
 
 
@@ -79,8 +70,6 @@ def test_generators_are_symplectic():
     for name, g in GENS.items():
         assert all(type(x) is int for row in g for x in row), name
         assert is_symplectic(g), name
-    # the library's S1 is read-only rows
-    assert type(verify.S1) is tuple and all(type(row) is tuple for row in verify.S1)
 
 
 def test_s1_squared_is_reflection():
@@ -99,59 +88,38 @@ def test_random_words_stay_symplectic():
         assert is_symplectic(word)
 
 
+def random_siegel_point(rng) -> tuple:
+    """Omega = X + iY with X real symmetric and Y positive definite."""
+    x11, x12, x22 = (rng.uniform(-1, 1) for _ in range(3))
+    a = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
+    y = a @ a.T + 0.3 * np.eye(2)
+    omega = np.array([[x11, x12], [x12, x22]]) + 1j * y
+    return tuple(tuple(complex(z) for z in row) for row in omega)
+
+
 def test_act_matches_numpy_reference():
-    gens = list(np_generators().values())
+    # the library's closed-form S1 against the matrix action of its generator
     rng = random.Random(3)
-    for omega in (OMEGA, ((0.3 + 1.2j, 0.05j), (0.05j, 1.7j))):
-        for _ in range(30):
-            word = np.eye(4, dtype=np.int64)
-            for _ in range(rng.randint(1, 4)):
-                word = word @ rng.choice(gens)
-            got = np.array(act(as_rows(word), omega))
-            assert got.shape == (2, 2)
-            assert np.abs(got - np_act(word, omega)).max() < 1e-12
+    for omega in [OMEGA] + [random_siegel_point(rng) for _ in range(30)]:
+        got = np.array(_s1_image(omega))
+        assert got.shape == (2, 2)
+        assert np.abs(got - np_act(GENS["S1"], omega)).max() < 1e-12
 
 
 def test_act_matches_translation_laws():
     omega = ((0.3 + 1.2j, 0.05j), (0.05j, 1.7j))
-    t1 = act(GENS["T1"], omega)
+    t1 = np_act(GENS["T1"], omega)
     assert abs(t1[0][0] - (omega[0][0] + 1)) < 1e-14
     assert abs(t1[1][1] - omega[1][1]) < 1e-14
-    u = act(GENS["U"], omega)
+    u = np_act(GENS["U"], omega)
     assert abs(u[0][1] - (omega[0][1] + 1)) < 1e-14
-    v = act(GENS["V"], omega)
+    v = np_act(GENS["V"], omega)
     assert abs(v[0][1] + omega[0][1]) < 1e-14
-    s1 = act(GENS["S1"], omega)
+    s1 = _s1_image(omega)
     assert abs(s1[0][0] + 1 / omega[0][0]) < 1e-14
+    assert s1[0][1] == s1[1][0]
     assert abs(s1[0][1] + omega[0][1] / omega[0][0]) < 1e-14
     assert abs(s1[1][1] - (omega[1][1] - omega[0][1] ** 2 / omega[0][0])) < 1e-14
-
-
-def test_act_is_group_action():
-    gens = list(np_generators().values())
-    rng = random.Random(11)
-    for _ in range(20):
-        g1 = rng.choice(gens) @ rng.choice(gens)
-        g2 = rng.choice(gens)
-        lhs = np.array(act(as_rows(g1 @ g2), OMEGA))
-        rhs = np.array(act(as_rows(g1), act(as_rows(g2), OMEGA)))
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_det_im_transformation():
-    omega = np.array(OMEGA)
-    for name in ("S1", "S2", "U", "T1"):
-        g = GENS[name]
-        moved = np.array(act(g, OMEGA))
-        lhs = np.linalg.det(moved.imag)
-        rhs = np.linalg.det(omega.imag) / abs(cocycle_det(g, omega)) ** 2
-        assert abs(lhs - rhs) < 1e-12, name
-
-
-def test_act_singular_denominator():
-    omega = ((1e-20 + 0j, 0), (0, 1j))
-    with pytest.raises(SingularDenominator):
-        act(GENS["S1"], omega)
 
 
 def test_eval_constant_and_leading():
@@ -270,8 +238,25 @@ def test_weight_z24_translations_and_reflection():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.03)
     for gamma in ("T1", "T2", "V"):
         res = check_weight("z24", gamma, ctx, q_order=12, eps_order=4)
-        assert res.passed, (gamma, res.residual)
-        assert res.residual < 1e-12
+        assert res.passed and res.residual == 0 and res.bound == 1, (gamma, res.residual)
+
+
+@pytest.mark.parametrize("gamma, var, shift", [("T1", "q1", Fraction(1, 24)),
+                                               ("V", "eps", Fraction(1, 6)),
+                                               ("V", "eps", Fraction(1))],
+                         ids=["T1-q1^(1/24)", "V-eps^(1/6)", "V-eps"])
+def test_an_invariance_fails_when_the_prefactor_moves_an_exponent(gamma, var, shift,
+                                                                  monkeypatch):
+    # the exact check reads each absolute exponent, prefactor included; it
+    # evaluates nothing, so eps = 0, where sewn Delta10 vanishes, is fine
+    ctx = EvalContext(0.3 + 1.2j, 1.7j, 0)
+    assert check_weight("delta10-sewing", gamma, ctx, q_order=6, eps_order=4).residual == 0
+    build, law = verify.WEIGHT_TARGETS["delta10-sewing"]
+    monkeypatch.setattr(verify, "WEIGHT_TARGETS",
+                        {"moved": (lambda *orders: build(*orders).shift(var, shift), law)})
+    res = check_weight("moved", gamma, ctx, q_order=6, eps_order=4)
+    assert not res.passed
+    assert res.residual == len(build(6, 4).body.terms)
 
 
 def test_weight_z24_s1_conjecture():
@@ -288,6 +273,14 @@ def test_weight_g2_s1_conjecture():
     assert res.residual < 1e-5
 
 
+@pytest.mark.parametrize("target", verify.WEIGHT_TARGETS)
+def test_every_weight_target_body_is_a_unit(target):
+    # the S1 bound reads the body's validity as the relative truncation
+    # order, which holds only when the prefactor is the leading monomial
+    build = verify.WEIGHT_TARGETS[target][0]
+    assert build(12, 6).body.constant_term() != 0
+
+
 def test_weight_delta10_s1():
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0.05)
     res = check_weight("delta10-sewing", "S1", ctx, q_order=8, eps_order=6)
@@ -302,7 +295,7 @@ def test_weight_check_that_cannot_fail_is_refused():
         check_weight("delta10-sewing", "S1", ctx, q_order=2, eps_order=2)
 
 
-@pytest.mark.parametrize("gamma", ["S1", "T1"])
+@pytest.mark.parametrize("gamma", ["S1"])
 def test_weight_where_the_target_vanishes_is_a_domain_error(gamma):
     # sewn Delta10 starts at eps^2: at eps = 0 both sides are 0
     ctx = EvalContext(0.3 + 1.2j, 1.7j, 0)
