@@ -142,7 +142,7 @@ MUTANTS = (
            ("tests/test_validity.py::"
             "test_substitute_told_what_follows_claims_no_more_than_the_plain_chain",)),
     Mutant("the raise ignores what the later steps add", "series.py",
-           "[num(w.get(y, _ZERO) * den / d) for _, d, _, w in later]", "[0 for _ in later]",
+           "[num(w.get(y, _ZERO) * den / d) for _, d, w in later]", "[0 for _ in later]",
            ("tests/test_sewing.py::test_fourier_to_sewing_forms_no_term_past_its_eps_budget",)),
     Mutant("dead terms keep no carrier", "series.py",
            "                body[key] = x * c0\n", "                pass\n",
@@ -171,6 +171,13 @@ MUTANTS = (
     Mutant("the closed-form S1 flips the sign of Omega12^2/Omega11", "verify.py",
            "o22 - o12 * o12 / o11", "o22 + o12 * o12 / o11",
            ("tests/test_verify.py::test_act_matches_numpy_reference",)),
+    Mutant("substitute takes a negative power of the variable", "series.py",
+           "        if k[i] < 0:\n", "        if False:\n",
+           ("tests/test_series.py::"
+            "test_substitute_refuses_what_the_body_cannot_carry[negative-power]",)),
+    Mutant("fourier_to_sewing leaves an r-form in r", "sewing.py",
+           "        f = r_to_u(f)\n", "        pass\n",
+           ("tests/test_sewing.py::test_r_form_and_u_form_substitution_agree",)),
 )
 
 

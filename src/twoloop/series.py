@@ -971,10 +971,11 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
                ahead: tuple[dict, dict] | None = None) -> PrefSeries:
     """Homomorphic substitution of a series for one variable.
 
-    ``f`` may carry a prefactor: an integer exponent of ``var`` there is
-    substituted along with the body (a fractional one raises
-    :class:`FractionalExponentUnsupported`), and the prefactor exponents of
-    the other variables pass through, as do the remaining body variables.
+    ``var`` must occur in the body of ``f`` only, at nonnegative integer
+    powers: a negative power of it, or a prefactor holding it, raises
+    :class:`DomainError`, and a fractional power
+    :class:`FractionalExponentUnsupported`.  The prefactor exponents of the
+    other variables pass through, as do the remaining body variables.
     If ``f`` has finite validity in ``var``, the unknown tail must be ordered
     away: every leading exponent of ``g`` must be nonnegative with at least
     one strictly positive, and the result's validity is capped accordingly
@@ -983,7 +984,8 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
     ``ahead = (weights, bounds)`` makes this a step of a chain wanted only
     below the absolute ``bounds[y]``; ``weights[x][y]`` is the least
     y-exponent that the later step for x adds per unit of x's power (its
-    hat's leads), and g holds no such x.  Each term of c_e is raised in y by
+    hat's leads); neither g nor the prefactor of f may hold such an x
+    (:class:`DomainError`).  Each term of c_e is raised in y by
     what the later steps add past the room below ``bounds[y]``, :func:`mul`
     prunes the pairs past its box (Brent and Kung, J. ACM 25, 1978) and the
     keys are lowered back.  A term with no pair left keeps one, times c0^e
@@ -994,19 +996,13 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
     below the bounds.
     """
     f = PrefSeries.coerce(f)
+    if var in f.prefactor:
+        raise DomainError(f"the prefactor holds {var}, which is substituted in the body only")
     body = f.body
-    p = f.prefactor.get(var, _ZERO)
-    if p.denominator != 1:
-        raise FractionalExponentUnsupported(
-            f"prefactor exponent {fmt_rat(p)} of {var} is fractional"
-        )
-    p = p.numerator
-    if not p and not body.has_var(var):
+    if not body.has_var(var):
         return f
     g = PrefSeries.coerce(g)
     lead = g.leading_exponents()
-    if not body.has_var(var):
-        body = _with_var(body, var, 1)
     i = body.var_index(var)
     v = body.vars[i]
     rest_vars = body.vars[:i] + body.vars[i + 1:]
@@ -1016,46 +1012,41 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
             raise FractionalExponentUnsupported(
                 f"{var}-exponent {Fraction(k[i], v.den)} is not an integer"
             )
-        groups.setdefault(k[i] // v.den + p, {})[k[:i] + k[i + 1:]] = c
-    valid = v.valid + p
-    finite_tail = not is_unbounded(valid)
+        if k[i] < 0:
+            raise DomainError(f"{var}^{k[i] // v.den} is a negative power")
+        groups.setdefault(k[i] // v.den, {})[k[:i] + k[i + 1:]] = c
+    finite_tail = not is_unbounded(v.valid)
     if finite_tail:
         if any(e < 0 for e in lead.values()) or not any(e > 0 for e in lead.values()):
             raise TruncationUnderflow(
                 f"substitution for {var} cannot be ordered away: leading "
-                f"exponents {lead} against validity {fmt_rat(valid)}"
+                f"exponents {lead} against validity {fmt_rat(v.valid)}"
             )
     power_cache: dict[int, PrefSeries] = {0: PrefSeries.coerce(1)}
-    g_inverse = g.invert() if min(groups, default=0) < 0 else None
 
     def g_power(e: int) -> PrefSeries:
-        if e in power_cache:
-            return power_cache[e]
-        if e > 0:
-            power = g_power(e - 1).mul(g)
-        else:
-            power = g_power(e + 1).mul(g_inverse)
-        power_cache[e] = power
-        return power
+        if e not in power_cache:
+            power_cache[e] = g_power(e - 1).mul(g)
+        return power_cache[e]
 
     if ahead is not None:
         weights, bounds = ahead
-        if any(g.body.has_var(x) or x in g.prefactor for x in weights):
-            raise DomainError(f"the series for {var} holds a variable that a later step replaces")
+        if any(g.body.has_var(x) or x in g.prefactor or x in f.prefactor for x in weights):
+            raise DomainError(f"the series for {var} or the prefactor of the series it is "
+                              "substituted in holds a variable that a later step replaces")
         names = [v.name for v in rest_vars]
-        # per later variable the coefficients hold: position, den, f's prefactor, weights
-        later = [(names.index(x), rest_vars[names.index(x)].den, f.prefactor.get(x, _ZERO), w)
+        # per later variable the coefficients hold: position, den, weights
+        later = [(names.index(x), rest_vars[names.index(x)].den, w)
                  for x, w in weights.items() if x in names]
 
     def product(e: int) -> PrefSeries:
         """g**e * c_e; with the look-ahead of ``ahead`` where g**e has a
         constant term c0 for the dead terms and some term is raised."""
-        c0 = g.body.constant_term() ** e if e >= 0 else g_power(e).body.constant_term()
+        c0 = g.body.constant_term() ** e
         if ahead is None or not c0:
             return g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
         # the variables of g**e, formed or not
-        g_vars = g_power(e).body.vars if e < 0 else reduce(
-            lambda vs, _: _merge_vars_mul(vs, g.body.vars)[0], range(e), ())
+        g_vars = reduce(lambda vs, _: _merge_vars_mul(vs, g.body.vars)[0], range(e), ())
         pref = {n: x * e for n, x in g.prefactor.items()}
         # c_e also on the bounded variables only g**e holds, at exponent 0:
         # the product's variables are still the plain product's
@@ -1071,9 +1062,8 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
             if (y := v.name) in bounds:
                 j, den = at[y], merged[at[y]].den
                 room = bounds[y] - f.prefactor.get(y, _ZERO) - pref.get(y, _ZERO)
-                ys.append((i, j, den // v.den, [num(w.get(y, _ZERO) * den / d) for _, d, _, w in later],
-                           num(sum(w.get(y, _ZERO) * p for _, _, p, w in later) * den
-                               + kmaxes[j] + 1 - ceil(room * den)), kmaxes[j] - low.get(y, 0)))
+                ys.append((i, j, den // v.den, [num(w.get(y, _ZERO) * den / d) for _, d, w in later],
+                           kmaxes[j] + 1 - ceil(room * den), kmaxes[j] - low.get(y, 0)))
         if all(base <= 0 and not any(lift) for *_, lift, base, _ in ys):  # nothing to raise
             return g_power(e).mul(PrefSeries(MultiSeries._of(rest_vars, groups[e])))
         ups: dict[tuple, tuple] = {}  # the raise per y, per later powers
@@ -1115,11 +1105,10 @@ def substitute(f: MultiSeries | PrefSeries, var: str, g: PrefSeries,
         floors = {v.name: v.min_exp for v in rest_vars}
         for name, le in lead.items():
             if le > 0:
-                bound = substituted_validity(valid, le, floors.get(name, _ZERO))
+                bound = substituted_validity(v.valid, le, floors.get(name, _ZERO))
                 result = result.cap_absolute_valid(name, bound)
     for name, e in f.prefactor.items():
-        if name != var:
-            result = result.shift(name, e)
+        result = result.shift(name, e)
     for y in [y for y in bounds if result.body.has_var(y)] if ahead and not later else ():
         result = result.cap_absolute_valid(y, bounds[y])
     return result

@@ -17,15 +17,16 @@ modular forms are then
 
     q = q1*exp(w11),  s = q2*exp(w22),  r = exp(w12),  u = r + 1/r - 2,
 
-and :func:`fourier_to_sewing` rewrites a Fourier expansion as a series in
+and :func:`fourier_to_sewing` rewrites a Fourier expansion in (q, s, u),
+or in (q, s, r) through :func:`~twoloop.series.r_to_u`, as a series in
 (q1, q2, eps) by one substitution per Fourier variable, each told what the
 later ones add (uhat starts at eps^2, so u^k needs its q- and s-images only
 to eps^(2k) less than the result), so no step forms orders that a later
 step throws away.  Two symmetries of the sewn period matrix
 halve the work of building these parameters: swapping the tori (q1 <-> q2)
 maps w11 to w22, so s is q with q1 and q2 renamed; and the reflection
-eps -> -eps fixes w11, w22 and negates w12, so exp(-w12) is exp(w12) with
-its odd eps powers negated.
+eps -> -eps fixes w11, w22 and negates w12, so u is twice the even-eps
+part of exp(w12), less 2.
 
 The pinching expansions built from torus data live here too: f(q1) f(q2)
 (:func:`torus_pair`), an eps^2 bracket (:func:`eps2_bracket`), the
@@ -62,6 +63,7 @@ from .series import (
     is_unbounded,
     mul,
     negate,
+    r_to_u,
     scalar_mul,
     shift_var,
     substitute,
@@ -237,43 +239,40 @@ class FourierParams:
 
     qhat: PrefSeries
     shat: PrefSeries
-    rhat: PrefSeries
     uhat: PrefSeries
 
 
 @lru_cache(maxsize=None)
 def fourier_params(sewing: SewingExpansion) -> FourierParams:
-    """q = q1 exp(w11), s = q2 exp(w22), r = exp(w12), u = r + 1/r - 2.
+    """q = q1 exp(w11), s = q2 exp(w22), u = exp(w12) + exp(-w12) - 2.
 
-    s is q with the tori swapped (q1 <-> q2), and exp(-w12) is exp(w12)
-    under the reflection eps -> -eps, which negates w12 (checked here:
-    every term of w12 has an odd eps power).  Only w11 and w12 are
-    exponentiated.  Cached per sewing expansion (series compare by
-    identity), so the hats of one ``period_matrix`` are built once.
+    s is q with the tori swapped (q1 <-> q2), and u is twice the even-eps
+    part of exp(w12), less 2: the reflection eps -> -eps negates w12
+    (checked here: every term of w12 has an odd eps power), so it maps
+    exp(w12) to exp(-w12).  Only w11 and w12 are exponentiated.  Cached
+    per sewing expansion (series compare by identity), so the hats of one
+    ``period_matrix`` are built once.
     """
     qhat = PrefSeries(exp_series(sewing.w11), {QVAR1: F(1)})
     shat = qhat.rename_vars({QVAR1: QVAR2, QVAR2: QVAR1})
     i = sewing.w12.var_index(EPSVAR)
     if not all(k[i] % 2 for k in sewing.w12.terms):
         raise InternalError("w12 is not odd in eps")
-    ehat_plus = exp_series(sewing.w12)
-    i = ehat_plus.var_index(EPSVAR)
-    ehat_minus = MultiSeries._of(ehat_plus.vars, {
-        k: -c if k[i] % 2 else c for k, c in ehat_plus.terms.items()
-    })
-    rhat = PrefSeries(ehat_plus)
-    u = add(ehat_plus, ehat_minus)
+    r = exp_series(sewing.w12)
+    i = r.var_index(EPSVAR)
+    u = MultiSeries._of(r.vars, {k: 2 * c for k, c in r.terms.items() if k[i] % 2 == 0})
     u = add(u, MultiSeries.constant(-2, ()))
     # every term of w12 carries one power of eps, so u = 2(cosh(w12) - 1)
     # has eps-degree >= 2 throughout (not just in the stored range)
     u = u.with_min_floor(EPSVAR, F(2))
     uhat = PrefSeries(shift_var(u, EPSVAR, -2), {EPSVAR: F(2)})
-    return FourierParams(qhat, shat, rhat, uhat)
+    return FourierParams(qhat, shat, uhat)
 
 
 def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
-    """Rewrite a Fourier expansion in (q, s, r) or (q, s, u) as a series in
-    the pinching parameters (q1, q2, eps), one substitution per hat.
+    """Rewrite a Fourier expansion in (q, s, u) as a series in the pinching
+    parameters (q1, q2, eps), one substitution per hat.  One in (q, s, r)
+    is rewritten in u on entry (:func:`~twoloop.series.r_to_u`).
 
     A Fourier variable x known only below x^V caps the result in each y at
     ``V*lead_x(y)`` (:func:`~twoloop.series.substituted_validity`), lead_x
@@ -285,8 +284,9 @@ def fourier_to_sewing(f: MultiSeries, params: FourierParams) -> PrefSeries:
     k of a non-constant term reaches the u-step, the box in eps is the
     result's bound N + L*max(k - 1, 0), N the hats' eps bound and L uhat's.
     """
-    steps = (("q", params.qhat), ("s", params.shat),
-             ("u", params.uhat), ("r", params.rhat))
+    if f.has_var("r"):
+        f = r_to_u(f)
+    steps = (("q", params.qhat), ("s", params.shat), ("u", params.uhat))
     leads = {var: hat.leading_exponents() for var, hat in steps}
     box: dict[str, Fraction] = {}
     for var, _ in steps:

@@ -46,7 +46,7 @@ def _periods(q_order, eps_order):
 
 def _hats(q_order, eps_order):
     p = fourier_params(period_matrix(q_order, eps_order))
-    return [p.qhat, p.shat, p.rhat, p.uhat]
+    return [p.qhat, p.shat, p.uhat]
 
 
 def _form(name, builder, q_order, s_order):

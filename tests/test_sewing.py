@@ -6,7 +6,12 @@ import pytest
 
 from twoloop import sewing
 from twoloop.elliptic import dedekind_eta, eisenstein, eisenstein_hat, theta_jacobi
-from twoloop.errors import DomainError, FractionalExponentUnsupported, InternalError
+from twoloop.errors import (
+    AsymmetryError,
+    DomainError,
+    FractionalExponentUnsupported,
+    InternalError,
+)
 from twoloop.series import (
     MultiSeries,
     PrefSeries,
@@ -211,14 +216,13 @@ def test_fourier_params_printed_orders():
     # eps^4 coefficient of u at q1^0 q2^0: 1/12 + 2*(1/144) = 7/72
     assert uhat.coeff({"eps": 4}) == F(7, 72)
     assert uhat.coeff({"eps": 4, "q1": 1}) == 2 * 2 * F(-1, 12)
-    # r at eps = 0 is 1
-    assert params.rhat.coeff({}) == 1
 
 
 @pytest.mark.parametrize("q_order, eps_order", [(4, 5), (6, 6)])
 def test_fourier_params_mirror_images_match_direct_construction(q_order, eps_order):
-    # shat and exp(-w12) are built from qhat and exp(w12) by symmetry; they
-    # must equal the series exponentiated directly, down to the JSON bytes
+    # shat is qhat renamed and uhat twice the even-eps part of exp(w12), less
+    # 2; they must equal the series exponentiated directly, down to the JSON
+    # bytes
     sew = period_matrix(q_order, eps_order)
     params = fourier_params(sew)
     shat = PrefSeries(exp_series(sew.w22), {"q2": 1})
@@ -263,36 +267,6 @@ def test_fourier_to_sewing_rejects_fractional():
         fourier_to_sewing(frac, params)
 
 
-def test_r_form_and_u_form_substitution_agree():
-    # the r-route exercises negative powers of exp(w12); it must agree with
-    # the u-route on the V-symmetric lattice theta series
-    from twoloop.lattice import builtin_lattice, theta_g2
-    from twoloop.series import r_to_u
-
-    th = theta_g2(builtin_lattice("E8"), 2, 2)
-    params = fourier_params(period_matrix(2, 2))
-    via_r = fourier_to_sewing(th, params)
-    via_u = fourier_to_sewing(r_to_u(th), params)
-    ok, why = equal_on_joint_validity(via_r, via_u)
-    assert ok, why
-
-
-def test_substitution_inverts_rhat_at_most_once(monkeypatch):
-    # the r-form needs r^-1 .. r^-4; all of them come from one inverse
-
-    d = delta10(4, 4)
-    params = fourier_params(period_matrix(4, 5))
-    calls = []
-    invert = PrefSeries.invert
-    monkeypatch.setattr(PrefSeries, "invert", lambda self: calls.append(1) or invert(self))
-    via_r = fourier_to_sewing(d.fourier, params)
-    assert len(calls) == 1
-    via_u = fourier_to_sewing(d.fourier_u, params)
-    assert len(calls) == 1
-    ok, why = equal_on_joint_validity(via_r, via_u)
-    assert ok, why
-
-
 def test_delta10_factorization_beyond_printed_order():
     # the theta-product data at box 5 (never printed in any table) must
     # still factorize exactly as eps^2 Delta(q1) Delta(q2) (1 - 10
@@ -321,7 +295,7 @@ def _uncapped_chain(f, params):
     """fourier_to_sewing without the hat caps or the look-ahead: one plain
     substitution per Fourier variable, each at the hats' own orders, made at
     eps -> c*eps as fourier_to_sewing makes them."""
-    steps = (("q", params.qhat), ("s", params.shat), ("u", params.uhat), ("r", params.rhat))
+    steps = (("q", params.qhat), ("s", params.shat), ("u", params.uhat))
     c = sewing._eps_scale(max(sewing._eps_degree(hat) for _, hat in steps))
     out = sewing._scale_eps(PrefSeries.coerce(f), c)
     for var, hat in steps:
@@ -336,6 +310,19 @@ def _assert_same(got, want, context=None):
     assert list(got.prefactor.items()) == list(want.prefactor.items()), context
     typed = [[(k, type(c), c) for k, c in s.body.terms.items()] for s in (got, want)]
     assert typed[0] == typed[1], context
+
+
+def test_r_form_and_u_form_substitution_agree():
+    # an r-form is rewritten in u on entry, so it sews to the bytes of its
+    # u-form; one that is not symmetric under r <-> 1/r is refused
+    d = delta10(4, 4)
+    for orders in ((4, 5), (6, 3)):
+        params = fourier_params(period_matrix(*orders))
+        _assert_same(fourier_to_sewing(d.fourier, params),
+                     fourier_to_sewing(d.fourier_u, params), orders)
+    lopsided = MultiSeries((VarSpec("q"), VarSpec("r", min_exp=-1)), {(F(1), F(1)): 1})
+    with pytest.raises(AsymmetryError):
+        fourier_to_sewing(lopsided, params)
 
 
 def _q_unbounded_form():
@@ -353,7 +340,6 @@ def _qsu(*terms):
 
 @pytest.mark.parametrize("form, sewing_orders", [
     pytest.param(lambda: delta10(6, 6).fourier_u, (12, 6), id="delta10-u-6-at-12-6"),
-    pytest.param(lambda: delta10(4, 4).fourier, (4, 5), id="delta10-r-4-at-4-5"),
     pytest.param(lambda: psi4_theta_candidate(3, 3).fourier_u, (3, 2), id="psi4-u-3-at-3-2"),
     pytest.param(lambda: delta10(6, 6).fourier_u, (4, 3), id="delta10-u-6-at-4-3"),
     pytest.param(_q_unbounded_form, (4, 4), id="q-unbounded-at-4-4"),
@@ -462,7 +448,7 @@ def test_fourier_to_sewing_forms_no_term_past_its_eps_budget(monkeypatch):
 def test_fourier_to_sewing_substitutes_once_per_hat(monkeypatch, form, orders):
     seen = _spy_substitute(monkeypatch)
     fourier_to_sewing(form(), fourier_params(period_matrix(*orders)))
-    assert [var for var, _ in seen] == ["q", "s", "u", "r"]
+    assert [var for var, _ in seen] == ["q", "s", "u"]
 
 
 def test_fourier_params_is_cached_and_read_only():
@@ -476,7 +462,7 @@ def test_fourier_params_is_cached_and_read_only():
     with pytest.raises(TypeError):
         params.qhat.prefactor["q1"] = 2
     with pytest.raises(TypeError):
-        params.rhat.body.terms[(0, 0, 0)] = 2
+        params.uhat.body.terms[(0, 0, 0)] = 2
 
 
 def test_fourier_to_sewing_validity_caps():
